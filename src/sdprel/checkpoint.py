@@ -3,6 +3,10 @@
 Layout: magic ``SDPL`` | version u16 LE | meta length u64 LE | canonical
 JSON metadata | raw float64 LE array payloads in the order the metadata
 lists them | 8-byte blake2b checksum of everything before it.
+
+Version 2 stores each LSTM direction as three fused tensors (``fwd.w_in``,
+``fwd.w_rec``, ``fwd.b``); version 1 stored one per gate (``fwd.w_in.i`` ...)
+and is still read, and written on request.
 """
 
 from __future__ import annotations
@@ -15,17 +19,39 @@ import numpy as np
 
 from .errors import CorruptChecksum, FormatError, VersionMismatch
 from .features import Autoencoder
+from .neural import GATES
 from .pipeline import Checkpoint, TrainConfig
 
 MAGIC = b"SDPL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_LSTM_PREFIXES = ("fwd.", "bwd.")
 
 _AE_FIELDS = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
 
 
-def _collect_arrays(ck: Checkpoint) -> dict[tuple[str, str], np.ndarray]:
+def _per_gate_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Version 1 layout: each fused LSTM tensor split into its gate rows."""
+    out = {name: arr for name, arr in params.items() if not name.startswith(_LSTM_PREFIXES)}
+    for name in params.keys() - out.keys():
+        out.update(zip((f"{name}.{g}" for g in GATES), np.split(params[name], len(GATES))))
+    return out
+
+
+def _fused_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Version 1 per-gate LSTM tensors concatenated in GATES order."""
+    out = {name: arr for name, arr in params.items() if not name.startswith(_LSTM_PREFIXES)}
+    for name in {name.rsplit(".", 1)[0] for name in params.keys() - out.keys()}:
+        try:
+            out[name] = np.concatenate([params[f"{name}.{g}"] for g in GATES])
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"version 1 checkpoint: bad gate tensors for {name}: {exc}") from None
+    return out
+
+
+def _collect_arrays(ck: Checkpoint, version: int) -> dict[tuple[str, str], np.ndarray]:
     arrays: dict[tuple[str, str], np.ndarray] = {}
-    for name, arr in ck.params.items():
+    params = _per_gate_params(ck.params) if version == 1 else ck.params
+    for name, arr in params.items():
         arrays[("param", name)] = arr
     for section, ae in (("pos_ae", ck.pos_ae), ("position_ae", ck.position_ae)):
         if ae is None:
@@ -38,7 +64,7 @@ def _collect_arrays(ck: Checkpoint) -> dict[tuple[str, str], np.ndarray]:
 
 
 def checkpoint_bytes(ck: Checkpoint, version: int = FORMAT_VERSION) -> bytes:
-    arrays = _collect_arrays(ck)
+    arrays = _collect_arrays(ck, version)
     index = sorted(arrays)
     meta = {
         "config": ck.config.to_dict(),
@@ -77,9 +103,9 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     if hashlib.blake2b(body, digest_size=8).digest() != digest:
         raise CorruptChecksum("checkpoint checksum does not match")
     (version,) = struct.unpack_from("<H", blob, len(MAGIC))
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise VersionMismatch(
-            f"checkpoint format version {version}, reader supports {FORMAT_VERSION}"
+            f"checkpoint format version {version}, reader supports 1 and {FORMAT_VERSION}"
         )
     offset = len(MAGIC) + 2
     (meta_len,) = struct.unpack_from("<Q", blob, offset)
@@ -111,11 +137,12 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
             *(arrays[(section, field_name)] for field_name in _AE_FIELDS)
         )
 
+    params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
     return Checkpoint(
         config=TrainConfig.from_dict(meta["config"]),
         model_kind=meta["model_kind"],
         model_meta=meta["model_meta"],
-        params={name: arr for (sec, name), arr in arrays.items() if sec == "param"},
+        params=_fused_params(params) if version == 1 else params,
         pos_ae=take_ae("pos_ae"),
         position_ae=take_ae("position_ae"),
         pos_table={k: int(v) for k, v in meta["pos_table"].items()},

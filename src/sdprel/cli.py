@@ -7,14 +7,16 @@ training (non-finite loss).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
 from .depgraph import load_dependencies
-from .errors import InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .features import load_pos_table
 from .pipeline import (
+    REPORT_HEADER,
     TrainConfig,
     cross_validate,
     evaluate,
@@ -25,7 +27,7 @@ from .pipeline import (
     train,
 )
 
-SWEEP_PARAMS = ("epochs", "mlp_hidden", "window")
+SWEEP_PARAMS = {"epochs": "epochs", "mlp_hidden": "mlp_hidden", "window": "position_window"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +108,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig.from_file(args.config)
     if args.tune_embeddings:
         config = config.replace(tune_embeddings=True)
-    result = instances_from_json(_read(args.instances))
+    result = _read_instances(args.instances, config, "config")
     tr = train(config, result.instances)
     save_checkpoint(tr.checkpoint, args.out)
     if args.losses:
@@ -121,29 +123,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ck = load_checkpoint(args.ck)
-    result = instances_from_json(_read(args.instances))
+    result = _read_instances(args.instances, ck.config, "checkpoint")
     metrics = evaluate(ck, result.instances, excluded=result.excluded)
     if args.report == "csv":
-        print("fold,tp,fp,fn,tn,precision,recall,f1")
-        print(
-            f"all,{metrics.tp},{metrics.fp},{metrics.fn},{metrics.tn},"
-            f"{metrics.precision:.2f},{metrics.recall:.2f},{metrics.f1:.2f}"
-        )
+        print(REPORT_HEADER)
+        print(metrics.csv_row("all"))
     else:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "tp": metrics.tp, "fp": metrics.fp,
-                    "fn": metrics.fn, "tn": metrics.tn,
-                    "precision": round(metrics.precision, 2),
-                    "recall": round(metrics.recall, 2),
-                    "f1": round(metrics.f1, 2),
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(metrics.to_dict(), sort_keys=True))
     return 0
 
 
@@ -169,7 +155,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_predict(args) -> int:
     ck = load_checkpoint(args.ck)
-    result = instances_from_json(_read(args.instances))
+    result = _read_instances(args.instances, ck.config, "checkpoint")
     vectorizer = ck.build_vectorizer()
     model = ck.build_model()
     print("instance_id,predicted_label,prob_positive")
@@ -191,13 +177,7 @@ def _cmd_sweep(args) -> int:
     deps = load_dependencies(args.deps)
     rows = ["param,value,precision,recall,f1"]
     for value in values:
-        if args.param == "epochs":
-            config = base.replace(epochs=value)
-        elif args.param == "mlp_hidden":
-            config = base.replace(mlp_hidden=value)
-        else:
-            config = base.replace(position_window=value)
-        config.validate()
+        config = base.replace(**{SWEEP_PARAMS[args.param]: value}).validate()
         result = preprocess(sentences, deps, config)
         report = cross_validate(config, result)
         m = report.micro
@@ -210,9 +190,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read(path) -> str:
+def _read_instances(path, config: TrainConfig, source: str):
+    """Parse an instances file; `source` (config or checkpoint) must use its features."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        result = instances_from_json(fh.read())
+    for key in ("position_window", "use_pos", "use_position"):
+        made, wanted = getattr(result, key), getattr(config, key)
+        if made != wanted:
+            raise ConfigError(
+                f"{path} was made with {key}={made}, but the {source} has {key}={wanted}"
+            )
+    return result
 
 
 _COMMANDS = {

@@ -40,6 +40,7 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
         if len(header) != 2:
             raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")
         try:
+            # the declared vocabulary size is not checked: real files miscount it
             declared, dim = int(header[0]), int(header[1])
         except ValueError:
             raise FormatError(f"{path}: non-integer header {header}") from None
@@ -65,9 +66,6 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
                 vocab[word] = np.array(values, dtype=np.float64)
             except ValueError:
                 raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
-    if declared != len(vocab) + duplicates:
-        # header miscounts are tolerated; real corpora get this wrong routinely
-        pass
     return EmbeddingTable(
         dimension=dim, vocabulary=vocab, oov_seed=oov_seed, duplicate_count=duplicates
     )

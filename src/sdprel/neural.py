@@ -4,6 +4,10 @@ Everything is explicit float64 numpy with hand-written reverse-mode
 gradients; no autodiff framework.  Three sequence classifiers share one MLP
 head: the BiLSTM-with-max-pooling model, a concatenation MLP baseline, and a
 final-hidden-state simple RNN baseline.
+
+Each LSTM direction keeps one fused (4H x .) matrix per weight kind, gate
+rows in GATES order (Appleyard et al. 2016), so a sequence's input
+projection and its weight gradients are one matmul each.
 """
 
 from __future__ import annotations
@@ -76,28 +80,54 @@ def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 @dataclass
 class LstmParams:
-    """Per-gate weights: w_in (units x input_dim), w_rec (units x units), b."""
+    """Fused gate weights: rows are the gates in GATES order, `units` rows each.
 
-    w_in: dict[str, np.ndarray]
-    w_rec: dict[str, np.ndarray]
-    bias: dict[str, np.ndarray]
+    w_x is (4H x input_dim), w_h is (4H x H) and b is (4H,), so sigmoid
+    covers the first 3H rows (i, f, o) and tanh the last H (u).  The
+    per-gate mappings w_in, w_rec and bias are row views into them.
+    """
+
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
 
     @property
     def units(self) -> int:
-        return self.bias["i"].shape[0]
+        return self.b.shape[0] // len(GATES)
 
     @property
     def input_dim(self) -> int:
-        return self.w_in["i"].shape[1]
+        return self.w_x.shape[1]
+
+    @property
+    def w_in(self) -> dict[str, np.ndarray]:
+        return _gate_rows(self.w_x)
+
+    @property
+    def w_rec(self) -> dict[str, np.ndarray]:
+        return _gate_rows(self.w_h)
+
+    @property
+    def bias(self) -> dict[str, np.ndarray]:
+        return _gate_rows(self.b)
+
+    def named(self, prefix: str) -> dict[str, np.ndarray]:
+        """The three arrays under their tensor names."""
+        return {f"{prefix}.w_in": self.w_x, f"{prefix}.w_rec": self.w_h, f"{prefix}.b": self.b}
+
+
+def _gate_rows(fused: np.ndarray) -> dict[str, np.ndarray]:
+    return dict(zip(GATES, np.split(fused, len(GATES))))
 
 
 def init_lstm_params(rng: np.random.Generator, units: int, input_dim: int) -> LstmParams:
+    # per-gate Glorot blocks, drawn in GATES order
+    w_x = np.concatenate([glorot(rng, units, input_dim) for _ in GATES])
+    w_h = np.concatenate([glorot(rng, units, units) for _ in GATES])
+    b = np.zeros(len(GATES) * units)
     # forget-gate bias starts at 1 so early steps keep their cell state
-    w_in = {g: glorot(rng, units, input_dim) for g in GATES}
-    w_rec = {g: glorot(rng, units, units) for g in GATES}
-    bias = {g: np.zeros(units) for g in GATES}
-    bias["f"] = np.ones(units)
-    return LstmParams(w_in=w_in, w_rec=w_rec, bias=bias)
+    _gate_rows(b)["f"][...] = 1.0
+    return LstmParams(w_x=w_x, w_h=w_h, b=b)
 
 
 def lstm_cell(p: LstmParams, x, h_prev, c_prev):
@@ -111,66 +141,72 @@ def _lstm_step(p, x, h_prev, c_prev):
         raise DimensionMismatch(f"input shape {x.shape}, expected ({p.input_dim},)")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h_prev))):
         raise NonFiniteInput("lstm_cell received non-finite input")
-    pre = {
-        g: p.w_in[g] @ x + p.w_rec[g] @ h_prev + p.bias[g] for g in GATES
-    }
-    i, f, o = sigmoid(pre["i"]), sigmoid(pre["f"]), sigmoid(pre["o"])
-    u = np.tanh(pre["u"])
+    acts = p.w_x @ x + p.w_h @ h_prev + p.b
+    h, c = _activate(acts, c_prev)
+    return h, c, _gate_rows(acts)
+
+
+def _activate(acts, c_prev):
+    """Turn fused pre-activations into gate activations in place; returns (h, c)."""
+    units = c_prev.shape[0]
+    acts[: 3 * units] = sigmoid(acts[: 3 * units])
+    np.tanh(acts[3 * units :], out=acts[3 * units :])
+    i, f, o, u = acts.reshape(len(GATES), units)
     c = i * u + f * c_prev
-    h = o * np.tanh(c)
-    return h, c, {"i": i, "f": f, "o": o, "u": u, "c": c, "h": h}
+    return o * np.tanh(c), c
 
 
-def _lstm_run(p: LstmParams, xs: np.ndarray, reverse: bool):
-    """Run over the sequence; returns (aligned H matrix, step cache list)."""
-    n = xs.shape[0]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    h = np.zeros(p.units)
-    c = np.zeros(p.units)
-    steps = []
-    states = np.zeros((n, p.units))
-    for t in order:
-        h_prev, c_prev = h, c
-        h, c, gates = _lstm_step(p, xs[t], h_prev, c_prev)
-        steps.append({"t": t, "h_prev": h_prev, "c_prev": c_prev, **gates})
-        states[t] = h
-    return states, steps
+def _lstm_run(p: LstmParams, xs: np.ndarray):
+    """Run over xs in row order; returns (states, gate activations, cells) per step."""
+    if xs.shape[1] != p.input_dim:
+        raise DimensionMismatch(f"input dim {xs.shape[1]}, expected {p.input_dim}")
+    n, units = xs.shape[0], p.units
+    acts = xs @ p.w_x.T + p.b
+    states = np.empty((n, units))
+    cells = np.empty((n, units))
+    h = c = np.zeros(units)
+    for t in range(n):
+        if not np.all(np.isfinite(h)):
+            raise NonFiniteInput("lstm_cell received non-finite input")
+        acts[t] += p.w_h @ h
+        h, c = _activate(acts[t], c)
+        states[t], cells[t] = h, c
+    return states, acts, cells
 
 
-def _lstm_backprop(p: LstmParams, xs, steps, d_states):
-    """Reverse-mode through a cached `_lstm_run`.
+def _lstm_backprop(p: LstmParams, xs, run, d_states):
+    """Reverse-mode through `_lstm_run(p, xs)`.
 
-    d_states is the (n x units) gradient arriving at each aligned hidden
-    state.  Returns (grads dict keyed like the params, d_xs).
+    d_states is the (n x units) gradient arriving at each step's hidden
+    state.  Returns (gradients as an LstmParams, d_xs).
     """
-    grads = {
-        "w_in": {g: np.zeros_like(p.w_in[g]) for g in GATES},
-        "w_rec": {g: np.zeros_like(p.w_rec[g]) for g in GATES},
-        "bias": {g: np.zeros_like(p.bias[g]) for g in GATES},
-    }
-    d_xs = np.zeros_like(xs)
-    dh_carry = np.zeros(p.units)
-    dc_carry = np.zeros(p.units)
-    for step in reversed(steps):
-        t = step["t"]
-        tanh_c = np.tanh(step["c"])
+    states, acts, cells = run
+    n, units = states.shape
+    i, f, o, u = acts.reshape(n, len(GATES), units).transpose(1, 0, 2)
+    tanh_c = np.tanh(cells)
+    # d_pre[t] is scale[t] times dc for the i, f and u rows, times dh for o
+    scale = np.stack(
+        [u * i * (1 - i), _shifted(cells) * f * (1 - f), tanh_c * o * (1 - o), i * (1 - u * u)],
+        axis=1,
+    )
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    d_pre = np.empty_like(scale)
+    dh_carry = dc_carry = np.zeros(units)
+    for t in range(n - 1, -1, -1):
         dh = d_states[t] + dh_carry
-        dc = dc_carry + dh * step["o"] * (1.0 - tanh_c * tanh_c)
-        d_pre = {
-            "o": dh * tanh_c * step["o"] * (1.0 - step["o"]),
-            "i": dc * step["u"] * step["i"] * (1.0 - step["i"]),
-            "u": dc * step["i"] * (1.0 - step["u"] * step["u"]),
-            "f": dc * step["c_prev"] * step["f"] * (1.0 - step["f"]),
-        }
-        dc_carry = dc * step["f"]
-        dh_carry = np.zeros(p.units)
-        for g in GATES:
-            grads["w_in"][g] += np.outer(d_pre[g], xs[t])
-            grads["w_rec"][g] += np.outer(d_pre[g], step["h_prev"])
-            grads["bias"][g] += d_pre[g]
-            dh_carry += p.w_rec[g].T @ d_pre[g]
-            d_xs[t] += p.w_in[g].T @ d_pre[g]
-    return grads, d_xs
+        dc = dc_carry + dh * dc_dh[t]
+        np.multiply(scale[t], dc, out=d_pre[t])
+        d_pre[t, 2] = scale[t, 2] * dh
+        dc_carry = dc * f[t]
+        dh_carry = p.w_h.T @ d_pre[t].ravel()
+    d_pre = d_pre.reshape(n, -1)
+    grads = LstmParams(w_x=d_pre.T @ xs, w_h=d_pre.T @ _shifted(states), b=d_pre.sum(axis=0))
+    return grads, d_pre @ p.w_x
+
+
+def _shifted(rows: np.ndarray) -> np.ndarray:
+    """Row t holds row t-1 of `rows`; row 0 is zeros (the initial state)."""
+    return np.vstack([np.zeros_like(rows[:1]), rows[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +235,10 @@ def init_mlp_head(
     return MlpHead(hidden=hidden, w_out=glorot(rng, LABEL_COUNT, fan_in), activation=activation)
 
 
-def _head_forward(head: MlpHead, s: np.ndarray, mask_s, mask_m):
+def _head_forward(head: MlpHead, s: np.ndarray, masks):
+    """Head pass; masks is None or the {"s", "m"} dropout masks."""
     act, _ = ACTIVATIONS[head.activation]
+    mask_s, mask_m = (masks["s"], masks["m"]) if masks else (None, None)
     s_drop = s if mask_s is None else s * mask_s
     layer_inputs = []
     hidden_acts = []
@@ -228,7 +266,7 @@ def _head_forward(head: MlpHead, s: np.ndarray, mask_s, mask_m):
 
 
 def _head_backward(head: MlpHead, cache, label: int):
-    """Returns (grads for hidden/out weights, dS w.r.t. the pooled input)."""
+    """Returns (gradients as an MlpHead, dS w.r.t. the pooled input)."""
     _, act_deriv = ACTIVATIONS[head.activation]
     probs = cache["probs"]
     d_logits = probs.copy()
@@ -250,7 +288,7 @@ def _head_backward(head: MlpHead, cache, label: int):
     d_s = d_m
     if cache["mask_s"] is not None:
         d_s = d_s * cache["mask_s"]
-    return {"hidden": g_hidden, "w_out": g_w_out}, d_s
+    return MlpHead(hidden=g_hidden, w_out=g_w_out, activation=head.activation), d_s
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +305,12 @@ def max_pool(states) -> np.ndarray:
 
 def bilstm_forward(model: "BiLstmModel", seq) -> list[np.ndarray]:
     """Aligned [forward ; backward] hidden states for each position."""
-    xs = _as_sequence(seq)
-    fwd, _ = _lstm_run(model.forward_lstm, xs, reverse=False)
-    bwd, _ = _lstm_run(model.backward_lstm, xs, reverse=True)
-    return [np.concatenate([fwd[t], bwd[t]]) for t in range(xs.shape[0])]
+    return list(model.forward(seq)["z"])
 
 
 def mlp_head(model, s):
     """(hidden output M, logits T, probabilities) for a pooled vector S."""
-    cache = _head_forward(model.head, np.asarray(s, dtype=np.float64), None, None)
+    cache = _head_forward(model.head, np.asarray(s, dtype=np.float64), None)
     return cache["m"], cache["logits"], cache["probs"]
 
 
@@ -335,48 +370,33 @@ class BiLstmModel:
 
     def forward(self, xs, masks=None):
         xs = _as_sequence(xs)
-        fwd_states, fwd_steps = _lstm_run(self.forward_lstm, xs, reverse=False)
-        bwd_states, bwd_steps = _lstm_run(self.backward_lstm, xs, reverse=True)
-        z = np.concatenate([fwd_states, bwd_states], axis=1)
+        fwd = _lstm_run(self.forward_lstm, xs)
+        bwd = _lstm_run(self.backward_lstm, xs[::-1])  # its rows are in reverse order
+        z = np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
         pooled = z.max(axis=0)
         argmax = z.argmax(axis=0)  # ties resolve to the lowest position
-        mask_s = masks["s"] if masks else None
-        mask_m = masks["m"] if masks else None
-        cache = _head_forward(self.head, pooled, mask_s, mask_m)
-        cache.update(
-            xs=xs, fwd_steps=fwd_steps, bwd_steps=bwd_steps, z=z, argmax=argmax
-        )
+        cache = _head_forward(self.head, pooled, masks)
+        cache.update(xs=xs, fwd=fwd, bwd=bwd, z=z, argmax=argmax)
         return cache
 
     def backward(self, cache, label):
         head_grads, d_s = _head_backward(self.head, cache, label)
-        n = cache["xs"].shape[0]
+        xs = cache["xs"]
         units = self.units
-        d_z = np.zeros((n, 2 * units))
-        cols = np.arange(2 * units)
-        d_z[cache["argmax"], cols] = d_s
-        fwd_grads, d_xs_f = _lstm_backprop(
-            self.forward_lstm, cache["xs"], cache["fwd_steps"], d_z[:, :units]
-        )
+        d_z = np.zeros((xs.shape[0], 2 * units))
+        d_z[cache["argmax"], np.arange(2 * units)] = d_s
+        fwd_grads, d_xs_f = _lstm_backprop(self.forward_lstm, xs, cache["fwd"], d_z[:, :units])
         bwd_grads, d_xs_b = _lstm_backprop(
-            self.backward_lstm, cache["xs"], cache["bwd_steps"], d_z[:, units:]
+            self.backward_lstm, xs[::-1], cache["bwd"], d_z[::-1, units:]
         )
-        grads = {}
-        _pack_lstm(grads, "fwd", fwd_grads)
-        _pack_lstm(grads, "bwd", bwd_grads)
-        _pack_head(grads, head_grads)
-        grads["__inputs__"] = d_xs_f + d_xs_b
+        grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
+        grads["__inputs__"] = d_xs_f + d_xs_b[::-1]
         return _check_grads_finite(grads)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, p in (("fwd", self.forward_lstm), ("bwd", self.backward_lstm)):
-            for g in GATES:
-                out[f"{prefix}.w_in.{g}"] = p.w_in[g]
-                out[f"{prefix}.w_rec.{g}"] = p.w_rec[g]
-                out[f"{prefix}.b.{g}"] = p.bias[g]
-        _head_tensors(out, self.head)
-        return out
+        """Parameters by name; on a model built from gradients, the gradients."""
+        out = {**self.forward_lstm.named("fwd"), **self.backward_lstm.named("bwd")}
+        return {**out, **_head_tensors(self.head)}
 
 
 class RnnBaselineModel:
@@ -409,43 +429,30 @@ class RnnBaselineModel:
 
     def forward(self, xs, masks=None):
         xs = _as_sequence(xs)
+        hs = xs @ self.w_in.T + self.bias  # each row becomes that step's state
         h = np.zeros(self.units)
-        hs = []
-        h_prevs = []
         for t in range(xs.shape[0]):
-            h_prevs.append(h)
-            h = sigmoid(self.w_in @ xs[t] + self.w_rec @ h + self.bias)
-            hs.append(h)
-        mask_s = masks["s"] if masks else None
-        mask_m = masks["m"] if masks else None
-        cache = _head_forward(self.head, hs[-1], mask_s, mask_m)
-        cache.update(xs=xs, hs=hs, h_prevs=h_prevs)
+            hs[t] = h = sigmoid(hs[t] + self.w_rec @ h)
+        cache = _head_forward(self.head, hs[-1], masks)
+        cache.update(xs=xs, hs=hs)
         return cache
 
     def backward(self, cache, label):
         head_grads, d_h = _head_backward(self.head, cache, label)
-        xs = cache["xs"]
-        g_w_in = np.zeros_like(self.w_in)
-        g_w_rec = np.zeros_like(self.w_rec)
-        g_bias = np.zeros_like(self.bias)
-        d_xs = np.zeros_like(xs)
+        xs, hs = cache["xs"], cache["hs"]
+        d_pre = hs * (1.0 - hs)
         for t in range(xs.shape[0] - 1, -1, -1):
-            h = cache["hs"][t]
-            d_pre = d_h * h * (1.0 - h)
-            g_w_in += np.outer(d_pre, xs[t])
-            g_w_rec += np.outer(d_pre, cache["h_prevs"][t])
-            g_bias += d_pre
-            d_xs[t] = self.w_in.T @ d_pre
-            d_h = self.w_rec.T @ d_pre
-        grads = {"rnn.w_in": g_w_in, "rnn.w_rec": g_w_rec, "rnn.b": g_bias}
-        _pack_head(grads, head_grads)
-        grads["__inputs__"] = d_xs
+            d_pre[t] *= d_h
+            d_h = self.w_rec.T @ d_pre[t]
+        grads = RnnBaselineModel(
+            d_pre.T @ xs, d_pre.T @ _shifted(hs), d_pre.sum(axis=0), head_grads
+        ).tensors()
+        grads["__inputs__"] = d_pre @ self.w_in
         return _check_grads_finite(grads)
 
     def tensors(self):
         out = {"rnn.w_in": self.w_in, "rnn.w_rec": self.w_rec, "rnn.b": self.bias}
-        _head_tensors(out, self.head)
-        return out
+        return {**out, **_head_tensors(self.head)}
 
 
 class MlpBaselineModel:
@@ -481,16 +488,13 @@ class MlpBaselineModel:
 
     def forward(self, xs, masks=None):
         xs = _as_sequence(xs)
-        mask_s = masks["s"] if masks else None
-        mask_m = masks["m"] if masks else None
-        cache = _head_forward(self.head, self.flatten(xs), mask_s, mask_m)
+        cache = _head_forward(self.head, self.flatten(xs), masks)
         cache.update(xs=xs)
         return cache
 
     def backward(self, cache, label):
         head_grads, d_flat = _head_backward(self.head, cache, label)
-        grads = {}
-        _pack_head(grads, head_grads)
+        grads = _head_tensors(head_grads)
         xs = cache["xs"]
         d_xs = np.zeros_like(xs)
         n = min(xs.shape[0], self.pad_len)
@@ -499,30 +503,17 @@ class MlpBaselineModel:
         return _check_grads_finite(grads)
 
     def tensors(self):
-        out = {}
-        _head_tensors(out, self.head)
-        return out
+        return _head_tensors(self.head)
 
 
-def _head_tensors(out, head: MlpHead):
+def _head_tensors(head: MlpHead) -> dict[str, np.ndarray]:
+    """Head arrays under their tensor names; also names a head's gradients."""
+    out = {}
     for idx, (w, b) in enumerate(head.hidden):
         out[f"head.w{idx}"] = w
         out[f"head.b{idx}"] = b
     out["head.w_out"] = head.w_out
-
-
-def _pack_head(grads, head_grads):
-    for idx, (g_w, g_b) in enumerate(head_grads["hidden"]):
-        grads[f"head.w{idx}"] = g_w
-        grads[f"head.b{idx}"] = g_b
-    grads["head.w_out"] = head_grads["w_out"]
-
-
-def _pack_lstm(grads, prefix, lstm_grads):
-    for g in GATES:
-        grads[f"{prefix}.w_in.{g}"] = lstm_grads["w_in"][g]
-        grads[f"{prefix}.w_rec.{g}"] = lstm_grads["w_rec"][g]
-        grads[f"{prefix}.b.{g}"] = lstm_grads["bias"][g]
+    return out
 
 
 MODEL_KINDS = {

@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     EmptyTrainingSet,
+    FormatError,
     MissingDependencyData,
     NonFiniteLoss,
     PathTooLong,
@@ -54,9 +55,6 @@ from .features import (
 from .neural import (
     MODEL_KINDS,
     ACTIVATIONS,
-    MlpBaselineModel,
-    RnnBaselineModel,
-    BiLstmModel,
     cross_entropy,
     dropout_mask,
 )
@@ -64,6 +62,7 @@ from .optim import AdadeltaState, AdamState, adadelta_step, adam_step
 
 SPECIAL_TOKENS = (PROT1, PROT2, PROTX)
 
+REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
 INSTANCES_VERSION = 1
 
@@ -205,6 +204,8 @@ class PreprocessResult:
     instances: list[SdpInstance]
     excluded: list[ExcludedInstance]
     position_window: int
+    use_pos: bool
+    use_position: bool
 
     @property
     def generated(self) -> int:
@@ -260,9 +261,11 @@ def preprocess(
             if require_deps:
                 raise MissingDependencyData(s.id)
             edges = []
+        graph = None
         for pair in pairs:
             gen = generalize(s, pair)
-            graph = build_graph(gen, edges)
+            if graph is None:  # the same token count and edges for every pair
+                graph = build_graph(gen, edges)
             src, dst = sdp_endpoints(gen, pair.prot1, pair.prot2)
             try:
                 path = shortest_path(graph, src, dst, max_tokens=MAX_SDP_TOKENS)
@@ -302,7 +305,7 @@ def preprocess(
                     ),
                 )
             )
-    return PreprocessResult(instances=instances, excluded=excluded, position_window=window)
+    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
@@ -334,34 +337,42 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
 
 
 def instances_from_json(text: str) -> PreprocessResult:
-    doc = json.loads(text)
-    if doc.get("format") != INSTANCES_FORMAT:
-        raise ConfigError("not an sdprel instances file")
-    if doc.get("version") != INSTANCES_VERSION:
-        raise ConfigError(
-            f"instances file version {doc.get('version')}, reader supports {INSTANCES_VERSION}"
+    """Parse an instances file; malformed content raises FormatError."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
+            raise ConfigError("not an sdprel instances file")
+        if doc.get("version") != INSTANCES_VERSION:
+            raise ConfigError(
+                f"instances file version {doc.get('version')}, reader supports {INSTANCES_VERSION}"
+            )
+        instances = [
+            SdpInstance(
+                instance_id=i["instance_id"],
+                sentence_id=i["sentence_id"],
+                prot1=i["prot1"],
+                prot2=i["prot2"],
+                label=int(i["label"]),
+                tokens=tuple(i["tokens"]),
+                pos_tags=tuple(i["pos_tags"]),
+                pos_classes=tuple(int(c) for c in i["pos_classes"]),
+                pos1_codes=np.array(i["pos1_codes"], dtype=np.float64),
+                pos2_codes=np.array(i["pos2_codes"], dtype=np.float64),
+            )
+            for i in doc["instances"]
+        ]
+        excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
+        return PreprocessResult(
+            instances=instances,
+            excluded=excluded,
+            position_window=int(doc["position_window"]),
+            use_pos=doc["use_pos"],
+            use_position=doc["use_position"],
         )
-    instances = [
-        SdpInstance(
-            instance_id=i["instance_id"],
-            sentence_id=i["sentence_id"],
-            prot1=i["prot1"],
-            prot2=i["prot2"],
-            label=int(i["label"]),
-            tokens=tuple(i["tokens"]),
-            pos_tags=tuple(i["pos_tags"]),
-            pos_classes=tuple(int(c) for c in i["pos_classes"]),
-            pos1_codes=np.array(i["pos1_codes"], dtype=np.float64),
-            pos2_codes=np.array(i["pos2_codes"], dtype=np.float64),
-        )
-        for i in doc["instances"]
-    ]
-    excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
-    return PreprocessResult(
-        instances=instances,
-        excluded=excluded,
-        position_window=int(doc["position_window"]),
-    )
+    except KeyError as exc:
+        raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed instances file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -450,31 +461,14 @@ def pretrain_autoencoders(
 
 
 def build_model(config: TrainConfig, input_dim: int, rng: np.random.Generator):
-    if config.model == "bilstm":
-        return BiLstmModel.init(
-            rng,
-            input_dim,
-            units=config.lstm_units,
-            hidden_size=config.mlp_hidden,
-            depth=config.mlp_depth,
-            activation=config.activation,
-        )
-    if config.model == "rnn":
-        return RnnBaselineModel.init(
-            rng,
-            input_dim,
-            units=config.lstm_units,
-            hidden_size=config.mlp_hidden,
-            depth=config.mlp_depth,
-            activation=config.activation,
-        )
-    return MlpBaselineModel.init(
+    size = {"pad_len": config.mlp_pad_len} if config.model == "mlp" else {"units": config.lstm_units}
+    return MODEL_KINDS[config.model].init(
         rng,
         input_dim,
-        pad_len=config.mlp_pad_len,
         hidden_size=config.mlp_hidden,
         depth=config.mlp_depth,
         activation=config.activation,
+        **size,
     )
 
 
@@ -498,7 +492,7 @@ def model_from_meta(kind: str, meta: dict, params: dict[str, np.ndarray]):
         mlp_depth=meta["depth"],
         mlp_pad_len=meta["pad_len"],
         activation=meta["activation"],
-    )
+    ).validate()
     model = build_model(cfg, meta["input_dim"], rng)
     tensors = model.tensors()
     if set(tensors) != set(params):
@@ -631,14 +625,13 @@ def train(
                 if config.tune_embeddings:
                     for k, tok in enumerate(inst.tokens):
                         acc[f"emb::{tok}"] += d_inputs[k, :word_dim]
+            if not np.isfinite(epoch_loss):  # losses are >= 0, so no inf - inf
+                raise NonFiniteLoss(f"training loss became non-finite: {epoch_loss}")
             scale = 1.0 / len(batch)
             for name in acc:
                 acc[name] *= scale
             opt_step(opt_state, params, acc)
-        mean_loss = epoch_loss / len(instances)
-        if not np.isfinite(mean_loss):
-            raise NonFiniteLoss(f"training loss became non-finite: {mean_loss}")
-        losses.append(mean_loss)
+        losses.append(epoch_loss / len(instances))
 
     token_vectors = {
         name.split("::", 1)[1]: arr for name, arr in params.items()
@@ -724,6 +717,21 @@ class FoldMetrics:
             self.fn + other.fn, self.tn + other.tn,
         )
 
+    def csv_row(self, label) -> str:
+        """One report row under REPORT_HEADER."""
+        return (
+            f"{label},{self.tp},{self.fp},{self.fn},{self.tn},"
+            f"{self.precision:.2f},{self.recall:.2f},{self.f1:.2f}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
+            "precision": round(self.precision, 2),
+            "recall": round(self.recall, 2),
+            "f1": round(self.f1, 2),
+        }
+
 
 def evaluate(
     ck: Checkpoint,
@@ -765,17 +773,9 @@ class CvReport:
     macro_f1: float
 
     def to_csv(self) -> str:
-        lines = ["fold,tp,fp,fn,tn,precision,recall,f1"]
-        for i, m in enumerate(self.per_fold):
-            lines.append(
-                f"{i},{m.tp},{m.fp},{m.fn},{m.tn},"
-                f"{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"
-            )
+        lines = [REPORT_HEADER] + [m.csv_row(i) for i, m in enumerate(self.per_fold)]
+        lines.append(self.micro.csv_row("micro"))
         m = self.micro
-        lines.append(
-            f"micro,{m.tp},{m.fp},{m.fn},{m.tn},"
-            f"{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"
-        )
         lines.append(
             f"macro,{m.tp},{m.fp},{m.fn},{m.tn},"
             f"{self.macro_precision:.2f},{self.macro_recall:.2f},{self.macro_f1:.2f}"
@@ -783,18 +783,10 @@ class CvReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def row(m: FoldMetrics):
-            return {
-                "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-                "precision": round(m.precision, 2),
-                "recall": round(m.recall, 2),
-                "f1": round(m.f1, 2),
-            }
-
         return json.dumps(
             {
-                "folds": [row(m) for m in self.per_fold],
-                "micro": row(self.micro),
+                "folds": [m.to_dict() for m in self.per_fold],
+                "micro": self.micro.to_dict(),
                 "macro": {
                     "precision": round(self.macro_precision, 2),
                     "recall": round(self.macro_recall, 2),

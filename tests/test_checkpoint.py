@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,24 +13,33 @@ from sdprel.checkpoint import (
 )
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
-from sdprel.errors import CorruptChecksum, FormatError, VersionMismatch
+from sdprel.errors import CorruptChecksum, FormatError, InputError, VersionMismatch
 from sdprel.pipeline import TrainConfig, preprocess, train
 
 from helpers import synthetic_corpus, write_lines
 
 
-@pytest.fixture(scope="module")
-def trained_checkpoint(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("ckpt")
-    corpus_lines, dep_lines, _ = synthetic_corpus(10, seed=2)
+CONFIG = TrainConfig(
+    lstm_units=6, mlp_hidden=4, dropout=0.0, epochs=4, batch=4,
+    embedding_dim=8, ae_epochs=120, seed=5,
+)
+
+
+def synthetic_instances(tmp, n, seed):
+    corpus_lines, dep_lines, _ = synthetic_corpus(n, seed=seed)
     sentences = load_corpus(write_lines(tmp / "c.tsv", corpus_lines))
     deps = load_dependencies(write_lines(tmp / "d.tsv", dep_lines))
-    cfg = TrainConfig(
-        lstm_units=6, mlp_hidden=4, dropout=0.0, epochs=4, batch=4,
-        embedding_dim=8, ae_epochs=120, seed=5,
-    )
-    result = preprocess(sentences, deps, cfg)
-    return train(cfg, result.instances).checkpoint
+    return preprocess(sentences, deps, CONFIG).instances
+
+
+@pytest.fixture(scope="module")
+def train_instances(tmp_path_factory):
+    return synthetic_instances(tmp_path_factory.mktemp("ckpt"), 10, seed=2)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(train_instances):
+    return train(CONFIG, train_instances).checkpoint
 
 
 class TestRoundTrip:
@@ -70,6 +82,29 @@ class TestRoundTrip:
             assert predict(trained_checkpoint, inst) == predict(loaded, inst)
 
 
+class TestVersionOne:
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_per_gate_file_predicts_identically(self, kind, train_instances, tmp_path):
+        from sdprel.pipeline import predict
+
+        ck = train(CONFIG.replace(model=kind, epochs=1), train_instances).checkpoint
+        blob = checkpoint_bytes(ck, version=1)
+        assert (b'"fwd.w_in.i"' in blob) == (kind == "bilstm")
+        assert b'"fwd.w_in"' not in blob
+        loaded = checkpoint_from_bytes(blob)
+        assert set(loaded.params) == set(ck.params)
+        for inst in synthetic_instances(tmp_path, 4, seed=9):
+            assert predict(ck, inst) == predict(loaded, inst)
+
+    def test_missing_gate_is_format_error(self, trained_checkpoint):
+        body = checkpoint_bytes(trained_checkpoint, version=1)[:-8]
+        assert body.count(b'"bwd.b.u"') == 1
+        body = body.replace(b'"bwd.b.u"', b'"bwd.b.x"')
+        blob = body + hashlib.blake2b(body, digest_size=8).digest()
+        with pytest.raises(FormatError, match="bwd.b"):
+            checkpoint_from_bytes(blob)
+
+
 class TestCorruption:
     def test_truncated_file(self, trained_checkpoint, tmp_path):
         path = tmp_path / "model.sdpl"
@@ -101,3 +136,8 @@ class TestCorruption:
         message = str(err.value)
         assert str(FORMAT_VERSION) in message
         assert str(FORMAT_VERSION + 1) in message
+
+    def test_unknown_model_kind_is_input_error(self, trained_checkpoint):
+        ck = dataclasses.replace(trained_checkpoint, model_kind="gru")
+        with pytest.raises(InputError):
+            ck.build_model()

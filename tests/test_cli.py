@@ -167,6 +167,50 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, key, made, wanted", [
+        (("--window", "8"), "position_window", "8", "10"),
+        (("--no-pos",), "use_pos", "False", "True"),
+    ])
+    def test_instances_config_mismatch_is_exit_2(self, workdir, capsys, flags, key, made, wanted):
+        run(
+            "preprocess",
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json",
+            *flags,
+        )
+        capsys.readouterr()
+        rc = run(
+            "train",
+            "--instances", workdir / "inst.json",
+            "--config", workdir / "config",
+            "--out", workdir / "model.sdpl",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{key}={made}" in err and f"{key}={wanted}" in err
+        assert not (workdir / "model.sdpl").exists()
+
+    def test_checkpoint_instances_mismatch_is_exit_2(self, workdir, capsys):
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json")
+        run("preprocess", *common, "--out", workdir / "inst6.json", "--window", "6")
+        run(
+            "train",
+            "--instances", workdir / "inst.json",
+            "--config", workdir / "config",
+            "--out", workdir / "model.sdpl",
+        )
+        capsys.readouterr()
+        for command in (("evaluate", "--report", "csv"), ("predict",)):
+            rc = run(
+                command[0], "--ck", workdir / "model.sdpl",
+                "--instances", workdir / "inst6.json", *command[1:],
+            )
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "position_window=6" in err and "position_window=10" in err
+
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
             "preprocess",

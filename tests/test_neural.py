@@ -13,6 +13,7 @@ from sdprel.neural import (
     BiLstmModel,
     _lstm_step,
     bilstm_forward,
+    glorot,
     cross_entropy,
     dropout_mask,
     init_lstm_params,
@@ -32,9 +33,9 @@ def rng_for(seed):
 
 def zero_lstm_params(units, input_dim):
     return LstmParams(
-        w_in={g: np.zeros((units, input_dim)) for g in GATES},
-        w_rec={g: np.zeros((units, units)) for g in GATES},
-        bias={g: np.zeros(units) for g in GATES},
+        w_x=np.zeros((len(GATES) * units, input_dim)),
+        w_h=np.zeros((len(GATES) * units, units)),
+        b=np.zeros(len(GATES) * units),
     )
 
 
@@ -114,6 +115,46 @@ class TestLstmCell:
         for g in ("i", "f", "o"):
             assert np.all(gates[g] > 0) and np.all(gates[g] < 1)
         assert np.all(np.abs(h) <= 1.0)
+
+
+class TestFusedLayout:
+    def test_init_matches_per_gate_draws(self):
+        p = init_lstm_params(rng_for(7), 5, 3)
+        rng = rng_for(7)
+        w_in = [glorot(rng, 5, 3) for _ in GATES]
+        w_rec = [glorot(rng, 5, 5) for _ in GATES]
+        for k, g in enumerate(GATES):
+            assert np.array_equal(p.w_in[g], w_in[k])
+            assert np.array_equal(p.w_rec[g], w_rec[k])
+            assert np.array_equal(p.bias[g], np.full(5, 1.0 if g == "f" else 0.0))
+
+    def test_gate_accessors_are_views(self):
+        model = BiLstmModel.init(rng_for(8), input_dim=3, units=4, hidden_size=3)
+        xs = rng_for(9).normal(size=(3, 3))
+        before = bilstm_forward(model, xs)
+        p = model.forward_lstm
+        p.w_in["o"][1, 2] += 0.5
+        p.w_rec["u"][0, 0] -= 0.5
+        p.bias["i"][3] += 0.5
+        assert p.w_x[2 * 4 + 1, 2] == p.w_in["o"][1, 2]
+        assert p.w_h[3 * 4, 0] == p.w_rec["u"][0, 0]
+        assert p.b[3] == p.bias["i"][3]
+        after = bilstm_forward(model, xs)
+        assert not np.allclose(np.stack(before)[:, :4], np.stack(after)[:, :4])
+        assert np.array_equal(np.stack(before)[:, 4:], np.stack(after)[:, 4:])
+
+    def test_sequence_matches_scalar_reference(self):
+        model = BiLstmModel.init(rng_for(10), input_dim=4, units=3, hidden_size=3)
+        xs = rng_for(11).normal(size=(5, 4))
+        z = np.stack(bilstm_forward(model, xs))
+        for p, order, cols in (
+            (model.forward_lstm, range(5), slice(0, 3)),
+            (model.backward_lstm, range(4, -1, -1), slice(3, 6)),
+        ):
+            h = c = np.zeros(3)
+            for t in order:
+                h, c = lstm_cell_reference(p, xs[t], h, c)
+                assert np.allclose(z[t, cols], h, atol=1e-12, rtol=0)
 
 
 class TestBilstm:

@@ -1,20 +1,33 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdprel.checkpoint import checkpoint_bytes
-from sdprel.corpus import load_corpus
-from sdprel.depgraph import load_dependencies
+from sdprel.corpus import generalize, generate_candidates, load_corpus
+from sdprel.depgraph import (
+    build_graph,
+    load_dependencies,
+    sdp_endpoints,
+    sdp_tokens,
+    shortest_path,
+)
 from sdprel.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyTrainingSet,
+    FormatError,
+    InputError,
     MissingDependencyData,
     NonFiniteLoss,
+    SdprelError,
 )
 from sdprel.features import code_string
 from sdprel.pipeline import (
+    INSTANCES_FORMAT,
+    INSTANCES_VERSION,
     FoldMetrics,
     TrainConfig,
     baseline_mlp,
@@ -127,6 +140,20 @@ class TestTrainConfig:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+INSTANCE_KEYS = st.sampled_from([
+    "instance_id", "sentence_id", "prot1", "prot2", "label", "tokens",
+    "pos_tags", "pos_classes", "pos1_codes", "pos2_codes",
+])
+EXCLUDED_KEYS = st.sampled_from(
+    ["instance_id", "sentence_id", "prot1", "prot2", "label", "reason"]
+)
+
+
 class TestPreprocess:
     def test_table2_sentence(self, table2_record, table2_deps):
         result = preprocess([table2_record], table2_deps, small_config())
@@ -198,6 +225,94 @@ class TestPreprocess:
         with pytest.raises(ConfigError):
             instances_from_json('{"format": "something-else"}')
 
+    def test_json_round_trip_keeps_feature_flags(self, synth):
+        sentences, deps = synth
+        cfg = small_config(use_pos=False, position_window=7)
+        back = instances_from_json(instances_to_json(preprocess(sentences, deps, cfg), cfg))
+        assert (back.position_window, back.use_pos, back.use_position) == (7, False, True)
+
+    def test_json_missing_key_is_named(self, synth_instances):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        del doc["instances"][0]["tokens"]
+        with pytest.raises(FormatError, match="'tokens'"):
+            instances_from_json(json.dumps(doc))
+
+    def test_json_not_json(self):
+        with pytest.raises(FormatError, match="malformed instances file"):
+            instances_from_json("{ not json")
+
+    @given(text=st.text(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_random_text_raises_only_input_errors(self, text):
+        try:
+            instances_from_json(text)
+        except InputError:
+            pass
+
+    @given(doc=st.fixed_dictionaries(
+        {"format": st.just(INSTANCES_FORMAT), "version": st.just(INSTANCES_VERSION)},
+        optional={
+            "position_window": JSON_VALUES,
+            "use_pos": JSON_VALUES,
+            "use_position": JSON_VALUES,
+            "instances": st.lists(st.dictionaries(INSTANCE_KEYS, JSON_VALUES), max_size=2)
+            | JSON_VALUES,
+            "excluded": st.lists(st.dictionaries(EXCLUDED_KEYS, JSON_VALUES), max_size=2)
+            | JSON_VALUES,
+        },
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_random_documents_raise_only_input_errors(self, doc):
+        try:
+            instances_from_json(json.dumps(doc))
+        except InputError:
+            pass
+
+    def test_graph_built_once_per_sentence(self, tmp_path, monkeypatch):
+        import sdprel.pipeline as pl
+
+        lines = [
+            "d1\tA|NN binds|VBZ B|NN and|CC C|NN near|IN D|NN .|.\t"
+            "e1:0:0;e2:2:2;e3:4:4;e4:6:6\te1-e2",
+            "d2\tE|NN alone|RB .|.\te1:0:0\t",
+            "d3\tF|NN with|IN G|NN .|.\te1:0:0;e2:2:2\t",
+        ]
+        sentences = load_corpus(write_lines(tmp_path / "c.tsv", lines))
+        deps = {
+            "d1": [(0, 1, "a"), (1, 2, "a"), (2, 3, "a"), (3, 4, "a"), (5, 6, "a")],
+            "d3": [(0, 1, "a"), (1, 2, "a")],
+        }
+        calls = []
+
+        def counting_build_graph(s, edges):
+            calls.append(s.id)
+            return build_graph(s, edges)
+
+        monkeypatch.setattr(pl, "build_graph", counting_build_graph)
+        result = preprocess(sentences, deps, small_config())
+        assert calls == ["d1", "d3"]
+
+        # the same SDPs and exclusions as a graph built for every pair
+        expected = {}
+        for s in sentences:
+            for pair in generate_candidates(s):
+                gen = generalize(s, pair)
+                try:
+                    path = shortest_path(
+                        build_graph(gen, deps.get(s.id, [])),
+                        *sdp_endpoints(gen, pair.prot1, pair.prot2),
+                    )
+                except SdprelError as exc:
+                    expected[f"{s.id}:{pair.prot1}-{pair.prot2}"] = type(exc).__name__
+                    continue
+                expected[f"{s.id}:{pair.prot1}-{pair.prot2}"] = tuple(
+                    t for t, _ in sdp_tokens(path, gen)
+                )
+        got = {i.instance_id: i.tokens for i in result.instances}
+        got.update({e.instance_id: "Disconnected" for e in result.excluded})
+        assert got == expected
+        assert len(result.excluded) == 3
+
 
 class TestAutoencoderPretraining:
     def test_deterministic(self, synth_instances):
@@ -254,6 +369,25 @@ class TestTrain:
         monkeypatch.setattr(pl, "cross_entropy", lambda *_: float("nan"))
         with pytest.raises(NonFiniteLoss):
             train(small_config(epochs=1), synth_instances.instances)
+
+    def test_non_finite_loss_stops_before_the_optimizer_steps(
+        self, synth_instances, monkeypatch
+    ):
+        import sdprel.pipeline as pl
+
+        real_cross_entropy = pl.cross_entropy
+        scored = []
+        steps = []
+
+        def nan_first(*args):
+            scored.append(args)
+            return float("nan") if len(scored) == 1 else real_cross_entropy(*args)
+
+        monkeypatch.setattr(pl, "cross_entropy", nan_first)
+        monkeypatch.setattr(pl, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteLoss):
+            train(small_config(epochs=1), synth_instances.instances)
+        assert steps == []
 
     def test_word_only_ablation_trains(self, synth_instances):
         cfg = small_config(use_pos=False, use_position=False, epochs=5)

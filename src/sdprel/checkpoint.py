@@ -6,7 +6,8 @@ lists them | 8-byte blake2b checksum of everything before it.
 
 Version 2 stores each LSTM direction as three fused tensors (``fwd.w_in``,
 ``fwd.w_rec``, ``fwd.b``); version 1 stored one per gate (``fwd.w_in.i`` ...)
-and is still read, and written on request.
+and is still read, and written on request.  Metadata that lacks a key, has a
+malformed value or disagrees with the stored config raises FormatError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import CorruptChecksum, FormatError, VersionMismatch
 from .features import Autoencoder
 from .neural import GATES
-from .pipeline import Checkpoint, TrainConfig
+from .pipeline import Checkpoint, TrainConfig, model_meta
 
 MAGIC = b"SDPL"
 FORMAT_VERSION = 2
@@ -115,7 +116,16 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     except (ValueError, UnicodeDecodeError) as exc:
         raise CorruptChecksum(f"unreadable checkpoint metadata: {exc}") from None
     offset += meta_len
+    try:
+        return _checkpoint_from_meta(meta, version, body, offset)
+    except KeyError as exc:
+        raise FormatError(f"checkpoint metadata is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FormatError(f"malformed checkpoint metadata: {exc}") from None
 
+
+def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Checkpoint:
+    """The payload arrays and the checkpoint that the parsed metadata describes."""
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for sec, name, shape in meta["arrays"]:
         count = int(np.prod(shape)) if shape else 1
@@ -133,18 +143,26 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     def take_ae(section: str) -> Autoencoder | None:
         if (section, "encoder_w") not in arrays:
             return None
-        return Autoencoder(
-            *(arrays[(section, field_name)] for field_name in _AE_FIELDS)
-        )
+        parts = [arrays[(section, field_name)] for field_name in _AE_FIELDS]
+        d = parts[1].shape
+        if len(d) != 1 or [a.shape for a in parts] != [d * 2, d, d * 2, d]:
+            raise FormatError(f"checkpoint {section} arrays have inconsistent shapes")
+        return Autoencoder(*parts)
 
+    config = TrainConfig.from_dict(meta["config"])
+    pos_ae, position_ae = take_ae("pos_ae"), take_ae("position_ae")
+    if (pos_ae is not None, position_ae is not None) != (config.use_pos, config.use_position):
+        raise FormatError("checkpoint autoencoders do not match use_pos and use_position")
+    if meta["model_meta"] != model_meta(config, meta["model_meta"]["input_dim"]):
+        raise FormatError("checkpoint model metadata does not match its config")
     params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
     return Checkpoint(
-        config=TrainConfig.from_dict(meta["config"]),
+        config=config,
         model_kind=meta["model_kind"],
         model_meta=meta["model_meta"],
         params=_fused_params(params) if version == 1 else params,
-        pos_ae=take_ae("pos_ae"),
-        position_ae=take_ae("position_ae"),
+        pos_ae=pos_ae,
+        position_ae=position_ae,
         pos_table={k: int(v) for k, v in meta["pos_table"].items()},
         oov_seed=int(meta["oov_seed"]),
         token_vectors={

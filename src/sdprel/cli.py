@@ -176,10 +176,12 @@ def _cmd_sweep(args) -> int:
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
     rows = ["param,value,precision,recall,f1"]
+    by_window = {}  # only position_window changes what preprocess makes
     for value in values:
         config = base.replace(**{SWEEP_PARAMS[args.param]: value}).validate()
-        result = preprocess(sentences, deps, config)
-        report = cross_validate(config, result)
+        if config.position_window not in by_window:
+            by_window[config.position_window] = preprocess(sentences, deps, config)
+        report = cross_validate(config, by_window[config.position_window])
         m = report.micro
         rows.append(
             f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"

@@ -1,8 +1,10 @@
 """End-to-end orchestration: preprocessing, training, evaluation, k-fold CV.
 
 Instances flow as sparse codes (tokens, PoS classes, thermometer position
-codes); the dense token vectors are assembled at training time because the
-feature autoencoders are fit on the training split only.
+codes).  The position codes depend only on the path length and the window, so
+the instances file (version 2) leaves them out and its reader derives them.
+The dense token vectors are assembled at training time because the feature
+autoencoders are fit on the training split only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .depgraph import (
     sdp_tokens,
     shortest_path,
 )
-from .embed import EmbeddingTable, assemble, load_embeddings, lookup
+from .embed import EmbeddingTable, load_embeddings, lookup
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -64,7 +66,8 @@ SPECIAL_TOKENS = (PROT1, PROT2, PROTX)
 
 REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
-INSTANCES_VERSION = 1
+INSTANCES_VERSION = 2
+POSITION_WINDOWS = range(5, 13)  # thermometer code widths the method allows
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ class TrainConfig:
             raise ConfigError("epochs must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if not 5 <= self.position_window <= 12:
+        if self.position_window not in POSITION_WINDOWS:
             raise ConfigError("position_window must be in [5, 12]")
         if self.batch < 1 or self.lstm_units < 1 or self.mlp_hidden < 1:
             raise ConfigError("batch, lstm_units and mlp_hidden must be positive")
@@ -234,6 +237,18 @@ def _pair_id(pair: CandidatePair) -> str:
     return f"{pair.sentence_id}:{pair.prot1}-{pair.prot2}"
 
 
+def _position_table(window: int) -> np.ndarray:
+    """Row d is the thermometer code of distance d; row ``window`` is the cap."""
+    return np.stack([encode_position(d, window) for d in range(window + 1)])
+
+
+def _by_distance(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows for the tokens of an n-token path, picked by distance from PROT1 (the
+    first token) and from PROT2 (the last); the last row stands for every longer one."""
+    k = np.minimum(np.arange(n), len(rows) - 1)
+    return rows[k], rows[k[::-1]]
+
+
 def preprocess(
     sentences: list[SentenceRecord],
     deps: dict[str, list[tuple[int, int, str]]],
@@ -250,6 +265,7 @@ def preprocess(
     """
     config.validate()
     window = config.position_window
+    table = _position_table(window)
     instances: list[SdpInstance] = []
     excluded: list[ExcludedInstance] = []
     for s in sentences:
@@ -286,7 +302,7 @@ def preprocess(
                 )
                 continue
             toks = sdp_tokens(path, gen)
-            n = len(toks)
+            pos1_codes, pos2_codes = _by_distance(table, len(toks))
             instances.append(
                 SdpInstance(
                     instance_id=_pair_id(pair),
@@ -297,18 +313,15 @@ def preprocess(
                     tokens=tuple(t for t, _ in toks),
                     pos_tags=tuple(p for _, p in toks),
                     pos_classes=tuple(coarse_pos(p, pos_table) for _, p in toks),
-                    pos1_codes=np.stack(
-                        [encode_position(k, window) for k in range(n)]
-                    ),
-                    pos2_codes=np.stack(
-                        [encode_position(k - (n - 1), window) for k in range(n)]
-                    ),
+                    pos1_codes=pos1_codes,
+                    pos2_codes=pos2_codes,
                 )
             )
     return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
+    """Compact version 2 document; the position codes are left to the reader."""
     doc = {
         "format": INSTANCES_FORMAT,
         "version": INSTANCES_VERSION,
@@ -326,46 +339,63 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
                 "tokens": list(i.tokens),
                 "pos_tags": list(i.pos_tags),
                 "pos_classes": list(i.pos_classes),
-                "pos1_codes": i.pos1_codes.astype(int).tolist(),
-                "pos2_codes": i.pos2_codes.astype(int).tolist(),
             }
             for i in result.instances
         ],
         "excluded": [dataclasses.asdict(e) for e in result.excluded],
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def instances_from_json(text: str) -> PreprocessResult:
-    """Parse an instances file; malformed content raises FormatError."""
+    """Parse an instances file of version 1 or 2; malformed content raises FormatError.
+
+    The position codes are derived from each path's length and the window, so
+    the code matrices that a version 1 file also holds are not read.
+    """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
             raise ConfigError("not an sdprel instances file")
-        if doc.get("version") != INSTANCES_VERSION:
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, INSTANCES_VERSION):
             raise ConfigError(
-                f"instances file version {doc.get('version')}, reader supports {INSTANCES_VERSION}"
+                f"instances file version {version!r}, reader supports 1 and {INSTANCES_VERSION}"
             )
-        instances = [
-            SdpInstance(
-                instance_id=i["instance_id"],
-                sentence_id=i["sentence_id"],
-                prot1=i["prot1"],
-                prot2=i["prot2"],
-                label=int(i["label"]),
-                tokens=tuple(i["tokens"]),
-                pos_tags=tuple(i["pos_tags"]),
-                pos_classes=tuple(int(c) for c in i["pos_classes"]),
-                pos1_codes=np.array(i["pos1_codes"], dtype=np.float64),
-                pos2_codes=np.array(i["pos2_codes"], dtype=np.float64),
+        window = doc["position_window"]
+        if type(window) is not int or window not in POSITION_WINDOWS:
+            raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
+        table = _position_table(window)
+        instances = []
+        for i in doc["instances"]:
+            tokens = tuple(i["tokens"])
+            pos_tags = tuple(i["pos_tags"])
+            pos_classes = tuple(int(c) for c in i["pos_classes"])
+            if not tokens or not len(tokens) == len(pos_tags) == len(pos_classes):
+                raise FormatError(
+                    f"instance {i['instance_id']!r}: tokens, pos_tags and pos_classes "
+                    "must be non-empty and of equal length"
+                )
+            pos1_codes, pos2_codes = _by_distance(table, len(tokens))
+            instances.append(
+                SdpInstance(
+                    instance_id=i["instance_id"],
+                    sentence_id=i["sentence_id"],
+                    prot1=i["prot1"],
+                    prot2=i["prot2"],
+                    label=int(i["label"]),
+                    tokens=tokens,
+                    pos_tags=pos_tags,
+                    pos_classes=pos_classes,
+                    pos1_codes=pos1_codes,
+                    pos2_codes=pos2_codes,
+                )
             )
-            for i in doc["instances"]
-        ]
         excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
         return PreprocessResult(
             instances=instances,
             excluded=excluded,
-            position_window=int(doc["position_window"]),
+            position_window=window,
             use_pos=doc["use_pos"],
             use_position=doc["use_position"],
         )
@@ -381,7 +411,11 @@ def instances_from_json(text: str) -> PreprocessResult:
 
 @dataclass
 class Vectorizer:
-    """Turns an SdpInstance's sparse codes into dense token vectors."""
+    """Turns an SdpInstance's sparse codes into dense token vectors.
+
+    The dense codes are encoded once per PoS class and per capped distance
+    into ``pos_rows`` and ``position_rows``, then gathered per token.
+    """
 
     table: EmbeddingTable
     pos_ae: Autoencoder | None
@@ -389,6 +423,19 @@ class Vectorizer:
     use_pos: bool
     use_position: bool
     overrides: dict[str, np.ndarray] = field(default_factory=dict)
+    pos_rows: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    position_rows: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        if self.use_pos:
+            self.pos_rows = np.stack(
+                [encode_dense(self.pos_ae, encode_pos_onehot(c)) for c in range(POS_DIM)]
+            )
+        if self.use_position:
+            self.position_rows = np.stack(
+                [encode_dense(self.position_ae, code)
+                 for code in _position_table(self.position_ae.dim)]
+            )
 
     @property
     def token_dim(self) -> int:
@@ -404,21 +451,25 @@ class Vectorizer:
         return lookup(self.table, token) if vec is None else vec
 
     def vectorize(self, inst: SdpInstance) -> np.ndarray:
-        rows = []
-        for k in range(len(inst.tokens)):
-            pos_dense = None
-            if self.use_pos:
-                pos_dense = encode_dense(
-                    self.pos_ae, encode_pos_onehot(inst.pos_classes[k])
+        """(n, token_dim) rows of [word | pos | position from PROT1 | from PROT2]."""
+        columns = [np.stack([self.word_vector(tok) for tok in inst.tokens])]
+        if self.use_pos:
+            classes = np.asarray(inst.pos_classes)
+            if classes.min() < 0 or classes.max() >= POS_DIM:
+                raise DimensionMismatch(f"PoS classes {inst.pos_classes} outside 0..{POS_DIM - 1}")
+            columns.append(self.pos_rows[classes])
+        if self.use_position:
+            window = self.position_ae.dim
+            if inst.pos1_codes.shape[1] != window:
+                raise DimensionMismatch(
+                    f"position codes are {inst.pos1_codes.shape[1]} wide, "
+                    f"the position autoencoder takes {window}"
                 )
-            p1_dense = p2_dense = None
-            if self.use_position:
-                p1_dense = encode_dense(self.position_ae, inst.pos1_codes[k])
-                p2_dense = encode_dense(self.position_ae, inst.pos2_codes[k])
-            rows.append(
-                assemble(self.word_vector(inst.tokens[k]), pos_dense, p1_dense, p2_dense)
-            )
-        return np.stack(rows)
+            columns += _by_distance(self.position_rows, len(inst.tokens))
+        out = np.concatenate(columns, axis=1)
+        if not np.all(np.isfinite(out)):
+            raise DimensionMismatch("token vector has non-finite components")
+        return out
 
 
 def _load_table(config: TrainConfig) -> EmbeddingTable:
@@ -537,6 +588,8 @@ class Checkpoint:
                 f"vectorizer dimension {vec.token_dim} does not match checkpoint "
                 f"input dimension {self.model_meta['input_dim']}"
             )
+        if any(v.shape != (table.dimension,) for v in self.token_vectors.values()):
+            raise DimensionMismatch(f"checkpoint token vectors are not {table.dimension}-d")
         return vec
 
 

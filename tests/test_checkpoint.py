@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdprel.checkpoint import (
     FORMAT_VERSION,
+    MAGIC,
     checkpoint_bytes,
     checkpoint_from_bytes,
     load_checkpoint,
@@ -13,8 +17,15 @@ from sdprel.checkpoint import (
 )
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
-from sdprel.errors import CorruptChecksum, FormatError, InputError, VersionMismatch
-from sdprel.pipeline import TrainConfig, preprocess, train
+from sdprel.errors import (
+    CorruptChecksum,
+    DimensionMismatch,
+    FormatError,
+    InputError,
+    VersionMismatch,
+)
+from sdprel.cli import main
+from sdprel.pipeline import TrainConfig, instances_to_json, preprocess, train
 
 from helpers import synthetic_corpus, write_lines
 
@@ -26,10 +37,40 @@ CONFIG = TrainConfig(
 
 
 def synthetic_instances(tmp, n, seed):
+    return synthetic_result(tmp, n, seed).instances
+
+
+def synthetic_result(tmp, n, seed):
     corpus_lines, dep_lines, _ = synthetic_corpus(n, seed=seed)
     sentences = load_corpus(write_lines(tmp / "c.tsv", corpus_lines))
     deps = load_dependencies(write_lines(tmp / "d.tsv", dep_lines))
-    return preprocess(sentences, deps, CONFIG).instances
+    return preprocess(sentences, deps, CONFIG)
+
+
+def split_blob(blob):
+    """(metadata dict, array payload) of a checkpoint file."""
+    start = len(MAGIC) + 2 + 8
+    (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 2)
+    return json.loads(blob[start : start + meta_len]), blob[start + meta_len : -8]
+
+
+def framed(meta, payload=b""):
+    """A checkpoint file around this metadata, with its length and checksum fixed up."""
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    body = MAGIC + struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)) + meta_bytes + payload
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ARRAY_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(["param", "pos_ae", "position_ae", "tok"]), st.text(max_size=4),
+              st.lists(st.integers(-1, 3), max_size=3) | JSON_VALUES).map(list),
+    max_size=3,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +182,72 @@ class TestCorruption:
         ck = dataclasses.replace(trained_checkpoint, model_kind="gru")
         with pytest.raises(InputError):
             ck.build_model()
+
+
+class TestMetadata:
+    def test_framing_helpers_round_trip(self, trained_checkpoint):
+        blob = checkpoint_bytes(trained_checkpoint)
+        meta, payload = split_blob(blob)
+        assert checkpoint_bytes(checkpoint_from_bytes(framed(meta, payload))) == blob
+
+    @pytest.mark.parametrize(
+        "key", ["arrays", "config", "model_kind", "model_meta", "pos_table", "oov_seed"]
+    )
+    def test_missing_key_is_format_error(self, trained_checkpoint, key):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        del meta[key]
+        with pytest.raises(FormatError, match=f"missing key '{key}'"):
+            checkpoint_from_bytes(framed(meta, payload))
+
+    def test_missing_oov_seed_makes_predict_exit_2(self, trained_checkpoint, tmp_path, capsys):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        del meta["oov_seed"]
+        (tmp_path / "model.sdpl").write_bytes(framed(meta, payload))
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert "oov_seed" in capsys.readouterr().err
+
+    def test_model_meta_must_follow_the_config(self, trained_checkpoint):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["model_meta"]["units"] += 1
+        with pytest.raises(FormatError, match="model metadata"):
+            checkpoint_from_bytes(framed(meta, payload))
+
+    def test_missing_autoencoder_is_format_error(self, trained_checkpoint):
+        blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, pos_ae=None))
+        with pytest.raises(FormatError, match="autoencoders"):
+            checkpoint_from_bytes(blob)
+
+    def test_inconsistent_autoencoder_shapes_are_format_error(self, trained_checkpoint):
+        ae = trained_checkpoint.pos_ae
+        bad = dataclasses.replace(ae, encoder_w=ae.encoder_w[:, :5])
+        blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, pos_ae=bad))
+        with pytest.raises(FormatError, match="pos_ae arrays"):
+            checkpoint_from_bytes(blob)
+
+    def test_token_vector_of_another_dimension_is_rejected(self, trained_checkpoint):
+        vectors = {**trained_checkpoint.token_vectors, "PROT1": np.zeros(5)}
+        blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, token_vectors=vectors))
+        with pytest.raises(DimensionMismatch, match="token vectors"):
+            checkpoint_from_bytes(blob).build_vectorizer()
+
+    @given(
+        meta=st.fixed_dictionaries({}, optional={
+            "arrays": ARRAY_ENTRIES | JSON_VALUES,
+            "config": st.just(CONFIG.to_dict()) | JSON_VALUES,
+            "model_kind": st.just("bilstm") | JSON_VALUES,
+            "model_meta": JSON_VALUES,
+            "pos_table": JSON_VALUES,
+            "oov_seed": JSON_VALUES,
+        }) | JSON_VALUES,
+        payload=st.binary(max_size=48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_metadata_raises_only_input_errors(self, meta, payload):
+        try:
+            checkpoint_from_bytes(framed(meta, payload))
+        except InputError:
+            pass

@@ -4,6 +4,7 @@ import pytest
 
 from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
+from sdprel.pipeline import instances_from_json
 
 from helpers import synthetic_corpus, write_lines
 
@@ -68,9 +69,10 @@ class TestPreprocessCommand:
             "--window", "6",
         )
         assert rc == 0
-        doc = json.loads((workdir / "inst.json").read_text())
-        assert doc["position_window"] == 6
-        assert all(len(i["pos1_codes"][0]) == 6 for i in doc["instances"])
+        text = (workdir / "inst.json").read_text()
+        assert json.loads(text)["position_window"] == 6
+        result = instances_from_json(text)
+        assert all(i.pos1_codes.shape[1] == i.pos2_codes.shape[1] == 6 for i in result.instances)
 
 
 class TestTrainEvaluatePredict:
@@ -297,6 +299,29 @@ class TestSweepCommand:
         )
         assert rc == 0
         assert len((workdir / "sweep.csv").read_text().strip().split("\n")) == 3
+        capsys.readouterr()
+
+    def test_epochs_sweep_preprocesses_once(self, workdir, monkeypatch, capsys):
+        import sdprel.cli as cli_mod
+
+        calls = []
+        real = cli_mod.preprocess
+        monkeypatch.setattr(
+            cli_mod, "preprocess", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        common = (
+            "sweep", "--param", "epochs",
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--config", workdir / "config",
+        )
+        assert run(*common, "--values", "2,4", "--report", workdir / "both.csv") == 0
+        assert len(calls) == 1
+        rows = []
+        for value in ("2", "4"):
+            assert run(*common, "--values", value, "--report", workdir / "one.csv") == 0
+            rows.append((workdir / "one.csv").read_text().split("\n")[1])
+        assert (workdir / "both.csv").read_text().split("\n")[1:3] == rows
         capsys.readouterr()
 
     def test_bad_values_exit_2(self, workdir, capsys):

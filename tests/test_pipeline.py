@@ -24,12 +24,21 @@ from sdprel.errors import (
     NonFiniteLoss,
     SdprelError,
 )
-from sdprel.features import code_string
+from sdprel.embed import EmbeddingTable, assemble
+from sdprel.features import (
+    code_string,
+    encode_dense,
+    encode_pos_onehot,
+    encode_position,
+)
 from sdprel.pipeline import (
     INSTANCES_FORMAT,
     INSTANCES_VERSION,
     FoldMetrics,
+    PreprocessResult,
+    SdpInstance,
     TrainConfig,
+    Vectorizer,
     baseline_mlp,
     baseline_rnn,
     cross_validate,
@@ -74,6 +83,16 @@ def synth(tmp_path_factory):
 def synth_instances(synth):
     sentences, deps = synth
     return preprocess(sentences, deps, small_config(seed=3))
+
+
+@pytest.fixture(scope="module")
+def long_synth(synth, tmp_path_factory):
+    """The synthetic corpus plus one 16-token path, so distances pass the window."""
+    sentences, deps = synth
+    chain = " ".join(f"w{i}|JJ" for i in range(14))
+    line = f"chain\tp1|NN {chain} p2|VB\te1:0:0;e2:15:15\te1-e2"
+    path = write_lines(tmp_path_factory.mktemp("long") / "c.tsv", [line])
+    return sentences + load_corpus(path), {**deps, "chain": [(i, i + 1, "arg") for i in range(15)]}
 
 
 class TestTrainConfig:
@@ -314,6 +333,103 @@ class TestPreprocess:
         assert len(result.excluded) == 3
 
 
+def derived_codes(n, window):
+    """Per-token thermometer codes, built one encode_position call at a time."""
+    return (np.stack([encode_position(k, window) for k in range(n)]),
+            np.stack([encode_position(n - 1 - k, window) for k in range(n)]))
+
+
+@st.composite
+def instance_sets(draw):
+    window = draw(st.integers(5, 12))
+    instances = []
+    for j in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 30))
+        pos1, pos2 = derived_codes(n, window)
+        instances.append(SdpInstance(
+            instance_id=f"s{j}:e0-e1",
+            sentence_id=f"s{j}",
+            prot1="e0",
+            prot2="e1",
+            label=draw(st.integers(0, 1)),
+            tokens=tuple(draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))),
+            pos_tags=tuple(draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))),
+            pos_classes=tuple(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))),
+            pos1_codes=pos1,
+            pos2_codes=pos2,
+        ))
+    flags = draw(st.tuples(st.booleans(), st.booleans()))
+    return PreprocessResult(instances, [], window, *flags)
+
+
+def same_instances(a, b):
+    assert (a.position_window, a.use_pos, a.use_position) == (
+        b.position_window, b.use_pos, b.use_position)
+    assert a.excluded == b.excluded
+    assert len(a.instances) == len(b.instances)
+    for x, y in zip(a.instances, b.instances):
+        for f in dataclasses.fields(SdpInstance):
+            assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), f.name
+        assert y.pos1_codes.dtype == y.pos2_codes.dtype == np.float64
+
+
+def version_one_text(result, config):
+    """The same result as the version 1 writer laid it out: indented, codes stored."""
+    doc = json.loads(instances_to_json(result, config))
+    doc["version"] = 1
+    for entry, inst in zip(doc["instances"], result.instances):
+        entry["pos1_codes"] = inst.pos1_codes.astype(int).tolist()
+        entry["pos2_codes"] = inst.pos2_codes.astype(int).tolist()
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+class TestInstancesFileV2:
+    @given(result=instance_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_derives_the_codes(self, result):
+        config = TrainConfig(position_window=result.position_window,
+                             use_pos=result.use_pos, use_position=result.use_position)
+        text = instances_to_json(result, config)
+        assert '"pos1_codes"' not in text and "\n" not in text
+        same_instances(instances_from_json(text), result)
+
+    def test_version_one_reads_like_version_two(self, long_synth):
+        cfg = small_config(position_window=7)
+        result = preprocess(*long_synth, cfg)
+        assert max(len(i.tokens) for i in result.instances) == 16  # past the cap
+        v2 = instances_from_json(instances_to_json(result, cfg))
+        same_instances(instances_from_json(version_one_text(result, cfg)), v2)
+        same_instances(v2, result)
+
+    def test_version_one_code_matrices_are_not_read(self, synth_instances):
+        cfg = small_config()
+        doc = json.loads(version_one_text(synth_instances, cfg))
+        doc["instances"][0]["pos1_codes"] = "not a matrix"
+        same_instances(instances_from_json(json.dumps(doc)),
+                       instances_from_json(instances_to_json(synth_instances, cfg)))
+
+    @pytest.mark.parametrize("window", [0, 4, 13, 10**9, True, "10", 10.0, None])
+    def test_position_window_out_of_range_is_format_error(self, synth_instances, window):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["position_window"] = window
+        with pytest.raises(FormatError, match="position_window"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [3, 0, True, 2.0, "2", None])
+    def test_unknown_version_is_rejected(self, synth_instances, version):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["version"] = version
+        with pytest.raises(ConfigError, match="supports 1 and 2"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["tokens", "pos_tags", "pos_classes"])
+    def test_unequal_lengths_are_format_error(self, synth_instances, key):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["instances"][0][key] = doc["instances"][0][key][:-1]
+        with pytest.raises(FormatError, match="equal length"):
+            instances_from_json(json.dumps(doc))
+
+
 class TestAutoencoderPretraining:
     def test_deterministic(self, synth_instances):
         cfg = small_config(seed=4)
@@ -333,6 +449,71 @@ class TestAutoencoderPretraining:
         result = preprocess(sentences, deps, cfg)
         _, position_ae = pretrain_autoencoders(cfg, result.instances)
         assert position_ae.dim == 6
+
+
+@pytest.fixture(scope="module")
+def long_instances(long_synth):
+    cfg = small_config(position_window=6, ae_epochs=50)
+    return cfg, preprocess(*long_synth, cfg).instances
+
+
+def per_token_vectors(vec, inst):
+    """The per-token path: three encode_dense calls and one assemble per token."""
+    n, window = len(inst.tokens), vec.position_ae.dim if vec.use_position else 0
+    rows = []
+    for k, tok in enumerate(inst.tokens):
+        pos = p1 = p2 = None
+        if vec.use_pos:
+            pos = encode_dense(vec.pos_ae, encode_pos_onehot(inst.pos_classes[k]))
+        if vec.use_position:
+            p1 = encode_dense(vec.position_ae, encode_position(k, window))
+            p2 = encode_dense(vec.position_ae, encode_position(n - 1 - k, window))
+        rows.append(assemble(vec.word_vector(tok), pos, p1, p2))
+    return np.stack(rows)
+
+
+class TestVectorizer:
+    @pytest.mark.parametrize("use_pos", [True, False])
+    @pytest.mark.parametrize("use_position", [True, False])
+    def test_gather_equals_per_token_path(self, long_instances, use_pos, use_position):
+        cfg, instances = long_instances
+        cfg = cfg.replace(use_pos=use_pos, use_position=use_position)
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        table = EmbeddingTable.empty(cfg.embedding_dim, oov_seed=2)
+        vec = Vectorizer(table, pos_ae, position_ae, use_pos, use_position,
+                         overrides={"PROT1": np.full(cfg.embedding_dim, 0.25)})
+        for inst in instances:
+            got = vec.vectorize(inst)
+            assert got.shape == (len(inst.tokens), vec.token_dim)
+            assert np.array_equal(got, per_token_vectors(vec, inst))
+
+    def test_replaced_codes_of_another_width_are_rejected(self, long_instances):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True)
+        inst = instances[0]
+        wider = dataclasses.replace(inst, pos1_codes=np.zeros((len(inst.tokens), 7)))
+        assert wider.pos1_codes.shape[1] == 7 and wider.tokens == inst.tokens
+        with pytest.raises(DimensionMismatch, match="7 wide"):
+            vec.vectorize(wider)
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_pos_class_out_of_range_is_rejected(self, long_instances, bad):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True)
+        inst = instances[0]
+        classes = (bad,) + inst.pos_classes[1:]
+        with pytest.raises(DimensionMismatch, match="PoS classes"):
+            vec.vectorize(dataclasses.replace(inst, pos_classes=classes))
+
+    def test_non_finite_word_vector_is_rejected(self, long_instances):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True,
+                         overrides={"PROT2": np.full(cfg.embedding_dim, np.nan)})
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            vec.vectorize(instances[0])
 
 
 class TestTrain:

@@ -155,6 +155,9 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
         raise FormatError("checkpoint autoencoders do not match use_pos and use_position")
     if meta["model_meta"] != model_meta(config, meta["model_meta"]["input_dim"]):
         raise FormatError("checkpoint model metadata does not match its config")
+    if meta["model_kind"] != config.model:
+        raise FormatError(f"checkpoint model_kind {meta['model_kind']!r} is not its config's "
+                          f"model {config.model!r}")
     params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
     return Checkpoint(
         config=config,

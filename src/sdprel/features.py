@@ -118,19 +118,36 @@ def _sigmoid(x):
 
 def reconstruct(ae: Autoencoder, bits) -> np.ndarray:
     """Full encode/decode pass."""
-    x = np.asarray(bits, dtype=np.float64)
-    if x.shape != (ae.dim,):
-        raise DimensionMismatch(f"expected shape ({ae.dim},), got {x.shape}")
-    z = _sigmoid(ae.encoder_w @ x + ae.encoder_b)
-    return _sigmoid(ae.decoder_w @ z + ae.decoder_b)
+    return _sigmoid(ae.decoder_w @ encode_dense(ae, bits) + ae.decoder_b)
 
 
 def reconstruction_loss(ae: Autoencoder, samples: np.ndarray) -> float:
     """Mean over samples of the squared reconstruction error."""
-    x = np.asarray(samples, dtype=np.float64)
+    return _ae_loss_grad(ae, np.asarray(samples, dtype=np.float64))[0]
+
+
+def _ae_views(theta: np.ndarray, d: int):
+    """(enc_w, enc_b, dec_w, dec_b), the Autoencoder fields, as views of the vector
+    [enc_w, dec_w, enc_b, dec_b]."""
+    ww = d * d
+    return (theta[:ww].reshape(d, d), theta[2 * ww : 2 * ww + d],
+            theta[ww : 2 * ww].reshape(d, d), theta[2 * ww + d :])
+
+
+def _ae_loss_grad(ae: Autoencoder, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Reconstruction loss of samples x and its gradient as one vector laid out
+    [enc_w, dec_w, enc_b, dec_b], the layout of ``_ae_views``."""
     z = _sigmoid(x @ ae.encoder_w.T + ae.encoder_b)
     xhat = _sigmoid(z @ ae.decoder_w.T + ae.decoder_b)
-    return float(np.mean(np.sum((x - xhat) ** 2, axis=1)))
+    diff = xhat - x
+    loss = float(np.mean(np.sum(diff**2, axis=1)))
+    d_pre_dec = 2.0 * diff / x.shape[0] * xhat * (1.0 - xhat)
+    d_pre_enc = (d_pre_dec @ ae.decoder_w) * z * (1.0 - z)
+    grad = np.concatenate([
+        (d_pre_enc.T @ x).ravel(), (d_pre_dec.T @ z).ravel(),
+        d_pre_enc.sum(axis=0), d_pre_dec.sum(axis=0),
+    ])
+    return loss, grad
 
 
 def train_autoencoder(
@@ -138,8 +155,10 @@ def train_autoencoder(
 ) -> Autoencoder:
     """Fit the autoencoder by full-batch Adadelta on squared error.
 
-    Deterministic for a fixed seed; the per-epoch loss curve is kept on the
-    returned model.
+    All weights live in one vector ``[enc_w, dec_w, enc_b, dec_b]`` (the
+    returned model's fields are views of it), so each epoch is one Adadelta
+    step on one tensor.  Deterministic for a fixed seed; the per-epoch loss
+    curve is kept on the returned model.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != d:
@@ -149,39 +168,18 @@ def train_autoencoder(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     limit = np.sqrt(6.0 / (d + d))
-    params = {
-        "enc_w": rng.uniform(-limit, limit, size=(d, d)),
-        "enc_b": np.zeros(d),
-        "dec_w": rng.uniform(-limit, limit, size=(d, d)),
-        "dec_b": np.zeros(d),
-    }
+    # one draw for both weight matrices, biases start at zero
+    theta = np.concatenate([rng.uniform(-limit, limit, size=2 * d * d), np.zeros(2 * d)])
+    ae = Autoencoder(*_ae_views(theta, d))
+    params = {"theta": theta}
     state = AdadeltaState(rho=0.95, eps=1e-6)
-    n = x.shape[0]
     losses = []
     for _ in range(epochs):
-        z = _sigmoid(x @ params["enc_w"].T + params["enc_b"])
-        xhat = _sigmoid(z @ params["dec_w"].T + params["dec_b"])
-        diff = xhat - x
-        losses.append(float(np.mean(np.sum(diff**2, axis=1))))
-
-        d_xhat = 2.0 * diff / n
-        d_pre_dec = d_xhat * xhat * (1.0 - xhat)
-        d_z = d_pre_dec @ params["dec_w"]
-        d_pre_enc = d_z * z * (1.0 - z)
-        grads = {
-            "enc_w": d_pre_enc.T @ x,
-            "enc_b": d_pre_enc.sum(axis=0),
-            "dec_w": d_pre_dec.T @ z,
-            "dec_b": d_pre_dec.sum(axis=0),
-        }
-        adadelta_step(state, params, grads)
-    return Autoencoder(
-        encoder_w=params["enc_w"],
-        encoder_b=params["enc_b"],
-        decoder_w=params["dec_w"],
-        decoder_b=params["dec_b"],
-        training_losses=tuple(losses),
-    )
+        loss, grad = _ae_loss_grad(ae, x)
+        losses.append(loss)
+        adadelta_step(state, params, {"theta": grad})
+    ae.training_losses = tuple(losses)
+    return ae
 
 
 def encode_dense(ae: Autoencoder, bits) -> np.ndarray:

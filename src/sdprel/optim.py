@@ -1,7 +1,12 @@
 """Gradient-based parameter updates: Adam and Adadelta.
 
 Parameters and gradients are dicts of name -> float64 ndarray; updates happen
-in place.  Callers own exclusivity (no concurrent steps on one state).
+in place.  Each trainable group is one array (the tuned word vectors are one
+matrix, an autoencoder is one vector), so a step touches a few large tensors.
+Both rules are element-wise and run over slices of at most BLOCK elements, so
+a large tensor adds only block-sized temporaries and the result is the same
+as one whole-array update.  Callers own exclusivity (no concurrent steps on
+one state).
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
+
+BLOCK = 8192  # 64 KiB of float64: temporaries stay small and below malloc's mmap threshold
 
 
 def _check_shapes(params, grads):
@@ -22,6 +29,19 @@ def _check_shapes(params, grads):
             raise ShapeMismatch(
                 f"{name}: parameter shape {p.shape} vs gradient shape {grads[name].shape}"
             )
+        if not p.flags.c_contiguous:
+            raise ShapeMismatch(f"{name}: parameter is not contiguous, so it has no flat view")
+
+
+def _step_blocks(params, grads, slots, update) -> None:
+    """update(p, g, *state) on each BLOCK-element slice of every tensor, through flat
+    views; ``slots`` are the per-name state dicts, a missing entry starts at zeros."""
+    _check_shapes(params, grads)
+    for name, p in params.items():
+        flat = [a.reshape(-1) for a in (p, grads[name])]
+        flat += [s.setdefault(name, np.zeros_like(p)).reshape(-1) for s in slots]
+        for start in range(0, p.size, BLOCK):
+            update(*(a[start : start + BLOCK] for a in flat))
 
 
 @dataclass
@@ -37,13 +57,9 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """One Adam update with bias correction."""
-    _check_shapes(params, grads)
-    state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+    t = state.step + 1
+
+    def update(p, g, m, v):
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
@@ -51,6 +67,9 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+    _step_blocks(params, grads, (state.m, state.v), update)
+    state.step = t
 
 
 @dataclass
@@ -63,14 +82,13 @@ class AdadeltaState:
 
 def adadelta_step(state: AdadeltaState, params: dict, grads: dict) -> None:
     """One Adadelta update (running RMS of gradients and of updates)."""
-    _check_shapes(params, grads)
-    for name, p in params.items():
-        g = grads[name]
-        eg2 = state.avg_sq_grad.setdefault(name, np.zeros_like(p))
-        ed2 = state.avg_sq_delta.setdefault(name, np.zeros_like(p))
+
+    def update(p, g, eg2, ed2):
         eg2 *= state.rho
         eg2 += (1.0 - state.rho) * g * g
         delta = -np.sqrt(ed2 + state.eps) / np.sqrt(eg2 + state.eps) * g
         ed2 *= state.rho
         ed2 += (1.0 - state.rho) * delta * delta
         p += delta
+
+    _step_blocks(params, grads, (state.avg_sq_grad, state.avg_sq_delta), update)

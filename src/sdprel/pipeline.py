@@ -41,6 +41,7 @@ from .errors import (
     EmptyTrainingSet,
     FormatError,
     MissingDependencyData,
+    NonFiniteGradient,
     NonFiniteLoss,
     PathTooLong,
 )
@@ -285,21 +286,10 @@ def preprocess(
             src, dst = sdp_endpoints(gen, pair.prot1, pair.prot2)
             try:
                 path = shortest_path(graph, src, dst, max_tokens=MAX_SDP_TOKENS)
-            except Disconnected:
-                excluded.append(
-                    ExcludedInstance(
-                        _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label,
-                        "disconnected",
-                    )
-                )
-                continue
-            except PathTooLong:
-                excluded.append(
-                    ExcludedInstance(
-                        _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label,
-                        "path_too_long",
-                    )
-                )
+            except (Disconnected, PathTooLong) as exc:
+                reason = "disconnected" if isinstance(exc, Disconnected) else "path_too_long"
+                excluded.append(ExcludedInstance(
+                    _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label, reason))
                 continue
             toks = sdp_tokens(path, gen)
             pos1_codes, pos2_codes = _by_distance(table, len(toks))
@@ -620,14 +610,11 @@ def train(
     table = embeddings if embeddings is not None else _load_table(config)
     pos_ae, position_ae = pretrain_autoencoders(config, instances)
 
-    overrides: dict[str, np.ndarray] = {
-        tok: lookup(table, tok).copy() for tok in SPECIAL_TOKENS
-    }
-    if config.tune_embeddings:
-        for inst in instances:
-            for tok in inst.tokens:
-                if tok not in overrides:
-                    overrides[tok] = lookup(table, tok).copy()
+    # one (V x D) matrix of the word vectors the run can change; tokens map to row views
+    words = sorted(set(SPECIAL_TOKENS).union(
+        *(inst.tokens for inst in instances if config.tune_embeddings)))
+    emb = np.stack([lookup(table, w) for w in words])
+    overrides = dict(zip(words, emb))
 
     vectorizer = Vectorizer(
         table=table,
@@ -644,8 +631,10 @@ def train(
     params = dict(model.tensors())
     word_dim = table.dimension
     if config.tune_embeddings:
-        for tok in sorted(overrides):
-            params[f"emb::{tok}"] = overrides[tok]
+        # every row steps on every batch, so with Adam a row the batch lacks moves by momentum
+        params["emb"] = emb
+        row_of = {w: k for k, w in enumerate(words)}
+        rows = [np.array([row_of[tok] for tok in inst.tokens]) for inst in instances]
 
     if config.optimizer == "adam":
         opt_state, opt_step = AdamState(lr=config.learning_rate), adam_step
@@ -676,22 +665,17 @@ def train(
                 for name, g in grads.items():
                     acc[name] += g
                 if config.tune_embeddings:
-                    for k, tok in enumerate(inst.tokens):
-                        acc[f"emb::{tok}"] += d_inputs[k, :word_dim]
+                    np.add.at(acc["emb"], rows[idx], d_inputs[:, :word_dim])
             if not np.isfinite(epoch_loss):  # losses are >= 0, so no inf - inf
                 raise NonFiniteLoss(f"training loss became non-finite: {epoch_loss}")
             scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
+            for name, g in acc.items():
+                if not np.all(np.isfinite(g)):
+                    raise NonFiniteGradient(f"non-finite gradient in {name}")
+                g *= scale
             opt_step(opt_state, params, acc)
         losses.append(epoch_loss / len(instances))
 
-    token_vectors = {
-        name.split("::", 1)[1]: arr for name, arr in params.items()
-        if name.startswith("emb::")
-    }
-    for tok in SPECIAL_TOKENS:
-        token_vectors.setdefault(tok, overrides[tok])
     checkpoint = Checkpoint(
         config=config,
         model_kind=model.kind,
@@ -701,7 +685,7 @@ def train(
         position_ae=position_ae,
         pos_table=dict(pos_table) if pos_table is not None else load_pos_table(),
         oov_seed=table.oov_seed,
-        token_vectors=token_vectors,
+        token_vectors=overrides,
     )
     return TrainResult(checkpoint=checkpoint, epoch_losses=losses)
 

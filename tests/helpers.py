@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: brute-force simple-path enumeration for BFS, central finite
-differences for backprop, and a scalar-loop LSTM cell.
+differences for backprop, a scalar-loop LSTM cell, and an autoencoder fit
+that keeps its four weight arrays in separate dicts.
 """
 
 from __future__ import annotations
@@ -97,6 +98,69 @@ def gradcheck(model, xs, label, eps=1e-5):
     analytic.pop("__inputs__")
     numeric = finite_difference_grads(model, xs, label, eps=eps)
     return max_relative_error(analytic, numeric)
+
+
+def central_differences(fn, theta, eps=1e-5):
+    """Central differences of a scalar function of one flat vector."""
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        plus = fn(theta)
+        theta[i] = orig - eps
+        minus = fn(theta)
+        theta[i] = orig
+        grad[i] = (plus - minus) / (2.0 * eps)
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# Autoencoder oracle
+
+
+def reference_autoencoder(samples, d, epochs, seed):
+    """Full-batch Adadelta fit with one array per weight and bias, each updated
+    by the whole-array formula; returns (enc_w, enc_b, dec_w, dec_b, losses)."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    limit = np.sqrt(6.0 / (d + d))
+    params = {
+        "enc_w": rng.uniform(-limit, limit, size=(d, d)),
+        "enc_b": np.zeros(d),
+        "dec_w": rng.uniform(-limit, limit, size=(d, d)),
+        "dec_b": np.zeros(d),
+    }
+    avg_sq_grad = {k: np.zeros_like(v) for k, v in params.items()}
+    avg_sq_delta = {k: np.zeros_like(v) for k, v in params.items()}
+    rho, eps = 0.95, 1e-6
+    losses = []
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    for _ in range(epochs):
+        z = sigmoid(x @ params["enc_w"].T + params["enc_b"])
+        xhat = sigmoid(z @ params["dec_w"].T + params["dec_b"])
+        diff = xhat - x
+        losses.append(float(np.mean(np.sum(diff**2, axis=1))))
+        d_pre_dec = 2.0 * diff / n * xhat * (1.0 - xhat)
+        d_pre_enc = d_pre_dec @ params["dec_w"] * z * (1.0 - z)
+        grads = {
+            "enc_w": d_pre_enc.T @ x,
+            "enc_b": d_pre_enc.sum(axis=0),
+            "dec_w": d_pre_dec.T @ z,
+            "dec_b": d_pre_dec.sum(axis=0),
+        }
+        for name, p in params.items():
+            g, eg2, ed2 = grads[name], avg_sq_grad[name], avg_sq_delta[name]
+            eg2 *= rho
+            eg2 += (1.0 - rho) * g * g
+            delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+            ed2 *= rho
+            ed2 += (1.0 - rho) * delta * delta
+            p += delta
+    return params["enc_w"], params["enc_b"], params["dec_w"], params["dec_b"], losses
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,20 @@ class TestMetadata:
         with pytest.raises(FormatError, match="model metadata"):
             checkpoint_from_bytes(framed(meta, payload))
 
+    def test_model_kind_must_follow_the_config(self, train_instances, tmp_path, capsys):
+        rnn = train(CONFIG.replace(model="rnn", epochs=1), train_instances).checkpoint
+        relabelled = dataclasses.replace(rnn, config=rnn.config.replace(model="bilstm"))
+        blob = checkpoint_bytes(relabelled)
+        with pytest.raises(FormatError, match="model_kind 'rnn'.*'bilstm'"):
+            checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert "model_kind" in capsys.readouterr().err
+
     def test_missing_autoencoder_is_format_error(self, trained_checkpoint):
         blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, pos_ae=None))
         with pytest.raises(FormatError, match="autoencoders"):

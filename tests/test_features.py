@@ -15,7 +15,11 @@ from sdprel.features import (
     reconstruct,
     reconstruction_loss,
     train_autoencoder,
+    _ae_loss_grad,
+    _ae_views,
 )
+
+from helpers import central_differences, max_relative_error, reference_autoencoder
 
 
 class TestCoarsePos:
@@ -166,6 +170,41 @@ class TestAutoencoder:
         # the curve records loss before each step, so the standalone loss of
         # the final model must be at or below the last recorded value
         assert reconstruction_loss(ae, samples) <= ae.training_losses[-1] + 1e-9
+
+
+def random_codes(d, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.unique((rng.random((2 * d, d)) < 0.4).astype(np.float64), axis=0)
+
+
+class TestAutoencoderVector:
+    @pytest.mark.parametrize("d, seed", [(5, 0), (8, 1), (10, 2), (12, 3), (8, 13)])
+    def test_equals_the_four_array_reference(self, d, seed):
+        samples = random_codes(d, seed)
+        ae = train_autoencoder(samples, d, epochs=200, seed=seed)
+        enc_w, enc_b, dec_w, dec_b, losses = reference_autoencoder(samples, d, 200, seed)
+        assert np.array_equal(ae.encoder_w, enc_w)
+        assert np.array_equal(ae.encoder_b, enc_b)
+        assert np.array_equal(ae.decoder_w, dec_w)
+        assert np.array_equal(ae.decoder_b, dec_b)
+        assert list(ae.training_losses) == losses
+
+    def test_fields_are_views_of_one_vector(self):
+        ae = train_autoencoder(np.eye(5), 5, epochs=2, seed=0)
+        theta = ae.encoder_w.base
+        assert theta.shape == (2 * 5 * 5 + 2 * 5,)
+        for arr in (ae.decoder_w, ae.encoder_b, ae.decoder_b):
+            assert arr.base is theta
+
+    @pytest.mark.parametrize("d, seed", [(4, 0), (8, 1)])
+    def test_gradient_matches_finite_differences(self, d, seed):
+        samples = random_codes(d, seed)
+        rng = np.random.Generator(np.random.PCG64(seed + 50))
+        theta = rng.uniform(-1.0, 1.0, size=2 * d * d + 2 * d)
+        ae = Autoencoder(*_ae_views(theta, d))  # its fields follow theta
+        _, grad = _ae_loss_grad(ae, samples)
+        numeric = central_differences(lambda _: _ae_loss_grad(ae, samples)[0], theta)
+        assert max_relative_error({"theta": grad}, {"theta": numeric}) < 1e-4
 
 
 class TestEncodeDense:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdprel.errors import ShapeMismatch
-from sdprel.optim import AdadeltaState, AdamState, adadelta_step, adam_step
+from sdprel.optim import BLOCK, AdadeltaState, AdamState, adadelta_step, adam_step
 
 
 def params_and_grads(seed=0):
@@ -110,3 +110,74 @@ class TestAdadelta:
         grads["b"] = np.zeros(9)
         with pytest.raises(ShapeMismatch):
             adadelta_step(AdadeltaState(), params, grads)
+
+
+def whole_array_adam(state, params, grads):
+    """The Adam formula over each tensor at once, for comparison with the blocked step."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def whole_array_adadelta(state, params, grads):
+    for name, p in params.items():
+        g = grads[name]
+        eg2 = state.avg_sq_grad.setdefault(name, np.zeros_like(p))
+        ed2 = state.avg_sq_delta.setdefault(name, np.zeros_like(p))
+        eg2 *= state.rho
+        eg2 += (1.0 - state.rho) * g * g
+        delta = -np.sqrt(ed2 + state.eps) / np.sqrt(eg2 + state.eps) * g
+        ed2 *= state.rho
+        ed2 += (1.0 - state.rho) * delta * delta
+        p += delta
+
+
+class TestBlocks:
+    # three full blocks and a ragged tail, a 2-d tensor and a small one
+    SHAPES = {"big": (3 * BLOCK + 17,), "matrix": (7, BLOCK // 3), "small": (5,)}
+
+    @pytest.mark.parametrize(
+        "make_state, blocked, reference",
+        [(AdamState, adam_step, whole_array_adam),
+         (AdadeltaState, adadelta_step, whole_array_adadelta)],
+    )
+    def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference):
+        rng = np.random.Generator(np.random.PCG64(11))
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        expected = copy.deepcopy(params)
+        state, ref_state = make_state(), make_state()
+        for _ in range(4):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            grads["big"][BLOCK : 2 * BLOCK] = 0.0  # a block with no gradient
+            blocked(state, params, grads)
+            reference(ref_state, expected, grads)
+        for name in params:
+            assert np.array_equal(params[name], expected[name])
+        for slot, ref_slot in zip(vars(state).values(), vars(ref_state).values()):
+            if isinstance(slot, dict):
+                assert all(np.array_equal(slot[name], ref_slot[name]) for name in params)
+            else:
+                assert slot == ref_slot
+
+    def test_parameter_without_a_flat_view_is_refused(self):
+        p = np.zeros((4, 6))[:, :3]  # an update through a flat copy would be lost
+        with pytest.raises(ShapeMismatch, match="contiguous"):
+            adam_step(AdamState(), {"p": p}, {"p": np.ones_like(p)})
+
+    def test_shape_error_leaves_the_step_counter(self):
+        params, grads = params_and_grads(9)
+        grads["w"] = grads["w"][:1]
+        state = AdamState()
+        with pytest.raises(ShapeMismatch):
+            adam_step(state, params, grads)
+        assert state.step == 0

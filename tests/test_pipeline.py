@@ -21,6 +21,7 @@ from sdprel.errors import (
     FormatError,
     InputError,
     MissingDependencyData,
+    NonFiniteGradient,
     NonFiniteLoss,
     SdprelError,
 )
@@ -31,6 +32,7 @@ from sdprel.features import (
     encode_pos_onehot,
     encode_position,
 )
+from sdprel.optim import adam_step
 from sdprel.pipeline import (
     INSTANCES_FORMAT,
     INSTANCES_VERSION,
@@ -570,6 +572,26 @@ class TestTrain:
             train(small_config(epochs=1), synth_instances.instances)
         assert steps == []
 
+    def test_non_finite_gradient_stops_before_the_optimizer_steps(
+        self, synth_instances, monkeypatch
+    ):
+        import sdprel.pipeline as pl
+        from sdprel.neural import BiLstmModel
+
+        real_backward = BiLstmModel.backward
+        steps = []
+
+        def nan_backward(self, cache, label):
+            grads = real_backward(self, cache, label)
+            grads["head.w_out"][0, 0] = float("nan")
+            return grads
+
+        monkeypatch.setattr(BiLstmModel, "backward", nan_backward)
+        monkeypatch.setattr(pl, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteGradient, match="head.w_out"):
+            train(small_config(epochs=1), synth_instances.instances)
+        assert steps == []
+
     def test_word_only_ablation_trains(self, synth_instances):
         cfg = small_config(use_pos=False, use_position=False, epochs=5)
         tr = train(cfg, synth_instances.instances)
@@ -600,6 +622,65 @@ class TestTrain:
             for t in sorted(vocab)
         ]
         assert any(moved)
+
+    def test_embedding_gradient_sums_every_occurrence(self, synth_instances, monkeypatch):
+        import sdprel.pipeline as pl
+        from sdprel.neural import BiLstmModel
+
+        # "rep" repeats inside each instance and across instances
+        insts = [
+            dataclasses.replace(i, tokens=(i.tokens[0], "rep", "rep") + i.tokens[3:])
+            for i in synth_instances.instances if len(i.tokens) >= 4
+        ]
+        seen, d_inputs, stepped = [], [], []
+        real_vectorize, real_backward = Vectorizer.vectorize, BiLstmModel.backward
+
+        def record_vectorize(self, inst):
+            seen.append(inst)
+            return real_vectorize(self, inst)
+
+        def record_backward(self, cache, label):
+            grads = real_backward(self, cache, label)
+            d_inputs.append(grads["__inputs__"].copy())
+            return grads
+
+        monkeypatch.setattr(Vectorizer, "vectorize", record_vectorize)
+        monkeypatch.setattr(BiLstmModel, "backward", record_backward)
+        monkeypatch.setattr(pl, "adam_step", lambda state, params, grads: stepped.append(grads))
+        cfg = small_config(epochs=1, batch=len(insts), tune_embeddings=True)
+        train(cfg, insts)
+
+        words = sorted({"PROT1", "PROT2", "PROTX"} | {t for i in insts for t in i.tokens})
+        expected = np.zeros((len(words), cfg.embedding_dim))
+        for inst, d in zip(seen, d_inputs, strict=True):
+            for k, tok in enumerate(inst.tokens):
+                expected[words.index(tok)] += d[k, : cfg.embedding_dim]
+        expected *= 1.0 / len(insts)
+        assert len(stepped) == 1
+        assert np.array_equal(stepped[0]["emb"], expected)
+        assert np.any(expected[words.index("rep")])
+
+    def test_untouched_tuned_word_moves_by_momentum(self, synth_instances, monkeypatch):
+        import sdprel.pipeline as pl
+
+        insts = list(synth_instances.instances[:6])
+        insts[2] = dataclasses.replace(insts[2], tokens=("PROT1", "solitary") + insts[2].tokens[2:])
+        words = sorted({"PROT1", "PROT2", "PROTX"} | {t for i in insts for t in i.tokens})
+        row = words.index("solitary")
+        steps = []  # (word in this batch, row before, row after)
+
+        def record_step(state, params, grads):
+            before = params["emb"][row].copy()
+            adam_step(state, params, grads)
+            steps.append((bool(grads["emb"][row].any()), before, params["emb"][row].copy()))
+
+        monkeypatch.setattr(pl, "adam_step", record_step)
+        train(small_config(epochs=2, batch=1, tune_embeddings=True), insts)
+        first = next(k for k, (present, _, _) in enumerate(steps) if present)
+        moved = [not np.array_equal(before, after) for _, before, after in steps]
+        assert not any(moved[:first])  # no momentum yet
+        assert [present for present, _, _ in steps].count(True) == 2  # once per epoch
+        assert all(moved[first:])  # every later step moves it, with or without the word
 
     def test_adadelta_optimizer_runs(self, synth_instances):
         cfg = small_config(epochs=4, optimizer="adadelta")

@@ -6,8 +6,8 @@ lists them | 8-byte blake2b checksum of everything before it.
 
 Version 2 stores each LSTM direction as three fused tensors (``fwd.w_in``,
 ``fwd.w_rec``, ``fwd.b``); version 1 stored one per gate (``fwd.w_in.i`` ...)
-and is still read, and written on request.  Metadata that lacks a key, has a
-malformed value or disagrees with the stored config raises FormatError.
+and is still read.  Metadata that lacks a key, has a malformed value or
+disagrees with the stored config raises FormatError.
 """
 
 from __future__ import annotations
@@ -21,21 +21,13 @@ import numpy as np
 from .errors import CorruptChecksum, FormatError, VersionMismatch
 from .features import Autoencoder
 from .neural import GATES
-from .pipeline import Checkpoint, TrainConfig, model_meta
+from .pipeline import Checkpoint, TrainConfig
 
 MAGIC = b"SDPL"
 FORMAT_VERSION = 2
 _LSTM_PREFIXES = ("fwd.", "bwd.")
 
 _AE_FIELDS = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
-
-
-def _per_gate_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Version 1 layout: each fused LSTM tensor split into its gate rows."""
-    out = {name: arr for name, arr in params.items() if not name.startswith(_LSTM_PREFIXES)}
-    for name in params.keys() - out.keys():
-        out.update(zip((f"{name}.{g}" for g in GATES), np.split(params[name], len(GATES))))
-    return out
 
 
 def _fused_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -49,10 +41,9 @@ def _fused_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
-def _collect_arrays(ck: Checkpoint, version: int) -> dict[tuple[str, str], np.ndarray]:
+def _collect_arrays(ck: Checkpoint) -> dict[tuple[str, str], np.ndarray]:
     arrays: dict[tuple[str, str], np.ndarray] = {}
-    params = _per_gate_params(ck.params) if version == 1 else ck.params
-    for name, arr in params.items():
+    for name, arr in ck.params.items():
         arrays[("param", name)] = arr
     for section, ae in (("pos_ae", ck.pos_ae), ("position_ae", ck.position_ae)):
         if ae is None:
@@ -64,8 +55,8 @@ def _collect_arrays(ck: Checkpoint, version: int) -> dict[tuple[str, str], np.nd
     return arrays
 
 
-def checkpoint_bytes(ck: Checkpoint, version: int = FORMAT_VERSION) -> bytes:
-    arrays = _collect_arrays(ck, version)
+def checkpoint_bytes(ck: Checkpoint) -> bytes:
+    arrays = _collect_arrays(ck)
     index = sorted(arrays)
     meta = {
         "config": ck.config.to_dict(),
@@ -76,7 +67,7 @@ def checkpoint_bytes(ck: Checkpoint, version: int = FORMAT_VERSION) -> bytes:
         "arrays": [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index],
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<H", version), struct.pack("<Q", len(meta_bytes)), meta_bytes]
+    parts = [MAGIC, struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)), meta_bytes]
     for key in index:
         parts.append(np.ascontiguousarray(arrays[key], dtype="<f8").tobytes())
     body = b"".join(parts)
@@ -153,16 +144,13 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
     pos_ae, position_ae = take_ae("pos_ae"), take_ae("position_ae")
     if (pos_ae is not None, position_ae is not None) != (config.use_pos, config.use_position):
         raise FormatError("checkpoint autoencoders do not match use_pos and use_position")
-    if meta["model_meta"] != model_meta(config, meta["model_meta"]["input_dim"]):
-        raise FormatError("checkpoint model metadata does not match its config")
-    if meta["model_kind"] != config.model:
-        raise FormatError(f"checkpoint model_kind {meta['model_kind']!r} is not its config's "
-                          f"model {config.model!r}")
+    input_dim = meta["model_meta"]["input_dim"]
+    if type(input_dim) is not int or input_dim < 1:
+        raise FormatError(f"checkpoint input_dim must be an integer >= 1, got {input_dim!r}")
     params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
-    return Checkpoint(
+    ck = Checkpoint(
         config=config,
-        model_kind=meta["model_kind"],
-        model_meta=meta["model_meta"],
+        input_dim=input_dim,
         params=_fused_params(params) if version == 1 else params,
         pos_ae=pos_ae,
         position_ae=position_ae,
@@ -172,3 +160,9 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
             name: arr for (sec, name), arr in arrays.items() if sec == "tok"
         },
     )
+    if meta["model_meta"] != ck.model_meta:
+        raise FormatError("checkpoint model metadata does not match its config")
+    if meta["model_kind"] != ck.model_kind:
+        raise FormatError(f"checkpoint model_kind {meta['model_kind']!r} is not its config's "
+                          f"model {ck.model_kind!r}")
+    return ck

@@ -288,8 +288,9 @@ def split_folds(instance_ids: list[str], k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(k=k, assignments=assignments)
 
 
-def class_stats(pairs: list[CandidatePair]) -> tuple[int, int, float]:
-    """(positives, negatives, negatives-per-positive rounded to 1 decimal)."""
+def class_stats(pairs: list) -> tuple[int, int, float]:
+    """(positives, negatives, negatives-per-positive rounded to 1 decimal) of
+    labelled pairs: candidate pairs, SDP instances or excluded pairs."""
     positives = sum(1 for p in pairs if p.label == INTERACTING)
     negatives = len(pairs) - positives
     ratio = round(negatives / positives, 1) if positives else 0.0

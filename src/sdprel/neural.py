@@ -30,12 +30,8 @@ PROB_CLAMP = 1e-12
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: no exp of a positive number
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def softmax(logits):

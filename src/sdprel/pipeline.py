@@ -69,6 +69,8 @@ REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
 INSTANCES_VERSION = 2
 POSITION_WINDOWS = range(5, 13)  # thermometer code widths the method allows
+EXCLUSION_REASONS = ("disconnected", "path_too_long")
+_ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ class ExcludedInstance:
     prot1: str
     prot2: str
     label: int
-    reason: str  # "disconnected" | "path_too_long"
+    reason: str  # one of EXCLUSION_REASONS
 
 
 @dataclass
@@ -216,9 +218,7 @@ class PreprocessResult:
         return len(self.instances) + len(self.excluded)
 
     def stats(self) -> dict:
-        labels = [i.label for i in self.instances] + [e.label for e in self.excluded]
-        positives = sum(labels)
-        negatives = len(labels) - positives
+        positives, negatives, ratio = corpus_mod.class_stats(self.instances + self.excluded)
         return {
             "generated": self.generated,
             "evaluable": len(self.instances),
@@ -230,7 +230,7 @@ class PreprocessResult:
             ),
             "positives": positives,
             "negatives": negatives,
-            "ratio": round(negatives / positives, 1) if positives else 0.0,
+            "ratio": ratio,
         }
 
 
@@ -337,6 +337,18 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _require(ok: bool, entry, what: str) -> None:
+    if not ok:
+        raise FormatError(f"instance {entry.instance_id!r}: {what}")
+
+
+def _check_ids_and_label(entry: SdpInstance | ExcludedInstance) -> None:
+    _require(all(isinstance(getattr(entry, k), str) for k in _ID_FIELDS), entry,
+             f"{', '.join(_ID_FIELDS)} must be strings")
+    _require(type(entry.label) is int and entry.label in (0, 1), entry,
+             f"label must be 0 or 1, got {entry.label!r}")
+
+
 def instances_from_json(text: str) -> PreprocessResult:
     """Parse an instances file of version 1 or 2; malformed content raises FormatError.
 
@@ -355,40 +367,34 @@ def instances_from_json(text: str) -> PreprocessResult:
         window = doc["position_window"]
         if type(window) is not int or window not in POSITION_WINDOWS:
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
+        flags = doc["use_pos"], doc["use_position"]
+        if not all(type(flag) is bool for flag in flags):
+            raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
         table = _position_table(window)
         instances = []
         for i in doc["instances"]:
-            tokens = tuple(i["tokens"])
-            pos_tags = tuple(i["pos_tags"])
-            pos_classes = tuple(int(c) for c in i["pos_classes"])
-            if not tokens or not len(tokens) == len(pos_tags) == len(pos_classes):
+            sequences = [i[k] for k in ("tokens", "pos_tags", "pos_classes")]
+            if not (all(isinstance(seq, list) for seq in sequences) and sequences[0]
+                    and len(set(map(len, sequences))) == 1):
                 raise FormatError(
                     f"instance {i['instance_id']!r}: tokens, pos_tags and pos_classes "
-                    "must be non-empty and of equal length"
+                    "must be non-empty lists of equal length"
                 )
-            pos1_codes, pos2_codes = _by_distance(table, len(tokens))
-            instances.append(
-                SdpInstance(
-                    instance_id=i["instance_id"],
-                    sentence_id=i["sentence_id"],
-                    prot1=i["prot1"],
-                    prot2=i["prot2"],
-                    label=int(i["label"]),
-                    tokens=tokens,
-                    pos_tags=pos_tags,
-                    pos_classes=pos_classes,
-                    pos1_codes=pos1_codes,
-                    pos2_codes=pos2_codes,
-                )
-            )
+            tokens, pos_tags, pos_classes = map(tuple, sequences)
+            inst = SdpInstance(*(i[k] for k in _ID_FIELDS), i["label"], tokens, pos_tags,
+                               pos_classes, *_by_distance(table, len(tokens)))
+            _check_ids_and_label(inst)
+            _require(all(isinstance(t, str) for t in tokens + pos_tags), inst,
+                     "tokens and pos_tags must be strings")
+            _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), inst,
+                     f"pos_classes must be integers in 0..{POS_DIM - 1}")
+            instances.append(inst)
         excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
-        return PreprocessResult(
-            instances=instances,
-            excluded=excluded,
-            position_window=window,
-            use_pos=doc["use_pos"],
-            use_position=doc["use_position"],
-        )
+        for e in excluded:
+            _check_ids_and_label(e)
+            _require(e.reason in EXCLUSION_REASONS, e,
+                     f"reason must be one of {EXCLUSION_REASONS}, got {e.reason!r}")
+        return PreprocessResult(instances, excluded, window, *flags)
     except KeyError as exc:
         raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -410,8 +416,6 @@ class Vectorizer:
     table: EmbeddingTable
     pos_ae: Autoencoder | None
     position_ae: Autoencoder | None
-    use_pos: bool
-    use_position: bool
     overrides: dict[str, np.ndarray] = field(default_factory=dict)
     pos_rows: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     position_rows: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
@@ -426,6 +430,14 @@ class Vectorizer:
                 [encode_dense(self.position_ae, code)
                  for code in _position_table(self.position_ae.dim)]
             )
+
+    @property
+    def use_pos(self) -> bool:
+        return self.pos_ae is not None
+
+    @property
+    def use_position(self) -> bool:
+        return self.position_ae is not None
 
     @property
     def token_dim(self) -> int:
@@ -462,10 +474,10 @@ class Vectorizer:
         return out
 
 
-def _load_table(config: TrainConfig) -> EmbeddingTable:
+def _load_table(config: TrainConfig, oov_seed: int) -> EmbeddingTable:
     if config.embedding_path:
-        return load_embeddings(config.embedding_path, oov_seed=config.seed)
-    return EmbeddingTable.empty(config.embedding_dim, oov_seed=config.seed)
+        return load_embeddings(config.embedding_path, oov_seed=oov_seed)
+    return EmbeddingTable.empty(config.embedding_dim, oov_seed=oov_seed)
 
 
 def pretrain_autoencoders(
@@ -524,34 +536,13 @@ def model_meta(config: TrainConfig, input_dim: int) -> dict:
     }
 
 
-def model_from_meta(kind: str, meta: dict, params: dict[str, np.ndarray]):
-    rng = np.random.Generator(np.random.PCG64(0))
-    cfg = TrainConfig(
-        model=kind,
-        lstm_units=meta["units"],
-        mlp_hidden=meta["hidden_size"],
-        mlp_depth=meta["depth"],
-        mlp_pad_len=meta["pad_len"],
-        activation=meta["activation"],
-    ).validate()
-    model = build_model(cfg, meta["input_dim"], rng)
-    tensors = model.tensors()
-    if set(tensors) != set(params):
-        raise DimensionMismatch("checkpoint parameters do not match model layout")
-    for name, arr in tensors.items():
-        if params[name].shape != arr.shape:
-            raise DimensionMismatch(
-                f"{name}: stored shape {params[name].shape}, expected {arr.shape}"
-            )
-        arr[...] = params[name]
-    return model
-
-
 @dataclass
 class Checkpoint:
+    """A trained model and its input encoder: the config, the model's input
+    width and the arrays.  The model kind and shape follow from the config."""
+
     config: TrainConfig
-    model_kind: str
-    model_meta: dict
+    input_dim: int
     params: dict[str, np.ndarray]
     pos_ae: Autoencoder | None
     position_ae: Autoencoder | None
@@ -559,24 +550,39 @@ class Checkpoint:
     oov_seed: int
     token_vectors: dict[str, np.ndarray]
 
+    @property
+    def model_kind(self) -> str:
+        return self.config.model
+
+    @property
+    def model_meta(self) -> dict:
+        return model_meta(self.config, self.input_dim)
+
     def build_model(self):
-        return model_from_meta(self.model_kind, self.model_meta, self.params)
+        model = build_model(
+            self.config.validate(), self.input_dim, np.random.Generator(np.random.PCG64(0)))
+        tensors = model.tensors()
+        if set(tensors) != set(self.params):
+            raise DimensionMismatch("checkpoint parameters do not match model layout")
+        for name, arr in tensors.items():
+            if self.params[name].shape != arr.shape:
+                raise DimensionMismatch(
+                    f"{name}: stored shape {self.params[name].shape}, expected {arr.shape}"
+                )
+            arr[...] = self.params[name]
+        return model
 
     def build_vectorizer(self, table: EmbeddingTable | None = None) -> Vectorizer:
         if table is None:
-            table = _load_table(self.config)
-        vec = Vectorizer(
-            table=table,
-            pos_ae=self.pos_ae,
-            position_ae=self.position_ae,
-            use_pos=self.config.use_pos,
-            use_position=self.config.use_position,
-            overrides=dict(self.token_vectors),
-        )
-        if vec.token_dim != self.model_meta["input_dim"]:
+            table = _load_table(self.config, self.oov_seed)
+        elif table.oov_seed != self.oov_seed:
+            raise ConfigError(f"embedding table has oov_seed {table.oov_seed}, "
+                              f"the checkpoint was trained with oov_seed {self.oov_seed}")
+        vec = Vectorizer(table, self.pos_ae, self.position_ae, dict(self.token_vectors))
+        if vec.token_dim != self.input_dim:
             raise DimensionMismatch(
                 f"vectorizer dimension {vec.token_dim} does not match checkpoint "
-                f"input dimension {self.model_meta['input_dim']}"
+                f"input dimension {self.input_dim}"
             )
         if any(v.shape != (table.dimension,) for v in self.token_vectors.values()):
             raise DimensionMismatch(f"checkpoint token vectors are not {table.dimension}-d")
@@ -607,7 +613,7 @@ def train(
     config.validate()
     if not instances:
         raise EmptyTrainingSet("no training instances")
-    table = embeddings if embeddings is not None else _load_table(config)
+    table = embeddings if embeddings is not None else _load_table(config, config.seed)
     pos_ae, position_ae = pretrain_autoencoders(config, instances)
 
     # one (V x D) matrix of the word vectors the run can change; tokens map to row views
@@ -616,14 +622,7 @@ def train(
     emb = np.stack([lookup(table, w) for w in words])
     overrides = dict(zip(words, emb))
 
-    vectorizer = Vectorizer(
-        table=table,
-        pos_ae=pos_ae,
-        position_ae=position_ae,
-        use_pos=config.use_pos,
-        use_position=config.use_position,
-        overrides=overrides,
-    )
+    vectorizer = Vectorizer(table, pos_ae, position_ae, overrides)
     input_dim = vectorizer.token_dim
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = build_model(config, input_dim, rng)
@@ -678,8 +677,7 @@ def train(
 
     checkpoint = Checkpoint(
         config=config,
-        model_kind=model.kind,
-        model_meta=model_meta(config, input_dim),
+        input_dim=input_dim,
         params=dict(model.tensors()),
         pos_ae=pos_ae,
         position_ae=position_ae,
@@ -844,7 +842,7 @@ def cross_validate(
     """k-fold CV over all generated candidates (excluded ones included in
     the fold split so each is scored exactly once)."""
     config.validate()
-    table = embeddings if embeddings is not None else _load_table(config)
+    table = embeddings if embeddings is not None else _load_table(config, config.seed)
     ids = [i.instance_id for i in result.instances] + [
         e.instance_id for e in result.excluded
     ]

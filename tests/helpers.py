@@ -2,17 +2,22 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: brute-force simple-path enumeration for BFS, central finite
-differences for backprop, a scalar-loop LSTM cell, and an autoencoder fit
-that keeps its four weight arrays in separate dicts.
+differences for backprop, a scalar-loop LSTM cell, the two-branch logistic
+function, an autoencoder fit that keeps its four weight arrays in separate
+dicts, and a per-gate split of fused LSTM tensors for version 1 checkpoints.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import struct
 
 import numpy as np
 
-from sdprel.neural import cross_entropy
+from sdprel.checkpoint import FORMAT_VERSION, MAGIC
+from sdprel.neural import GATES, cross_entropy
 
 # ---------------------------------------------------------------------------
 # Graph oracle
@@ -115,6 +120,21 @@ def central_differences(fn, theta, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
+# Activation oracle
+
+
+def masked_sigmoid(x):
+    """The logistic function as two masked branches that exponentiate only
+    non-positive numbers: 1/(1+e^-x) where x >= 0 and e^x/(1+e^x) elsewhere."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Autoencoder oracle
 
 
@@ -161,6 +181,50 @@ def reference_autoencoder(samples, d, epochs, seed):
             ed2 += (1.0 - rho) * delta * delta
             p += delta
     return params["enc_w"], params["enc_b"], params["dec_w"], params["dec_b"], losses
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint files
+
+
+def split_blob(blob):
+    """(metadata dict, array payload) of a checkpoint file."""
+    start = len(MAGIC) + 2 + 8
+    (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 2)
+    return json.loads(blob[start : start + meta_len]), blob[start + meta_len : -8]
+
+
+def framed(meta, payload=b""):
+    """A checkpoint file around this metadata, with its length and checksum fixed up."""
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = MAGIC + struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)) + meta_bytes + payload
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def with_version(blob, version):
+    """The checkpoint file with its format version replaced and its checksum fixed up."""
+    body = blob[: len(MAGIC)] + struct.pack("<H", version) + blob[len(MAGIC) + 2 : -8]
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def per_gate_blob(blob):
+    """The version 1 file of a version 2 checkpoint: each fused LSTM tensor
+    (``fwd.w_in`` ...) stored as one array of rows per gate (``fwd.w_in.i`` ...)."""
+    meta, payload = split_blob(blob)
+    arrays, offset = {}, 0
+    for sec, name, shape in meta["arrays"]:
+        count = int(np.prod(shape))
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        offset += 8 * count
+        if sec == "param" and name.startswith(("fwd.", "bwd.")):
+            rows = shape[0] // len(GATES)
+            for k, gate in enumerate(GATES):
+                arrays[(sec, f"{name}.{gate}")] = arr[k * rows : (k + 1) * rows]
+        else:
+            arrays[(sec, name)] = arr
+    index = sorted(arrays)
+    meta["arrays"] = [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index]
+    return with_version(framed(meta, b"".join(arrays[key].tobytes() for key in index)), 1)
 
 
 # ---------------------------------------------------------------------------

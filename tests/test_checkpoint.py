@@ -1,7 +1,5 @@
 import dataclasses
 import hashlib
-import json
-import struct
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from sdprel.checkpoint import (
     FORMAT_VERSION,
-    MAGIC,
     checkpoint_bytes,
     checkpoint_from_bytes,
     load_checkpoint,
@@ -17,7 +14,9 @@ from sdprel.checkpoint import (
 )
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
+from sdprel.embed import EmbeddingTable
 from sdprel.errors import (
+    ConfigError,
     CorruptChecksum,
     DimensionMismatch,
     FormatError,
@@ -25,9 +24,16 @@ from sdprel.errors import (
     VersionMismatch,
 )
 from sdprel.cli import main
-from sdprel.pipeline import TrainConfig, instances_to_json, preprocess, train
+from sdprel.pipeline import TrainConfig, instances_to_json, predict, preprocess, train
 
-from helpers import synthetic_corpus, write_lines
+from helpers import (
+    framed,
+    per_gate_blob,
+    split_blob,
+    synthetic_corpus,
+    with_version,
+    write_lines,
+)
 
 
 CONFIG = TrainConfig(
@@ -45,20 +51,6 @@ def synthetic_result(tmp, n, seed):
     sentences = load_corpus(write_lines(tmp / "c.tsv", corpus_lines))
     deps = load_dependencies(write_lines(tmp / "d.tsv", dep_lines))
     return preprocess(sentences, deps, CONFIG)
-
-
-def split_blob(blob):
-    """(metadata dict, array payload) of a checkpoint file."""
-    start = len(MAGIC) + 2 + 8
-    (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 2)
-    return json.loads(blob[start : start + meta_len]), blob[start + meta_len : -8]
-
-
-def framed(meta, payload=b""):
-    """A checkpoint file around this metadata, with its length and checksum fixed up."""
-    meta_bytes = json.dumps(meta).encode("utf-8")
-    body = MAGIC + struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)) + meta_bytes + payload
-    return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
 JSON_VALUES = st.recursive(
@@ -122,6 +114,20 @@ class TestRoundTrip:
         for inst in insts:
             assert predict(trained_checkpoint, inst) == predict(loaded, inst)
 
+    def test_reloaded_checkpoint_uses_its_oov_seed(self, train_instances, tmp_path):
+        table = EmbeddingTable.empty(CONFIG.embedding_dim, oov_seed=99)
+        ck = train(CONFIG, train_instances, embeddings=table).checkpoint
+        assert (ck.oov_seed, ck.config.seed) == (99, 5)
+        loaded = checkpoint_from_bytes(checkpoint_bytes(ck))
+        in_memory, reloaded = ck.build_vectorizer(table), loaded.build_vectorizer()
+        for inst in synthetic_instances(tmp_path, 4, seed=9):
+            assert predict(ck, inst, in_memory) == predict(loaded, inst, reloaded)
+
+    def test_table_of_another_oov_seed_is_rejected(self, trained_checkpoint):
+        table = EmbeddingTable.empty(CONFIG.embedding_dim, oov_seed=99)
+        with pytest.raises(ConfigError, match="oov_seed 99.*oov_seed 5"):
+            trained_checkpoint.build_vectorizer(table)
+
 
 class TestVersionOne:
     @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
@@ -129,7 +135,7 @@ class TestVersionOne:
         from sdprel.pipeline import predict
 
         ck = train(CONFIG.replace(model=kind, epochs=1), train_instances).checkpoint
-        blob = checkpoint_bytes(ck, version=1)
+        blob = per_gate_blob(checkpoint_bytes(ck))
         assert (b'"fwd.w_in.i"' in blob) == (kind == "bilstm")
         assert b'"fwd.w_in"' not in blob
         loaded = checkpoint_from_bytes(blob)
@@ -138,7 +144,7 @@ class TestVersionOne:
             assert predict(ck, inst) == predict(loaded, inst)
 
     def test_missing_gate_is_format_error(self, trained_checkpoint):
-        body = checkpoint_bytes(trained_checkpoint, version=1)[:-8]
+        body = per_gate_blob(checkpoint_bytes(trained_checkpoint))[:-8]
         assert body.count(b'"bwd.b.u"') == 1
         body = body.replace(b'"bwd.b.u"', b'"bwd.b.x"')
         blob = body + hashlib.blake2b(body, digest_size=8).digest()
@@ -171,7 +177,7 @@ class TestCorruption:
             checkpoint_from_bytes(bytes(blob))
 
     def test_version_mismatch_names_both_versions(self, trained_checkpoint):
-        blob = checkpoint_bytes(trained_checkpoint, version=FORMAT_VERSION + 1)
+        blob = with_version(checkpoint_bytes(trained_checkpoint), FORMAT_VERSION + 1)
         with pytest.raises(VersionMismatch) as err:
             checkpoint_from_bytes(blob)
         message = str(err.value)
@@ -179,7 +185,8 @@ class TestCorruption:
         assert str(FORMAT_VERSION + 1) in message
 
     def test_unknown_model_kind_is_input_error(self, trained_checkpoint):
-        ck = dataclasses.replace(trained_checkpoint, model_kind="gru")
+        ck = dataclasses.replace(
+            trained_checkpoint, config=trained_checkpoint.config.replace(model="gru"))
         with pytest.raises(InputError):
             ck.build_model()
 
@@ -219,7 +226,9 @@ class TestMetadata:
     def test_model_kind_must_follow_the_config(self, train_instances, tmp_path, capsys):
         rnn = train(CONFIG.replace(model="rnn", epochs=1), train_instances).checkpoint
         relabelled = dataclasses.replace(rnn, config=rnn.config.replace(model="bilstm"))
-        blob = checkpoint_bytes(relabelled)
+        meta, payload = split_blob(checkpoint_bytes(relabelled))
+        meta["model_kind"] = "rnn"
+        blob = framed(meta, payload)
         with pytest.raises(FormatError, match="model_kind 'rnn'.*'bilstm'"):
             checkpoint_from_bytes(blob)
         (tmp_path / "model.sdpl").write_bytes(blob)
@@ -229,6 +238,27 @@ class TestMetadata:
                    "--instances", str(tmp_path / "inst.json")])
         assert rc == 2
         assert "model_kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("input_dim", [40.0, True, 0, -3, "40", None])
+    def test_input_dim_must_be_a_positive_int(self, trained_checkpoint, input_dim, tmp_path,
+                                              capsys):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["model_meta"]["input_dim"] = input_dim
+        blob = framed(meta, payload)
+        with pytest.raises(FormatError, match="input_dim"):
+            checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert "input_dim" in capsys.readouterr().err
+
+    def test_autoencoder_missing_in_memory_is_dimension_mismatch(self, trained_checkpoint):
+        ck = dataclasses.replace(trained_checkpoint, pos_ae=None)
+        with pytest.raises(DimensionMismatch, match="input dimension"):
+            ck.build_vectorizer()
 
     def test_missing_autoencoder_is_format_error(self, trained_checkpoint):
         blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, pos_ae=None))

@@ -20,11 +20,12 @@ from sdprel.neural import (
     lstm_cell,
     max_pool,
     mlp_head,
+    sigmoid,
     softmax,
 )
 from sdprel.optim import AdamState, adam_step
 
-from helpers import gradcheck, model_loss
+from helpers import gradcheck, masked_sigmoid, model_loss
 
 
 def rng_for(seed):
@@ -236,6 +237,19 @@ class TestMlpHead:
         model = BiLstmModel.init(rng_for(2), input_dim=3, units=4, hidden_size=6)
         m, _, _ = mlp_head(model, rng_for(3).normal(size=8))
         assert np.all(m > 0) and np.all(m < 1)
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_the_masked_formula_bit_for_bit(self, seed):
+        x = np.concatenate([rng_for(seed).normal(0.0, 30.0, size=100_000), self.EDGES])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(x)
+        want = masked_sigmoid(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestCrossEntropy:

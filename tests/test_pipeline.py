@@ -173,6 +173,65 @@ INSTANCE_KEYS = st.sampled_from([
 EXCLUDED_KEYS = st.sampled_from(
     ["instance_id", "sentence_id", "prot1", "prot2", "label", "reason"]
 )
+ID_KEYS = ("instance_id", "sentence_id", "prot1", "prot2")
+
+
+def tiny_document():
+    """A valid instances document with one instance and one excluded pair."""
+    return {
+        "format": INSTANCES_FORMAT, "version": INSTANCES_VERSION, "position_window": 10,
+        "use_pos": True, "use_position": True,
+        "instances": [{
+            "instance_id": "s1:e0-e1", "sentence_id": "s1", "prot1": "e0", "prot2": "e1",
+            "label": 1, "tokens": ["PROT1", "binds", "PROT2"],
+            "pos_tags": ["NN", "VBZ", "NN"], "pos_classes": [0, 1, 0],
+        }],
+        "excluded": [{
+            "instance_id": "s1:e0-e2", "sentence_id": "s1", "prot1": "e0", "prot2": "e2",
+            "label": 0, "reason": "disconnected",
+        }],
+    }
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths of every scalar in a JSON document."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def replaced(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def near_valid_documents(draw):
+    """tiny_document with at most one scalar replaced by another JSON value."""
+    doc = tiny_document()
+    path = draw(st.sampled_from([None, *leaf_paths(doc)]))
+    if path is None:
+        return doc
+    return replaced(doc, path, draw(st.integers(-2, 9) | JSON_VALUES))
+
+
+def assert_well_typed(result):
+    assert type(result.use_pos) is bool and type(result.use_position) is bool
+    for entry in result.instances + result.excluded:
+        assert all(type(getattr(entry, k)) is str for k in ID_KEYS)
+        assert type(entry.label) is int and entry.label in (0, 1)
+    for inst in result.instances:
+        assert all(type(t) is str for t in inst.tokens + inst.pos_tags)
+        assert all(type(c) is int and 0 <= c <= 7 for c in inst.pos_classes)
+    assert all(e.reason in ("disconnected", "path_too_long") for e in result.excluded)
+    stats = result.stats()
+    assert all(value >= 0 for value in stats.values())
+    assert stats["positives"] + stats["negatives"] == stats["generated"]
 
 
 class TestPreprocess:
@@ -288,6 +347,45 @@ class TestPreprocess:
             instances_from_json(json.dumps(doc))
         except InputError:
             pass
+
+    @given(doc=near_valid_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_documents_are_well_typed(self, doc):
+        try:
+            result = instances_from_json(json.dumps(doc))
+        except InputError:
+            return
+        assert_well_typed(result)
+
+    @pytest.mark.parametrize("path,value", [
+        (("instances", 0, "label"), 5),
+        (("instances", 0, "label"), True),
+        (("instances", 0, "label"), 1.0),
+        (("excluded", 0, "label"), "1"),
+        (("excluded", 0, "reason"), "too_far"),
+        (("instances", 0, "tokens", 1), 7),
+        (("instances", 0, "pos_tags", 0), None),
+        (("instances", 0, "pos_classes", 2), 8),
+        (("instances", 0, "pos_classes", 2), "0"),
+        (("instances", 0, "prot2"), 3),
+        (("excluded", 0, "sentence_id"), ["s1"]),
+    ])
+    def test_ill_typed_value_is_format_error_naming_the_instance(self, path, value):
+        doc = replaced(tiny_document(), path, value)
+        name = doc[path[0]][0]["instance_id"]
+        with pytest.raises(FormatError, match=f"instance '{name}'"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [1, "true", None])
+    def test_feature_flags_must_be_booleans(self, value):
+        for key in ("use_pos", "use_position"):
+            with pytest.raises(FormatError, match="use_pos and use_position"):
+                instances_from_json(json.dumps(replaced(tiny_document(), (key,), value)))
+
+    def test_tiny_document_is_read(self):
+        result = instances_from_json(json.dumps(tiny_document()))
+        assert_well_typed(result)
+        assert result.stats()["positives"] == result.stats()["negatives"] == 1
 
     def test_graph_built_once_per_sentence(self, tmp_path, monkeypatch):
         import sdprel.pipeline as pl
@@ -482,7 +580,7 @@ class TestVectorizer:
         cfg = cfg.replace(use_pos=use_pos, use_position=use_position)
         pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
         table = EmbeddingTable.empty(cfg.embedding_dim, oov_seed=2)
-        vec = Vectorizer(table, pos_ae, position_ae, use_pos, use_position,
+        vec = Vectorizer(table, pos_ae, position_ae,
                          overrides={"PROT1": np.full(cfg.embedding_dim, 0.25)})
         for inst in instances:
             got = vec.vectorize(inst)
@@ -492,7 +590,7 @@ class TestVectorizer:
     def test_replaced_codes_of_another_width_are_rejected(self, long_instances):
         cfg, instances = long_instances
         pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
-        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae)
         inst = instances[0]
         wider = dataclasses.replace(inst, pos1_codes=np.zeros((len(inst.tokens), 7)))
         assert wider.pos1_codes.shape[1] == 7 and wider.tokens == inst.tokens
@@ -503,7 +601,7 @@ class TestVectorizer:
     def test_pos_class_out_of_range_is_rejected(self, long_instances, bad):
         cfg, instances = long_instances
         pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
-        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae)
         inst = instances[0]
         classes = (bad,) + inst.pos_classes[1:]
         with pytest.raises(DimensionMismatch, match="PoS classes"):
@@ -512,7 +610,7 @@ class TestVectorizer:
     def test_non_finite_word_vector_is_rejected(self, long_instances):
         cfg, instances = long_instances
         pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
-        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae, True, True,
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae,
                          overrides={"PROT2": np.full(cfg.embedding_dim, np.nan)})
         with pytest.raises(DimensionMismatch, match="non-finite"):
             vec.vectorize(instances[0])

@@ -6,8 +6,9 @@ lists them | 8-byte blake2b checksum of everything before it.
 
 Version 2 stores each LSTM direction as three fused tensors (``fwd.w_in``,
 ``fwd.w_rec``, ``fwd.b``); version 1 stored one per gate (``fwd.w_in.i`` ...)
-and is still read.  Metadata that lacks a key, has a malformed value or
-disagrees with the stored config raises FormatError.
+and is still read.  Metadata that lacks a key, has a malformed value (an
+``oov_seed`` that is not an integer, a PoS class outside 0..7) or disagrees
+with the stored config raises FormatError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptChecksum, FormatError, VersionMismatch
-from .features import Autoencoder
+from .features import POS_DIM, Autoencoder
 from .neural import GATES
 from .pipeline import Checkpoint, TrainConfig
 
@@ -147,6 +148,12 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
     input_dim = meta["model_meta"]["input_dim"]
     if type(input_dim) is not int or input_dim < 1:
         raise FormatError(f"checkpoint input_dim must be an integer >= 1, got {input_dim!r}")
+    oov_seed, pos_table = meta["oov_seed"], meta["pos_table"]
+    if type(oov_seed) is not int:
+        raise FormatError(f"checkpoint oov_seed must be an integer, got {oov_seed!r}")
+    if not (isinstance(pos_table, dict)
+            and all(type(c) is int and 0 <= c < POS_DIM for c in pos_table.values())):
+        raise FormatError(f"checkpoint pos_table classes must be integers in 0..{POS_DIM - 1}")
     params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
     ck = Checkpoint(
         config=config,
@@ -154,8 +161,8 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
         params=_fused_params(params) if version == 1 else params,
         pos_ae=pos_ae,
         position_ae=position_ae,
-        pos_table={k: int(v) for k, v in meta["pos_table"].items()},
-        oov_seed=int(meta["oov_seed"]),
+        pos_table=pos_table,
+        oov_seed=oov_seed,
         token_vectors={
             name: arr for (sec, name), arr in arrays.items() if sec == "tok"
         },

@@ -13,7 +13,7 @@ import sys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
 from .depgraph import load_dependencies
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, reading_text
 from .features import load_pos_table
 from .pipeline import (
     REPORT_HEADER,
@@ -22,7 +22,7 @@ from .pipeline import (
     evaluate,
     instances_from_json,
     instances_to_json,
-    predict,
+    predict_all,
     preprocess,
     train,
 )
@@ -156,11 +156,8 @@ def _cmd_cv(args) -> int:
 def _cmd_predict(args) -> int:
     ck = load_checkpoint(args.ck)
     result = _read_instances(args.instances, ck.config, "checkpoint")
-    vectorizer = ck.build_vectorizer()
-    model = ck.build_model()
     print("instance_id,predicted_label,prob_positive")
-    for inst in result.instances:
-        label, prob = predict(ck, inst, vectorizer, model)
+    for inst, (label, prob) in zip(result.instances, predict_all(ck, result.instances)):
         print(f"{inst.instance_id},{label},{prob:.6f}")
     return 0
 
@@ -194,7 +191,7 @@ def _cmd_sweep(args) -> int:
 
 def _read_instances(path, config: TrainConfig, source: str):
     """Parse an instances file; `source` (config or checkpoint) must use its features."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading_text(path):
         result = instances_from_json(fh.read())
     for key in ("position_window", "use_pos", "use_position"):
         made, wanted = getattr(result, key), getattr(config, key)

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateSentenceId,
     EntityNotInSentence,
     ParseError,
+    reading_text,
 )
 
 PROT1 = "PROT1"
@@ -194,7 +195,7 @@ def load_corpus(path) -> list[SentenceRecord]:
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     PathTooLong,
     SelfLoop,
+    reading_text,
 )
 
 # Paths longer than this many tokens are rejected; bounds the recurrent pass.
@@ -138,7 +139,7 @@ def sdp_endpoints(s: SentenceRecord, prot1_id: str, prot2_id: str) -> tuple[int,
 def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
     """Read a dependency edge file into sentence_id -> edge list."""
     edges: dict[str, list[tuple[int, int, str]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError, reading_text
 
 OOV_SCALE = 0.05
 
@@ -35,7 +35,7 @@ class EmbeddingTable:
 def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
     """Read a word2vec text file; first occurrence wins on duplicate words."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")

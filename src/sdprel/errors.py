@@ -4,6 +4,10 @@ Input/format problems derive from InputError (CLI exit code 2); numeric
 breakdown during training derives from NumericError (exit code 3).
 """
 
+import gzip
+import zlib
+from contextlib import contextmanager
+
 
 class SdprelError(Exception):
     pass
@@ -30,6 +34,18 @@ class FormatError(InputError):
 
 class ConfigError(InputError):
     pass
+
+
+@contextmanager
+def reading_text(path):
+    """Turn a decoding or decompression error while reading `path` into a
+    FormatError that names it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise FormatError(f"{path}: damaged gzip file ({exc})") from None
 
 
 class DimensionMismatch(InputError):

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, reading_text
 from .optim import AdadeltaState, adadelta_step
 
 POS_CLASSES = (
@@ -41,7 +41,7 @@ def load_pos_table(path=None) -> dict[str, int]:
             resources.files("sdprel").joinpath("data/pos_classes.tsv").read_text("utf-8")
         )
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, reading_text(path):
             text = fh.read()
     table: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -6,8 +6,13 @@ head: the BiLSTM-with-max-pooling model, a concatenation MLP baseline, and a
 final-hidden-state simple RNN baseline.
 
 Each LSTM direction keeps one fused (4H x .) matrix per weight kind, gate
-rows in GATES order (Appleyard et al. 2016), so a sequence's input
-projection and its weight gradients are one matmul each.
+rows in GATES order (Appleyard et al. 2016).  Every model runs on batches:
+``forward_batch`` takes the rows of several sequences one after another and
+their lengths, and ``backward_batch`` returns the gradients summed over the
+batch.  The recurrent step loop runs over packed time-major rows (see
+``Packing``), so the input projection and each weight gradient is one matmul
+per batch.  ``forward`` and ``backward`` are views of one sequence as a
+batch of one.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ def sigmoid(x):
 
 
 def softmax(logits):
-    e = np.exp(logits - np.max(logits))
-    return e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 ACTIVATIONS = {
@@ -46,27 +52,103 @@ ACTIVATIONS = {
 }
 
 
-def cross_entropy(prob_pos: float, label: int) -> float:
-    """Binary cross entropy of the positive-class probability."""
-    a = min(max(float(prob_pos), PROB_CLAMP), 1.0 - PROB_CLAMP)
-    if label not in (0, 1):
+def cross_entropy(prob_pos, label):
+    """Binary cross entropy of the positive-class probability, element-wise."""
+    label = np.asarray(label)
+    if not np.all((label == 0) | (label == 1)):
         raise DimensionMismatch(f"label must be 0 or 1, got {label}")
+    a = np.clip(prob_pos, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return -(label * np.log(a) + (1 - label) * np.log(1.0 - a))
 
 
-def dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability rate, else 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability rate, else 1/(1-rate).
+
+    A (B x d) shape draws B masks of width d one after another.
+    """
     if not 0.0 <= rate < 1.0:
         raise BadRate(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(dim, dtype=np.float64)
-    keep = rng.random(dim) >= rate
+        return np.ones(shape, dtype=np.float64)
+    keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
 def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
+# ---------------------------------------------------------------------------
+# Batches
+
+
+@dataclass(frozen=True)
+class Packing:
+    """Where the tokens of a batch of sequences go in the recurrent step loop.
+
+    Token rows are the sequences one after another, in batch order.  Packed
+    rows are time-major over the sequences sorted longest first: step t is
+    a block of ``steps[t]`` rows, one per sequence still running, so the
+    sequences running at a step are a prefix of those of the step before.
+    ``fwd`` and ``bwd`` are the token row that each packed row reads when
+    every sequence is read from its start and from its end; ``prev`` is,
+    for the packed rows after the first block, the row of the same sequence
+    one step earlier; ``last`` is the packed row of each sequence's final
+    step, in batch order.  A batch of one uses slices.
+    """
+
+    lengths: np.ndarray
+    starts: np.ndarray
+    steps: list[int]
+    fwd: np.ndarray | slice
+    bwd: np.ndarray | slice
+    prev: np.ndarray | slice
+    last: np.ndarray
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Each token row's position within its sequence."""
+        return np.arange(self.lengths.sum()) - np.repeat(self.starts, self.lengths)
+
+
+def _pack(lengths: np.ndarray) -> Packing:
+    starts = np.cumsum(lengths) - lengths
+    if len(lengths) == 1:
+        n = int(lengths[0])
+        return Packing(lengths, starts, [1] * n, slice(None), slice(None, None, -1),
+                       slice(0, n - 1), lengths - 1)
+    order = np.argsort(-lengths, kind="stable")
+    steps = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+    offsets = np.cumsum(steps) - steps
+    step = np.repeat(np.arange(len(steps)), steps)
+    seq = order[np.arange(lengths.sum()) - offsets[step]]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return Packing(
+        lengths,
+        starts,
+        steps.tolist(),
+        fwd=starts[seq] + step,
+        bwd=starts[seq] + lengths[seq] - 1 - step,
+        prev=np.arange(steps[0], step.size) - np.repeat(steps[:-1], steps[1:]),
+        last=offsets[lengths - 1] + rank,
+    )
+
+
+def _as_batch(xs, lengths, dim: int) -> tuple[np.ndarray, Packing]:
+    xs = np.asarray(xs, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise EmptySequence("a batch needs one or more non-empty sequences")
+    if xs.ndim != 2 or xs.shape[0] != lengths.sum():
+        raise DimensionMismatch(
+            f"batch rows {xs.shape}, the lengths add up to {lengths.sum()}")
+    if xs.shape[1] != dim:
+        raise DimensionMismatch(f"input dim {xs.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(xs)):
+        raise NonFiniteInput("sequence contains non-finite values")
+    return xs, _pack(lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +197,11 @@ def _gate_rows(fused: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(GATES, np.split(fused, len(GATES))))
 
 
+def _gate_columns(acts: np.ndarray) -> list[np.ndarray]:
+    units = acts.shape[-1] // len(GATES)
+    return [acts[..., k * units : (k + 1) * units] for k in range(len(GATES))]
+
+
 def init_lstm_params(rng: np.random.Generator, units: int, input_dim: int) -> LstmParams:
     # per-gate Glorot blocks, drawn in GATES order
     w_x = np.concatenate([glorot(rng, units, input_dim) for _ in GATES])
@@ -142,66 +229,78 @@ def _lstm_step(p, x, h_prev, c_prev):
 
 
 def _activate(acts, c_prev):
-    """Turn fused pre-activations into gate activations in place; returns (h, c)."""
-    units = c_prev.shape[0]
-    acts[: 3 * units] = sigmoid(acts[: 3 * units])
-    np.tanh(acts[3 * units :], out=acts[3 * units :])
-    i, f, o, u = acts.reshape(len(GATES), units)
-    c = i * u + f * c_prev
-    return o * np.tanh(c), c
+    """Turn fused pre-activations (last axis) into gate activations in place; returns (h, c)."""
+    units = c_prev.shape[-1]
+    gates = acts[..., : 3 * units]
+    gates[...] = sigmoid(gates)
+    u = acts[..., 3 * units :]
+    np.tanh(u, out=u)
+    c = gates[..., :units] * u + gates[..., units : 2 * units] * c_prev
+    return gates[..., 2 * units :] * np.tanh(c), c
 
 
-def _lstm_run(p: LstmParams, xs: np.ndarray):
-    """Run over xs in row order; returns (states, gate activations, cells) per step."""
-    if xs.shape[1] != p.input_dim:
-        raise DimensionMismatch(f"input dim {xs.shape[1]}, expected {p.input_dim}")
-    n, units = xs.shape[0], p.units
+def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
+    """Run over packed rows xs; returns (states, gate activations, cells) per row."""
+    units, w_h = p.units, p.w_h.T
     acts = xs @ p.w_x.T + p.b
-    states = np.empty((n, units))
-    cells = np.empty((n, units))
-    h = c = np.zeros(units)
-    for t in range(n):
-        if not np.all(np.isfinite(h)):
-            raise NonFiniteInput("lstm_cell received non-finite input")
-        acts[t] += p.w_h @ h
-        h, c = _activate(acts[t], c)
-        states[t], cells[t] = h, c
+    states = np.empty((xs.shape[0], units))
+    cells = np.empty((xs.shape[0], units))
+    h = c = np.zeros((pk.steps[0], units))
+    start = 0
+    for n in pk.steps:
+        stop = start + n
+        step = acts[start:stop]
+        step += h[:n] @ w_h
+        h, c = _activate(step, c[:n])
+        states[start:stop] = h
+        cells[start:stop] = c
+        start = stop
+    if not np.all(np.isfinite(states)):
+        raise NonFiniteInput("LSTM state became non-finite")
     return states, acts, cells
 
 
-def _lstm_backprop(p: LstmParams, xs, run, d_states):
-    """Reverse-mode through `_lstm_run(p, xs)`.
+def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
+    """Reverse-mode through `_lstm_run(p, xs, pk)`.
 
-    d_states is the (n x units) gradient arriving at each step's hidden
-    state.  Returns (gradients as an LstmParams, d_xs).
+    d_states is the gradient arriving at each packed row's hidden state.
+    Returns (gradients as an LstmParams, d_xs in packed order).
     """
     states, acts, cells = run
-    n, units = states.shape
-    i, f, o, u = acts.reshape(n, len(GATES), units).transpose(1, 0, 2)
+    rows, units = states.shape
+    i, f, o, u = _gate_columns(acts)
     tanh_c = np.tanh(cells)
-    # d_pre[t] is scale[t] times dc for the i, f and u rows, times dh for o
-    scale = np.stack(
-        [u * i * (1 - i), _shifted(cells) * f * (1 - f), tanh_c * o * (1 - o), i * (1 - u * u)],
-        axis=1,
-    )
+    # d_pre[r] is scale[r] times dc for the i, f and u blocks, times dh for o:
+    # u i (1-i), c_prev f (1-f), tanh(c) o (1-o) and i (1-u^2)
+    scale = np.empty((rows, len(GATES), units))
+    scale[:, 0], scale[:, 2], scale[:, 3] = u, tanh_c, i
+    scale[: pk.steps[0], 1] = 0.0  # the initial cell state
+    scale[pk.steps[0]:, 1] = cells[pk.prev]
+    for k, gate in enumerate((i, f, o)):
+        scale[:, k] *= gate * (1.0 - gate)
+    scale[:, 3] *= 1.0 - u * u
     dc_dh = o * (1.0 - tanh_c * tanh_c)
     d_pre = np.empty_like(scale)
-    dh_carry = dc_carry = np.zeros(units)
-    for t in range(n - 1, -1, -1):
-        dh = d_states[t] + dh_carry
-        dc = dc_carry + dh * dc_dh[t]
-        np.multiply(scale[t], dc, out=d_pre[t])
-        d_pre[t, 2] = scale[t, 2] * dh
-        dc_carry = dc * f[t]
-        dh_carry = p.w_h.T @ d_pre[t].ravel()
-    d_pre = d_pre.reshape(n, -1)
-    grads = LstmParams(w_x=d_pre.T @ xs, w_h=d_pre.T @ _shifted(states), b=d_pre.sum(axis=0))
+    # rows past a step's running prefix stay zero: those sequences start there
+    dh_carry = np.zeros((pk.steps[0], units))
+    dc_carry = np.zeros((pk.steps[0], units))
+    stop = rows
+    for n in reversed(pk.steps):
+        block = slice(stop - n, stop)
+        dh = d_states[block] + dh_carry[:n]
+        dc = dc_carry[:n] + dh * dc_dh[block]
+        np.multiply(scale[block], dc[:, None, :], out=d_pre[block])
+        d_pre[block, 2] = scale[block, 2] * dh
+        dc_carry[:n] = dc * f[block]
+        dh_carry[:n] = d_pre[block].reshape(n, -1) @ p.w_h
+        stop -= n
+    d_pre = d_pre.reshape(rows, -1)
+    grads = LstmParams(
+        w_x=d_pre.T @ xs,
+        w_h=d_pre[pk.steps[0]:].T @ states[pk.prev],
+        b=d_pre.sum(axis=0),
+    )
     return grads, d_pre @ p.w_x
-
-
-def _shifted(rows: np.ndarray) -> np.ndarray:
-    """Row t holds row t-1 of `rows`; row 0 is zeros (the initial state)."""
-    return np.vstack([np.zeros_like(rows[:1]), rows[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +330,7 @@ def init_mlp_head(
 
 
 def _head_forward(head: MlpHead, s: np.ndarray, masks):
-    """Head pass; masks is None or the {"s", "m"} dropout masks."""
+    """Head pass over the rows of s; masks is None or the {"s", "m"} dropout masks."""
     act, _ = ACTIVATIONS[head.activation]
     mask_s, mask_m = (masks["s"], masks["m"]) if masks else (None, None)
     s_drop = s if mask_s is None else s * mask_s
@@ -240,45 +339,39 @@ def _head_forward(head: MlpHead, s: np.ndarray, masks):
     x = s_drop
     for w, b in head.hidden:
         layer_inputs.append(x)
-        x = act(w @ x + b)
+        x = act(x @ w.T + b)
         hidden_acts.append(x)
     m = x
     m_drop = m if mask_m is None else m * mask_m
-    logits = head.w_out @ m_drop
-    probs = softmax(logits)
+    logits = m_drop @ head.w_out.T
     return {
         "s": s,
-        "s_drop": s_drop,
         "layer_inputs": layer_inputs,
         "hidden_acts": hidden_acts,
         "m": m,
         "m_drop": m_drop,
         "logits": logits,
-        "probs": probs,
+        "probs": softmax(logits),
         "mask_s": mask_s,
         "mask_m": mask_m,
     }
 
 
-def _head_backward(head: MlpHead, cache, label: int):
-    """Returns (gradients as an MlpHead, dS w.r.t. the pooled input)."""
+def _head_backward(head: MlpHead, cache, labels):
+    """Returns (gradients summed over the rows as an MlpHead, dS per row)."""
     _, act_deriv = ACTIVATIONS[head.activation]
-    probs = cache["probs"]
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    g_w_out = np.outer(d_logits, cache["m_drop"])
-    d_m = head.w_out.T @ d_logits
+    d_logits = cache["probs"].copy()
+    d_logits[np.arange(d_logits.shape[0]), labels] -= 1.0
+    g_w_out = d_logits.T @ cache["m_drop"]
+    d_m = d_logits @ head.w_out
     if cache["mask_m"] is not None:
         d_m = d_m * cache["mask_m"]
     g_hidden = []
     for idx in range(len(head.hidden) - 1, -1, -1):
         w, _ = head.hidden[idx]
-        out = cache["hidden_acts"][idx]
-        d_pre = d_m * act_deriv(out)
-        g_w = np.outer(d_pre, cache["layer_inputs"][idx])
-        g_b = d_pre
-        g_hidden.append((g_w, g_b))
-        d_m = w.T @ d_pre
+        d_pre = d_m * act_deriv(cache["hidden_acts"][idx])
+        g_hidden.append((d_pre.T @ cache["layer_inputs"][idx], d_pre.sum(axis=0)))
+        d_m = d_pre @ w
     g_hidden.reverse()
     d_s = d_m
     if cache["mask_s"] is not None:
@@ -298,6 +391,14 @@ def max_pool(states) -> np.ndarray:
     return arr.max(axis=0)
 
 
+def _first_max(z: np.ndarray, pooled: np.ndarray, pk: Packing) -> np.ndarray:
+    """Token row of each sequence's maximum, per coordinate; ties go to the lowest position."""
+    pos = pk.positions
+    hit = z == np.repeat(pooled, pk.lengths, axis=0)
+    first = np.minimum.reduceat(np.where(hit, pos[:, None], pos.size), pk.starts, axis=0)
+    return pk.starts[:, None] + first
+
+
 def bilstm_forward(model: "BiLstmModel", seq) -> list[np.ndarray]:
     """Aligned [forward ; backward] hidden states for each position."""
     return list(model.forward(seq)["z"])
@@ -305,8 +406,8 @@ def bilstm_forward(model: "BiLstmModel", seq) -> list[np.ndarray]:
 
 def mlp_head(model, s):
     """(hidden output M, logits T, probabilities) for a pooled vector S."""
-    cache = _head_forward(model.head, np.asarray(s, dtype=np.float64), None)
-    return cache["m"], cache["logits"], cache["probs"]
+    cache = _head_forward(model.head, np.asarray(s, dtype=np.float64)[None, :], None)
+    return cache["m"][0], cache["logits"][0], cache["probs"][0]
 
 
 def backward(model, seq, label: int) -> dict[str, np.ndarray]:
@@ -321,9 +422,14 @@ def _as_sequence(seq) -> np.ndarray:
         xs = xs[None, :]
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("sequence must be a non-empty list of vectors")
-    if not np.all(np.isfinite(xs)):
-        raise NonFiniteInput("sequence contains non-finite values")
     return xs
+
+
+def _forward_one(model, xs, masks) -> dict:
+    """The batch-of-one cache: the sequence's own values, and the batch under "batch"."""
+    xs = _as_sequence(xs)
+    batch = model.forward_batch(xs, [xs.shape[0]], masks)
+    return {"xs": xs, "probs": batch["probs"][0], "s": batch["s"][0], "batch": batch}
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +462,45 @@ class BiLstmModel:
     def input_dim(self) -> int:
         return self.forward_lstm.input_dim
 
+    def forward_batch(self, xs, lengths, masks=None):
+        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
+        xs, pk = _as_batch(xs, lengths, self.input_dim)
+        units = self.units
+        fwd = _lstm_run(self.forward_lstm, xs[pk.fwd], pk)
+        bwd = _lstm_run(self.backward_lstm, xs[pk.bwd], pk)
+        z = np.empty((xs.shape[0], 2 * units))  # token rows of [forward ; backward] states
+        z[pk.fwd, :units] = fwd[0]
+        z[pk.bwd, units:] = bwd[0]
+        cache = _head_forward(self.head, np.maximum.reduceat(z, pk.starts, axis=0), masks)
+        cache.update(xs=xs, pack=pk, fwd=fwd, bwd=bwd, z=z)
+        return cache
+
+    def backward_batch(self, cache, labels):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+        head_grads, d_s = _head_backward(self.head, cache, labels)
+        pk, z, units = cache["pack"], cache["z"], self.units
+        d_z = np.zeros_like(z)
+        d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
+        xs = cache["xs"]
+        fwd_grads, d_xs_f = _lstm_backprop(
+            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk)
+        bwd_grads, d_xs_b = _lstm_backprop(
+            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk)
+        grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
+        d_xs = np.empty_like(xs)
+        d_xs[pk.fwd] = d_xs_f
+        d_xs[pk.bwd] += d_xs_b
+        grads["__inputs__"] = d_xs
+        return grads
+
     def forward(self, xs, masks=None):
-        xs = _as_sequence(xs)
-        fwd = _lstm_run(self.forward_lstm, xs)
-        bwd = _lstm_run(self.backward_lstm, xs[::-1])  # its rows are in reverse order
-        z = np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
-        pooled = z.max(axis=0)
-        argmax = z.argmax(axis=0)  # ties resolve to the lowest position
-        cache = _head_forward(self.head, pooled, masks)
-        cache.update(xs=xs, fwd=fwd, bwd=bwd, z=z, argmax=argmax)
+        cache = _forward_one(self, xs, masks)
+        z = cache["batch"]["z"]
+        cache.update(z=z, argmax=z.argmax(axis=0))  # ties resolve to the lowest position
         return cache
 
     def backward(self, cache, label):
-        head_grads, d_s = _head_backward(self.head, cache, label)
-        xs = cache["xs"]
-        units = self.units
-        d_z = np.zeros((xs.shape[0], 2 * units))
-        d_z[cache["argmax"], np.arange(2 * units)] = d_s
-        fwd_grads, d_xs_f = _lstm_backprop(self.forward_lstm, xs, cache["fwd"], d_z[:, :units])
-        bwd_grads, d_xs_b = _lstm_backprop(
-            self.backward_lstm, xs[::-1], cache["bwd"], d_z[::-1, units:]
-        )
-        grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
-        grads["__inputs__"] = d_xs_f + d_xs_b[::-1]
-        return grads
+        return self.backward_batch(cache["batch"], [label])
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Parameters by name; on a model built from gradients, the gradients."""
@@ -415,28 +536,48 @@ class RnnBaselineModel:
     def input_dim(self) -> int:
         return self.w_in.shape[1]
 
-    def forward(self, xs, masks=None):
-        xs = _as_sequence(xs)
-        hs = xs @ self.w_in.T + self.bias  # each row becomes that step's state
-        h = np.zeros(self.units)
-        for t in range(xs.shape[0]):
-            hs[t] = h = sigmoid(hs[t] + self.w_rec @ h)
-        cache = _head_forward(self.head, hs[-1], masks)
-        cache.update(xs=xs, hs=hs)
+    def forward_batch(self, xs, lengths, masks=None):
+        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
+        xs, pk = _as_batch(xs, lengths, self.input_dim)
+        packed = xs[pk.fwd]
+        hs = packed @ self.w_in.T + self.bias  # each packed row becomes that step's state
+        h = np.zeros((pk.steps[0], self.units))
+        start = 0
+        for n in pk.steps:
+            rows = slice(start, start + n)
+            hs[rows] = h = sigmoid(hs[rows] + h[:n] @ self.w_rec.T)
+            start += n
+        cache = _head_forward(self.head, hs[pk.last], masks)
+        cache.update(xs=xs, pack=pk, packed=packed, hs=hs)
         return cache
 
-    def backward(self, cache, label):
-        head_grads, d_h = _head_backward(self.head, cache, label)
-        xs, hs = cache["xs"], cache["hs"]
+    def backward_batch(self, cache, labels):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+        head_grads, d_s = _head_backward(self.head, cache, labels)
+        pk, packed, hs = cache["pack"], cache["packed"], cache["hs"]
+        d_in = np.zeros_like(hs)
+        d_in[pk.last] = d_s
         d_pre = hs * (1.0 - hs)
-        for t in range(xs.shape[0] - 1, -1, -1):
-            d_pre[t] *= d_h
-            d_h = self.w_rec.T @ d_pre[t]
+        d_carry = np.zeros((pk.steps[0], self.units))
+        stop = hs.shape[0]
+        for n in reversed(pk.steps):
+            rows = slice(stop - n, stop)
+            d_pre[rows] *= d_in[rows] + d_carry[:n]
+            d_carry[:n] = d_pre[rows] @ self.w_rec
+            stop -= n
         grads = RnnBaselineModel(
-            d_pre.T @ xs, d_pre.T @ _shifted(hs), d_pre.sum(axis=0), head_grads
+            d_pre.T @ packed, d_pre[pk.steps[0]:].T @ hs[pk.prev], d_pre.sum(axis=0), head_grads
         ).tensors()
-        grads["__inputs__"] = d_pre @ self.w_in
+        d_xs = np.empty_like(cache["xs"])
+        d_xs[pk.fwd] = d_pre @ self.w_in
+        grads["__inputs__"] = d_xs
         return grads
+
+    def forward(self, xs, masks=None):
+        return _forward_one(self, xs, masks)
+
+    def backward(self, cache, label):
+        return self.backward_batch(cache["batch"], [label])
 
     def tensors(self):
         out = {"rnn.w_in": self.w_in, "rnn.w_rec": self.w_rec, "rnn.b": self.bias}
@@ -465,30 +606,44 @@ class MlpBaselineModel:
     def flatten(self, xs) -> np.ndarray:
         """Pad with zero vectors / truncate to pad_len, then concatenate."""
         xs = _as_sequence(xs)
-        if xs.shape[1] != self.token_dim:
-            raise DimensionMismatch(
-                f"token dim {xs.shape[1]}, model expects {self.token_dim}"
-            )
-        flat = np.zeros(self.pad_len * self.token_dim)
-        n = min(xs.shape[0], self.pad_len)
-        flat[: n * self.token_dim] = xs[:n].ravel()
-        return flat
+        xs, pk = _as_batch(xs, [xs.shape[0]], self.token_dim)
+        return self._flat_rows(xs, pk)[0]
 
-    def forward(self, xs, masks=None):
-        xs = _as_sequence(xs)
-        cache = _head_forward(self.head, self.flatten(xs), masks)
-        cache.update(xs=xs)
+    def _kept(self, pk: Packing):
+        """(sequence, position) of the token rows within pad_len, and the mask of those rows."""
+        pos = pk.positions
+        keep = pos < self.pad_len
+        return np.repeat(np.arange(pk.lengths.size), pk.lengths)[keep], pos[keep], keep
+
+    def _flat_rows(self, xs, pk: Packing) -> np.ndarray:
+        flat = np.zeros((pk.lengths.size, self.pad_len, self.token_dim))
+        seq, pos, keep = self._kept(pk)
+        flat[seq, pos] = xs[keep]
+        return flat.reshape(pk.lengths.size, -1)
+
+    def forward_batch(self, xs, lengths, masks=None):
+        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
+        xs, pk = _as_batch(xs, lengths, self.token_dim)
+        cache = _head_forward(self.head, self._flat_rows(xs, pk), masks)
+        cache.update(xs=xs, pack=pk)
         return cache
 
-    def backward(self, cache, label):
-        head_grads, d_flat = _head_backward(self.head, cache, label)
+    def backward_batch(self, cache, labels):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+        head_grads, d_flat = _head_backward(self.head, cache, labels)
         grads = _head_tensors(head_grads)
-        xs = cache["xs"]
-        d_xs = np.zeros_like(xs)
-        n = min(xs.shape[0], self.pad_len)
-        d_xs[:n] = d_flat[: n * self.token_dim].reshape(n, self.token_dim)
+        pk = cache["pack"]
+        d_xs = np.zeros_like(cache["xs"])
+        seq, pos, keep = self._kept(pk)
+        d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
         grads["__inputs__"] = d_xs
         return grads
+
+    def forward(self, xs, masks=None):
+        return _forward_one(self, xs, masks)
+
+    def backward(self, cache, label):
+        return self.backward_batch(cache["batch"], [label])
 
     def tensors(self):
         return _head_tensors(self.head)

@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     PathTooLong,
+    reading_text,
 )
 from .features import (
     POS_DIM,
@@ -145,7 +146,7 @@ class TrainConfig:
         """Flat key=value file; '#' comments and blank lines are ignored."""
         known = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, reading_text(path):
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -595,12 +596,18 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def _make_masks(model, rate: float, rng: np.random.Generator):
+def _make_masks(model, rate: float, rng: np.random.Generator, count: int):
+    """Dropout masks for `count` instances, drawn instance by instance, s then m."""
     if rate == 0.0:
         return None
     s_dim = model.head.hidden[0][0].shape[1]
-    m_dim = model.head.w_out.shape[1]
-    return {"s": dropout_mask(s_dim, rate, rng), "m": dropout_mask(m_dim, rate, rng)}
+    both = dropout_mask((count, s_dim + model.head.w_out.shape[1]), rate, rng)
+    return {"s": both[:, :s_dim], "m": both[:, s_dim:]}
+
+
+def _token_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows starts[k] .. starts[k] + lengths[k] - 1 for every k, one after another."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 def train(
@@ -617,8 +624,8 @@ def train(
     pos_ae, position_ae = pretrain_autoencoders(config, instances)
 
     # one (V x D) matrix of the word vectors the run can change; tokens map to row views
-    words = sorted(set(SPECIAL_TOKENS).union(
-        *(inst.tokens for inst in instances if config.tune_embeddings)))
+    vocab = sorted(set(SPECIAL_TOKENS).union(*(inst.tokens for inst in instances)))
+    words = vocab if config.tune_embeddings else sorted(SPECIAL_TOKENS)
     emb = np.stack([lookup(table, w) for w in words])
     overrides = dict(zip(words, emb))
 
@@ -628,51 +635,57 @@ def train(
     model = build_model(config, input_dim, rng)
 
     params = dict(model.tensors())
-    word_dim = table.dimension
     if config.tune_embeddings:
         # every row steps on every batch, so with Adam a row the batch lacks moves by momentum
         params["emb"] = emb
-        row_of = {w: k for k, w in enumerate(words)}
-        rows = [np.array([row_of[tok] for tok in inst.tokens]) for inst in instances]
+    # a batch's token rows are its words' rows of word_matrix beside their fixed
+    # PoS and position columns, both gathered from every training token's row
+    word_dim = table.dimension
+    word_matrix = emb if config.tune_embeddings else np.stack(
+        [vectorizer.word_vector(w) for w in vocab])
+    row_of = {w: k for k, w in enumerate(vocab)}
+    word_rows = np.array([row_of[tok] for inst in instances for tok in inst.tokens])
+    lengths = np.array([len(inst.tokens) for inst in instances])
+    starts = np.cumsum(lengths) - lengths
+    fixed = np.empty((word_rows.size, input_dim - word_dim))
+    for inst, start in zip(instances, starts):
+        fixed[start : start + len(inst.tokens)] = vectorizer.vectorize(inst)[:, word_dim:]
 
     if config.optimizer == "adam":
         opt_state, opt_step = AdamState(lr=config.learning_rate), adam_step
     else:
         opt_state, opt_step = AdadeltaState(), adadelta_step
 
-    cached = None
-    if not config.tune_embeddings:
-        cached = [vectorizer.vectorize(inst) for inst in instances]
+    labels = np.array([inst.label for inst in instances])
 
-    labels = [inst.label for inst in instances]
+    def step(batch: np.ndarray) -> float:
+        """One optimizer step on the instances `batch`; returns their summed loss."""
+        masks = _make_masks(model, config.dropout, rng, len(batch))
+        tokens = _token_rows(starts[batch], lengths[batch])
+        rows = word_rows[tokens]
+        xs = np.concatenate([word_matrix[rows], fixed[tokens]], axis=1)
+        cache = model.forward_batch(xs, lengths[batch], masks)
+        loss = np.sum(cross_entropy(cache["probs"][:, 1], labels[batch]))
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"training loss became non-finite: {loss}")
+        grads = model.backward_batch(cache, labels[batch])
+        d_inputs = grads.pop("__inputs__")
+        if config.tune_embeddings:
+            grads["emb"] = np.zeros_like(emb)
+            np.add.at(grads["emb"], rows, d_inputs[:, :word_dim])
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradient(f"non-finite gradient in {name}")
+            g *= 1.0 / len(batch)
+        opt_step(opt_state, params, grads)
+        return float(loss)
+
     order = np.arange(len(instances))
     losses: list[float] = []
     for _ in range(config.epochs):
         rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch):
-            batch = order[start : start + config.batch]
-            acc = {name: np.zeros_like(p) for name, p in params.items()}
-            for idx in batch:
-                inst = instances[idx]
-                xs = cached[idx] if cached is not None else vectorizer.vectorize(inst)
-                masks = _make_masks(model, config.dropout, rng)
-                cache = model.forward(xs, masks)
-                epoch_loss += cross_entropy(cache["probs"][1], labels[idx])
-                grads = model.backward(cache, labels[idx])
-                d_inputs = grads.pop("__inputs__")
-                for name, g in grads.items():
-                    acc[name] += g
-                if config.tune_embeddings:
-                    np.add.at(acc["emb"], rows[idx], d_inputs[:, :word_dim])
-            if not np.isfinite(epoch_loss):  # losses are >= 0, so no inf - inf
-                raise NonFiniteLoss(f"training loss became non-finite: {epoch_loss}")
-            scale = 1.0 / len(batch)
-            for name, g in acc.items():
-                if not np.all(np.isfinite(g)):
-                    raise NonFiniteGradient(f"non-finite gradient in {name}")
-                g *= scale
-            opt_step(opt_state, params, acc)
+        epoch_loss = sum(step(order[start : start + config.batch])
+                         for start in range(0, len(order), config.batch))
         losses.append(epoch_loss / len(instances))
 
     checkpoint = Checkpoint(
@@ -706,6 +719,11 @@ def baseline_rnn(
 # Prediction / metrics
 
 
+def _decision(prob) -> tuple[int, float]:
+    prob = float(prob)
+    return (corpus_mod.INTERACTING if prob >= 0.5 else corpus_mod.NON_INTERACTING, prob)
+
+
 def predict(
     ck: Checkpoint,
     instance: SdpInstance,
@@ -717,9 +735,26 @@ def predict(
         vectorizer = ck.build_vectorizer()
     if model is None:
         model = ck.build_model()
-    cache = model.forward(vectorizer.vectorize(instance), masks=None)
-    prob = float(cache["probs"][1])
-    return (corpus_mod.INTERACTING if prob >= 0.5 else corpus_mod.NON_INTERACTING, prob)
+    return _decision(model.forward(vectorizer.vectorize(instance))["probs"][1])
+
+
+def predict_all(
+    ck: Checkpoint,
+    instances: list[SdpInstance],
+    vectorizer: Vectorizer | None = None,
+    model=None,
+) -> list[tuple[int, float]]:
+    """`predict` for every instance, scored in batches of the config's batch size."""
+    if vectorizer is None:
+        vectorizer = ck.build_vectorizer()
+    if model is None:
+        model = ck.build_model()
+    out = []
+    for start in range(0, len(instances), ck.config.batch):
+        xs = [vectorizer.vectorize(inst) for inst in instances[start : start + ck.config.batch]]
+        probs = model.forward_batch(np.concatenate(xs), [len(x) for x in xs])["probs"]
+        out += [_decision(p) for p in probs[:, 1]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -776,12 +811,8 @@ def evaluate(
 ) -> FoldMetrics:
     """Confusion counts over instances; excluded ones (if passed and the
     config scores them) count as non-interacting predictions."""
-    if vectorizer is None:
-        vectorizer = ck.build_vectorizer()
-    model = ck.build_model()
     tp = fp = fn = tn = 0
-    for inst in instances:
-        pred, _ = predict(ck, inst, vectorizer, model)
+    for inst, (pred, _) in zip(instances, predict_all(ck, instances, vectorizer)):
         if inst.label == 1 and pred == 1:
             tp += 1
         elif inst.label == 0 and pred == 1:

@@ -2,9 +2,11 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: brute-force simple-path enumeration for BFS, central finite
-differences for backprop, a scalar-loop LSTM cell, the two-branch logistic
-function, an autoencoder fit that keeps its four weight arrays in separate
-dicts, and a per-gate split of fused LSTM tensors for version 1 checkpoints.
+differences for backprop, a scalar-loop LSTM cell, a per-instance forward and
+backward pass of each model (one sequence at a time, one step per row), the
+two-branch logistic function, an autoencoder fit that keeps its four weight
+arrays in separate dicts, and a per-gate split of fused LSTM tensors for
+version 1 checkpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import struct
 import numpy as np
 
 from sdprel.checkpoint import FORMAT_VERSION, MAGIC
-from sdprel.neural import GATES, cross_entropy
+from sdprel.neural import ACTIVATIONS, GATES, cross_entropy, sigmoid, softmax
 
 # ---------------------------------------------------------------------------
 # Graph oracle
@@ -117,6 +119,143 @@ def central_differences(fn, theta, eps=1e-5):
         theta[i] = orig
         grad[i] = (plus - minus) / (2.0 * eps)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Per-instance model oracle: one sequence, one step per row
+
+
+def _shifted(rows):
+    """Row t holds row t-1 of `rows`; row 0 is zeros (the initial state)."""
+    return np.vstack([np.zeros_like(rows[:1]), rows[:-1]])
+
+
+def _lstm_run(p, xs):
+    """Run over xs in row order; returns (states, gate activations, cells) per step."""
+    n, units = xs.shape[0], p.units
+    acts = xs @ p.w_x.T + p.b
+    states = np.empty((n, units))
+    cells = np.empty((n, units))
+    h = c = np.zeros(units)
+    for t in range(n):
+        acts[t] += p.w_h @ h
+        acts[t, : 3 * units] = sigmoid(acts[t, : 3 * units])
+        acts[t, 3 * units :] = np.tanh(acts[t, 3 * units :])
+        i, f, o, u = acts[t].reshape(len(GATES), units)
+        c = i * u + f * c
+        h = o * np.tanh(c)
+        states[t], cells[t] = h, c
+    return states, acts, cells
+
+
+def _lstm_backprop(p, xs, run, d_states):
+    """Reverse-mode through `_lstm_run(p, xs)`; returns ({w_x, w_h, b} gradients, d_xs)."""
+    states, acts, cells = run
+    n, units = states.shape
+    i, f, o, u = acts.reshape(n, len(GATES), units).transpose(1, 0, 2)
+    tanh_c = np.tanh(cells)
+    c_prev = _shifted(cells)
+    d_pre = np.empty((n, len(GATES), units))
+    dh_carry = dc_carry = np.zeros(units)
+    for t in range(n - 1, -1, -1):
+        dh = d_states[t] + dh_carry
+        dc = dc_carry + dh * o[t] * (1.0 - tanh_c[t] ** 2)
+        d_pre[t, 0] = dc * u[t] * i[t] * (1 - i[t])
+        d_pre[t, 1] = dc * c_prev[t] * f[t] * (1 - f[t])
+        d_pre[t, 2] = dh * tanh_c[t] * o[t] * (1 - o[t])
+        d_pre[t, 3] = dc * i[t] * (1 - u[t] ** 2)
+        dc_carry = dc * f[t]
+        dh_carry = p.w_h.T @ d_pre[t].ravel()
+    d_pre = d_pre.reshape(n, -1)
+    grads = {"w_in": d_pre.T @ xs, "w_rec": d_pre.T @ _shifted(states), "b": d_pre.sum(axis=0)}
+    return grads, d_pre @ p.w_x
+
+
+def _head_forward(head, s, masks):
+    act, _ = ACTIVATIONS[head.activation]
+    x = s * masks["s"] if masks else s
+    inputs, outs = [], []
+    for w, b in head.hidden:
+        inputs.append(x)
+        x = act(w @ x + b)
+        outs.append(x)
+    m_drop = x * masks["m"] if masks else x
+    return {"inputs": inputs, "outs": outs, "m_drop": m_drop, "masks": masks, "s": s,
+            "probs": softmax(head.w_out @ m_drop)}
+
+
+def _head_backward(head, cache, label):
+    _, act_deriv = ACTIVATIONS[head.activation]
+    masks = cache["masks"]
+    d_logits = cache["probs"].copy()
+    d_logits[label] -= 1.0
+    grads = {"head.w_out": np.outer(d_logits, cache["m_drop"])}
+    d_m = head.w_out.T @ d_logits
+    if masks:
+        d_m = d_m * masks["m"]
+    for idx in range(len(head.hidden) - 1, -1, -1):
+        d_pre = d_m * act_deriv(cache["outs"][idx])
+        grads[f"head.w{idx}"] = np.outer(d_pre, cache["inputs"][idx])
+        grads[f"head.b{idx}"] = d_pre
+        d_m = head.hidden[idx][0].T @ d_pre
+    return grads, (d_m * masks["s"] if masks else d_m)
+
+
+def oracle_forward(model, xs, masks=None):
+    """One instance through `model`, step by step; masks are its {"s", "m"} rows."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if model.kind == "bilstm":
+        fwd = _lstm_run(model.forward_lstm, xs)
+        bwd = _lstm_run(model.backward_lstm, xs[::-1])
+        z = np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
+        cache = _head_forward(model.head, z.max(axis=0), masks)
+        cache.update(fwd=fwd, bwd=bwd, argmax=z.argmax(axis=0))  # ties: lowest position
+    elif model.kind == "rnn":
+        hs = xs @ model.w_in.T + model.bias
+        h = np.zeros(model.units)
+        for t in range(xs.shape[0]):
+            hs[t] = h = sigmoid(hs[t] + model.w_rec @ h)
+        cache = _head_forward(model.head, hs[-1], masks)
+        cache.update(hs=hs)
+    else:
+        flat = np.zeros(model.pad_len * model.token_dim)
+        n = min(xs.shape[0], model.pad_len)
+        flat[: n * model.token_dim] = xs[:n].ravel()
+        cache = _head_forward(model.head, flat, masks)
+    cache.update(xs=xs)
+    return cache
+
+
+def oracle_backward(model, cache, label):
+    """Gradients of one instance's loss under the model's tensor names, and "__inputs__"."""
+    grads, d_s = _head_backward(model.head, cache, label)
+    xs = cache["xs"]
+    if model.kind == "bilstm":
+        units = model.units
+        d_z = np.zeros((xs.shape[0], 2 * units))
+        d_z[cache["argmax"], np.arange(2 * units)] = d_s
+        g_f, d_xs_f = _lstm_backprop(model.forward_lstm, xs, cache["fwd"], d_z[:, :units])
+        g_b, d_xs_b = _lstm_backprop(model.backward_lstm, xs[::-1], cache["bwd"],
+                                     d_z[::-1, units:])
+        for prefix, g in (("fwd", g_f), ("bwd", g_b)):
+            grads.update({f"{prefix}.{k}": v for k, v in g.items()})
+        grads["__inputs__"] = d_xs_f + d_xs_b[::-1]
+    elif model.kind == "rnn":
+        hs = cache["hs"]
+        d_pre = hs * (1.0 - hs)
+        d_h = d_s
+        for t in range(xs.shape[0] - 1, -1, -1):
+            d_pre[t] *= d_h
+            d_h = model.w_rec.T @ d_pre[t]
+        grads.update({"rnn.w_in": d_pre.T @ xs, "rnn.w_rec": d_pre.T @ _shifted(hs),
+                      "rnn.b": d_pre.sum(axis=0)})
+        grads["__inputs__"] = d_pre @ model.w_in
+    else:
+        d_xs = np.zeros_like(xs)
+        n = min(xs.shape[0], model.pad_len)
+        d_xs[:n] = d_s[: n * model.token_dim].reshape(n, model.token_dim)
+        grads["__inputs__"] = d_xs
+    return grads
 
 
 # ---------------------------------------------------------------------------

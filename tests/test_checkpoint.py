@@ -255,6 +255,26 @@ class TestMetadata:
         assert rc == 2
         assert "input_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("oov_seed", 5.7), ("oov_seed", True), ("oov_seed", "5"), ("oov_seed", None),
+        ("pos_table", {"NN": 2.9}), ("pos_table", {"NN": 99}), ("pos_table", {"NN": -1}),
+        ("pos_table", {"NN": True}), ("pos_table", {"NN": "2"}), ("pos_table", [["NN", 2]]),
+    ])
+    def test_oov_seed_and_pos_classes_are_not_coerced(self, trained_checkpoint, key, value,
+                                                      tmp_path, capsys):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta[key] = value
+        blob = framed(meta, payload)
+        with pytest.raises(FormatError, match=key):
+            checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_autoencoder_missing_in_memory_is_dimension_mismatch(self, trained_checkpoint):
         ck = dataclasses.replace(trained_checkpoint, pos_ae=None)
         with pytest.raises(DimensionMismatch, match="input dimension"):

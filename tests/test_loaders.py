@@ -1,0 +1,179 @@
+"""Every text reader ends malformed input in an InputError that the CLI turns
+into exit code 2: random bytes, text that is not UTF-8 and damaged gzip files."""
+
+import gzip
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sdprel.cli import main
+from sdprel.corpus import RESERVED_TOKENS, Entity, SentenceRecord, load_corpus
+from sdprel.depgraph import load_dependencies
+from sdprel.embed import load_embeddings
+from sdprel.errors import FormatError, InputError
+from sdprel.features import load_pos_table
+from sdprel.pipeline import TrainConfig
+
+from helpers import synthetic_corpus, write_lines
+
+NOT_UTF8 = b"\xff\xfe not UTF-8 \x80\n"
+
+LOADERS = {
+    "corpus": load_corpus,
+    "dependencies": load_dependencies,
+    "embeddings": load_embeddings,
+    "pos_table": load_pos_table,
+    "config": TrainConfig.from_file,
+}
+
+# Inputs that reach past the decoder: text over the characters the formats use.
+FORMAT_TEXT = st.text(alphabet="ab PROT1|NN\t:;-0123456789e.x=#\n\r", max_size=300)
+RANDOM_INPUT = st.one_of(
+    st.binary(max_size=300),
+    st.text(max_size=200).map(lambda t: t.encode("utf-8")),
+    FORMAT_TEXT.map(lambda t: t.encode("utf-8")),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+class TestRandomInput:
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @given(data=RANDOM_INPUT)
+    @settings(max_examples=150, deadline=None)
+    def test_only_input_errors_escape(self, fuzz_dir, name, data):
+        path = fuzz_dir / f"{name}.txt"
+        path.write_bytes(data)
+        try:
+            LOADERS[name](path)
+        except InputError:
+            pass
+
+    @given(data=RANDOM_INPUT, compress=st.booleans(), cut=st.integers(0, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_gzip_embeddings_raise_only_input_errors(self, fuzz_dir, data, compress, cut):
+        path = fuzz_dir / "vectors.txt.gz"
+        path.write_bytes(gzip.compress(data)[:cut] if compress else data)
+        try:
+            load_embeddings(path)
+        except InputError:
+            pass
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    def test_non_utf8_names_the_path(self, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(FormatError, match=f"{name}.txt: not UTF-8"):
+            LOADERS[name](path)
+
+    def test_truncated_gzip_names_the_path(self, tmp_path):
+        path = tmp_path / "vectors.txt.gz"
+        path.write_bytes(gzip.compress(b"2 3\na 1 2 3\nb 4 5 6\n" * 50)[:-30])
+        with pytest.raises(FormatError, match="vectors.txt.gz: damaged gzip"):
+            load_embeddings(path)
+
+
+TOKEN = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                           blacklist_characters="|;:"),
+    min_size=1, max_size=6,
+).filter(lambda t: t not in RESERVED_TOKENS)
+IDENT = st.text(alphabet="abcXYZ019_.", min_size=1, max_size=5)
+
+
+@st.composite
+def sentence_records(draw, sentence_id):
+    n = draw(st.integers(1, 10))
+    tokens = draw(st.lists(TOKEN, min_size=n, max_size=n))
+    tags = draw(st.lists(TOKEN, min_size=n, max_size=n))
+    entities, start = [], 0
+    while start < n:
+        if draw(st.booleans()):
+            end = draw(st.integers(start, min(n - 1, start + 2)))
+            entities.append(Entity(f"e{len(entities)}", start, end))
+            start = end + 1
+        else:
+            start += 1
+    ids = [e.entity_id for e in entities]
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SentenceRecord(sentence_id, tuple(tokens), tuple(tags), tuple(entities),
+                          frozenset(frozenset(p) for p in chosen))
+
+
+def corpus_line(rec: SentenceRecord) -> str:
+    return "\t".join([
+        rec.id,
+        " ".join(f"{t}|{p}" for t, p in zip(rec.tokens, rec.pos_tags)),
+        ";".join(f"{e.entity_id}:{e.token_start}:{e.token_end}" for e in rec.entities),
+        ";".join("-".join(sorted(pair)) for pair in rec.interactions),
+    ])
+
+
+class TestCorpusRoundTrip:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_written_records_read_back_equal(self, fuzz_dir, data):
+        ids = data.draw(st.lists(IDENT, min_size=1, max_size=5, unique=True))
+        records = [data.draw(sentence_records(sid)) for sid in ids]
+        path = fuzz_dir / "roundtrip.tsv"
+        path.write_text("\n".join(corpus_line(r) for r in records) + "\n", encoding="utf-8")
+        assert load_corpus(path) == records
+
+
+class TestCliExitCodes:
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        corpus_lines, dep_lines, _ = synthetic_corpus(8, seed=5)
+        write_lines(tmp_path / "corpus.tsv", corpus_lines)
+        write_lines(tmp_path / "deps.tsv", dep_lines)
+        (tmp_path / "config").write_text("epochs=1\nae_epochs=5\nembedding_dim=4\nk_folds=2\n",
+                                         encoding="utf-8")
+        (tmp_path / "bad").write_bytes(NOT_UTF8)
+        return tmp_path
+
+    def run_bad(self, capsys, *argv):
+        rc = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        return err
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--deps", "--pos-table"])
+    def test_preprocess(self, workdir, capsys, flag):
+        paths = {"--corpus": workdir / "corpus.tsv", "--deps": workdir / "deps.tsv",
+                 "--out": workdir / "inst.json"}
+        paths[flag] = workdir / "bad"
+        argv = [a for key, value in paths.items() for a in (key, value)]
+        assert "bad: not UTF-8" in self.run_bad(capsys, "preprocess", *argv)
+
+    def test_cv_config(self, workdir, capsys):
+        err = self.run_bad(capsys, "cv", "--corpus", workdir / "corpus.tsv", "--deps",
+                           workdir / "deps.tsv", "--config", workdir / "bad",
+                           "--report", workdir / "cv.csv")
+        assert "bad: not UTF-8" in err
+
+    def test_train_instances(self, workdir, capsys):
+        err = self.run_bad(capsys, "train", "--instances", workdir / "bad", "--config",
+                           workdir / "config", "--out", workdir / "m.sdpl")
+        assert "bad: not UTF-8" in err
+
+    @pytest.mark.parametrize("name, data", [
+        ("vectors.txt", NOT_UTF8),
+        ("vectors.txt.gz", gzip.compress(NOT_UTF8, mtime=0)),
+        ("vectors.txt.gz", gzip.compress(b"2 4\na 1 2 3 4\n" * 40, mtime=0)[:-20]),
+        ("vectors.txt.gz", b"not gzip at all"),
+    ], ids=["plain", "gzip-not-utf8", "gzip-truncated", "not-gzip"])
+    def test_cv_embeddings(self, workdir, capsys, name, data):
+        (workdir / name).write_bytes(data)
+        config = workdir / "config"
+        config.write_text(config.read_text() + f"embedding_path={workdir / name}\n")
+        err = self.run_bad(capsys, "cv", "--corpus", workdir / "corpus.tsv", "--deps",
+                           workdir / "deps.tsv", "--config", config,
+                           "--report", workdir / "cv.csv")
+        assert name in err

@@ -676,15 +676,15 @@ class TestTrain:
         import sdprel.pipeline as pl
         from sdprel.neural import BiLstmModel
 
-        real_backward = BiLstmModel.backward
+        real_backward = BiLstmModel.backward_batch
         steps = []
 
-        def nan_backward(self, cache, label):
-            grads = real_backward(self, cache, label)
+        def nan_backward(self, cache, labels):
+            grads = real_backward(self, cache, labels)
             grads["head.w_out"][0, 0] = float("nan")
             return grads
 
-        monkeypatch.setattr(BiLstmModel, "backward", nan_backward)
+        monkeypatch.setattr(BiLstmModel, "backward_batch", nan_backward)
         monkeypatch.setattr(pl, "adam_step", lambda *args: steps.append(args))
         with pytest.raises(NonFiniteGradient, match="head.w_out"):
             train(small_config(epochs=1), synth_instances.instances)
@@ -730,29 +730,39 @@ class TestTrain:
             dataclasses.replace(i, tokens=(i.tokens[0], "rep", "rep") + i.tokens[3:])
             for i in synth_instances.instances if len(i.tokens) >= 4
         ]
-        seen, d_inputs, stepped = [], [], []
-        real_vectorize, real_backward = Vectorizer.vectorize, BiLstmModel.backward
+        vectorized, batches, stepped = [], [], []  # batches: [xs, lengths, d_inputs]
+        real_vectorize = Vectorizer.vectorize
+        real_forward, real_backward = BiLstmModel.forward_batch, BiLstmModel.backward_batch
 
         def record_vectorize(self, inst):
-            seen.append(inst)
-            return real_vectorize(self, inst)
+            vectorized.append((inst, real_vectorize(self, inst)))
+            return vectorized[-1][1]
 
-        def record_backward(self, cache, label):
-            grads = real_backward(self, cache, label)
-            d_inputs.append(grads["__inputs__"].copy())
+        def record_forward(self, xs, lengths, masks=None):
+            batches.append([xs, lengths])
+            return real_forward(self, xs, lengths, masks)
+
+        def record_backward(self, cache, labels):
+            grads = real_backward(self, cache, labels)
+            batches[-1].append(grads["__inputs__"].copy())
             return grads
 
         monkeypatch.setattr(Vectorizer, "vectorize", record_vectorize)
-        monkeypatch.setattr(BiLstmModel, "backward", record_backward)
+        monkeypatch.setattr(BiLstmModel, "forward_batch", record_forward)
+        monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
         monkeypatch.setattr(pl, "adam_step", lambda state, params, grads: stepped.append(grads))
         cfg = small_config(epochs=1, batch=len(insts), tune_embeddings=True)
         train(cfg, insts)
 
         words = sorted({"PROT1", "PROT2", "PROTX"} | {t for i in insts for t in i.tokens})
         expected = np.zeros((len(words), cfg.embedding_dim))
-        for inst, d in zip(seen, d_inputs, strict=True):
+        [(xs, lengths, d)] = batches
+        start = 0
+        for n in lengths:  # each block of the batch is one instance's vectorized rows
+            inst = next(i for i, v in vectorized if np.array_equal(v, xs[start : start + n]))
             for k, tok in enumerate(inst.tokens):
-                expected[words.index(tok)] += d[k, : cfg.embedding_dim]
+                expected[words.index(tok)] += d[start + k, : cfg.embedding_dim]
+            start += n
         expected *= 1.0 / len(insts)
         assert len(stepped) == 1
         assert np.array_equal(stepped[0]["emb"], expected)

@@ -197,11 +197,6 @@ def _gate_rows(fused: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(GATES, np.split(fused, len(GATES))))
 
 
-def _gate_columns(acts: np.ndarray) -> list[np.ndarray]:
-    units = acts.shape[-1] // len(GATES)
-    return [acts[..., k * units : (k + 1) * units] for k in range(len(GATES))]
-
-
 def init_lstm_params(rng: np.random.Generator, units: int, input_dim: int) -> LstmParams:
     # per-gate Glorot blocks, drawn in GATES order
     w_x = np.concatenate([glorot(rng, units, input_dim) for _ in GATES])
@@ -268,7 +263,7 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
     """
     states, acts, cells = run
     rows, units = states.shape
-    i, f, o, u = _gate_columns(acts)
+    i, f, o, u = (acts[:, k * units : (k + 1) * units] for k in range(len(GATES)))
     tanh_c = np.tanh(cells)
     # d_pre[r] is scale[r] times dc for the i, f and u blocks, times dh for o:
     # u i (1-i), c_prev f (1-f), tanh(c) o (1-o) and i (1-u^2)

@@ -742,13 +742,11 @@ def predict_all(
     ck: Checkpoint,
     instances: list[SdpInstance],
     vectorizer: Vectorizer | None = None,
-    model=None,
 ) -> list[tuple[int, float]]:
     """`predict` for every instance, scored in batches of the config's batch size."""
     if vectorizer is None:
         vectorizer = ck.build_vectorizer()
-    if model is None:
-        model = ck.build_model()
+    model = ck.build_model()
     out = []
     for start in range(0, len(instances), ck.config.batch):
         xs = [vectorizer.vectorize(inst) for inst in instances[start : start + ck.config.batch]]

@@ -259,6 +259,6 @@ class TestScoring:
         one = [predict(ck, inst, vec, model) for inst in insts]
         for size in (1, 3, len(insts)):
             ck.config = ck.config.replace(batch=size)
-            got = predict_all(ck, insts, vec, model)
+            got = predict_all(ck, insts, vec)
             assert [label for label, _ in got] == [label for label, _ in one]
             assert max(abs(p - q) for (_, p), (_, q) in zip(got, one)) <= ROW_TOLERANCE

@@ -221,7 +221,7 @@ class TestTrainingLoop:
         cfg = small_config(epochs=1, batch=4, dropout=0.35)
         train(cfg, insts)
         table = pl.EmbeddingTable.empty(cfg.embedding_dim, oov_seed=cfg.seed)
-        _, _, _, batches, masks = replay_first_epoch(cfg, insts, table)
+        masks = replay_first_epoch(cfg, insts, table)[-1]
         assert [len(m["s"]) for m in seen] == [4, 4, 4, 4, 3]
         for got, want in zip(seen, masks, strict=True):
             for key in "sm":

@@ -123,63 +123,88 @@ def reconstruct(ae: Autoencoder, bits) -> np.ndarray:
 
 def reconstruction_loss(ae: Autoencoder, samples: np.ndarray) -> float:
     """Mean over samples of the squared reconstruction error."""
-    return _ae_loss_grad(ae, np.asarray(samples, dtype=np.float64))[0]
+    return float(_ae_loss_grad(ae, np.asarray(samples, dtype=np.float64))[0])
 
 
 def _ae_views(theta: np.ndarray, d: int):
     """(enc_w, enc_b, dec_w, dec_b), the Autoencoder fields, as views of the vector
-    [enc_w, dec_w, enc_b, dec_b]."""
-    ww = d * d
-    return (theta[:ww].reshape(d, d), theta[2 * ww : 2 * ww + d],
-            theta[ww : 2 * ww].reshape(d, d), theta[2 * ww + d :])
+    [enc_w, dec_w, enc_b, dec_b]; a stack of vectors ``(S, P)`` gives stacked views."""
+    ww, lead = d * d, theta.shape[:-1]
+    return (theta[..., :ww].reshape(*lead, d, d), theta[..., 2 * ww : 2 * ww + d],
+            theta[..., ww : 2 * ww].reshape(*lead, d, d), theta[..., 2 * ww + d :])
 
 
-def _ae_loss_grad(ae: Autoencoder, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _ae_loss_grad(ae: Autoencoder, x: np.ndarray):
     """Reconstruction loss of samples x and its gradient as one vector laid out
-    [enc_w, dec_w, enc_b, dec_b], the layout of ``_ae_views``."""
-    z = _sigmoid(x @ ae.encoder_w.T + ae.encoder_b)
-    xhat = _sigmoid(z @ ae.decoder_w.T + ae.decoder_b)
+    [enc_w, dec_w, enc_b, dec_b], the layout of ``_ae_views``.
+
+    The fields of ``ae`` may carry a leading stack axis (``_ae_views`` of an
+    ``(S, P)`` stack); then every matmul is batched over it, the loss is ``(S,)``
+    and the gradient ``(S, P)``, one row per stacked autoencoder.
+    """
+    z = _sigmoid(x @ ae.encoder_w.swapaxes(-1, -2) + ae.encoder_b[..., None, :])
+    xhat = _sigmoid(z @ ae.decoder_w.swapaxes(-1, -2) + ae.decoder_b[..., None, :])
     diff = xhat - x
-    loss = float(np.mean(np.sum(diff**2, axis=1)))
+    # np.mean's sum and division, by ndarray methods: this runs once per epoch
+    loss = (diff**2).sum(axis=-1).sum(axis=-1) / x.shape[0]
     d_pre_dec = 2.0 * diff / x.shape[0] * xhat * (1.0 - xhat)
     d_pre_enc = (d_pre_dec @ ae.decoder_w) * z * (1.0 - z)
+    lead = z.shape[:-2]
     grad = np.concatenate([
-        (d_pre_enc.T @ x).ravel(), (d_pre_dec.T @ z).ravel(),
-        d_pre_enc.sum(axis=0), d_pre_dec.sum(axis=0),
-    ])
+        (d_pre_enc.swapaxes(-1, -2) @ x).reshape(*lead, -1),
+        (d_pre_dec.swapaxes(-1, -2) @ z).reshape(*lead, -1),
+        d_pre_enc.sum(axis=-2), d_pre_dec.sum(axis=-2),
+    ], axis=-1)
     return loss, grad
 
 
-def train_autoencoder(
-    samples, d: int, epochs: int = 1500, seed: int = 0
-) -> Autoencoder:
-    """Fit the autoencoder by full-batch Adadelta on squared error.
+def train_autoencoders(samples, d: int, epochs: int, seeds) -> list[Autoencoder]:
+    """Fit one autoencoder per seed on the same samples, all in one stacked run.
 
-    All weights live in one vector ``[enc_w, dec_w, enc_b, dec_b]`` (the
-    returned model's fields are views of it), so each epoch is one Adadelta
-    step on one tensor.  Deterministic for a fixed seed; the per-epoch loss
-    curve is kept on the returned model.
+    Each seed's weights live in one vector ``[enc_w, dec_w, enc_b, dec_b]`` and
+    the vectors are rows of one ``(len(seeds) x P)`` tensor, so each full-batch
+    Adadelta epoch is one batched loss/gradient pass and one step on that
+    tensor.  Every row is the fit that seed would get alone.  Each returned
+    model's fields are views of its own copy of its row, and it keeps its
+    per-epoch loss curve.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionMismatch(f"samples must be (n, {d}), got {x.shape}")
     if x.shape[0] == 0:
         raise DimensionMismatch("samples must be non-empty")
+    seeds = list(seeds)
+    if not seeds:
+        raise DimensionMismatch("at least one seed is needed")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
     limit = np.sqrt(6.0 / (d + d))
-    # one draw for both weight matrices, biases start at zero
-    theta = np.concatenate([rng.uniform(-limit, limit, size=2 * d * d), np.zeros(2 * d)])
-    ae = Autoencoder(*_ae_views(theta, d))
+    theta = np.zeros((len(seeds), 2 * d * d + 2 * d))
+    for row, seed in zip(theta, seeds):
+        # one draw for both weight matrices, biases start at zero
+        rng = np.random.Generator(np.random.PCG64(seed))
+        row[: 2 * d * d] = rng.uniform(-limit, limit, size=2 * d * d)
+    stack = Autoencoder(*_ae_views(theta, d))
     params = {"theta": theta}
     state = AdadeltaState(rho=0.95, eps=1e-6)
-    losses = []
-    for _ in range(epochs):
-        loss, grad = _ae_loss_grad(ae, x)
-        losses.append(loss)
+    losses = np.empty((epochs, len(seeds)))
+    for epoch in range(epochs):
+        losses[epoch], grad = _ae_loss_grad(stack, x)
         adadelta_step(state, params, {"theta": grad})
-    ae.training_losses = tuple(losses)
-    return ae
+    fits = []
+    for row, curve in zip(theta, losses.T):
+        ae = Autoencoder(*_ae_views(row.copy(), d))
+        ae.training_losses = tuple(curve.tolist())
+        fits.append(ae)
+    return fits
+
+
+def train_autoencoder(
+    samples, d: int, epochs: int = 1500, seed: int = 0
+) -> Autoencoder:
+    """Fit the autoencoder by full-batch Adadelta on squared error: the stack of
+    one of ``train_autoencoders``.  Deterministic for a fixed seed; the
+    per-epoch loss curve is kept on the returned model."""
+    return train_autoencoders(samples, d, epochs, [seed])[0]
 
 
 def encode_dense(ae: Autoencoder, bits) -> np.ndarray:

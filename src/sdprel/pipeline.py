@@ -54,7 +54,7 @@ from .features import (
     encode_pos_onehot,
     encode_position,
     load_pos_table,
-    train_autoencoder,
+    train_autoencoders,
 )
 from .neural import (
     MODEL_KINDS,
@@ -123,8 +123,8 @@ class TrainConfig:
             raise ConfigError("embedding_dim and ae_epochs must be positive")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be at least 2")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         return self
 
     def replace(self, **kw) -> "TrainConfig":
@@ -489,24 +489,66 @@ def pretrain_autoencoders(
     Training samples are the distinct codes observed, in lexicographic
     order, so the result depends only on the code set and the seed.
     """
-    pos_ae = None
+    return _pretrain_stacked(config, [instances], [config.seed])[0]
+
+
+def _pretrain_stacked(
+    config: TrainConfig, train_sets: list[list[SdpInstance]], seeds: list[int]
+) -> list[tuple[Autoencoder | None, Autoencoder | None]]:
+    """``pretrain_autoencoders(config.replace(seed=seed), instances)`` for each
+    training set and its seed.  The sets whose distinct codes are equal share
+    one stacked ``train_autoencoders`` run, one row per set."""
+    if not all(train_sets):
+        raise EmptyTrainingSet("no training instances")
+    pos = position = [None] * len(train_sets)
     if config.use_pos:
-        onehots = np.stack(
-            [encode_pos_onehot(c) for i in instances for c in i.pos_classes]
-        )
-        samples = np.unique(onehots, axis=0)
-        pos_ae = train_autoencoder(
-            samples, POS_DIM, epochs=config.ae_epochs, seed=config.seed
-        )
-    position_ae = None
+        pos = _fit_by_sample_set([_pos_samples(insts) for insts in train_sets],
+                                 POS_DIM, config.ae_epochs, seeds)
     if config.use_position:
-        codes = np.concatenate(
-            [i.pos1_codes for i in instances] + [i.pos2_codes for i in instances]
-        )
-        samples = np.unique(codes, axis=0)
-        position_ae = train_autoencoder(
-            samples, config.position_window, epochs=config.ae_epochs, seed=config.seed
-        )
+        position = _fit_by_sample_set([_position_samples(insts) for insts in train_sets],
+                                      config.position_window, config.ae_epochs, seeds)
+    return list(zip(pos, position))
+
+
+def _pos_samples(instances: list[SdpInstance]) -> np.ndarray:
+    """The distinct PoS one-hots of these instances, in lexicographic order."""
+    return np.unique(
+        np.stack([encode_pos_onehot(c) for i in instances for c in i.pos_classes]), axis=0)
+
+
+def _position_samples(instances: list[SdpInstance]) -> np.ndarray:
+    """The distinct position codes of these instances, in lexicographic order."""
+    return np.unique(
+        np.concatenate([i.pos1_codes for i in instances] + [i.pos2_codes for i in instances]),
+        axis=0)
+
+
+def _fit_by_sample_set(sample_sets: list[np.ndarray], d: int, epochs: int, seeds: list[int]):
+    """One autoencoder per (samples, seed) pair, from one stacked fit per distinct
+    sample set."""
+    groups: dict[bytes, list[int]] = {}
+    for k, samples in enumerate(sample_sets):
+        groups.setdefault(samples.tobytes(), []).append(k)  # rows are d wide, so bytes fix the set
+    fits = [None] * len(sample_sets)
+    for members in groups.values():
+        stacked = train_autoencoders(sample_sets[members[0]], d, epochs, [seeds[k] for k in members])
+        for k, ae in zip(members, stacked):
+            fits[k] = ae
+    return fits
+
+
+def _checked_autoencoders(config: TrainConfig, autoencoders):
+    """The pre-fit (pos_ae, position_ae) pair, once it is known to suit the config."""
+    pos_ae, position_ae = autoencoders
+    for ae, flag, enabled, dim, what in (
+        (pos_ae, "use_pos", config.use_pos, POS_DIM, "PoS"),
+        (position_ae, "use_position", config.use_position, config.position_window, "position"),
+    ):
+        if (ae is not None) != enabled:
+            state = "missing" if ae is None else "given"
+            raise ConfigError(f"{flag}={enabled}, but the {what} autoencoder is {state}")
+        if ae is not None and ae.dim != dim:
+            raise DimensionMismatch(f"the {what} autoencoder is {ae.dim}-d, the config needs {dim}")
     return pos_ae, position_ae
 
 
@@ -615,13 +657,21 @@ def train(
     instances: list[SdpInstance],
     embeddings: EmbeddingTable | None = None,
     pos_table: dict[str, int] | None = None,
+    autoencoders: tuple[Autoencoder | None, Autoencoder | None] | None = None,
 ) -> TrainResult:
-    """Mini-batch training; deterministic for a fixed (config, data) pair."""
+    """Mini-batch training; deterministic for a fixed (config, data) pair.
+
+    ``autoencoders`` is a pre-fit (pos_ae, position_ae) pair, each None where
+    the config disables its feature; by default both are fit on `instances`.
+    """
     config.validate()
     if not instances:
         raise EmptyTrainingSet("no training instances")
     table = embeddings if embeddings is not None else _load_table(config, config.seed)
-    pos_ae, position_ae = pretrain_autoencoders(config, instances)
+    if autoencoders is None:
+        pos_ae, position_ae = pretrain_autoencoders(config, instances)
+    else:
+        pos_ae, position_ae = _checked_autoencoders(config, autoencoders)
 
     # one (V x D) matrix of the word vectors the run can change; tokens map to row views
     vocab = sorted(set(SPECIAL_TOKENS).union(*(inst.tokens for inst in instances)))
@@ -876,11 +926,15 @@ def cross_validate(
         e.instance_id for e in result.excluded
     ]
     folds = split_folds(ids, config.k_folds, config.seed)
+    train_sets = [
+        [i for i in result.instances if folds.fold_of(i.instance_id) != fold]
+        for fold in range(config.k_folds)
+    ]
+    # every fold's autoencoders at once: folds with equal code sets share one fit
+    fold_autoencoders = _pretrain_stacked(
+        config, train_sets, [config.seed + fold for fold in range(config.k_folds)])
     per_fold: list[FoldMetrics] = []
-    for fold in range(config.k_folds):
-        train_insts = [
-            i for i in result.instances if folds.fold_of(i.instance_id) != fold
-        ]
+    for fold, (train_insts, autoencoders) in enumerate(zip(train_sets, fold_autoencoders)):
         test_insts = [
             i for i in result.instances if folds.fold_of(i.instance_id) == fold
         ]
@@ -888,7 +942,8 @@ def cross_validate(
             e for e in result.excluded if folds.fold_of(e.instance_id) == fold
         ]
         fold_config = config.replace(seed=config.seed + fold)
-        tr = train(fold_config, train_insts, embeddings=table, pos_table=pos_table)
+        tr = train(fold_config, train_insts, embeddings=table, pos_table=pos_table,
+                   autoencoders=autoencoders)
         metrics = evaluate(
             tr.checkpoint,
             test_insts,

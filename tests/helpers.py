@@ -5,8 +5,9 @@ check: brute-force simple-path enumeration for BFS, central finite
 differences for backprop, a scalar-loop LSTM cell, a per-instance forward and
 backward pass of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
-arrays in separate dicts, and a per-gate split of fused LSTM tensors for
-version 1 checkpoints.
+arrays in separate dicts, a cross-validation loop whose every fold fits its
+own autoencoders, and a per-gate split of fused LSTM tensors for version 1
+checkpoints.
 """
 
 from __future__ import annotations
@@ -320,6 +321,41 @@ def reference_autoencoder(samples, d, epochs, seed):
             ed2 += (1.0 - rho) * delta * delta
             p += delta
     return params["enc_w"], params["enc_b"], params["dec_w"], params["dec_b"], losses
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation oracle
+
+
+def reference_cross_validate(config, result, embeddings=None, pos_table=None):
+    """k-fold CV as one loop over the folds, in which each fold's ``train`` call
+    fits that fold's autoencoders itself."""
+    from sdprel.corpus import split_folds
+    from sdprel.pipeline import CvReport, FoldMetrics, _load_table, evaluate, train
+
+    table = embeddings if embeddings is not None else _load_table(config, config.seed)
+    ids = [i.instance_id for i in result.instances] + [e.instance_id for e in result.excluded]
+    folds = split_folds(ids, config.k_folds, config.seed)
+    per_fold = []
+    for fold in range(config.k_folds):
+        train_insts = [i for i in result.instances if folds.fold_of(i.instance_id) != fold]
+        test_insts = [i for i in result.instances if folds.fold_of(i.instance_id) == fold]
+        test_excluded = [e for e in result.excluded if folds.fold_of(e.instance_id) == fold]
+        tr = train(config.replace(seed=config.seed + fold), train_insts,
+                   embeddings=table, pos_table=pos_table)
+        per_fold.append(evaluate(tr.checkpoint, test_insts, excluded=test_excluded,
+                                 vectorizer=tr.checkpoint.build_vectorizer(table)))
+    micro = FoldMetrics(0, 0, 0, 0)
+    for m in per_fold:
+        micro = micro + m
+    k = len(per_fold)
+    return CvReport(
+        per_fold=per_fold,
+        micro=micro,
+        macro_precision=sum(m.precision for m in per_fold) / k,
+        macro_recall=sum(m.recall for m in per_fold) / k,
+        macro_f1=sum(m.f1 for m in per_fold) / k,
+    )
 
 
 # ---------------------------------------------------------------------------

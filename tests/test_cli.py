@@ -169,6 +169,26 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_exit_2(self, workdir, capsys, rate):
+        (workdir / "badconfig").write_text(CONFIG_TEXT + f"learning_rate={rate}\n",
+                                           encoding="utf-8")
+        run(
+            "preprocess",
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json",
+        )
+        rc = run(
+            "train",
+            "--instances", workdir / "inst.json",
+            "--config", workdir / "badconfig",
+            "--out", workdir / "model.sdpl",
+        )
+        assert rc == 2
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not (workdir / "model.sdpl").exists()
+
     @pytest.mark.parametrize("flags, key, made, wanted", [
         (("--window", "8"), "position_window", "8", "10"),
         (("--no-pos",), "use_pos", "False", "True"),

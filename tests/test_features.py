@@ -15,6 +15,7 @@ from sdprel.features import (
     reconstruct,
     reconstruction_loss,
     train_autoencoder,
+    train_autoencoders,
     _ae_loss_grad,
     _ae_views,
 )
@@ -205,6 +206,56 @@ class TestAutoencoderVector:
         _, grad = _ae_loss_grad(ae, samples)
         numeric = central_differences(lambda _: _ae_loss_grad(ae, samples)[0], theta)
         assert max_relative_error({"theta": grad}, {"theta": numeric}) < 1e-4
+
+
+class TestStackedAutoencoders:
+    @pytest.mark.parametrize("d", [5, 8, 10, 12])
+    @pytest.mark.parametrize("size", [1, 2, 10])
+    def test_every_row_equals_its_lone_fit(self, d, size):
+        samples = random_codes(d, d + size)
+        seeds = [100 + 7 * k for k in range(size)]
+        fits = train_autoencoders(samples, d, 80, seeds)
+        assert len(fits) == size
+        for seed, ae in zip(seeds, fits):
+            enc_w, enc_b, dec_w, dec_b, losses = reference_autoencoder(samples, d, 80, seed)
+            lone = train_autoencoder(samples, d, epochs=80, seed=seed)
+            for got, ref, alone in ((ae.encoder_w, enc_w, lone.encoder_w),
+                                    (ae.encoder_b, enc_b, lone.encoder_b),
+                                    (ae.decoder_w, dec_w, lone.decoder_w),
+                                    (ae.decoder_b, dec_b, lone.decoder_b)):
+                assert np.array_equal(got, ref) and np.array_equal(got, alone)
+            assert list(ae.training_losses) == losses
+            assert ae.training_losses == lone.training_losses
+
+    def test_rows_own_their_vectors(self):
+        a, b = train_autoencoders(np.eye(5), 5, 3, [0, 1])
+        assert a.encoder_w.base is not b.encoder_w.base
+        assert a.encoder_w.base.shape == (2 * 5 * 5 + 2 * 5,)
+
+    def test_equal_seeds_give_equal_rows(self):
+        a, b = train_autoencoders(np.eye(6), 6, 20, [3, 3])
+        assert np.array_equal(a.encoder_w.base, b.encoder_w.base)
+        assert a.training_losses == b.training_losses
+
+    @pytest.mark.parametrize("d, size", [(4, 3), (8, 2)])
+    def test_stacked_gradient_matches_finite_differences(self, d, size):
+        samples = random_codes(d, d)
+        rng = np.random.Generator(np.random.PCG64(d + 60))
+        theta = rng.uniform(-1.0, 1.0, size=(size, 2 * d * d + 2 * d))
+        stack = Autoencoder(*_ae_views(theta, d))  # its fields follow theta
+        loss, grad = _ae_loss_grad(stack, samples)
+        assert loss.shape == (size,) and grad.shape == theta.shape
+        for k in range(size):
+            numeric = central_differences(lambda _: _ae_loss_grad(stack, samples)[0][k], theta[k])
+            assert max_relative_error({"theta": grad[k]}, {"theta": numeric}) < 1e-4
+            lone_loss, lone_grad = _ae_loss_grad(Autoencoder(*_ae_views(theta[k], d)), samples)
+            assert loss[k] == lone_loss and np.array_equal(grad[k], lone_grad)
+
+    def test_bad_arguments(self):
+        with pytest.raises(DimensionMismatch):
+            train_autoencoders(np.eye(4), 4, 1, [])
+        with pytest.raises(DimensionMismatch):
+            train_autoencoders(np.eye(4), 5, 1, [0, 1])
 
 
 class TestEncodeDense:

@@ -26,7 +26,10 @@ from sdprel.errors import (
     SdprelError,
 )
 from sdprel.embed import EmbeddingTable, assemble
+from sdprel import pipeline as pipeline_mod
 from sdprel.features import (
+    POS_DIM,
+    Autoencoder,
     code_string,
     encode_dense,
     encode_pos_onehot,
@@ -53,7 +56,7 @@ from sdprel.pipeline import (
     train,
 )
 
-from helpers import synthetic_corpus, write_lines
+from helpers import reference_cross_validate, synthetic_corpus, write_lines
 
 
 SMALL = dict(
@@ -121,6 +124,10 @@ class TestTrainConfig:
             {"activation": "gelu"},
             {"mlp_depth": 0},
             {"k_folds": 1},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("-inf")},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -632,6 +639,36 @@ class TestTrain:
         assert checkpoint_bytes(a.checkpoint) == checkpoint_bytes(b.checkpoint)
         assert a.epoch_losses == b.epoch_losses
 
+    def test_pre_fit_autoencoders_give_the_same_checkpoint(self, synth_instances):
+        cfg = small_config(seed=22, epochs=4, dropout=0.2)
+        fitted = pretrain_autoencoders(cfg, synth_instances.instances)
+        a = train(cfg, synth_instances.instances)
+        b = train(cfg, synth_instances.instances, autoencoders=fitted)
+        assert checkpoint_bytes(a.checkpoint) == checkpoint_bytes(b.checkpoint)
+
+    @pytest.mark.parametrize("flags, drop, named", [
+        ({}, 0, "use_pos=True, but the PoS autoencoder is missing"),
+        ({}, 1, "use_position=True, but the position autoencoder is missing"),
+        ({"use_pos": False}, None, "use_pos=False, but the PoS autoencoder is given"),
+        ({"use_position": False}, None,
+         "use_position=False, but the position autoencoder is given"),
+    ])
+    def test_pre_fit_autoencoder_missing_or_unwanted(self, synth_instances, flags, drop, named):
+        pair = list(pretrain_autoencoders(small_config(ae_epochs=5), synth_instances.instances))
+        if drop is not None:
+            pair[drop] = None
+        with pytest.raises(ConfigError, match=named):
+            train(small_config(epochs=1, **flags), synth_instances.instances,
+                  autoencoders=tuple(pair))
+
+    @pytest.mark.parametrize("which, d", [(0, 6), (0, 10), (1, 8), (1, 12)])
+    def test_pre_fit_autoencoder_of_the_wrong_width(self, synth_instances, which, d):
+        cfg = small_config(epochs=1, ae_epochs=5)
+        pair = list(pretrain_autoencoders(cfg, synth_instances.instances))
+        pair[which] = Autoencoder(np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d))
+        with pytest.raises(DimensionMismatch, match=f"{('PoS', 'position')[which]} autoencoder is {d}-d"):
+            train(cfg, synth_instances.instances, autoencoders=tuple(pair))
+
     def test_losses_recorded_per_epoch(self, synth_instances):
         cfg = small_config(epochs=8)
         tr = train(cfg, synth_instances.instances)
@@ -880,6 +917,71 @@ class TestFoldMetrics:
     def test_addition_pools_counts(self):
         a, b = FoldMetrics(1, 2, 3, 4), FoldMetrics(5, 6, 7, 8)
         assert a + b == FoldMetrics(6, 8, 10, 12)
+
+
+@pytest.fixture(scope="module")
+def split_corpus(long_synth):
+    """long_synth with one pair excluded.  Only the 16-token chain has adjectives
+    and distances past the window, so the fold that tests it has other codes."""
+    sentences, deps = long_synth
+    return sentences, {k: v for k, v in deps.items() if k != sentences[0].id}
+
+
+class TestStackedFoldPretraining:
+    def test_fold_autoencoders_equal_per_fold_pretraining(self, split_corpus, monkeypatch):
+        cfg = small_config(k_folds=4, epochs=1, ae_epochs=60, seed=7)
+        result = preprocess(*split_corpus, cfg)
+        calls, stacks = [], []
+        train_fn, fit_fn = pipeline_mod.train, pipeline_mod.train_autoencoders
+
+        def recording_train(*args, **kwargs):
+            tr = train_fn(*args, **kwargs)
+            calls.append((args, tr.checkpoint))
+            return tr
+
+        def recording_fit(samples, d, epochs, seeds):
+            stacks.append((d, sorted(seeds)))
+            return fit_fn(samples, d, epochs, seeds)
+
+        monkeypatch.setattr(pipeline_mod, "train", recording_train)
+        monkeypatch.setattr(pipeline_mod, "train_autoencoders", recording_fit)
+        cross_validate(cfg, result)
+        monkeypatch.undo()
+
+        assert len(calls) == 4
+        by_codes = {POS_DIM: {}, cfg.position_window: {}}
+        for fold, ((fold_cfg, train_insts), ck) in enumerate(calls):
+            assert fold_cfg.seed == cfg.seed + fold
+            want = pretrain_autoencoders(fold_cfg, train_insts)
+            for got, ref in zip((ck.pos_ae, ck.position_ae), want):
+                for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name))
+                assert got.training_losses == ref.training_losses
+            pos = {c for i in train_insts for c in i.pos_classes}
+            codes = {code_string(row) for i in train_insts
+                     for row in np.concatenate([i.pos1_codes, i.pos2_codes])}
+            by_codes[POS_DIM].setdefault(frozenset(pos), []).append(fold_cfg.seed)
+            by_codes[cfg.position_window].setdefault(frozenset(codes), []).append(fold_cfg.seed)
+        # one stacked fit per distinct code set; the fold that tests the chain
+        # lacks its adjectives and long distances, so each kind has two groups
+        for d, groups in by_codes.items():
+            assert sorted(seeds for dim, seeds in stacks if dim == d) == sorted(groups.values())
+            assert sorted(map(len, groups.values())) == [1, 3]
+
+    @pytest.mark.parametrize("use_pos", [True, False])
+    @pytest.mark.parametrize("use_position", [True, False])
+    def test_reports_equal_the_per_fold_loop(self, split_corpus, use_pos, use_position):
+        cfg = small_config(k_folds=3, epochs=2, ae_epochs=60, seed=43, dropout=0.2,
+                           use_pos=use_pos, use_position=use_position)
+        result = preprocess(*split_corpus, cfg)
+        assert result.excluded
+        got, want = cross_validate(cfg, result), reference_cross_validate(cfg, result)
+        assert got.to_csv() == want.to_csv()
+        assert got.to_json() == want.to_json()
+
+    def test_empty_training_part_is_rejected(self, synth_instances):
+        with pytest.raises(EmptyTrainingSet):
+            pipeline_mod._pretrain_stacked(small_config(), [synth_instances.instances, []], [1, 2])
 
 
 class TestCrossValidate:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdprel import pipeline as pipeline_mod
 from sdprel.checkpoint import checkpoint_bytes
 from sdprel.corpus import generalize, generate_candidates, load_corpus
 from sdprel.depgraph import (
@@ -26,7 +27,6 @@ from sdprel.errors import (
     SdprelError,
 )
 from sdprel.embed import EmbeddingTable, assemble
-from sdprel import pipeline as pipeline_mod
 from sdprel.features import (
     POS_DIM,
     Autoencoder,
@@ -979,9 +979,9 @@ class TestStackedFoldPretraining:
         assert got.to_csv() == want.to_csv()
         assert got.to_json() == want.to_json()
 
-    def test_empty_training_part_is_rejected(self, synth_instances):
+    def test_empty_training_part_is_rejected(self):
         with pytest.raises(EmptyTrainingSet):
-            pipeline_mod._pretrain_stacked(small_config(), [synth_instances.instances, []], [1, 2])
+            pretrain_autoencoders(small_config(), [])
 
 
 class TestCrossValidate:

@@ -81,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deps", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--report", required=True)
+    p.add_argument("--pos-table", default=None)
 
     return parser
 
@@ -170,6 +171,7 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"--values must be comma-separated integers: {args.values!r}")
     if not values:
         raise InputError("--values is empty")
+    pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
     rows = ["param,value,precision,recall,f1"]
@@ -177,8 +179,9 @@ def _cmd_sweep(args) -> int:
     for value in values:
         config = base.replace(**{SWEEP_PARAMS[args.param]: value}).validate()
         if config.position_window not in by_window:
-            by_window[config.position_window] = preprocess(sentences, deps, config)
-        report = cross_validate(config, by_window[config.position_window])
+            by_window[config.position_window] = preprocess(
+                sentences, deps, config, pos_table=pos_table)
+        report = cross_validate(config, by_window[config.position_window], pos_table=pos_table)
         m = report.micro
         rows.append(
             f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"

@@ -227,27 +227,33 @@ def generate_candidates(s: SentenceRecord) -> list[CandidatePair]:
     return pairs
 
 
-def generalize(s: SentenceRecord, pair: CandidatePair) -> SentenceRecord:
-    """Collapse every entity span to a single placeholder token.
+@dataclass(frozen=True)
+class CollapsedSentence:
+    """A sentence with every entity span collapsed to one PROTX token.
 
-    The pair's mentions become PROT1 and PROT2, every other entity PROTX;
-    placeholder tokens are tagged as nouns and all spans are re-indexed.
-    Already-generalized records pass through unchanged.
+    ``record`` holds the collapsed tokens, with placeholders tagged as nouns
+    and every surviving entity re-indexed to its one token; ``nodes`` maps
+    each of those entity ids to that token's index.
     """
-    replacement = {}
-    for e in s.entities:
-        if e.entity_id == pair.prot1:
-            replacement[e.entity_id] = PROT1
-        elif e.entity_id == pair.prot2:
-            replacement[e.entity_id] = PROT2
-        else:
-            replacement[e.entity_id] = PROTX
-    for eid in (pair.prot1, pair.prot2):
-        if eid not in replacement:
-            raise EntityNotInSentence(
-                f"entity {eid!r} not declared in sentence {s.id!r}"
-            )
 
+    record: SentenceRecord
+    nodes: dict[str, int]
+
+    def node(self, entity_id: str) -> int:
+        try:
+            return self.nodes[entity_id]
+        except KeyError:
+            raise EntityNotInSentence(
+                f"entity {entity_id!r} not declared in sentence {self.record.id!r}"
+            ) from None
+
+
+def collapse_entities(s: SentenceRecord) -> CollapsedSentence:
+    """Collapse every entity span of the sentence to one PROTX token.
+
+    The walk goes left to right; a span that starts inside an earlier span
+    does not survive, and of two spans with one start the later one wins.
+    """
     by_start = {e.token_start: e for e in s.entities}
     new_tokens: list[str] = []
     new_tags: list[str] = []
@@ -261,16 +267,34 @@ def generalize(s: SentenceRecord, pair: CandidatePair) -> SentenceRecord:
             i += 1
         else:
             idx = len(new_tokens)
-            new_tokens.append(replacement[entity.entity_id])
+            new_tokens.append(PROTX)
             new_tags.append(GENERALIZED_POS)
             new_entities.append(Entity(entity.entity_id, idx, idx))
             i = entity.token_end + 1
-    return replace(
+    record = replace(
         s,
         tokens=tuple(new_tokens),
         pos_tags=tuple(new_tags),
         entities=tuple(new_entities),
     )
+    return CollapsedSentence(record, {e.entity_id: e.token_start for e in new_entities})
+
+
+def generalize(s: SentenceRecord, pair: CandidatePair) -> SentenceRecord:
+    """Collapse every entity span to a single placeholder token.
+
+    The pair's mentions become PROT1 and PROT2, every other entity PROTX;
+    placeholder tokens are tagged as nouns and all spans are re-indexed.
+    Already-generalized records pass through unchanged.  A view of
+    ``collapse_entities`` that renames the pair's two mentions by position; a
+    mention that does not survive the collapse raises EntityNotInSentence.
+    """
+    collapsed = collapse_entities(s)
+    src, dst = collapsed.node(pair.prot1), collapsed.node(pair.prot2)
+    tokens = list(collapsed.record.tokens)
+    tokens[dst] = PROT2
+    tokens[src] = PROT1
+    return replace(collapsed.record, tokens=tuple(tokens))
 
 
 def split_folds(instance_ids: list[str], k: int, seed: int) -> FoldAssignment:

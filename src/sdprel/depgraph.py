@@ -84,37 +84,60 @@ def shortest_path(
     Neighbors are expanded in ascending index order, which makes the result
     the lexicographically smallest node sequence among all minimum-hop paths.
     Raises Disconnected when no path exists and PathTooLong when the path
-    would exceed ``max_tokens`` tokens.
+    would exceed ``max_tokens`` tokens.  The one-target view of ``paths_from``.
     """
-    if not (0 <= src < g.node_count and 0 <= dst < g.node_count):
-        raise IndexOutOfRange(f"endpoints ({src},{dst}) outside 0:{g.node_count - 1}")
-    if src == dst:
-        raise IndexOutOfRange("src and dst must be distinct tokens")
+    (path,) = paths_from(g, src, (dst,), max_tokens)
+    if isinstance(path, Exception):
+        raise path
+    return path
+
+
+def paths_from(
+    g: DependencyGraph, src: int, dsts, max_tokens: int | None = MAX_SDP_TOKENS
+) -> list[SdpPath | Disconnected | PathTooLong]:
+    """Shortest paths from src to each node of ``dsts``, from one BFS.
+
+    The BFS stops once every target is reached.  A node's BFS parent never
+    changes once it is set, so each path is the one a BFS for that target
+    alone finds.  Entry i is the path to ``dsts[i]``, or the Disconnected or
+    PathTooLong error that ``shortest_path`` raises for it.
+    """
+    n = g.node_count
+    for dst in dsts:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexOutOfRange(f"endpoints ({src},{dst}) outside 0:{n - 1}")
+        if src == dst:
+            raise IndexOutOfRange("src and dst must be distinct tokens")
 
     parent: dict[int, int] = {src: src}
+    unreached = set(dsts)
     queue = deque([src])
-    while queue:
+    while queue and unreached:
         node = queue.popleft()
-        if node == dst:
-            break
         for nb in g.adjacency[node]:
             if nb not in parent:
                 parent[nb] = node
                 queue.append(nb)
-    if dst not in parent:
-        raise Disconnected(
-            f"sentence {g.sentence_id!r}: no path between tokens {src} and {dst}"
-        )
+                unreached.discard(nb)
 
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    if max_tokens is not None and len(path) > max_tokens:
-        raise PathTooLong(
-            f"sentence {g.sentence_id!r}: path has {len(path)} tokens, cap is {max_tokens}"
-        )
-    return SdpPath(node_indices=tuple(path))
+    out: list[SdpPath | Disconnected | PathTooLong] = []
+    for dst in dsts:
+        if dst not in parent:
+            out.append(Disconnected(
+                f"sentence {g.sentence_id!r}: no path between tokens {src} and {dst}"
+            ))
+            continue
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        if max_tokens is not None and len(path) > max_tokens:
+            out.append(PathTooLong(
+                f"sentence {g.sentence_id!r}: path has {len(path)} tokens, cap is {max_tokens}"
+            ))
+        else:
+            out.append(SdpPath(node_indices=tuple(path)))
+    return out
 
 
 def sdp_tokens(p: SdpPath, s: SentenceRecord) -> list[tuple[str, str]]:

@@ -39,7 +39,10 @@ def _step_blocks(params, grads, slots, update) -> None:
     _check_shapes(params, grads)
     for name, p in params.items():
         flat = [a.reshape(-1) for a in (p, grads[name])]
-        flat += [s.setdefault(name, np.zeros_like(p)).reshape(-1) for s in slots]
+        for s in slots:
+            if name not in s:
+                s[name] = np.zeros_like(p)
+        flat += [s[name].reshape(-1) for s in slots]
         for start in range(0, p.size, BLOCK):
             update(*(a[start : start + BLOCK] for a in flat))
 

@@ -10,6 +10,7 @@ autoencoders are fit on the training split only.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -22,16 +23,14 @@ from .corpus import (
     PROTX,
     CandidatePair,
     SentenceRecord,
-    generalize,
+    collapse_entities,
     generate_candidates,
     split_folds,
 )
 from .depgraph import (
     MAX_SDP_TOKENS,
     build_graph,
-    sdp_endpoints,
-    sdp_tokens,
-    shortest_path,
+    paths_from,
 )
 from .embed import EmbeddingTable, load_embeddings, lookup
 from .errors import (
@@ -251,6 +250,22 @@ def _by_distance(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[k], rows[k[::-1]]
 
 
+class _PositionCodes(dict):
+    """Path length -> its (pos1, pos2) code matrices, built on first use and
+    then shared, read-only, by every instance of that length."""
+
+    def __init__(self, window: int):
+        super().__init__()
+        self.table = _position_table(window)
+
+    def __missing__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        codes = _by_distance(self.table, n)
+        for m in codes:
+            m.flags.writeable = False
+        self[n] = codes
+        return codes
+
+
 def preprocess(
     sentences: list[SentenceRecord],
     deps: dict[str, list[tuple[int, int, str]]],
@@ -258,16 +273,20 @@ def preprocess(
     pos_table: dict[str, int] | None = None,
     require_deps: bool = False,
 ) -> PreprocessResult:
-    """Candidate pairs -> generalize -> SDP -> sparse feature codes.
+    """Candidate pairs -> collapsed entities -> SDP -> sparse feature codes.
 
     A sentence absent from ``deps`` is an edgeless graph, so its pairs land
     in the exclusion list as disconnected; pass require_deps=True to raise
     MissingDependencyData instead.  Dependency edge indices refer to the
     generalized token sequence (every entity collapsed to one token).
+
+    Each sentence's entities are collapsed once, and one BFS runs from each
+    first mention to all of its partners.  Instances of one path length
+    share their read-only position code matrices; copy one before writing.
     """
     config.validate()
     window = config.position_window
-    table = _position_table(window)
+    codes = _PositionCodes(window)
     instances: list[SdpInstance] = []
     excluded: list[ExcludedInstance] = []
     for s in sentences:
@@ -279,35 +298,33 @@ def preprocess(
             if require_deps:
                 raise MissingDependencyData(s.id)
             edges = []
-        graph = None
-        for pair in pairs:
-            gen = generalize(s, pair)
-            if graph is None:  # the same token count and edges for every pair
-                graph = build_graph(gen, edges)
-            src, dst = sdp_endpoints(gen, pair.prot1, pair.prot2)
-            try:
-                path = shortest_path(graph, src, dst, max_tokens=MAX_SDP_TOKENS)
-            except (Disconnected, PathTooLong) as exc:
-                reason = "disconnected" if isinstance(exc, Disconnected) else "path_too_long"
-                excluded.append(ExcludedInstance(
-                    _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label, reason))
-                continue
-            toks = sdp_tokens(path, gen)
-            pos1_codes, pos2_codes = _by_distance(table, len(toks))
-            instances.append(
-                SdpInstance(
-                    instance_id=_pair_id(pair),
-                    sentence_id=s.id,
-                    prot1=pair.prot1,
-                    prot2=pair.prot2,
-                    label=pair.label,
-                    tokens=tuple(t for t, _ in toks),
-                    pos_tags=tuple(p for _, p in toks),
-                    pos_classes=tuple(coarse_pos(p, pos_table) for _, p in toks),
-                    pos1_codes=pos1_codes,
-                    pos2_codes=pos2_codes,
+        collapsed = collapse_entities(s)
+        graph = build_graph(collapsed.record, edges)
+        tokens, tags = collapsed.record.tokens, collapsed.record.pos_tags
+        classes = [coarse_pos(t, pos_table) for t in tags]
+        # candidates come ordered by prot1, so each source's pairs are adjacent
+        for prot1, group in itertools.groupby(pairs, key=lambda p: p.prot1):
+            group = list(group)
+            src = collapsed.node(prot1)
+            dsts = [collapsed.node(pair.prot2) for pair in group]
+            for pair, path in zip(group, paths_from(graph, src, dsts, MAX_SDP_TOKENS)):
+                if isinstance(path, (Disconnected, PathTooLong)):
+                    reason = "disconnected" if isinstance(path, Disconnected) else "path_too_long"
+                    excluded.append(ExcludedInstance(
+                        _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label, reason))
+                    continue
+                nodes = path.node_indices
+                pos1_codes, pos2_codes = codes[len(nodes)]
+                instances.append(
+                    SdpInstance(
+                        _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label,
+                        tokens=(PROT1, *[tokens[i] for i in nodes[1:-1]], PROT2),
+                        pos_tags=tuple(tags[i] for i in nodes),
+                        pos_classes=tuple(classes[i] for i in nodes),
+                        pos1_codes=pos1_codes,
+                        pos2_codes=pos2_codes,
+                    )
                 )
-            )
     return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
 
 
@@ -371,7 +388,7 @@ def instances_from_json(text: str) -> PreprocessResult:
         flags = doc["use_pos"], doc["use_position"]
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
-        table = _position_table(window)
+        codes = _PositionCodes(window)
         instances = []
         for i in doc["instances"]:
             sequences = [i[k] for k in ("tokens", "pos_tags", "pos_classes")]
@@ -383,7 +400,7 @@ def instances_from_json(text: str) -> PreprocessResult:
                 )
             tokens, pos_tags, pos_classes = map(tuple, sequences)
             inst = SdpInstance(*(i[k] for k in _ID_FIELDS), i["label"], tokens, pos_tags,
-                               pos_classes, *_by_distance(table, len(tokens)))
+                               pos_classes, *codes[len(tokens)])
             _check_ids_and_label(inst)
             _require(all(isinstance(t, str) for t in tokens + pos_tags), inst,
                      "tokens and pos_tags must be strings")

@@ -1,9 +1,10 @@
 """Shared test oracles and fixture builders.
 
 The oracles here are deliberately independent of the library code paths they
-check: brute-force simple-path enumeration for BFS, central finite
-differences for backprop, a scalar-loop LSTM cell, a per-instance forward and
-backward pass of each model (one sequence at a time, one step per row), the
+check: brute-force simple-path enumeration and a one-target BFS for path
+finding, a per-pair preprocessing loop, central finite differences for
+backprop, a scalar-loop LSTM cell, a per-instance forward and backward pass
+of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, and a per-gate split of fused LSTM tensors for version 1
@@ -62,6 +63,74 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 10):
             edges.add((min(a, b), max(a, b)))
         if edges:
             return n, sorted(edges)
+
+
+def reference_bfs_path(adjacency, src, dst):
+    """Node sequence of a BFS from src alone that stops when it pops dst,
+    expanding neighbours in ascending order (None if dst is unreachable)."""
+    parent = {src: src}
+    queue = [src]
+    for node in queue:
+        if node == dst:
+            break
+        for nb in sorted(adjacency[node]):
+            if nb not in parent:
+                parent[nb] = node
+                queue.append(nb)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+# ---------------------------------------------------------------------------
+# Preprocessing oracle
+
+
+def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=False):
+    """``preprocess`` as one loop over the candidate pairs: each pair generalizes
+    its sentence, builds its graph, runs its own BFS and encodes every position
+    code with its own ``encode_position`` call."""
+    from sdprel.corpus import generalize, generate_candidates
+    from sdprel.depgraph import (
+        MAX_SDP_TOKENS, build_graph, sdp_endpoints, sdp_tokens, shortest_path,
+    )
+    from sdprel.errors import Disconnected, MissingDependencyData, PathTooLong
+    from sdprel.features import coarse_pos, encode_position
+    from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance
+
+    config.validate()
+    window = config.position_window
+    instances, excluded = [], []
+    for s in sentences:
+        for pair in generate_candidates(s):
+            if s.id not in deps and require_deps:
+                raise MissingDependencyData(s.id)
+            gen = generalize(s, pair)
+            graph = build_graph(gen, deps.get(s.id, []))
+            src, dst = sdp_endpoints(gen, pair.prot1, pair.prot2)
+            ids = (f"{s.id}:{pair.prot1}-{pair.prot2}", s.id, pair.prot1, pair.prot2, pair.label)
+            try:
+                path = shortest_path(graph, src, dst, max_tokens=MAX_SDP_TOKENS)
+            except Disconnected:
+                excluded.append(ExcludedInstance(*ids, "disconnected"))
+                continue
+            except PathTooLong:
+                excluded.append(ExcludedInstance(*ids, "path_too_long"))
+                continue
+            toks = sdp_tokens(path, gen)
+            n = len(toks)
+            instances.append(SdpInstance(
+                *ids,
+                tokens=tuple(t for t, _ in toks),
+                pos_tags=tuple(p for _, p in toks),
+                pos_classes=tuple(coarse_pos(p, pos_table) for _, p in toks),
+                pos1_codes=np.stack([encode_position(k, window) for k in range(n)]),
+                pos2_codes=np.stack([encode_position(n - 1 - k, window) for k in range(n)]),
+            ))
+    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
 
 
 # ---------------------------------------------------------------------------

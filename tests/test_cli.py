@@ -344,6 +344,49 @@ class TestSweepCommand:
         assert (workdir / "both.csv").read_text().split("\n")[1:3] == rows
         capsys.readouterr()
 
+    def test_pos_table_sweep_matches_cv(self, workdir, monkeypatch, capsys):
+        import sdprel.cli as cli_mod
+
+        table = workdir / "pos.tsv"
+        table.write_text("NN\t3\nVBZ\t3\nVBN\t6\nIN\t6\n", encoding="utf-8")
+        common = (
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--config", workdir / "config",
+            "--pos-table", table,
+        )
+        assert run("cv", *common, "--report", workdir / "cv.csv") == 0
+        seen = []
+        for name in ("preprocess", "cross_validate"):
+            real = getattr(cli_mod, name)
+            monkeypatch.setattr(cli_mod, name, lambda *a, real=real, **kw:
+                                seen.append(kw["pos_table"]) or real(*a, **kw))
+        # the config's own epoch count, so the sweep's one run is the cv run
+        assert run("sweep", "--param", "epochs", "--values", "6", *common,
+                   "--report", workdir / "sweep.csv") == 0
+        assert seen == [{"NN": 3, "VBZ": 3, "VBN": 6, "IN": 6}] * 2
+        cv_lines = (workdir / "cv.csv").read_text().split("\n")
+        micro = next(line for line in cv_lines if line.startswith("micro,"))
+        prf = micro.split(",")[-3:]
+        assert (workdir / "sweep.csv").read_text().split("\n")[1] == f"epochs,6,{','.join(prf)}"
+        capsys.readouterr()
+
+    def test_malformed_pos_table_is_exit_2(self, workdir, capsys):
+        (workdir / "pos.tsv").write_text("NN\tnine\n", encoding="utf-8")
+        rc = run(
+            "sweep",
+            "--param", "epochs",
+            "--values", "2",
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--config", workdir / "config",
+            "--report", workdir / "sweep.csv",
+            "--pos-table", workdir / "pos.tsv",
+        )
+        assert rc == 2
+        assert "non-integer class index" in capsys.readouterr().err
+        assert not (workdir / "sweep.csv").exists()
+
     def test_bad_values_exit_2(self, workdir, capsys):
         rc = run(
             "sweep",

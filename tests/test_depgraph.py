@@ -5,15 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from sdprel.corpus import CandidatePair, generalize
 from sdprel.depgraph import (
+    SdpPath,
     build_graph,
     load_dependencies,
+    paths_from,
     sdp_endpoints,
     sdp_tokens,
     shortest_path,
 )
 from sdprel.errors import Disconnected, IndexOutOfRange, ParseError, PathTooLong, SelfLoop
 
-from helpers import min_simple_path_length, random_connected_graph
+from helpers import min_simple_path_length, random_connected_graph, reference_bfs_path
 from test_corpus import make_record
 
 
@@ -168,6 +170,33 @@ class TestShortestPath:
         bc = shortest_path(g, b, c).length
         ac = shortest_path(g, a, c).length
         assert ac <= ab + bc
+
+
+class TestPathsFrom:
+    @given(seed=st.integers(min_value=0, max_value=10_000), cap=st.sampled_from([None, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_bfs_per_target(self, seed, cap):
+        rng = random.Random(seed)
+        n, edges = random_connected_graph(rng, max_nodes=14)
+        edges = [e for e in edges if rng.random() < 0.8]  # often a forest of parts
+        g = graph_from_edges(n, edges)
+        src = rng.randrange(n)
+        dsts = rng.sample([v for v in range(n) if v != src], rng.randint(1, n - 1))
+        for dst, got in zip(dsts, paths_from(g, src, dsts, max_tokens=cap)):
+            want = reference_bfs_path(g.adjacency, src, dst)
+            if want is None:
+                assert isinstance(got, Disconnected)
+            elif cap is not None and len(want) > cap:
+                assert isinstance(got, PathTooLong)
+            else:
+                assert got == SdpPath(want)
+                assert shortest_path(g, src, dst, max_tokens=cap) == got
+
+    def test_bad_target_is_refused(self):
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        for dsts in ([1, 0], [2, 3], [-1]):
+            with pytest.raises(IndexOutOfRange):
+                paths_from(g, 0, dsts)
 
 
 class TestSdpTokens:

@@ -181,3 +181,23 @@ class TestBlocks:
         with pytest.raises(ShapeMismatch):
             adam_step(state, params, grads)
         assert state.step == 0
+
+    @pytest.mark.parametrize("make_state, step", [(AdamState, adam_step),
+                                                  (AdadeltaState, adadelta_step)])
+    def test_only_the_first_step_creates_state_arrays(self, make_state, step, monkeypatch):
+        params, grads = params_and_grads(4)
+        state = make_state()
+        step(state, params, grads)
+        slots = [s for s in vars(state).values() if isinstance(s, dict)]
+        first = [dict(s) for s in slots]
+        created = []
+        zeros_like = np.zeros_like
+
+        def counting_zeros_like(a, *args, **kwargs):
+            created.append(a.shape)
+            return zeros_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+        step(state, params, grads)
+        assert created == []
+        assert all(s[name] is f[name] for s, f in zip(slots, first) for name in params)

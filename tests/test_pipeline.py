@@ -7,8 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from sdprel import pipeline as pipeline_mod
 from sdprel.checkpoint import checkpoint_bytes
-from sdprel.corpus import generalize, generate_candidates, load_corpus
+from sdprel.corpus import (
+    Entity,
+    SentenceRecord,
+    generalize,
+    generate_candidates,
+    load_corpus,
+)
 from sdprel.depgraph import (
+    MAX_SDP_TOKENS,
     build_graph,
     load_dependencies,
     sdp_endpoints,
@@ -19,6 +26,7 @@ from sdprel.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyTrainingSet,
+    EntityNotInSentence,
     FormatError,
     InputError,
     MissingDependencyData,
@@ -56,7 +64,12 @@ from sdprel.pipeline import (
     train,
 )
 
-from helpers import reference_cross_validate, synthetic_corpus, write_lines
+from helpers import (
+    reference_cross_validate,
+    reference_preprocess,
+    synthetic_corpus,
+    write_lines,
+)
 
 
 SMALL = dict(
@@ -535,6 +548,116 @@ class TestInstancesFileV2:
         doc["instances"][0][key] = doc["instances"][0][key][:-1]
         with pytest.raises(FormatError, match="equal length"):
             instances_from_json(json.dumps(doc))
+
+
+WORDS = ("binds", "with", "the", "of", "kinase", "and", "to")
+TAGS = ("NN", "VBZ", "IN", "DT", "CC", "XX")  # no PoS table names XX
+
+
+@st.composite
+def multi_mention_corpora(draw):
+    """(sentences, deps) of 1-4 sentences with 1-7 mentions of 1-3 tokens each.
+
+    Edges join generalized slots.  A sentence's graph is a random forest with
+    a few extra edges, or a chain over more than MAX_SDP_TOKENS slots, or it
+    has no dependency data at all."""
+    rng = draw(st.randoms(use_true_random=False))
+    sentences, deps = [], {}
+    for j in range(draw(st.integers(1, 4))):
+        sid = f"s{j}"
+        mentions = draw(st.integers(1, 7))
+        chain = draw(st.integers(0, 4)) == 0
+        fillers = rng.randint(MAX_SDP_TOKENS, MAX_SDP_TOKENS + 8) if chain else rng.randint(0, 8)
+        slots = [True] * mentions + [False] * fillers
+        rng.shuffle(slots)
+        ids = [f"e{k}" for k in range(mentions)]
+        rng.shuffle(ids)
+        tokens, tags, entities = [], [], []
+        for is_mention in slots:
+            start = len(tokens)
+            for _ in range(rng.randint(1, 3) if is_mention else 1):
+                tokens.append(rng.choice(WORDS))
+                tags.append(rng.choice(TAGS))
+            if is_mention:
+                entities.append(Entity(ids[len(entities)], start, len(tokens) - 1))
+        rng.shuffle(entities)
+        interactions = frozenset(frozenset((a, b)) for i, a in enumerate(ids)
+                                 for b in ids[i + 1:] if rng.random() < 0.3)
+        sentences.append(SentenceRecord(sid, tuple(tokens), tuple(tags), tuple(entities),
+                                        interactions))
+        n = len(slots)
+        if chain:
+            deps[sid] = [(i, i + 1, "a") if rng.random() < 0.5 else (i + 1, i, "a")
+                         for i in range(n - 1)]
+        elif rng.random() < 0.85:
+            edges = [(i, rng.randrange(i), "a") for i in range(1, n) if rng.random() < 0.8]
+            for _ in range(rng.randint(0, 3) if n > 1 else 0):
+                edges.append((*rng.sample(range(n), 2), "x"))
+            deps[sid] = edges
+    return sentences, deps
+
+
+class TestPerSentencePreprocess:
+    @given(corpus=multi_mention_corpora(), window=st.integers(5, 12),
+           use_pos=st.booleans(),
+           pos_table=st.sampled_from([None, {"NN": 3, "VBZ": 1, "XX": 6}]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_pair_loop(self, corpus, window, use_pos, pos_table):
+        sentences, deps = corpus
+        config = TrainConfig(position_window=window, use_pos=use_pos)
+        got = preprocess(sentences, deps, config, pos_table=pos_table)
+        want = reference_preprocess(sentences, deps, config, pos_table=pos_table)
+        same_instances(got, want)
+        for a, b in zip(got.instances, want.instances):
+            assert [type(c) for c in a.pos_classes] == [type(c) for c in b.pos_classes]
+        same_instances(instances_from_json(instances_to_json(got, config)), want)
+
+    def test_the_generator_reaches_every_outcome(self):
+        """The property above sees both exclusion reasons and multi-token spans."""
+        reasons, widths = set(), set()
+
+        @given(corpus=multi_mention_corpora())
+        @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        def collect(corpus):
+            sentences, deps = corpus
+            result = preprocess(sentences, deps, TrainConfig())
+            reasons.update(e.reason for e in result.excluded)
+            reasons.add("evaluable" if result.instances else "none")
+            widths.update(e.token_end - e.token_start + 1 for s in sentences
+                          for e in s.entities)
+
+        collect()
+        assert {"disconnected", "path_too_long", "evaluable"} <= reasons
+        assert widths == {1, 2, 3}
+
+    def test_unknown_mention_raises(self):
+        s = SentenceRecord("s", ("A", "binds", "B"), ("NN", "VBZ", "NN"),
+                           (Entity("e1", 0, 1), Entity("e2", 1, 1)))
+        with pytest.raises(EntityNotInSentence, match="e2"):
+            preprocess([s], {"s": [(0, 1, "a")]}, TrainConfig())
+
+    def test_position_codes_are_shared_and_read_only(self, synth_instances):
+        back = instances_from_json(instances_to_json(synth_instances, small_config()))
+        for result in (synth_instances, back):
+            by_length = {}
+            for inst in result.instances:
+                for codes in (inst.pos1_codes, inst.pos2_codes):
+                    assert not codes.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        codes[0, 0] = 1.0
+                first = by_length.setdefault(len(inst.tokens), inst)
+                assert inst.pos1_codes is first.pos1_codes
+                assert inst.pos2_codes is first.pos2_codes
+            assert len(by_length) < len(result.instances)
+
+    def test_replaced_codes_leave_the_shared_matrices(self, synth_instances):
+        inst = synth_instances.instances[0]
+        before = inst.pos1_codes.copy()
+        own = dataclasses.replace(inst, pos1_codes=inst.pos1_codes.copy())
+        own.pos1_codes[0, 0] = 1.0 - own.pos1_codes[0, 0]
+        assert own.tokens == inst.tokens and own.pos2_codes is inst.pos2_codes
+        assert np.array_equal(inst.pos1_codes, before)
+        assert not np.array_equal(own.pos1_codes, before)
 
 
 class TestAutoencoderPretraining:

@@ -6,6 +6,7 @@ from sdprel.corpus import (
     Entity,
     SentenceRecord,
     class_stats,
+    collapse_entities,
     generalize,
     generate_candidates,
     load_corpus,
@@ -157,6 +158,15 @@ class TestGeneralize:
     def test_unknown_entity(self, table1_record):
         with pytest.raises(EntityNotInSentence):
             generalize(table1_record, CandidatePair("s1", "e1", "e99", 0))
+
+    def test_mention_inside_another_span_does_not_survive(self):
+        rec = SentenceRecord("s", ("A", "B", "binds", "C"), ("NN",) * 4,
+                             (Entity("e1", 0, 1), Entity("e2", 1, 1), Entity("e3", 3, 3)))
+        collapsed = collapse_entities(rec)
+        assert collapsed.record.tokens == ("PROTX", "binds", "PROTX")
+        assert collapsed.nodes == {"e1": 0, "e3": 2}
+        with pytest.raises(EntityNotInSentence, match="e2"):
+            generalize(rec, CandidatePair("s", "e2", "e3", 0))
 
 
 class TestSplitFolds:

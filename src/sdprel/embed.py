@@ -2,8 +2,10 @@
 
 Embeddings load from word2vec text format (header line ``<vocab> <dim>``,
 then one ``word v1 .. vD`` row per line; gzip accepted for ``.gz`` paths).
-Out-of-vocabulary tokens get a deterministic hash-seeded vector so repeated
-runs see identical inputs.
+Rows are parsed in chunks of ``CHUNK_LINES`` lines by numpy's C reader, so
+the text of at most one chunk is held at a time; each word's vector is a
+read-only row of its chunk's matrix.  Out-of-vocabulary tokens get a
+deterministic hash-seeded vector so repeated runs see identical inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError, reading_text
 
 OOV_SCALE = 0.05
+# Rows per np.loadtxt call: enough to amortise its per-call cost, few enough
+# that one chunk's text (about 64 KiB at 200 dimensions) is all that is held.
+CHUNK_LINES = 32
+# numpy's C reader strips these around a value as whitespace; Python's float,
+# which defines the accepted syntax, rejects them.
+_C_READER_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -33,7 +41,15 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
-    """Read a word2vec text file; first occurrence wins on duplicate words."""
+    """Read a word2vec text file into read-only vectors.
+
+    Per line: one trailing space is dropped, and empty or single-space lines
+    are skipped.  A row whose value count is not the header's dimension is a
+    DimensionMismatch, checked before its values are parsed; a value that
+    Python's ``float`` does not accept is a FormatError.  Either error names
+    the first bad line.  The first occurrence of a word wins; later ones are
+    counted in ``duplicate_count`` and never parsed.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
         header = fh.readline().split()
@@ -46,29 +62,62 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
             raise FormatError(f"{path}: non-integer header {header}") from None
         if dim < 1:
             raise FormatError(f"{path}: dimension must be positive, got {dim}")
-        vocab: dict[str, np.ndarray] = {}
+        # words in file order; a word whose chunk is not parsed yet maps to None
+        vocab: dict[str, np.ndarray | None] = {}
         duplicates = 0
+        chunk: list[tuple[int, str, str]] = []  # (line number, word, values text)
         for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if parts and parts[-1] == "":
-                parts.pop()
-            if not parts or parts == [""]:
+            text = line.rstrip("\n")
+            if text.endswith(" "):
+                text = text[:-1]
+            if not text:
                 continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
+            count = text.count(" ")
+            if count != dim:
+                _parse_chunk(path, dim, chunk, vocab)  # an earlier bad value is reported first
                 raise DimensionMismatch(
-                    f"{path}:{line_no}: {len(values)} values for declared dimension {dim}"
+                    f"{path}:{line_no}: {count} values for declared dimension {dim}"
                 )
+            word, _, values = text.partition(" ")
             if word in vocab:
                 duplicates += 1
                 continue
-            try:
-                vocab[word] = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
+            vocab[word] = None
+            chunk.append((line_no, word, values))
+            if len(chunk) == CHUNK_LINES:
+                _parse_chunk(path, dim, chunk, vocab)
+        _parse_chunk(path, dim, chunk, vocab)
     return EmbeddingTable(
         dimension=dim, vocabulary=vocab, oov_seed=oov_seed, duplicate_count=duplicates
     )
+
+
+def _parse_chunk(path, dim: int, chunk: list[tuple[int, str, str]], vocab: dict) -> None:
+    """Parse the chunk's rows into one read-only matrix, point each word at
+    its row and empty the chunk.  A chunk the C reader rejects, or may read
+    differently from ``float``, is parsed row by row instead."""
+    if not chunk:
+        return
+    texts = [values for _, _, values in chunk]
+    rows = None
+    if not any(c in "".join(texts) for c in _C_READER_ONLY_SPACES):
+        try:
+            rows = np.loadtxt(texts, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape != (len(chunk), dim):
+        rows = np.array([_parse_row(path, line_no, values) for line_no, _, values in chunk])
+    rows.flags.writeable = False
+    for (_, word, _), row in zip(chunk, rows):
+        vocab[word] = row
+    chunk.clear()
+
+
+def _parse_row(path, line_no: int, values: str) -> np.ndarray:
+    try:
+        return np.array(values.split(" "), dtype=np.float64)
+    except ValueError:
+        raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
 
 
 def oov_vector(token: str, dimension: int, oov_seed: int) -> np.ndarray:

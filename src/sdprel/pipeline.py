@@ -494,8 +494,18 @@ class Vectorizer:
 
 def _load_table(config: TrainConfig, oov_seed: int) -> EmbeddingTable:
     if config.embedding_path:
-        return load_embeddings(config.embedding_path, oov_seed=oov_seed)
+        table = load_embeddings(config.embedding_path, oov_seed=oov_seed)
+        return _checked_dimension(config, table, config.embedding_path)
     return EmbeddingTable.empty(config.embedding_dim, oov_seed=oov_seed)
+
+
+def _checked_dimension(config: TrainConfig, table: EmbeddingTable, source) -> EmbeddingTable:
+    if table.dimension != config.embedding_dim:
+        raise DimensionMismatch(
+            f"{source} holds {table.dimension}-d vectors, "
+            f"the config sets embedding_dim={config.embedding_dim}"
+        )
+    return table
 
 
 def pretrain_autoencoders(
@@ -684,7 +694,10 @@ def train(
     config.validate()
     if not instances:
         raise EmptyTrainingSet("no training instances")
-    table = embeddings if embeddings is not None else _load_table(config, config.seed)
+    if embeddings is None:
+        table = _load_table(config, config.seed)
+    else:
+        table = _checked_dimension(config, embeddings, "the embedding table")
     if autoencoders is None:
         pos_ae, position_ae = pretrain_autoencoders(config, instances)
     else:

@@ -7,12 +7,13 @@ backprop, a scalar-loop LSTM cell, a per-instance forward and backward pass
 of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
-own autoencoders, and a per-gate split of fused LSTM tensors for version 1
-checkpoints.
+own autoencoders, a per-gate split of fused LSTM tensors for version 1
+checkpoints, and a word-vector loader that parses one row at a time.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import random
@@ -21,6 +22,8 @@ import struct
 import numpy as np
 
 from sdprel.checkpoint import FORMAT_VERSION, MAGIC
+from sdprel.embed import EmbeddingTable
+from sdprel.errors import DimensionMismatch, FormatError, reading_text
 from sdprel.neural import ACTIVATIONS, GATES, cross_entropy, sigmoid, softmax
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,49 @@ def reference_cross_validate(config, result, embeddings=None, pos_table=None):
         macro_precision=sum(m.precision for m in per_fold) / k,
         macro_recall=sum(m.recall for m in per_fold) / k,
         macro_f1=sum(m.f1 for m in per_fold) / k,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Word-vector oracle
+
+
+def reference_load_embeddings(path, oov_seed=0):
+    """Read a word2vec text file one row at a time: split the line, check the
+    value count, skip a duplicate word, then one ``np.array`` per row."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")
+        try:
+            declared, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise FormatError(f"{path}: non-integer header {header}") from None
+        if dim < 1:
+            raise FormatError(f"{path}: dimension must be positive, got {dim}")
+        vocab = {}
+        duplicates = 0
+        for line_no, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(" ")
+            if parts and parts[-1] == "":
+                parts.pop()
+            if not parts or parts == [""]:
+                continue
+            word, values = parts[0], parts[1:]
+            if len(values) != dim:
+                raise DimensionMismatch(
+                    f"{path}:{line_no}: {len(values)} values for declared dimension {dim}"
+                )
+            if word in vocab:
+                duplicates += 1
+                continue
+            try:
+                vocab[word] = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
+    return EmbeddingTable(
+        dimension=dim, vocabulary=vocab, oov_seed=oov_seed, duplicate_count=duplicates
     )
 
 

@@ -256,6 +256,55 @@ class TestTrainEvaluatePredict:
         assert "numeric failure" in capsys.readouterr().err
 
 
+def write_vectors(path, dim):
+    rows = [f"{word} " + " ".join(f"{(i + k) / 10}" for k in range(dim))
+            for i, word in enumerate(("GeneA0", "interacts", "with"))]
+    path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+class TestEmbeddingDimension:
+    """A vectors file whose dimension is not the config's embedding_dim (8)
+    exits 2 with a message naming both."""
+
+    @pytest.fixture
+    def vectors(self, workdir):
+        (workdir / "vconfig").write_text(
+            CONFIG_TEXT + f"embedding_path={workdir / 'vectors.txt'}\n", encoding="utf-8")
+        run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json")
+        return workdir / "vectors.txt"
+
+    def assert_mismatch(self, capsys, rc, vectors):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{vectors} holds 6-d vectors" in err and "embedding_dim=8" in err
+
+    def train(self, workdir):
+        return run("train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
+                   "--out", workdir / "model.sdpl")
+
+    def test_train(self, workdir, vectors, capsys):
+        write_vectors(vectors, 6)
+        self.assert_mismatch(capsys, self.train(workdir), vectors)
+        assert not (workdir / "model.sdpl").exists()
+
+    def test_cv(self, workdir, vectors, capsys):
+        write_vectors(vectors, 6)
+        rc = run("cv", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                 "--config", workdir / "vconfig", "--report", workdir / "cv.csv")
+        self.assert_mismatch(capsys, rc, vectors)
+        assert not (workdir / "cv.csv").exists()
+
+    def test_predict_after_the_file_changed(self, workdir, vectors, capsys):
+        write_vectors(vectors, 8)
+        assert self.train(workdir) == 0
+        capsys.readouterr()
+        write_vectors(vectors, 6)
+        rc = run("predict", "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json")
+        self.assert_mismatch(capsys, rc, vectors)
+
+
 class TestCvCommand:
     def test_cv_runs_and_is_deterministic(self, workdir, capsys):
         args = (

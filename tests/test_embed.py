@@ -1,9 +1,15 @@
 import gzip
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sdprel.embed import (
+    CHUNK_LINES,
     OOV_SCALE,
     EmbeddingTable,
     assemble,
@@ -11,7 +17,9 @@ from sdprel.embed import (
     lookup,
     oov_vector,
 )
-from sdprel.errors import DimensionMismatch, FormatError
+from sdprel.errors import DimensionMismatch, FormatError, InputError
+
+from helpers import reference_load_embeddings
 
 
 def write_vectors(path, header, rows):
@@ -61,6 +69,143 @@ class TestLoadEmbeddings:
             fh.write("1 3\nword 1 2 3\n")
         table = load_embeddings(path)
         assert np.array_equal(table.vocabulary["word"], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("row, error, reason", [
+        ("w 1 x", FormatError, "non-numeric vector value"),
+        ("w 1 2 3", DimensionMismatch, "3 values for declared dimension 2"),
+    ])
+    def test_error_on_the_first_line_of_the_second_chunk(self, tmp_path, row, error, reason):
+        rows = [f"v{i} {i} -{i}" for i in range(CHUNK_LINES)] + [row, "z 0 0"]
+        path = write_vectors(tmp_path / "emb.txt", f"{len(rows)} 2", rows)
+        # the header is line 1, so the first chunk holds lines 2 .. CHUNK_LINES + 1
+        with pytest.raises(error, match=f"emb.txt:{CHUNK_LINES + 2}: {reason}"):
+            load_embeddings(path)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = write_vectors(tmp_path / "emb.txt", "0 5", [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_embeddings(path)
+        assert table.dimension == 5
+        assert table.vocabulary == {}
+        assert table.duplicate_count == 0
+
+    def test_vectors_are_read_only(self, tmp_path):
+        path = write_vectors(tmp_path / "emb.txt", "2 2", ["a 1 2", "b 3 4"])
+        vec = load_embeddings(path).vocabulary["b"]
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+
+    def test_text_is_not_held_beyond_a_chunk(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n, dim = 2000, 200
+        rows = [f"w{i} " + " ".join(map(repr, rng.normal(size=dim).tolist())) for i in range(n)]
+        path = write_vectors(tmp_path / "emb.txt", f"{n} {dim}", rows)
+        vector_bytes = n * dim * 8
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.vocabulary) == n
+        # the file's text is about 2.5x the vector bytes: reading it whole cannot pass
+        assert path.stat().st_size > 2 * vector_bytes
+        assert peak < 1.3 * vector_bytes + (1 << 18)
+
+
+# Words: ASCII, non-ASCII, empty, and with tabs or form feeds; never a space
+# or a line break.
+WORD = st.one_of(
+    st.sampled_from(["", "w", "W", "é", "a\tb", "x\x0cy", "٣"]),
+    st.text(alphabet="abPROT1-\t\x0b\x0cé", max_size=4),
+)
+# Values every reader must parse to the same float64 as Python's float.
+GOOD_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "0", "-0.0", "+1", ".5", "5.", "1e5", "-2.5E-3", "1e-400", "1e999", "-1e999",
+        "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1_0", "1_000.5", "١٢", "٣.٥",
+        "\t1", "2\t", "\x0c3", "4\x0b", "\xa05", "6\u2003",
+    ]),
+)
+# Values that are not numbers: empty (a double space), text, bad syntax, and
+# separators that numpy's C reader would take as whitespace.
+BAD_VALUE = st.sampled_from(["", "x", "1e", "0x1", "1,5", "--1", "1\x1c", "\x1f2", "1\x002"])
+
+
+@st.composite
+def vector_files(draw):
+    """(text, gzip?) of a word2vec file spanning up to four chunks, with blank
+    and space-only lines, trailing spaces, duplicate words and, sometimes, a
+    bad value or a wrong value count."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(WORD, min_size=1, max_size=6))
+    n = draw(st.integers(0, 3 * CHUNK_LINES + 8))
+    rows = []  # [word, values, trailing text], or a blank line as a string
+    for i in range(n):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            rows.append(draw(st.sampled_from(["", " "])))
+            continue
+        # unique words mostly, words from a small pool for duplicates
+        word = draw(st.sampled_from(pool)) if kind <= 2 else f"w{i}"
+        values = draw(st.lists(GOOD_VALUE, min_size=dim, max_size=dim))
+        rows.append([word, values, draw(st.sampled_from(["", "", " "]))])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, max(n - 1, 0)))
+        if n == 0 or isinstance(rows[at], str):
+            continue
+        values = rows[at][1]
+        fault = draw(st.sampled_from(["value", "value", "more", "fewer"]))
+        if fault == "value" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUE)
+        elif fault == "more":
+            values.append("1")
+        else:
+            values[-1:] = []
+    lines = [r if isinstance(r, str) else " ".join([r[0]] + r[1]) + r[2] for r in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join([f"{n} {dim}"] + lines) + draw(st.sampled_from(["", ending]))
+    return text, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def vector_dir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderMatchesReference:
+    @given(case=vector_files())
+    @example(case=("2 2\na 1_0 ١٢\nb \t1 2\x0c\n", False))  # the C reader rejects, float accepts
+    @example(case=("2 2\na 1 2\nb 1\x1c 2\n", False))  # the C reader accepts, float rejects
+    @example(case=("3 2\na 1 x\nb 1 2 3\n", True))  # a bad value before a bad count
+    @example(case=("2 1\nb 1\n  \n", False))  # an empty value the C reader skips
+    @settings(max_examples=150, deadline=None)
+    def test_same_table_or_same_error(self, vector_dir, case):
+        text, compress = case
+        path = vector_dir / ("emb.txt.gz" if compress else "emb.txt")
+        data = text.encode("utf-8")
+        path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
+        want = outcome(reference_load_embeddings, path)
+        got = outcome(load_embeddings, path)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, EmbeddingTable)
+        assert (got.dimension, got.duplicate_count) == (want.dimension, want.duplicate_count)
+        assert list(got.vocabulary) == list(want.vocabulary)
+        for word, vec in want.vocabulary.items():
+            assert got.vocabulary[word].tobytes() == vec.tobytes(), word
 
 
 class TestLookup:

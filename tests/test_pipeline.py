@@ -755,6 +755,12 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(small_config(epochs=0), synth_instances.instances)
 
+    def test_embedding_table_of_another_dimension_rejected(self, synth_instances):
+        cfg = small_config()
+        table = EmbeddingTable.empty(cfg.embedding_dim + 1)
+        with pytest.raises(DimensionMismatch, match=r"13-d vectors.*embedding_dim=12"):
+            train(cfg, synth_instances.instances, embeddings=table)
+
     def test_deterministic_checkpoints(self, synth_instances):
         cfg = small_config(seed=21, epochs=8)
         a = train(cfg, synth_instances.instances)

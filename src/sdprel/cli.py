@@ -22,6 +22,7 @@ from .pipeline import (
     evaluate,
     instances_from_json,
     instances_to_json,
+    load_table,
     predict_all,
     preprocess,
     train,
@@ -110,7 +111,7 @@ def _cmd_train(args) -> int:
     if args.tune_embeddings:
         config = config.replace(tune_embeddings=True)
     result = _read_instances(args.instances, config, "config")
-    tr = train(config, result.instances)
+    tr = train(config, result.instances, pos_table=result.pos_table)
     save_checkpoint(tr.checkpoint, args.out)
     if args.losses:
         with open(args.losses, "w", encoding="utf-8") as fh:
@@ -124,7 +125,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ck = load_checkpoint(args.ck)
-    result = _read_instances(args.instances, ck.config, "checkpoint")
+    result = _read_instances(args.instances, ck.config, "checkpoint", ck.pos_table)
     metrics = evaluate(ck, result.instances, excluded=result.excluded)
     if args.report == "csv":
         print(REPORT_HEADER)
@@ -156,7 +157,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_predict(args) -> int:
     ck = load_checkpoint(args.ck)
-    result = _read_instances(args.instances, ck.config, "checkpoint")
+    result = _read_instances(args.instances, ck.config, "checkpoint", ck.pos_table)
     print("instance_id,predicted_label,prob_positive")
     for inst, (label, prob) in zip(result.instances, predict_all(ck, result.instances)):
         print(f"{inst.instance_id},{label},{prob:.6f}")
@@ -174,6 +175,7 @@ def _cmd_sweep(args) -> int:
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
+    table = load_table(base, base.seed)  # no sweep parameter changes the seed or the vectors
     rows = ["param,value,precision,recall,f1"]
     by_window = {}  # only position_window changes what preprocess makes
     for value in values:
@@ -181,7 +183,8 @@ def _cmd_sweep(args) -> int:
         if config.position_window not in by_window:
             by_window[config.position_window] = preprocess(
                 sentences, deps, config, pos_table=pos_table)
-        report = cross_validate(config, by_window[config.position_window], pos_table=pos_table)
+        report = cross_validate(config, by_window[config.position_window], embeddings=table,
+                                pos_table=pos_table)
         m = report.micro
         rows.append(
             f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"
@@ -192,8 +195,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_instances(path, config: TrainConfig, source: str):
-    """Parse an instances file; `source` (config or checkpoint) must use its features."""
+def _read_instances(path, config: TrainConfig, source: str, pos_table=None):
+    """Parse an instances file; `source` (config or checkpoint) must use its
+    features, and its PoS table where one is given."""
     with open(path, encoding="utf-8") as fh, reading_text(path):
         result = instances_from_json(fh.read())
     for key in ("position_window", "use_pos", "use_position"):
@@ -202,6 +206,13 @@ def _read_instances(path, config: TrainConfig, source: str):
             raise ConfigError(
                 f"{path} was made with {key}={made}, but the {source} has {key}={wanted}"
             )
+    if pos_table is not None and result.pos_table != pos_table:
+        differ = sorted(tag for tag in result.pos_table.keys() | pos_table.keys()
+                        if result.pos_table.get(tag) != pos_table.get(tag))
+        raise ConfigError(
+            f"{path} was made with another PoS table than the {source}'s; "
+            f"they differ on {len(differ)} tag(s), first {differ[:3]}"
+        )
     return result
 
 

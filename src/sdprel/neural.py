@@ -255,11 +255,12 @@ def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
     return states, acts, cells
 
 
-def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
+def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, input_grad: bool = True):
     """Reverse-mode through `_lstm_run(p, xs, pk)`.
 
     d_states is the gradient arriving at each packed row's hidden state.
-    Returns (gradients as an LstmParams, d_xs in packed order).
+    Returns (gradients as an LstmParams, d_xs in packed order or, without
+    `input_grad`, None).
     """
     states, acts, cells = run
     rows, units = states.shape
@@ -295,7 +296,7 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
         w_h=d_pre[pk.steps[0]:].T @ states[pk.prev],
         b=d_pre.sum(axis=0),
     )
-    return grads, d_pre @ p.w_x
+    return grads, d_pre @ p.w_x if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +471,24 @@ class BiLstmModel:
         cache.update(xs=xs, pack=pk, fwd=fwd, bwd=bwd, z=z)
         return cache
 
-    def backward_batch(self, cache, labels):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+    def backward_batch(self, cache, labels, input_grad=True):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
+        unless `input_grad` is false."""
         head_grads, d_s = _head_backward(self.head, cache, labels)
         pk, z, units = cache["pack"], cache["z"], self.units
         d_z = np.zeros_like(z)
         d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
         xs = cache["xs"]
         fwd_grads, d_xs_f = _lstm_backprop(
-            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk)
+            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk, input_grad)
         bwd_grads, d_xs_b = _lstm_backprop(
-            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk)
+            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk, input_grad)
         grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
-        d_xs = np.empty_like(xs)
-        d_xs[pk.fwd] = d_xs_f
-        d_xs[pk.bwd] += d_xs_b
-        grads["__inputs__"] = d_xs
+        if input_grad:
+            d_xs = np.empty_like(xs)
+            d_xs[pk.fwd] = d_xs_f
+            d_xs[pk.bwd] += d_xs_b
+            grads["__inputs__"] = d_xs
         return grads
 
     def forward(self, xs, masks=None):
@@ -546,8 +549,9 @@ class RnnBaselineModel:
         cache.update(xs=xs, pack=pk, packed=packed, hs=hs)
         return cache
 
-    def backward_batch(self, cache, labels):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+    def backward_batch(self, cache, labels, input_grad=True):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
+        unless `input_grad` is false."""
         head_grads, d_s = _head_backward(self.head, cache, labels)
         pk, packed, hs = cache["pack"], cache["packed"], cache["hs"]
         d_in = np.zeros_like(hs)
@@ -563,9 +567,10 @@ class RnnBaselineModel:
         grads = RnnBaselineModel(
             d_pre.T @ packed, d_pre[pk.steps[0]:].T @ hs[pk.prev], d_pre.sum(axis=0), head_grads
         ).tensors()
-        d_xs = np.empty_like(cache["xs"])
-        d_xs[pk.fwd] = d_pre @ self.w_in
-        grads["__inputs__"] = d_xs
+        if input_grad:
+            d_xs = np.empty_like(cache["xs"])
+            d_xs[pk.fwd] = d_pre @ self.w_in
+            grads["__inputs__"] = d_xs
         return grads
 
     def forward(self, xs, masks=None):
@@ -623,15 +628,17 @@ class MlpBaselineModel:
         cache.update(xs=xs, pack=pk)
         return cache
 
-    def backward_batch(self, cache, labels):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs."""
+    def backward_batch(self, cache, labels, input_grad=True):
+        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
+        unless `input_grad` is false."""
         head_grads, d_flat = _head_backward(self.head, cache, labels)
         grads = _head_tensors(head_grads)
-        pk = cache["pack"]
-        d_xs = np.zeros_like(cache["xs"])
-        seq, pos, keep = self._kept(pk)
-        d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
-        grads["__inputs__"] = d_xs
+        if input_grad:
+            pk = cache["pack"]
+            d_xs = np.zeros_like(cache["xs"])
+            seq, pos, keep = self._kept(pk)
+            d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
+            grads["__inputs__"] = d_xs
         return grads
 
     def forward(self, xs, masks=None):

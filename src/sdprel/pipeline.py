@@ -2,7 +2,8 @@
 
 Instances flow as sparse codes (tokens, PoS classes, thermometer position
 codes).  The position codes depend only on the path length and the window, so
-the instances file (version 2) leaves them out and its reader derives them.
+the instances file (version 3, columnar) leaves them out and its reader
+derives them.
 The dense token vectors are assembled at training time because the feature
 autoencoders are fit on the training split only.
 """
@@ -13,6 +14,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,9 +48,9 @@ from .errors import (
     reading_text,
 )
 from .features import (
+    OTHER_CLASS,
     POS_DIM,
     Autoencoder,
-    coarse_pos,
     encode_dense,
     encode_pos_onehot,
     encode_position,
@@ -67,10 +69,13 @@ SPECIAL_TOKENS = (PROT1, PROT2, PROTX)
 
 REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
-INSTANCES_VERSION = 2
+INSTANCES_VERSION = 3
 POSITION_WINDOWS = range(5, 13)  # thermometer code widths the method allows
 EXCLUSION_REASONS = ("disconnected", "path_too_long")
 _ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
+_INSTANCE_FIELDS = (*_ID_FIELDS, "label", "tokens", "pos_tags", "pos_classes")
+_EXCLUDED_FIELDS = (*_ID_FIELDS, "label", "reason")
+_POS_CLASS_SET = frozenset(range(POS_DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +217,7 @@ class PreprocessResult:
     position_window: int
     use_pos: bool
     use_position: bool
+    pos_table: dict[str, int] = field(default_factory=load_pos_table)  # tag -> PoS class
 
     @property
     def generated(self) -> int:
@@ -283,9 +289,11 @@ def preprocess(
     Each sentence's entities are collapsed once, and one BFS runs from each
     first mention to all of its partners.  Instances of one path length
     share their read-only position code matrices; copy one before writing.
+    The result records the PoS table, the bundled one when none is given.
     """
     config.validate()
     window = config.position_window
+    pos_table = dict(pos_table) if pos_table is not None else load_pos_table()
     codes = _PositionCodes(window)
     instances: list[SdpInstance] = []
     excluded: list[ExcludedInstance] = []
@@ -301,7 +309,7 @@ def preprocess(
         collapsed = collapse_entities(s)
         graph = build_graph(collapsed.record, edges)
         tokens, tags = collapsed.record.tokens, collapsed.record.pos_tags
-        classes = [coarse_pos(t, pos_table) for t in tags]
+        classes = [pos_table.get(t, OTHER_CLASS) for t in tags]
         # candidates come ordered by prot1, so each source's pairs are adjacent
         for prot1, group in itertools.groupby(pairs, key=lambda p: p.prot1):
             group = list(group)
@@ -325,62 +333,46 @@ def preprocess(
                         pos2_codes=pos2_codes,
                     )
                 )
-    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
+    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position,
+                            pos_table)
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
-    """Compact version 2 document; the position codes are left to the reader."""
+    """Compact version 3 document.  The instances and the excluded pairs are
+    each an object of equal-length columns, one list per field; the position
+    codes are left to the reader."""
     doc = {
         "format": INSTANCES_FORMAT,
         "version": INSTANCES_VERSION,
         "position_window": result.position_window,
         "use_pos": config.use_pos,
         "use_position": config.use_position,
+        "pos_table": result.pos_table,
         "stats": result.stats(),
-        "instances": [
-            {
-                "instance_id": i.instance_id,
-                "sentence_id": i.sentence_id,
-                "prot1": i.prot1,
-                "prot2": i.prot2,
-                "label": i.label,
-                "tokens": list(i.tokens),
-                "pos_tags": list(i.pos_tags),
-                "pos_classes": list(i.pos_classes),
-            }
-            for i in result.instances
-        ],
-        "excluded": [dataclasses.asdict(e) for e in result.excluded],
+        "instances": {k: list(map(attrgetter(k), result.instances)) for k in _INSTANCE_FIELDS},
+        "excluded": {k: list(map(attrgetter(k), result.excluded)) for k in _EXCLUDED_FIELDS},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _require(ok: bool, entry, what: str) -> None:
-    if not ok:
-        raise FormatError(f"instance {entry.instance_id!r}: {what}")
-
-
-def _check_ids_and_label(entry: SdpInstance | ExcludedInstance) -> None:
-    _require(all(isinstance(getattr(entry, k), str) for k in _ID_FIELDS), entry,
-             f"{', '.join(_ID_FIELDS)} must be strings")
-    _require(type(entry.label) is int and entry.label in (0, 1), entry,
-             f"label must be 0 or 1, got {entry.label!r}")
-
-
 def instances_from_json(text: str) -> PreprocessResult:
-    """Parse an instances file of version 1 or 2; malformed content raises FormatError.
+    """Parse an instances file of version 1, 2 or 3; malformed content raises FormatError.
 
-    The position codes are derived from each path's length and the window, so
-    the code matrices that a version 1 file also holds are not read.
+    The rows of versions 1 and 2 are turned into version 3's columns, and one
+    set of checks over whole columns covers every version.  Only when one of
+    them fails are the rows checked one by one, so that the error names the
+    first bad instance.  Versions 1 and 2 were made with the bundled PoS
+    table.  The position codes are derived from each path's length and the
+    window, so the code matrices that a version 1 file also holds are not read.
     """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is not int or version not in (1, INSTANCES_VERSION):
+        if type(version) is not int or version not in (1, 2, INSTANCES_VERSION):
             raise ConfigError(
-                f"instances file version {version!r}, reader supports 1 and {INSTANCES_VERSION}"
+                f"instances file version {version!r}, reader supports 1, 2 and {INSTANCES_VERSION}"
             )
         window = doc["position_window"]
         if type(window) is not int or window not in POSITION_WINDOWS:
@@ -388,35 +380,112 @@ def instances_from_json(text: str) -> PreprocessResult:
         flags = doc["use_pos"], doc["use_position"]
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
-        codes = _PositionCodes(window)
-        instances = []
-        for i in doc["instances"]:
-            sequences = [i[k] for k in ("tokens", "pos_tags", "pos_classes")]
-            if not (all(isinstance(seq, list) for seq in sequences) and sequences[0]
-                    and len(set(map(len, sequences))) == 1):
-                raise FormatError(
-                    f"instance {i['instance_id']!r}: tokens, pos_tags and pos_classes "
-                    "must be non-empty lists of equal length"
-                )
-            tokens, pos_tags, pos_classes = map(tuple, sequences)
-            inst = SdpInstance(*(i[k] for k in _ID_FIELDS), i["label"], tokens, pos_tags,
-                               pos_classes, *codes[len(tokens)])
-            _check_ids_and_label(inst)
-            _require(all(isinstance(t, str) for t in tokens + pos_tags), inst,
-                     "tokens and pos_tags must be strings")
-            _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), inst,
-                     f"pos_classes must be integers in 0..{POS_DIM - 1}")
-            instances.append(inst)
-        excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
-        for e in excluded:
-            _check_ids_and_label(e)
-            _require(e.reason in EXCLUSION_REASONS, e,
-                     f"reason must be one of {EXCLUSION_REASONS}, got {e.reason!r}")
-        return PreprocessResult(instances, excluded, window, *flags)
+        pos_table = (_checked_pos_table(doc["pos_table"]) if version == INSTANCES_VERSION
+                     else load_pos_table())
+        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, version), window)
+        excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS, version))
+        return PreprocessResult(instances, excluded, window, *flags, pos_table)
     except KeyError as exc:
         raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed instances file: {exc}") from None
+
+
+def _checked_pos_table(table) -> dict[str, int]:
+    if not (type(table) is dict and _all_of(int, table.values())
+            and set(table.values()) <= _POS_CLASS_SET):
+        raise FormatError(f"pos_table must map tags to integers in 0..{POS_DIM - 1}")
+    return table
+
+
+def _columns(doc: dict, key: str, fields: tuple[str, ...], version: int) -> list[list]:
+    """The `fields` columns of doc[key]: version 3's object of equal-length
+    lists, or the rows (one object per entry) of versions 1 and 2."""
+    node = doc[key]
+    if version < INSTANCES_VERSION:
+        columns = [[row[k] for row in node] for k in fields]
+        # a version 1 instance also holds its code matrices; an excluded pair holds nothing else
+        if key == "excluded" and any(len(row) != len(fields) for row in node):
+            raise FormatError(f"malformed instances file: an excluded entry has keys besides {fields}")
+        return columns
+    if type(node) is not dict:
+        raise FormatError(f"{key} must be an object of columns")
+    unknown = node.keys() - set(fields)
+    if unknown:
+        raise FormatError(f"unknown {key} columns {sorted(unknown)}")
+    columns = [node[k] for k in fields]
+    if not (all(type(c) is list for c in columns) and len(set(map(len, columns))) == 1):
+        raise FormatError(f"the {key} columns must be lists of equal length")
+    return columns
+
+
+def _all_of(kind: type, values) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _labels_ok(labels: list) -> bool:
+    return _all_of(int, labels) and set(labels) <= {0, 1}
+
+
+def _require(ok: bool, instance_id, what: str) -> None:
+    if not ok:
+        raise FormatError(f"instance {instance_id!r}: {what}")
+
+
+def _check_ids_and_label(ids, label) -> None:
+    _require(all(isinstance(v, str) for v in ids), ids[0],
+             f"{', '.join(_ID_FIELDS)} must be strings")
+    _require(type(label) is int and label in (0, 1), ids[0],
+             f"label must be 0 or 1, got {label!r}")
+
+
+def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_classes) -> None:
+    """One instance's checks in order; the first that fails raises."""
+    sequences = (tokens, pos_tags, pos_classes)
+    _require(all(type(seq) is list for seq in sequences) and tokens
+             and len(set(map(len, sequences))) == 1, iid,
+             "tokens, pos_tags and pos_classes must be non-empty lists of equal length")
+    _check_ids_and_label((iid, sid, prot1, prot2), label)
+    _require(all(isinstance(t, str) for t in tokens + pos_tags), iid,
+             "tokens and pos_tags must be strings")
+    _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), iid,
+             f"pos_classes must be integers in 0..{POS_DIM - 1}")
+
+
+def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list, classes: list) -> bool:
+    """Whether every row passes `_check_instance_row`, judged over whole columns."""
+    if not _all_of(list, itertools.chain(tokens, tags, classes)):
+        return False
+    lengths = list(map(len, tokens))
+    if 0 in lengths or not lengths == list(map(len, tags)) == list(map(len, classes)):
+        return False
+    strings = itertools.chain(*ids, *map(itertools.chain.from_iterable, (tokens, tags)))
+    flat_classes = list(itertools.chain.from_iterable(classes))
+    return (_all_of(str, strings) and _labels_ok(labels)
+            and _all_of(int, flat_classes) and set(flat_classes) <= _POS_CLASS_SET)
+
+
+def _instances_of(columns: list[list], window: int) -> list[SdpInstance]:
+    """The instances of the columns; those of one path length share read-only
+    position codes."""
+    *ids, labels, tokens, tags, classes = columns
+    if not _instances_ok(ids, labels, tokens, tags, classes):
+        for row in zip(*columns):
+            _check_instance_row(*row)
+    codes = _PositionCodes(window)
+    return [SdpInstance(*head, tuple(toks), tuple(tgs), tuple(cls), *codes[len(toks)])
+            for *head, toks, tgs, cls in zip(*columns)]
+
+
+def _excluded_of(columns: list[list]) -> list[ExcludedInstance]:
+    *ids, labels, reasons = columns
+    if not (_all_of(str, itertools.chain(*ids)) and _labels_ok(labels)
+            and _all_of(str, reasons) and set(reasons) <= set(EXCLUSION_REASONS)):
+        for *row_ids, label, reason in zip(*columns):
+            _check_ids_and_label(row_ids, label)
+            _require(reason in EXCLUSION_REASONS, row_ids[0],
+                     f"reason must be one of {EXCLUSION_REASONS}, got {reason!r}")
+    return list(map(ExcludedInstance, *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +561,8 @@ class Vectorizer:
         return out
 
 
-def _load_table(config: TrainConfig, oov_seed: int) -> EmbeddingTable:
+def load_table(config: TrainConfig, oov_seed: int) -> EmbeddingTable:
+    """The config's word vectors, or an empty table of its dimension."""
     if config.embedding_path:
         table = load_embeddings(config.embedding_path, oov_seed=oov_seed)
         return _checked_dimension(config, table, config.embedding_path)
@@ -644,7 +714,7 @@ class Checkpoint:
 
     def build_vectorizer(self, table: EmbeddingTable | None = None) -> Vectorizer:
         if table is None:
-            table = _load_table(self.config, self.oov_seed)
+            table = load_table(self.config, self.oov_seed)
         elif table.oov_seed != self.oov_seed:
             raise ConfigError(f"embedding table has oov_seed {table.oov_seed}, "
                               f"the checkpoint was trained with oov_seed {self.oov_seed}")
@@ -695,7 +765,7 @@ def train(
     if not instances:
         raise EmptyTrainingSet("no training instances")
     if embeddings is None:
-        table = _load_table(config, config.seed)
+        table = load_table(config, config.seed)
     else:
         table = _checked_dimension(config, embeddings, "the embedding table")
     if autoencoders is None:
@@ -748,9 +818,9 @@ def train(
         loss = np.sum(cross_entropy(cache["probs"][:, 1], labels[batch]))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
-        grads = model.backward_batch(cache, labels[batch])
-        d_inputs = grads.pop("__inputs__")
+        grads = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings)
         if config.tune_embeddings:
+            d_inputs = grads.pop("__inputs__")
             grads["emb"] = np.zeros_like(emb)
             np.add.at(grads["emb"], rows, d_inputs[:, :word_dim])
         for name, g in grads.items():
@@ -951,7 +1021,7 @@ def cross_validate(
     """k-fold CV over all generated candidates (excluded ones included in
     the fold split so each is scored exactly once)."""
     config.validate()
-    table = embeddings if embeddings is not None else _load_table(config, config.seed)
+    table = embeddings if embeddings is not None else load_table(config, config.seed)
     ids = [i.instance_id for i in result.instances] + [
         e.instance_id for e in result.excluded
     ]

@@ -8,11 +8,14 @@ of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, a per-gate split of fused LSTM tensors for version 1
-checkpoints, and a word-vector loader that parses one row at a time.
+checkpoints, a word-vector loader that parses one row at a time, and the
+row-per-instance (version 2) instances file writer and reader, whose reader
+checks one instance at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -101,7 +104,7 @@ def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=F
         MAX_SDP_TOKENS, build_graph, sdp_endpoints, sdp_tokens, shortest_path,
     )
     from sdprel.errors import Disconnected, MissingDependencyData, PathTooLong
-    from sdprel.features import coarse_pos, encode_position
+    from sdprel.features import coarse_pos, encode_position, load_pos_table
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance
 
     config.validate()
@@ -133,7 +136,111 @@ def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=F
                 pos1_codes=np.stack([encode_position(k, window) for k in range(n)]),
                 pos2_codes=np.stack([encode_position(n - 1 - k, window) for k in range(n)]),
             ))
-    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position)
+    table = dict(pos_table) if pos_table is not None else load_pos_table()
+    return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position, table)
+
+
+# ---------------------------------------------------------------------------
+# Instances file oracle: version 2, one object per instance
+
+
+def reference_instances_to_json(result, config) -> str:
+    """The version 2 writer: compact JSON, one object per instance, no PoS table."""
+    doc = {
+        "format": "sdprel-instances",
+        "version": 2,
+        "position_window": result.position_window,
+        "use_pos": config.use_pos,
+        "use_position": config.use_position,
+        "stats": result.stats(),
+        "instances": [
+            {
+                "instance_id": i.instance_id,
+                "sentence_id": i.sentence_id,
+                "prot1": i.prot1,
+                "prot2": i.prot2,
+                "label": i.label,
+                "tokens": list(i.tokens),
+                "pos_tags": list(i.pos_tags),
+                "pos_classes": list(i.pos_classes),
+            }
+            for i in result.instances
+        ],
+        "excluded": [dataclasses.asdict(e) for e in result.excluded],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def reference_instances_from_json(text: str):
+    """The version 1 and 2 reader, which checks one instance at a time."""
+    from sdprel.errors import ConfigError
+    from sdprel.features import POS_DIM
+    from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance, _PositionCodes
+
+    id_fields = ("instance_id", "sentence_id", "prot1", "prot2")
+    reasons = ("disconnected", "path_too_long")
+
+    def require(ok, entry, what):
+        if not ok:
+            raise FormatError(f"instance {entry.instance_id!r}: {what}")
+
+    def check_ids_and_label(entry):
+        require(all(isinstance(getattr(entry, k), str) for k in id_fields), entry,
+                f"{', '.join(id_fields)} must be strings")
+        require(type(entry.label) is int and entry.label in (0, 1), entry,
+                f"label must be 0 or 1, got {entry.label!r}")
+
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("format") != "sdprel-instances":
+            raise ConfigError("not an sdprel instances file")
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, 2):
+            raise ConfigError(f"instances file version {version!r}, reader supports 1 and 2")
+        window = doc["position_window"]
+        if type(window) is not int or window not in range(5, 13):
+            raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
+        flags = doc["use_pos"], doc["use_position"]
+        if not all(type(flag) is bool for flag in flags):
+            raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
+        codes = _PositionCodes(window)
+        instances = []
+        for i in doc["instances"]:
+            sequences = [i[k] for k in ("tokens", "pos_tags", "pos_classes")]
+            if not (all(isinstance(seq, list) for seq in sequences) and sequences[0]
+                    and len(set(map(len, sequences))) == 1):
+                raise FormatError(
+                    f"instance {i['instance_id']!r}: tokens, pos_tags and pos_classes "
+                    "must be non-empty lists of equal length"
+                )
+            tokens, pos_tags, pos_classes = map(tuple, sequences)
+            inst = SdpInstance(*(i[k] for k in id_fields), i["label"], tokens, pos_tags,
+                               pos_classes, *codes[len(tokens)])
+            check_ids_and_label(inst)
+            require(all(isinstance(t, str) for t in tokens + pos_tags), inst,
+                    "tokens and pos_tags must be strings")
+            require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), inst,
+                    f"pos_classes must be integers in 0..{POS_DIM - 1}")
+            instances.append(inst)
+        excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
+        for e in excluded:
+            check_ids_and_label(e)
+            require(e.reason in reasons, e, f"reason must be one of {reasons}, got {e.reason!r}")
+        return PreprocessResult(instances, excluded, window, *flags)
+    except KeyError as exc:
+        raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed instances file: {exc}") from None
+
+
+def version_one_text(result, config) -> str:
+    """The same result as the version 1 writer laid it out: indented, codes stored."""
+    doc = json.loads(reference_instances_to_json(result, config))
+    doc["version"] = 1
+    for entry, inst in zip(doc["instances"], result.instances):
+        entry["pos1_codes"] = inst.pos1_codes.astype(int).tolist()
+        entry["pos2_codes"] = inst.pos2_codes.astype(int).tolist()
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +510,9 @@ def reference_cross_validate(config, result, embeddings=None, pos_table=None):
     """k-fold CV as one loop over the folds, in which each fold's ``train`` call
     fits that fold's autoencoders itself."""
     from sdprel.corpus import split_folds
-    from sdprel.pipeline import CvReport, FoldMetrics, _load_table, evaluate, train
+    from sdprel.pipeline import CvReport, FoldMetrics, evaluate, load_table, train
 
-    table = embeddings if embeddings is not None else _load_table(config, config.seed)
+    table = embeddings if embeddings is not None else load_table(config, config.seed)
     ids = [i.instance_id for i in result.instances] + [e.instance_id for e in result.excluded]
     folds = split_folds(ids, config.k_folds, config.seed)
     per_fold = []

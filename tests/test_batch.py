@@ -142,6 +142,22 @@ class TestOracleEquivalence:
         masks = per_instance_masks(model, len(lengths), rate, rng_for(5))
         assert_batch_matches_oracle(model, seqs, labels, masks)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameter_gradients_without_the_input_gradient(self, kind, rate):
+        model = make_model(kind, seed=10)
+        rng = rng_for(11)
+        lengths = [3, 1, 5, 5, 2, 9, 1]
+        xs = rng.normal(size=(sum(lengths), 5))
+        labels = rng.integers(0, 2, size=len(lengths))
+        masks = stacked(per_instance_masks(model, len(lengths), rate, rng_for(12)))
+        cache = model.forward_batch(xs, lengths, masks)
+        full = model.backward_batch(cache, labels)
+        params = model.backward_batch(cache, labels, input_grad=False)
+        assert set(params) == set(model.tensors()) == set(full) - {"__inputs__"}
+        for name, g in params.items():
+            assert np.array_equal(g, full[name]), name
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_deeper_heads(self, activation):
         model = make_model("bilstm", seed=6, depth=2, activation=activation)

@@ -233,6 +233,35 @@ class TestTrainEvaluatePredict:
             err = capsys.readouterr().err
             assert "position_window=6" in err and "position_window=10" in err
 
+    def test_train_stores_the_files_pos_table(self, workdir, capsys):
+        from sdprel.checkpoint import load_checkpoint
+
+        (workdir / "pos.tsv").write_text("NN\t3\nVBZ\t1\n", encoding="utf-8")
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json", "--pos-table", workdir / "pos.tsv")
+        assert run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+                   "--out", workdir / "model.sdpl") == 0
+        assert load_checkpoint(workdir / "model.sdpl").pos_table == {"NN": 3, "VBZ": 1}
+        assert run("evaluate", "--ck", workdir / "model.sdpl",
+                   "--instances", workdir / "inst.json") == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [("evaluate", "--report", "csv"), ("predict",)])
+    def test_pos_table_mismatch_is_exit_2(self, workdir, capsys, command):
+        (workdir / "pos.tsv").write_text("NN\t3\nVBZ\t1\n", encoding="utf-8")
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json")
+        run("preprocess", *common, "--out", workdir / "other.json", "--pos-table", workdir / "pos.tsv")
+        run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+            "--out", workdir / "model.sdpl")
+        capsys.readouterr()
+        rc = run(command[0], "--ck", workdir / "model.sdpl",
+                 "--instances", workdir / "other.json", *command[1:])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "other.json was made with another PoS table than the checkpoint's" in captured.err
+
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
             "preprocess",
@@ -391,6 +420,36 @@ class TestSweepCommand:
             assert run(*common, "--values", value, "--report", workdir / "one.csv") == 0
             rows.append((workdir / "one.csv").read_text().split("\n")[1])
         assert (workdir / "both.csv").read_text().split("\n")[1:3] == rows
+        capsys.readouterr()
+
+    def test_sweep_loads_the_vectors_once(self, workdir, monkeypatch, capsys):
+        import sdprel.pipeline as pipeline_mod
+        from sdprel.pipeline import TrainConfig, cross_validate, preprocess
+        from sdprel.corpus import load_corpus
+        from sdprel.depgraph import load_dependencies
+
+        write_vectors(workdir / "vectors.txt", 8)
+        (workdir / "vconfig").write_text(
+            CONFIG_TEXT + f"embedding_path={workdir / 'vectors.txt'}\n", encoding="utf-8")
+        loads = []
+        real = pipeline_mod.load_embeddings
+        monkeypatch.setattr(pipeline_mod, "load_embeddings",
+                            lambda *a, **kw: loads.append(a) or real(*a, **kw))
+        assert run("sweep", "--param", "window", "--values", "6,8,10",
+                   "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                   "--config", workdir / "vconfig", "--report", workdir / "sweep.csv") == 0
+        assert len(loads) == 1
+        # the same report as cross-validating each value with its own load of the vectors
+        base = TrainConfig.from_file(workdir / "vconfig")
+        sentences = load_corpus(workdir / "corpus.tsv")
+        deps = load_dependencies(workdir / "deps.tsv")
+        rows = ["param,value,precision,recall,f1"]
+        for window in (6, 8, 10):
+            config = base.replace(position_window=window)
+            m = cross_validate(config, preprocess(sentences, deps, config)).micro
+            rows.append(f"window,{window},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}")
+        assert len(loads) == 4
+        assert (workdir / "sweep.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
         capsys.readouterr()
 
     def test_pos_table_sweep_matches_cv(self, workdir, monkeypatch, capsys):

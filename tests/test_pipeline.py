@@ -42,6 +42,7 @@ from sdprel.features import (
     encode_dense,
     encode_pos_onehot,
     encode_position,
+    load_pos_table,
 )
 from sdprel.optim import adam_step
 from sdprel.pipeline import (
@@ -66,8 +67,11 @@ from sdprel.pipeline import (
 
 from helpers import (
     reference_cross_validate,
+    reference_instances_from_json,
+    reference_instances_to_json,
     reference_preprocess,
     synthetic_corpus,
+    version_one_text,
     write_lines,
 )
 
@@ -197,9 +201,9 @@ ID_KEYS = ("instance_id", "sentence_id", "prot1", "prot2")
 
 
 def tiny_document():
-    """A valid instances document with one instance and one excluded pair."""
+    """A valid version 2 instances document with one instance and one excluded pair."""
     return {
-        "format": INSTANCES_FORMAT, "version": INSTANCES_VERSION, "position_window": 10,
+        "format": INSTANCES_FORMAT, "version": 2, "position_window": 10,
         "use_pos": True, "use_position": True,
         "instances": [{
             "instance_id": "s1:e0-e1", "sentence_id": "s1", "prot1": "e0", "prot2": "e1",
@@ -211,6 +215,30 @@ def tiny_document():
             "label": 0, "reason": "disconnected",
         }],
     }
+
+
+def columns_of(rows):
+    return {k: [row[k] for row in rows] for k in rows[0]}
+
+
+def tiny_document_v3():
+    """tiny_document laid out as version 3 columns, with a PoS table."""
+    doc = tiny_document()
+    doc.update(version=3, pos_table={"NN": 0, "VBZ": 1},
+               instances=columns_of(doc["instances"]), excluded=columns_of(doc["excluded"]))
+    return doc
+
+
+def rows_of(columns):
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def as_version_two(doc):
+    """A version 3 document laid out as version 2 rows, without its PoS table."""
+    doc = dict(doc, version=2, instances=rows_of(doc["instances"]),
+               excluded=rows_of(doc["excluded"]))
+    del doc["pos_table"]
+    return doc
 
 
 def leaf_paths(node, prefix=()):
@@ -231,9 +259,10 @@ def replaced(doc, path, value):
 
 
 @st.composite
-def near_valid_documents(draw):
-    """tiny_document with at most one scalar replaced by another JSON value."""
-    doc = tiny_document()
+def near_valid_documents(draw, layouts=(tiny_document, tiny_document_v3)):
+    """tiny_document (version 2 or 3) with at most one scalar replaced by
+    another JSON value."""
+    doc = draw(st.sampled_from(layouts))()
     path = draw(st.sampled_from([None, *leaf_paths(doc)]))
     if path is None:
         return doc
@@ -333,7 +362,7 @@ class TestPreprocess:
 
     def test_json_missing_key_is_named(self, synth_instances):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
-        del doc["instances"][0]["tokens"]
+        del doc["instances"]["tokens"]
         with pytest.raises(FormatError, match="'tokens'"):
             instances_from_json(json.dumps(doc))
 
@@ -350,7 +379,7 @@ class TestPreprocess:
             pass
 
     @given(doc=st.fixed_dictionaries(
-        {"format": st.just(INSTANCES_FORMAT), "version": st.just(INSTANCES_VERSION)},
+        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([1, 2])},
         optional={
             "position_window": JSON_VALUES,
             "use_pos": JSON_VALUES,
@@ -367,6 +396,27 @@ class TestPreprocess:
             instances_from_json(json.dumps(doc))
         except InputError:
             pass
+
+    @given(doc=st.fixed_dictionaries(
+        {"format": st.just(INSTANCES_FORMAT), "version": st.just(INSTANCES_VERSION)},
+        optional={
+            "position_window": st.integers(4, 13) | JSON_VALUES,
+            "use_pos": st.booleans() | JSON_VALUES,
+            "use_position": st.booleans() | JSON_VALUES,
+            "pos_table": st.dictionaries(st.text(max_size=3), st.integers(-1, 8)) | JSON_VALUES,
+            "instances": st.dictionaries(INSTANCE_KEYS, st.lists(JSON_VALUES, max_size=2))
+            | JSON_VALUES,
+            "excluded": st.dictionaries(EXCLUDED_KEYS, st.lists(JSON_VALUES, max_size=2))
+            | JSON_VALUES,
+        },
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_random_column_documents_raise_only_input_errors(self, doc):
+        try:
+            result = instances_from_json(json.dumps(doc))
+        except InputError:
+            return
+        assert_well_typed(result)
 
     @given(doc=near_valid_documents())
     @settings(max_examples=300, deadline=None)
@@ -389,10 +439,27 @@ class TestPreprocess:
         (("instances", 0, "pos_classes", 2), "0"),
         (("instances", 0, "prot2"), 3),
         (("excluded", 0, "sentence_id"), ["s1"]),
+        # version 3 columns: (kind, column, row, ...)
+        (("instances", "label", 0), 5),
+        (("instances", "label", 0), True),
+        (("excluded", "label", 0), "1"),
+        (("excluded", "reason", 0), "too_far"),
+        (("instances", "tokens", 0, 1), 7),
+        (("instances", "pos_tags", 0, 0), None),
+        (("instances", "pos_classes", 0, 2), 8),
+        (("instances", "pos_classes", 0, 2), -1),
+        (("instances", "prot2", 0), 3),
+        (("instances", "tokens", 0), []),
+        (("instances", "pos_tags", 0), "NN"),
+        (("excluded", "sentence_id", 0), ["s1"]),
     ])
     def test_ill_typed_value_is_format_error_naming_the_instance(self, path, value):
-        doc = replaced(tiny_document(), path, value)
-        name = doc[path[0]][0]["instance_id"]
+        if isinstance(path[1], int):
+            doc = replaced(tiny_document(), path, value)
+            name = doc[path[0]][0]["instance_id"]
+        else:
+            doc = replaced(tiny_document_v3(), path, value)
+            name = doc[path[0]]["instance_id"][path[2]]
         with pytest.raises(FormatError, match=f"instance '{name}'"):
             instances_from_json(json.dumps(doc))
 
@@ -403,9 +470,10 @@ class TestPreprocess:
                 instances_from_json(json.dumps(replaced(tiny_document(), (key,), value)))
 
     def test_tiny_document_is_read(self):
-        result = instances_from_json(json.dumps(tiny_document()))
-        assert_well_typed(result)
-        assert result.stats()["positives"] == result.stats()["negatives"] == 1
+        for doc in (tiny_document(), tiny_document_v3()):
+            result = instances_from_json(json.dumps(doc))
+            assert_well_typed(result)
+            assert result.stats()["positives"] == result.stats()["negatives"] == 1
 
     def test_graph_built_once_per_sentence(self, tmp_path, monkeypatch):
         import sdprel.pipeline as pl
@@ -483,24 +551,14 @@ def instance_sets(draw):
 
 
 def same_instances(a, b):
-    assert (a.position_window, a.use_pos, a.use_position) == (
-        b.position_window, b.use_pos, b.use_position)
+    assert (a.position_window, a.use_pos, a.use_position, a.pos_table) == (
+        b.position_window, b.use_pos, b.use_position, b.pos_table)
     assert a.excluded == b.excluded
     assert len(a.instances) == len(b.instances)
     for x, y in zip(a.instances, b.instances):
         for f in dataclasses.fields(SdpInstance):
             assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), f.name
         assert y.pos1_codes.dtype == y.pos2_codes.dtype == np.float64
-
-
-def version_one_text(result, config):
-    """The same result as the version 1 writer laid it out: indented, codes stored."""
-    doc = json.loads(instances_to_json(result, config))
-    doc["version"] = 1
-    for entry, inst in zip(doc["instances"], result.instances):
-        entry["pos1_codes"] = inst.pos1_codes.astype(int).tolist()
-        entry["pos2_codes"] = inst.pos2_codes.astype(int).tolist()
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 class TestInstancesFileV2:
@@ -517,7 +575,7 @@ class TestInstancesFileV2:
         cfg = small_config(position_window=7)
         result = preprocess(*long_synth, cfg)
         assert max(len(i.tokens) for i in result.instances) == 16  # past the cap
-        v2 = instances_from_json(instances_to_json(result, cfg))
+        v2 = instances_from_json(reference_instances_to_json(result, cfg))
         same_instances(instances_from_json(version_one_text(result, cfg)), v2)
         same_instances(v2, result)
 
@@ -526,7 +584,7 @@ class TestInstancesFileV2:
         doc = json.loads(version_one_text(synth_instances, cfg))
         doc["instances"][0]["pos1_codes"] = "not a matrix"
         same_instances(instances_from_json(json.dumps(doc)),
-                       instances_from_json(instances_to_json(synth_instances, cfg)))
+                       instances_from_json(reference_instances_to_json(synth_instances, cfg)))
 
     @pytest.mark.parametrize("window", [0, 4, 13, 10**9, True, "10", 10.0, None])
     def test_position_window_out_of_range_is_format_error(self, synth_instances, window):
@@ -535,16 +593,16 @@ class TestInstancesFileV2:
         with pytest.raises(FormatError, match="position_window"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [3, 0, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [4, 0, True, 2.0, "2", None])
     def test_unknown_version_is_rejected(self, synth_instances, version):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["version"] = version
-        with pytest.raises(ConfigError, match="supports 1 and 2"):
+        with pytest.raises(ConfigError, match="supports 1, 2 and 3"):
             instances_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["tokens", "pos_tags", "pos_classes"])
     def test_unequal_lengths_are_format_error(self, synth_instances, key):
-        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc = json.loads(reference_instances_to_json(synth_instances, small_config()))
         doc["instances"][0][key] = doc["instances"][0][key][:-1]
         with pytest.raises(FormatError, match="equal length"):
             instances_from_json(json.dumps(doc))
@@ -658,6 +716,152 @@ class TestPerSentencePreprocess:
         assert own.tokens == inst.tokens and own.pos2_codes is inst.pos2_codes
         assert np.array_equal(inst.pos1_codes, before)
         assert not np.array_equal(own.pos1_codes, before)
+
+
+@st.composite
+def preprocessed_corpora(draw):
+    """preprocess over a dense multi-mention corpus, as the benchmark makes them:
+    several mentions per sentence, both exclusion reasons, any PoS table."""
+    sentences, deps = draw(multi_mention_corpora())
+    config = TrainConfig(position_window=draw(st.integers(5, 12)), use_pos=draw(st.booleans()))
+    pos_table = draw(st.sampled_from([None, {"NN": 3, "VBZ": 1, "XX": 6}]))
+    return preprocess(sentences, deps, config, pos_table=pos_table)
+
+
+def features_config(result):
+    return TrainConfig(position_window=result.position_window, use_pos=result.use_pos,
+                       use_position=result.use_position)
+
+
+def outcome(read, text):
+    """What a reader makes of a text: its result, or its error's type and message."""
+    try:
+        return read(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+class TestInstancesFileV3:
+    @given(result=instance_sets() | preprocessed_corpora())
+    @settings(max_examples=120, deadline=None)
+    def test_round_trip_and_older_versions(self, result):
+        config = features_config(result)
+        text = instances_to_json(result, config)
+        doc = json.loads(text)
+        assert doc["version"] == 3 and "\n" not in text and '"pos1_codes"' not in text
+        assert all(type(c) is list and len(c) == len(result.instances)
+                   for c in doc["instances"].values())
+        v3 = instances_from_json(text)
+        same_instances(v3, result)
+        # an older file holds no PoS table: it reads as made with the bundled one
+        as_default = dataclasses.replace(v3, pos_table=load_pos_table())
+        v2_text = reference_instances_to_json(result, config)
+        for older in (v2_text, version_one_text(result, config)):
+            same_instances(instances_from_json(older), as_default)
+        same_instances(reference_instances_from_json(v2_text), as_default)
+
+    @given(doc=near_valid_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_row_by_row_reader(self, doc):
+        """A near-valid document, version 2 or 3, reads as the version 2 reader
+        reads its rows: the same instances, or the same error."""
+        columns = isinstance(doc["instances"], dict)
+        if doc["version"] != (3 if columns else 2):
+            return  # the two readers know different versions
+        if columns and not _valid_table(doc["pos_table"]):
+            with pytest.raises(FormatError, match="pos_table"):
+                instances_from_json(json.dumps(doc))
+            return
+        got = outcome(instances_from_json, json.dumps(doc))
+        want = outcome(reference_instances_from_json,
+                       json.dumps(as_version_two(doc) if columns else doc))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            same_instances(dataclasses.replace(got, pos_table=want.pos_table), want)
+
+    def test_valid_files_skip_the_row_checks(self, synth_instances, monkeypatch):
+        def refuse(*row):
+            raise AssertionError("row checks ran on a valid file")
+
+        monkeypatch.setattr(pipeline_mod, "_check_instance_row", refuse)
+        monkeypatch.setattr(pipeline_mod, "_check_ids_and_label", refuse)
+        cfg = small_config()
+        for text in (instances_to_json(synth_instances, cfg),
+                     reference_instances_to_json(synth_instances, cfg)):
+            assert len(instances_from_json(text).instances) == len(synth_instances.instances)
+
+    @pytest.mark.parametrize("kind,key", [("instances", "label"), ("instances", "tokens"),
+                                          ("excluded", "reason")])
+    def test_unequal_columns_are_format_error(self, kind, key):
+        doc = tiny_document_v3()
+        doc[kind][key].append(doc[kind][key][0])
+        with pytest.raises(FormatError, match=f"the {kind} columns must be lists of equal length"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["tokens", "pos_tags", "pos_classes"])
+    def test_unequal_sequences_are_format_error(self, synth_instances, key):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["instances"][key][1] = doc["instances"][key][1][:-1]
+        name = doc["instances"]["instance_id"][1]
+        with pytest.raises(FormatError, match=f"instance '{name}'.*equal length"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("layout", [tiny_document, tiny_document_v3])
+    def test_empty_path_is_format_error(self, layout):
+        doc = layout()
+        for key in ("tokens", "pos_tags", "pos_classes"):
+            if doc["version"] == 3:
+                doc["instances"][key][0] = []
+            else:
+                doc["instances"][0][key] = []
+        with pytest.raises(FormatError, match="instance 's1:e0-e1': .*non-empty lists"):
+            instances_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["instances", "excluded"])
+    def test_rows_or_unknown_columns_are_format_errors(self, kind):
+        doc = tiny_document_v3()
+        doc[kind]["pos1_codes"] = [[[0]]]
+        with pytest.raises(FormatError, match=f"unknown {kind} columns \\['pos1_codes'\\]"):
+            instances_from_json(json.dumps(doc))
+        doc[kind] = rows_of(tiny_document_v3()[kind])
+        with pytest.raises(FormatError, match=f"{kind} must be an object of columns"):
+            instances_from_json(json.dumps(doc))
+
+    def test_excluded_entry_with_another_key_is_format_error(self):
+        doc = tiny_document()
+        doc["excluded"][0]["note"] = "x"
+        with pytest.raises(FormatError, match="excluded entry has keys besides"):
+            instances_from_json(json.dumps(doc))
+
+    def test_preprocess_records_the_pos_table(self, synth):
+        sentences, deps = synth
+        assert preprocess(sentences, deps, small_config()).pos_table == load_pos_table()
+        table = {"NN": 3, "VBZ": 3}
+        result = preprocess(sentences, deps, small_config(), pos_table=table)
+        table["NN"] = 0
+        assert result.pos_table == {"NN": 3, "VBZ": 3}
+        back = instances_from_json(instances_to_json(result, small_config()))
+        assert back.pos_table == {"NN": 3, "VBZ": 3}
+        assert {c for i in back.instances for c in i.pos_classes} <= {3, 7}
+
+    @pytest.mark.parametrize("table", [{"NN": 8}, {"NN": -1}, {"NN": "0"}, {"NN": True},
+                                       {"NN": 1.0}, {"NN": None}, ["NN", 0], "NN", None])
+    def test_bad_pos_table_is_format_error(self, table):
+        doc = tiny_document_v3()
+        doc["pos_table"] = table
+        with pytest.raises(FormatError, match="pos_table must map tags to integers in 0..7"):
+            instances_from_json(json.dumps(doc))
+
+    def test_missing_pos_table_is_format_error(self):
+        doc = tiny_document_v3()
+        del doc["pos_table"]
+        with pytest.raises(FormatError, match="missing key 'pos_table'"):
+            instances_from_json(json.dumps(doc))
+
+
+def _valid_table(table):
+    return all(type(c) is int and 0 <= c <= 7 for c in table.values())
 
 
 class TestAutoencoderPretraining:
@@ -845,8 +1049,8 @@ class TestTrain:
         real_backward = BiLstmModel.backward_batch
         steps = []
 
-        def nan_backward(self, cache, labels):
-            grads = real_backward(self, cache, labels)
+        def nan_backward(self, cache, labels, **kw):
+            grads = real_backward(self, cache, labels, **kw)
             grads["head.w_out"][0, 0] = float("nan")
             return grads
 
@@ -855,6 +1059,22 @@ class TestTrain:
         with pytest.raises(NonFiniteGradient, match="head.w_out"):
             train(small_config(epochs=1), synth_instances.instances)
         assert steps == []
+
+    @pytest.mark.parametrize("tune", [False, True])
+    def test_input_gradient_only_when_tuning(self, synth_instances, monkeypatch, tune):
+        from sdprel.neural import BiLstmModel
+
+        real_backward = BiLstmModel.backward_batch
+        formed = []
+
+        def record_backward(self, cache, labels, **kw):
+            grads = real_backward(self, cache, labels, **kw)
+            formed.append("__inputs__" in grads)
+            return grads
+
+        monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
+        train(small_config(epochs=1, tune_embeddings=tune), synth_instances.instances)
+        assert formed and set(formed) == {tune}
 
     def test_word_only_ablation_trains(self, synth_instances):
         cfg = small_config(use_pos=False, use_position=False, epochs=5)
@@ -908,8 +1128,8 @@ class TestTrain:
             batches.append([xs, lengths])
             return real_forward(self, xs, lengths, masks)
 
-        def record_backward(self, cache, labels):
-            grads = real_backward(self, cache, labels)
+        def record_backward(self, cache, labels, **kw):
+            grads = real_backward(self, cache, labels, **kw)
             batches[-1].append(grads["__inputs__"].copy())
             return grads
 

@@ -255,12 +255,12 @@ def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
     return states, acts, cells
 
 
-def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, input_grad: bool = True):
+def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
     """Reverse-mode through `_lstm_run(p, xs, pk)`.
 
     d_states is the gradient arriving at each packed row's hidden state.
-    Returns (gradients as an LstmParams, d_xs in packed order or, without
-    `input_grad`, None).
+    Returns (gradients as an LstmParams, the (rows x 4H) gate gradients in
+    packed order); the gate gradients times p.w_x are d xs.
     """
     states, acts, cells = run
     rows, units = states.shape
@@ -296,7 +296,7 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, input_grad: bo
         w_h=d_pre[pk.steps[0]:].T @ states[pk.prev],
         b=d_pre.sum(axis=0),
     )
-    return grads, d_pre @ p.w_x if input_grad else None
+    return grads, d_pre
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +479,15 @@ class BiLstmModel:
         d_z = np.zeros_like(z)
         d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
         xs = cache["xs"]
-        fwd_grads, d_xs_f = _lstm_backprop(
-            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk, input_grad)
-        bwd_grads, d_xs_b = _lstm_backprop(
-            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk, input_grad)
+        fwd_grads, d_pre_f = _lstm_backprop(
+            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk)
+        bwd_grads, d_pre_b = _lstm_backprop(
+            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk)
         grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
         if input_grad:
             d_xs = np.empty_like(xs)
-            d_xs[pk.fwd] = d_xs_f
-            d_xs[pk.bwd] += d_xs_b
+            d_xs[pk.fwd] = d_pre_f @ self.forward_lstm.w_x
+            d_xs[pk.bwd] += d_pre_b @ self.backward_lstm.w_x
             grads["__inputs__"] = d_xs
         return grads
 

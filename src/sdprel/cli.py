@@ -158,8 +158,9 @@ def _cmd_cv(args) -> int:
 def _cmd_predict(args) -> int:
     ck = load_checkpoint(args.ck)
     result = _read_instances(args.instances, ck.config, "checkpoint", ck.pos_table)
+    scores = predict_all(ck, result.instances)
     print("instance_id,predicted_label,prob_positive")
-    for inst, (label, prob) in zip(result.instances, predict_all(ck, result.instances)):
+    for inst, (label, prob) in zip(result.instances, scores):
         print(f"{inst.instance_id},{label},{prob:.6f}")
     return 0
 

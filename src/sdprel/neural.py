@@ -5,18 +5,21 @@ gradients; no autodiff framework.  Three sequence classifiers share one MLP
 head: the BiLSTM-with-max-pooling model, a concatenation MLP baseline, and a
 final-hidden-state simple RNN baseline.
 
-Each LSTM direction keeps one fused (4H x .) matrix per weight kind, gate
-rows in GATES order (Appleyard et al. 2016).  Every model runs on batches:
-``forward_batch`` takes the rows of several sequences one after another and
-their lengths, and ``backward_batch`` returns the gradients summed over the
-batch.  The recurrent step loop runs over packed time-major rows (see
-``Packing``), so the input projection and each weight gradient is one matmul
-per batch.  ``forward`` and ``backward`` are views of one sequence as a
-batch of one.
+A model's weights are one float64 vector ``theta``.  Its named tensors, its
+head and its LSTM directions are views of it; a direction keeps one fused
+(4H x .) matrix per weight kind, gate rows in GATES order (Appleyard et al.
+2016).  Every model runs on batches: ``forward_batch`` takes the rows of
+several sequences one after another and their lengths, and
+``backward_batch`` returns the gradient summed over the batch as one vector
+in theta's layout.  The recurrent step loop runs over packed time-major rows
+(see ``Packing``), so the input projection and each weight gradient is one
+matmul per batch.  ``forward`` and ``backward`` are views of one sequence as
+a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,23 +191,19 @@ class LstmParams:
     def bias(self) -> dict[str, np.ndarray]:
         return _gate_rows(self.b)
 
-    def named(self, prefix: str) -> dict[str, np.ndarray]:
-        """The three arrays under their tensor names."""
-        return {f"{prefix}.w_in": self.w_x, f"{prefix}.w_rec": self.w_h, f"{prefix}.b": self.b}
-
 
 def _gate_rows(fused: np.ndarray) -> dict[str, np.ndarray]:
     return dict(zip(GATES, np.split(fused, len(GATES))))
 
 
-def init_lstm_params(rng: np.random.Generator, units: int, input_dim: int) -> LstmParams:
-    # per-gate Glorot blocks, drawn in GATES order
-    w_x = np.concatenate([glorot(rng, units, input_dim) for _ in GATES])
-    w_h = np.concatenate([glorot(rng, units, units) for _ in GATES])
-    b = np.zeros(len(GATES) * units)
-    # forget-gate bias starts at 1 so early steps keep their cell state
-    _gate_rows(b)["f"][...] = 1.0
-    return LstmParams(w_x=w_x, w_h=w_h, b=b)
+def _lstm_views(tensors: dict[str, np.ndarray], prefix: str) -> LstmParams:
+    return LstmParams(*(tensors[f"{prefix}.{name}"] for name in ("w_in", "w_rec", "b")))
+
+
+def _draw(rng: np.random.Generator, *weights: np.ndarray) -> None:
+    """Fill each matrix in place with a Glorot draw, one after another."""
+    for w in weights:
+        w[...] = glorot(rng, *w.shape)
 
 
 def lstm_cell(p: LstmParams, x, h_prev, c_prev):
@@ -255,12 +254,12 @@ def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
     return states, acts, cells
 
 
-def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
+def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, grads: LstmParams):
     """Reverse-mode through `_lstm_run(p, xs, pk)`.
 
     d_states is the gradient arriving at each packed row's hidden state.
-    Returns (gradients as an LstmParams, the (rows x 4H) gate gradients in
-    packed order); the gate gradients times p.w_x are d xs.
+    Writes the weight gradients into `grads` and returns the (rows x 4H)
+    gate gradients in packed order; those times p.w_x are d xs.
     """
     states, acts, cells = run
     rows, units = states.shape
@@ -291,12 +290,10 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing):
         dh_carry[:n] = d_pre[block].reshape(n, -1) @ p.w_h
         stop -= n
     d_pre = d_pre.reshape(rows, -1)
-    grads = LstmParams(
-        w_x=d_pre.T @ xs,
-        w_h=d_pre[pk.steps[0]:].T @ states[pk.prev],
-        b=d_pre.sum(axis=0),
-    )
-    return grads, d_pre
+    np.matmul(d_pre.T, xs, out=grads.w_x)
+    np.matmul(d_pre[pk.steps[0]:].T, states[pk.prev], out=grads.w_h)
+    d_pre.sum(axis=0, out=grads.b)
+    return d_pre
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +307,6 @@ class MlpHead:
     hidden: list[tuple[np.ndarray, np.ndarray]]  # [(W: H x in, b: H), ...]
     w_out: np.ndarray  # LABEL_COUNT x H
     activation: str = "sigmoid"
-
-
-def init_mlp_head(
-    rng: np.random.Generator, input_dim: int, hidden_size: int, depth: int, activation: str
-) -> MlpHead:
-    if activation not in ACTIVATIONS:
-        raise DimensionMismatch(f"unknown activation {activation!r}")
-    hidden = []
-    fan_in = input_dim
-    for _ in range(depth):
-        hidden.append((glorot(rng, hidden_size, fan_in), np.zeros(hidden_size)))
-        fan_in = hidden_size
-    return MlpHead(hidden=hidden, w_out=glorot(rng, LABEL_COUNT, fan_in), activation=activation)
 
 
 def _head_forward(head: MlpHead, s: np.ndarray, masks):
@@ -353,26 +337,25 @@ def _head_forward(head: MlpHead, s: np.ndarray, masks):
     }
 
 
-def _head_backward(head: MlpHead, cache, labels):
-    """Returns (gradients summed over the rows as an MlpHead, dS per row)."""
+def _head_backward(head: MlpHead, cache, labels, grads: dict[str, np.ndarray]):
+    """Writes the gradients summed over the rows into the head tensors of `grads`;
+    returns dS per row."""
     _, act_deriv = ACTIVATIONS[head.activation]
     d_logits = cache["probs"].copy()
     d_logits[np.arange(d_logits.shape[0]), labels] -= 1.0
-    g_w_out = d_logits.T @ cache["m_drop"]
+    np.matmul(d_logits.T, cache["m_drop"], out=grads["head.w_out"])
     d_m = d_logits @ head.w_out
     if cache["mask_m"] is not None:
         d_m = d_m * cache["mask_m"]
-    g_hidden = []
     for idx in range(len(head.hidden) - 1, -1, -1):
         w, _ = head.hidden[idx]
         d_pre = d_m * act_deriv(cache["hidden_acts"][idx])
-        g_hidden.append((d_pre.T @ cache["layer_inputs"][idx], d_pre.sum(axis=0)))
+        np.matmul(d_pre.T, cache["layer_inputs"][idx], out=grads[f"head.w{idx}"])
+        d_pre.sum(axis=0, out=grads[f"head.b{idx}"])
         d_m = d_pre @ w
-    g_hidden.reverse()
-    d_s = d_m
     if cache["mask_s"] is not None:
-        d_s = d_s * cache["mask_s"]
-    return MlpHead(hidden=g_hidden, w_out=g_w_out, activation=head.activation), d_s
+        d_m = d_m * cache["mask_s"]
+    return d_m
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +411,72 @@ def _forward_one(model, xs, masks) -> dict:
     return {"xs": xs, "probs": batch["probs"][0], "s": batch["s"][0], "batch": batch}
 
 
+def _backward_one(model, cache, label) -> dict[str, np.ndarray]:
+    """The batch-of-one gradients by tensor name, and d xs under "__inputs__"."""
+    grad, d_xs = model.backward_batch(cache["batch"], [label])
+    return {**model.tensors(grad), "__inputs__": d_xs}
+
+
 # ---------------------------------------------------------------------------
 # Models
 
 
-class BiLstmModel:
+class _Parameters:
+    """Tensors as named views of one vector `theta`, tiled in the order of `shapes`:
+    the model's own, then the MLP head's.  A model starts at zeros."""
+
+    def _lay_out(self, shapes, fan_in, hidden_size, depth, activation) -> dict[str, np.ndarray]:
+        """Append the head to `shapes`, make a zero theta and self.head; returns the views."""
+        if activation not in ACTIVATIONS:
+            raise DimensionMismatch(f"unknown activation {activation!r}")
+        for idx in range(depth):
+            shapes[f"head.w{idx}"], shapes[f"head.b{idx}"] = (hidden_size, fan_in), (hidden_size,)
+            fan_in = hidden_size
+        shapes["head.w_out"] = (LABEL_COUNT, fan_in)
+        self.shapes = shapes
+        self._ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        self.theta = np.zeros(self._ends[-1])
+        t = self.tensors()
+        self.head = MlpHead([(t[f"head.w{k}"], t[f"head.b{k}"]) for k in range(depth)],
+                            t["head.w_out"], activation)
+        return t
+
+    @classmethod
+    def init(cls, rng: np.random.Generator, input_dim: int, **sizes):
+        """A model whose weight matrices are Glorot draws, in the order they tile theta."""
+        model = cls(input_dim, **sizes)
+        model._draw_own(rng)
+        _draw(rng, *(w for w, _ in model.head.hidden), model.head.w_out)
+        return model
+
+    def _draw_own(self, rng: np.random.Generator) -> None:
+        """Draw the tensors laid out before the head."""
+
+    def tensors(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Named views of theta, or of `vec`, a vector in theta's layout such as a gradient."""
+        parts = np.split(self.theta if vec is None else vec, self._ends[:-1])
+        return {name: p.reshape(shape) for (name, shape), p in zip(self.shapes.items(), parts)}
+
+
+class BiLstmModel(_Parameters):
     """BiLSTM over the SDP sequence, max-pooled, classified by the MLP head."""
 
     kind = "bilstm"
 
-    def __init__(self, forward_lstm: LstmParams, backward_lstm: LstmParams, head: MlpHead):
-        self.forward_lstm = forward_lstm
-        self.backward_lstm = backward_lstm
-        self.head = head
+    def __init__(self, input_dim, units=64, hidden_size=30, depth=1, activation="sigmoid"):
+        rows = len(GATES) * units
+        own = {f"{d}.{name}": shape for d in ("fwd", "bwd") for name, shape in
+               (("w_in", (rows, input_dim)), ("w_rec", (rows, units)), ("b", (rows,)))}
+        t = self._lay_out(own, 2 * units, hidden_size, depth, activation)
+        self.forward_lstm = _lstm_views(t, "fwd")
+        self.backward_lstm = _lstm_views(t, "bwd")
 
-    @classmethod
-    def init(cls, rng, input_dim, units=64, hidden_size=30, depth=1, activation="sigmoid"):
-        return cls(
-            forward_lstm=init_lstm_params(rng, units, input_dim),
-            backward_lstm=init_lstm_params(rng, units, input_dim),
-            head=init_mlp_head(rng, 2 * units, hidden_size, depth, activation),
-        )
+    def _draw_own(self, rng):
+        for p in (self.forward_lstm, self.backward_lstm):
+            # per-gate Glorot blocks, drawn in GATES order
+            _draw(rng, *_gate_rows(p.w_x).values(), *_gate_rows(p.w_h).values())
+            # forget-gate bias starts at 1 so early steps keep their cell state
+            p.bias["f"][...] = 1.0
 
     @property
     def units(self) -> int:
@@ -472,24 +500,24 @@ class BiLstmModel:
         return cache
 
     def backward_batch(self, cache, labels, input_grad=True):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
-        unless `input_grad` is false."""
-        head_grads, d_s = _head_backward(self.head, cache, labels)
+        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta)
+        grads = self.tensors(grad)
+        d_s = _head_backward(self.head, cache, labels, grads)
         pk, z, units = cache["pack"], cache["z"], self.units
         d_z = np.zeros_like(z)
         d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
         xs = cache["xs"]
-        fwd_grads, d_pre_f = _lstm_backprop(
-            self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units], pk)
-        bwd_grads, d_pre_b = _lstm_backprop(
-            self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:], pk)
-        grads = BiLstmModel(fwd_grads, bwd_grads, head_grads).tensors()
-        if input_grad:
-            d_xs = np.empty_like(xs)
-            d_xs[pk.fwd] = d_pre_f @ self.forward_lstm.w_x
-            d_xs[pk.bwd] += d_pre_b @ self.backward_lstm.w_x
-            grads["__inputs__"] = d_xs
-        return grads
+        d_pre_f = _lstm_backprop(self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units],
+                                 pk, _lstm_views(grads, "fwd"))
+        d_pre_b = _lstm_backprop(self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:],
+                                 pk, _lstm_views(grads, "bwd"))
+        if not input_grad:
+            return grad, None
+        d_xs = np.empty_like(xs)
+        d_xs[pk.fwd] = d_pre_f @ self.forward_lstm.w_x
+        d_xs[pk.bwd] += d_pre_b @ self.backward_lstm.w_x
+        return grad, d_xs
 
     def forward(self, xs, masks=None):
         cache = _forward_one(self, xs, masks)
@@ -498,33 +526,21 @@ class BiLstmModel:
         return cache
 
     def backward(self, cache, label):
-        return self.backward_batch(cache["batch"], [label])
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Parameters by name; on a model built from gradients, the gradients."""
-        out = {**self.forward_lstm.named("fwd"), **self.backward_lstm.named("bwd")}
-        return {**out, **_head_tensors(self.head)}
+        return _backward_one(self, cache, label)
 
 
-class RnnBaselineModel:
+class RnnBaselineModel(_Parameters):
     """Plain sigmoid RNN; the final hidden state feeds the MLP head."""
 
     kind = "rnn"
 
-    def __init__(self, w_in, w_rec, bias, head: MlpHead):
-        self.w_in = w_in
-        self.w_rec = w_rec
-        self.bias = bias
-        self.head = head
+    def __init__(self, input_dim, units=64, hidden_size=30, depth=1, activation="sigmoid"):
+        own = {"rnn.w_in": (units, input_dim), "rnn.w_rec": (units, units), "rnn.b": (units,)}
+        t = self._lay_out(own, units, hidden_size, depth, activation)
+        self.w_in, self.w_rec, self.bias = t["rnn.w_in"], t["rnn.w_rec"], t["rnn.b"]
 
-    @classmethod
-    def init(cls, rng, input_dim, units=64, hidden_size=30, depth=1, activation="sigmoid"):
-        return cls(
-            w_in=glorot(rng, units, input_dim),
-            w_rec=glorot(rng, units, units),
-            bias=np.zeros(units),
-            head=init_mlp_head(rng, units, hidden_size, depth, activation),
-        )
+    def _draw_own(self, rng):
+        _draw(rng, self.w_in, self.w_rec)
 
     @property
     def units(self) -> int:
@@ -550,9 +566,10 @@ class RnnBaselineModel:
         return cache
 
     def backward_batch(self, cache, labels, input_grad=True):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
-        unless `input_grad` is false."""
-        head_grads, d_s = _head_backward(self.head, cache, labels)
+        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta)
+        grads = self.tensors(grad)
+        d_s = _head_backward(self.head, cache, labels, grads)
         pk, packed, hs = cache["pack"], cache["packed"], cache["hs"]
         d_in = np.zeros_like(hs)
         d_in[pk.last] = d_s
@@ -564,40 +581,31 @@ class RnnBaselineModel:
             d_pre[rows] *= d_in[rows] + d_carry[:n]
             d_carry[:n] = d_pre[rows] @ self.w_rec
             stop -= n
-        grads = RnnBaselineModel(
-            d_pre.T @ packed, d_pre[pk.steps[0]:].T @ hs[pk.prev], d_pre.sum(axis=0), head_grads
-        ).tensors()
-        if input_grad:
-            d_xs = np.empty_like(cache["xs"])
-            d_xs[pk.fwd] = d_pre @ self.w_in
-            grads["__inputs__"] = d_xs
-        return grads
+        np.matmul(d_pre.T, packed, out=grads["rnn.w_in"])
+        np.matmul(d_pre[pk.steps[0]:].T, hs[pk.prev], out=grads["rnn.w_rec"])
+        d_pre.sum(axis=0, out=grads["rnn.b"])
+        if not input_grad:
+            return grad, None
+        d_xs = np.empty_like(cache["xs"])
+        d_xs[pk.fwd] = d_pre @ self.w_in
+        return grad, d_xs
 
     def forward(self, xs, masks=None):
         return _forward_one(self, xs, masks)
 
     def backward(self, cache, label):
-        return self.backward_batch(cache["batch"], [label])
-
-    def tensors(self):
-        out = {"rnn.w_in": self.w_in, "rnn.w_rec": self.w_rec, "rnn.b": self.bias}
-        return {**out, **_head_tensors(self.head)}
+        return _backward_one(self, cache, label)
 
 
-class MlpBaselineModel:
+class MlpBaselineModel(_Parameters):
     """Fixed-length concatenation of token vectors fed straight to the head."""
 
     kind = "mlp"
 
-    def __init__(self, pad_len: int, token_dim: int, head: MlpHead):
+    def __init__(self, input_dim, pad_len=20, hidden_size=30, depth=1, activation="sigmoid"):
         self.pad_len = pad_len
-        self.token_dim = token_dim
-        self.head = head
-
-    @classmethod
-    def init(cls, rng, input_dim, pad_len=20, hidden_size=30, depth=1, activation="sigmoid"):
-        head = init_mlp_head(rng, pad_len * input_dim, hidden_size, depth, activation)
-        return cls(pad_len=pad_len, token_dim=input_dim, head=head)
+        self.token_dim = input_dim
+        self._lay_out({}, pad_len * input_dim, hidden_size, depth, activation)
 
     @property
     def input_dim(self) -> int:
@@ -629,36 +637,22 @@ class MlpBaselineModel:
         return cache
 
     def backward_batch(self, cache, labels, input_grad=True):
-        """Gradients of the loss summed over the batch; "__inputs__" holds d xs
-        unless `input_grad` is false."""
-        head_grads, d_flat = _head_backward(self.head, cache, labels)
-        grads = _head_tensors(head_grads)
-        if input_grad:
-            pk = cache["pack"]
-            d_xs = np.zeros_like(cache["xs"])
-            seq, pos, keep = self._kept(pk)
-            d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
-            grads["__inputs__"] = d_xs
-        return grads
+        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta)
+        d_flat = _head_backward(self.head, cache, labels, self.tensors(grad))
+        if not input_grad:
+            return grad, None
+        pk = cache["pack"]
+        d_xs = np.zeros_like(cache["xs"])
+        seq, pos, keep = self._kept(pk)
+        d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
+        return grad, d_xs
 
     def forward(self, xs, masks=None):
         return _forward_one(self, xs, masks)
 
     def backward(self, cache, label):
-        return self.backward_batch(cache["batch"], [label])
-
-    def tensors(self):
-        return _head_tensors(self.head)
-
-
-def _head_tensors(head: MlpHead) -> dict[str, np.ndarray]:
-    """Head arrays under their tensor names; also names a head's gradients."""
-    out = {}
-    for idx, (w, b) in enumerate(head.hidden):
-        out[f"head.w{idx}"] = w
-        out[f"head.b{idx}"] = b
-    out["head.w_out"] = head.w_out
-    return out
+        return _backward_one(self, cache, label)
 
 
 MODEL_KINDS = {

@@ -1,8 +1,9 @@
 """Gradient-based parameter updates: Adam and Adadelta.
 
 Parameters and gradients are dicts of name -> float64 ndarray; updates happen
-in place.  Each trainable group is one array (the tuned word vectors are one
-matrix, an autoencoder is one vector), so a step touches a few large tensors.
+in place.  Each trainable group is one array (a model is one vector, the
+tuned word vectors are one matrix, an autoencoder is one vector), so a step
+touches one to a few large tensors.
 Both rules are element-wise and run over slices of at most BLOCK elements, so
 a large tensor adds only block-sized temporaries and the result is the same
 as one whole-array update.  Callers own exclusivity (no concurrent steps on

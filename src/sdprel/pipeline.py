@@ -129,6 +129,8 @@ class TrainConfig:
             raise ConfigError("k_folds must be at least 2")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
     def replace(self, **kw) -> "TrainConfig":
@@ -653,16 +655,12 @@ def _checked_autoencoders(config: TrainConfig, autoencoders):
 # Models / training
 
 
-def build_model(config: TrainConfig, input_dim: int, rng: np.random.Generator):
+def build_model(config: TrainConfig, input_dim: int, rng: np.random.Generator | None = None):
+    """The config's model over input_dim-d tokens: Glorot draws from rng, or all zeros."""
     size = {"pad_len": config.mlp_pad_len} if config.model == "mlp" else {"units": config.lstm_units}
-    return MODEL_KINDS[config.model].init(
-        rng,
-        input_dim,
-        hidden_size=config.mlp_hidden,
-        depth=config.mlp_depth,
-        activation=config.activation,
-        **size,
-    )
+    size.update(hidden_size=config.mlp_hidden, depth=config.mlp_depth, activation=config.activation)
+    cls = MODEL_KINDS[config.model]
+    return cls(input_dim, **size) if rng is None else cls.init(rng, input_dim, **size)
 
 
 def model_meta(config: TrainConfig, input_dim: int) -> dict:
@@ -699,17 +697,16 @@ class Checkpoint:
         return model_meta(self.config, self.input_dim)
 
     def build_model(self):
-        model = build_model(
-            self.config.validate(), self.input_dim, np.random.Generator(np.random.PCG64(0)))
-        tensors = model.tensors()
-        if set(tensors) != set(self.params):
-            raise DimensionMismatch("checkpoint parameters do not match model layout")
-        for name, arr in tensors.items():
-            if self.params[name].shape != arr.shape:
-                raise DimensionMismatch(
-                    f"{name}: stored shape {self.params[name].shape}, expected {arr.shape}"
-                )
+        model = build_model(self.config.validate(), self.input_dim)
+        shapes = {name: arr.shape for name, arr in self.params.items()}
+        if shapes != model.shapes:
+            raise DimensionMismatch(f"checkpoint tensors {shapes} do not match the model's "
+                                    f"{model.shapes}")
+        for name, arr in model.tensors().items():
             arr[...] = self.params[name]
+        if not np.all(np.isfinite(model.theta)):
+            bad = _first_non_finite(model.tensors())
+            raise FormatError(f"checkpoint tensor {bad} is not finite")
         return model
 
     def build_vectorizer(self, table: EmbeddingTable | None = None) -> Vectorizer:
@@ -742,6 +739,10 @@ def _make_masks(model, rate: float, rng: np.random.Generator, count: int):
     s_dim = model.head.hidden[0][0].shape[1]
     both = dropout_mask((count, s_dim + model.head.w_out.shape[1]), rate, rng)
     return {"s": both[:, :s_dim], "m": both[:, s_dim:]}
+
+
+def _first_non_finite(tensors: dict[str, np.ndarray]) -> str:
+    return next(name for name, arr in tensors.items() if not np.all(np.isfinite(arr)))
 
 
 def _token_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -784,7 +785,7 @@ def train(
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = build_model(config, input_dim, rng)
 
-    params = dict(model.tensors())
+    params = {"theta": model.theta}
     if config.tune_embeddings:
         # every row steps on every batch, so with Adam a row the batch lacks moves by momentum
         params["emb"] = emb
@@ -818,14 +819,15 @@ def train(
         loss = np.sum(cross_entropy(cache["probs"][:, 1], labels[batch]))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
-        grads = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings)
+        grad, d_xs = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings)
+        grads = {"theta": grad}
         if config.tune_embeddings:
-            d_inputs = grads.pop("__inputs__")
             grads["emb"] = np.zeros_like(emb)
-            np.add.at(grads["emb"], rows, d_inputs[:, :word_dim])
-        for name, g in grads.items():
+            np.add.at(grads["emb"], rows, d_xs[:, :word_dim])
+        for g in grads.values():
             if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient in {name}")
+                bad = _first_non_finite({**model.tensors(grad), **grads})
+                raise NonFiniteGradient(f"non-finite gradient in {bad}")
             g *= 1.0 / len(batch)
         opt_step(opt_state, params, grads)
         return float(loss)
@@ -841,7 +843,7 @@ def train(
     checkpoint = Checkpoint(
         config=config,
         input_dim=input_dim,
-        params=dict(model.tensors()),
+        params=model.tensors(),
         pos_ae=pos_ae,
         position_ae=position_ae,
         pos_table=dict(pos_table) if pos_table is not None else load_pos_table(),

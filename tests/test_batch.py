@@ -83,7 +83,8 @@ def oracle_sums(model, seqs, labels, masks):
 
 def assert_batch_matches_oracle(model, seqs, labels, masks):
     cache = model.forward_batch(np.concatenate(seqs), [len(x) for x in seqs], stacked(masks))
-    grads = model.backward_batch(cache, labels)
+    grad, d_xs = model.backward_batch(cache, labels)
+    grads = {**model.tensors(grad), "__inputs__": d_xs}
     probs, loss, want = oracle_sums(model, seqs, labels, masks)
     assert np.max(np.abs(cache["probs"][:, 1] - probs)) <= GRAD_TOLERANCE
     assert abs(np.sum(cross_entropy(cache["probs"][:, 1], labels)) - loss) <= GRAD_TOLERANCE
@@ -152,11 +153,11 @@ class TestOracleEquivalence:
         labels = rng.integers(0, 2, size=len(lengths))
         masks = stacked(per_instance_masks(model, len(lengths), rate, rng_for(12)))
         cache = model.forward_batch(xs, lengths, masks)
-        full = model.backward_batch(cache, labels)
-        params = model.backward_batch(cache, labels, input_grad=False)
-        assert set(params) == set(model.tensors()) == set(full) - {"__inputs__"}
-        for name, g in params.items():
-            assert np.array_equal(g, full[name]), name
+        full, d_xs = model.backward_batch(cache, labels)
+        params, no_d_xs = model.backward_batch(cache, labels, input_grad=False)
+        assert d_xs.shape == xs.shape and no_d_xs is None
+        assert params.shape == full.shape == model.theta.shape
+        assert np.array_equal(params, full)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_deeper_heads(self, activation):
@@ -261,9 +262,11 @@ class TestTrainingLoop:
         want["emb"] = np.zeros((len(words), cfg.embedding_dim))
         rows = [words.index(tok) for inst in batch for tok in inst.tokens]
         np.add.at(want["emb"], rows, d_inputs[:, : cfg.embedding_dim])
-        assert set(stepped[0]) == set(want)
+        assert set(stepped[0]) == {"theta", "emb"}
+        got = {**model.tensors(stepped[0]["theta"]), "emb": stepped[0]["emb"]}
+        assert set(got) == set(want)
         for name, g in want.items():
-            assert np.max(np.abs(stepped[0][name] - g / len(batch))) <= GRAD_TOLERANCE, name
+            assert np.max(np.abs(got[name] - g / len(batch))) <= GRAD_TOLERANCE, name
 
 
 class TestScoring:

@@ -152,6 +152,54 @@ class TestVersionOne:
             checkpoint_from_bytes(blob)
 
 
+FIRST_TENSOR = {"bilstm": "fwd.w_in", "rnn": "rnn.w_in", "mlp": "head.w0"}
+
+
+@pytest.fixture(scope="module")
+def kind_checkpoints(train_instances):
+    return {kind: train(CONFIG.replace(model=kind, epochs=1), train_instances).checkpoint
+            for kind in FIRST_TENSOR}
+
+
+def with_weight(ck, value, *names):
+    """The checkpoint file of `ck` with the last entry of each named tensor set to
+    `value`, written by the regular writer, so that its checksum is valid."""
+    params = {name: arr.copy() for name, arr in ck.params.items()}
+    for name in names:
+        params[name].flat[-1] = value
+    return checkpoint_bytes(dataclasses.replace(ck, params=params))
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", list(FIRST_TENSOR))
+    def test_build_model_names_the_first_bad_tensor(self, kind_checkpoints, kind, value):
+        ck = kind_checkpoints[kind]
+        loaded = checkpoint_from_bytes(with_weight(ck, value, "head.w_out"))
+        with pytest.raises(FormatError, match=r"checkpoint tensor head\.w_out is not finite"):
+            loaded.build_model()
+        first = FIRST_TENSOR[kind]
+        loaded = checkpoint_from_bytes(with_weight(ck, value, "head.w_out", first))
+        with pytest.raises(FormatError, match=rf"checkpoint tensor {first} is not finite"):
+            loaded.build_model()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", [("predict",), ("evaluate", "--report", "csv")])
+    @pytest.mark.parametrize("kind", list(FIRST_TENSOR))
+    def test_predict_and_evaluate_exit_2_without_rows(self, kind_checkpoints, kind, command,
+                                                      value, tmp_path, capsys):
+        (tmp_path / "model.sdpl").write_bytes(
+            with_weight(kind_checkpoints[kind], value, "head.w_out"))
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main([command[0], "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json"), *command[1:]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "head.w_out is not finite" in captured.err
+
+
 class TestCorruption:
     def test_truncated_file(self, trained_checkpoint, tmp_path):
         path = tmp_path / "model.sdpl"
@@ -274,6 +322,24 @@ class TestMetadata:
                    "--instances", str(tmp_path / "inst.json")])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_negative_seed_in_the_stored_config_is_exit_2(self, trained_checkpoint, tmp_path,
+                                                          capsys):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["config"]["seed"] = -1
+        blob = framed(meta, payload)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        for command in (("predict",), ("evaluate", "--report", "csv")):
+            rc = main([command[0], "--ck", str(tmp_path / "model.sdpl"),
+                       "--instances", str(tmp_path / "inst.json"), *command[1:]])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "seed" in captured.err
 
     def test_autoencoder_missing_in_memory_is_dimension_mismatch(self, trained_checkpoint):
         ck = dataclasses.replace(trained_checkpoint, pos_ae=None)

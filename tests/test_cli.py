@@ -285,6 +285,39 @@ class TestTrainEvaluatePredict:
         assert "numeric failure" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    """A negative seed is a config error (exit 2), not a traceback from the RNG."""
+
+    def write_config(self, workdir):
+        (workdir / "badconfig").write_text(CONFIG_TEXT + "seed=-1\n", encoding="utf-8")
+        return workdir / "badconfig"
+
+    def test_train(self, workdir, capsys):
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json")
+        capsys.readouterr()
+        rc = run("train", "--instances", workdir / "inst.json",
+                 "--config", self.write_config(workdir), "--out", workdir / "model.sdpl")
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (workdir / "model.sdpl").exists()
+
+    def test_cv(self, workdir, capsys):
+        rc = run("cv", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                 "--config", workdir / "config", "--seed", "-1", "--report", workdir / "r.csv")
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (workdir / "r.csv").exists()
+
+    def test_sweep(self, workdir, capsys):
+        rc = run("sweep", "--param", "epochs", "--values", "2",
+                 "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                 "--config", self.write_config(workdir), "--report", workdir / "sweep.csv")
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (workdir / "sweep.csv").exists()
+
+
 def write_vectors(path, dim):
     rows = [f"{word} " + " ".join(f"{(i + k) / 10}" for k in range(dim))
             for i, word in enumerate(("GeneA0", "interacts", "with"))]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sdprel.errors import BadRate, DimensionMismatch, EmptySequence, NonFiniteInput
 from sdprel.neural import (
     GATES,
+    MODEL_KINDS,
     LstmParams,
     MlpBaselineModel,
     RnnBaselineModel,
@@ -16,7 +17,6 @@ from sdprel.neural import (
     glorot,
     cross_entropy,
     dropout_mask,
-    init_lstm_params,
     lstm_cell,
     max_pool,
     mlp_head,
@@ -30,6 +30,11 @@ from helpers import gradcheck, masked_sigmoid, model_loss
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def init_lstm_params(rng, units, input_dim):
+    """A BiLSTM's forward direction, whose weights init draws first from rng."""
+    return BiLstmModel.init(rng, input_dim, units=units).forward_lstm
 
 
 def zero_lstm_params(units, input_dim):
@@ -458,3 +463,88 @@ class TestDropout:
                 denom = max(abs(fd), abs(gflat[i]), 1e-6)
                 worst = max(worst, abs(fd - gflat[i]) / denom)
         assert worst < 1e-4
+
+
+def model_of(kind, seed=0, depth=2):
+    size = {"pad_len": 3} if kind == "mlp" else {"units": 4}
+    return MODEL_KINDS[kind].init(rng_for(seed), 5, hidden_size=3, depth=depth, **size)
+
+
+def glorot_oracle(kind, seed, depth=2):
+    """name -> each tensor drawn on its own, as separate arrays: Glorot blocks in
+    layout order, an LSTM's per gate, biases 0 but an LSTM's forget gate 1."""
+    rng, out = rng_for(seed), {}
+    if kind == "bilstm":
+        for d in ("fwd", "bwd"):
+            out[f"{d}.w_in"] = np.concatenate([glorot(rng, 4, 5) for _ in GATES])
+            out[f"{d}.w_rec"] = np.concatenate([glorot(rng, 4, 4) for _ in GATES])
+            out[f"{d}.b"] = np.repeat([0.0, 1.0, 0.0, 0.0], 4)
+        fan_in = 8
+    elif kind == "rnn":
+        out.update({"rnn.w_in": glorot(rng, 4, 5), "rnn.w_rec": glorot(rng, 4, 4),
+                    "rnn.b": np.zeros(4)})
+        fan_in = 4
+    else:
+        fan_in = 15
+    for idx in range(depth):
+        out[f"head.w{idx}"], out[f"head.b{idx}"] = glorot(rng, 3, fan_in), np.zeros(3)
+        fan_in = 3
+    out["head.w_out"] = glorot(rng, 2, fan_in)
+    return out
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_views_tile_theta_in_order(self, kind):
+        model = model_of(kind)
+        views = model.tensors()
+        assert model.theta.dtype == np.float64 and model.theta.flags.c_contiguous
+        assert sum(v.size for v in views.values()) == model.theta.size
+        start = 0
+        base = model.theta.__array_interface__["data"][0]
+        for name, v in views.items():
+            assert np.shares_memory(v, model.theta), name
+            assert v.__array_interface__["data"][0] == base + 8 * start, name
+            assert np.array_equal(v.ravel(), model.theta[start : start + v.size]), name
+            start += v.size
+        grad = np.zeros_like(model.theta)
+        named = model.tensors(grad)
+        assert list(named) == list(views)
+        assert all(named[k].shape == views[k].shape for k in views)
+        assert all(np.shares_memory(g, grad) for g in named.values())
+
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_attributes_are_views_of_theta(self, kind):
+        model = model_of(kind)
+        arrays = [model.head.w_out] + [a for pair in model.head.hidden for a in pair]
+        if kind == "bilstm":
+            arrays += [getattr(p, f) for p in (model.forward_lstm, model.backward_lstm)
+                       for f in ("w_x", "w_h", "b")]
+        elif kind == "rnn":
+            arrays += [model.w_in, model.w_rec, model.bias]
+        assert len(arrays) == len(model.tensors())
+        assert all(np.shares_memory(a, model.theta) for a in arrays)
+        model.theta[...] = 0.0
+        assert not any(a.any() for a in arrays)
+
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_init_draws_the_glorot_blocks_in_order(self, kind):
+        want = glorot_oracle(kind, seed=12)
+        got = model_of(kind, seed=12).tensors()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr), name
+
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_a_model_without_init_is_zero(self, kind):
+        size = {"pad_len": 3} if kind == "mlp" else {"units": 4}
+        model = MODEL_KINDS[kind](5, hidden_size=3, **size)
+        assert model.tensors().keys() == model_of(kind, depth=1).tensors().keys()
+        assert not model.theta.any()
+
+    @pytest.mark.parametrize("cls", list(MODEL_KINDS.values()))
+    def test_batch_and_one_sequence_passes_are_each_classes_own(self, cls):
+        # the benchmark's tracer wraps only a public class's own members, so a
+        # pass inherited from a shared base would read 0 in its per-layer metrics
+        for method in ("forward", "backward", "forward_batch", "backward_batch"):
+            assert method in vars(cls), method

@@ -145,6 +145,7 @@ class TestTrainConfig:
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
             {"learning_rate": float("-inf")},
+            {"seed": -1},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -1050,14 +1051,32 @@ class TestTrain:
         steps = []
 
         def nan_backward(self, cache, labels, **kw):
-            grads = real_backward(self, cache, labels, **kw)
-            grads["head.w_out"][0, 0] = float("nan")
-            return grads
+            grad, d_xs = real_backward(self, cache, labels, **kw)
+            self.tensors(grad)["head.w_out"][0, 0] = float("nan")
+            return grad, d_xs
 
         monkeypatch.setattr(BiLstmModel, "backward_batch", nan_backward)
         monkeypatch.setattr(pl, "adam_step", lambda *args: steps.append(args))
         with pytest.raises(NonFiniteGradient, match="head.w_out"):
             train(small_config(epochs=1), synth_instances.instances)
+        assert steps == []
+
+    def test_non_finite_word_gradient_is_named_emb(self, synth_instances, monkeypatch):
+        import sdprel.pipeline as pl
+        from sdprel.neural import BiLstmModel
+
+        real_backward = BiLstmModel.backward_batch
+        steps = []
+
+        def nan_backward(self, cache, labels, **kw):
+            grad, d_xs = real_backward(self, cache, labels, **kw)
+            d_xs[0, 0] = float("inf")
+            return grad, d_xs
+
+        monkeypatch.setattr(BiLstmModel, "backward_batch", nan_backward)
+        monkeypatch.setattr(pl, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteGradient, match="non-finite gradient in emb$"):
+            train(small_config(epochs=1, tune_embeddings=True), synth_instances.instances)
         assert steps == []
 
     @pytest.mark.parametrize("tune", [False, True])
@@ -1068,9 +1087,9 @@ class TestTrain:
         formed = []
 
         def record_backward(self, cache, labels, **kw):
-            grads = real_backward(self, cache, labels, **kw)
-            formed.append("__inputs__" in grads)
-            return grads
+            grad, d_xs = real_backward(self, cache, labels, **kw)
+            formed.append(d_xs is not None)
+            return grad, d_xs
 
         monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
         train(small_config(epochs=1, tune_embeddings=tune), synth_instances.instances)
@@ -1129,9 +1148,9 @@ class TestTrain:
             return real_forward(self, xs, lengths, masks)
 
         def record_backward(self, cache, labels, **kw):
-            grads = real_backward(self, cache, labels, **kw)
-            batches[-1].append(grads["__inputs__"].copy())
-            return grads
+            grad, d_xs = real_backward(self, cache, labels, **kw)
+            batches[-1].append(d_xs.copy())
+            return grad, d_xs
 
         monkeypatch.setattr(Vectorizer, "vectorize", record_vectorize)
         monkeypatch.setattr(BiLstmModel, "forward_batch", record_forward)

@@ -8,13 +8,16 @@ Version 2 stores each LSTM direction as three fused tensors (``fwd.w_in``,
 ``fwd.w_rec``, ``fwd.b``); version 1 stored one per gate (``fwd.w_in.i`` ...)
 and is still read.  Metadata that lacks a key, has a malformed value (an
 ``oov_seed`` that is not an integer, a PoS class outside 0..7) or disagrees
-with the stored config raises FormatError.
+with the stored config raises FormatError.  The optional key
+``embedding_digest`` holds the blake2b hex digest of the vectors file the
+model was trained on; a checkpoint without it loads unchecked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -29,6 +32,7 @@ FORMAT_VERSION = 2
 _LSTM_PREFIXES = ("fwd.", "bwd.")
 
 _AE_FIELDS = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _fused_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -67,6 +71,8 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
         "pos_table": ck.pos_table,
         "arrays": [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index],
     }
+    if ck.embedding_digest is not None:
+        meta["embedding_digest"] = ck.embedding_digest
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)), meta_bytes]
     for key in index:
@@ -154,6 +160,9 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
     if not (isinstance(pos_table, dict)
             and all(type(c) is int and 0 <= c < POS_DIM for c in pos_table.values())):
         raise FormatError(f"checkpoint pos_table classes must be integers in 0..{POS_DIM - 1}")
+    digest = meta.get("embedding_digest")
+    if "embedding_digest" in meta and not (type(digest) is str and _DIGEST.fullmatch(digest)):
+        raise FormatError(f"checkpoint embedding_digest must be 64 hex digits, got {digest!r}")
     params = {name: arr for (sec, name), arr in arrays.items() if sec == "param"}
     ck = Checkpoint(
         config=config,
@@ -166,6 +175,7 @@ def _checkpoint_from_meta(meta, version: int, body: bytes, offset: int) -> Check
         token_vectors={
             name: arr for (sec, name), arr in arrays.items() if sec == "tok"
         },
+        embedding_digest=digest,
     )
     if meta["model_meta"] != ck.model_meta:
         raise FormatError("checkpoint model metadata does not match its config")

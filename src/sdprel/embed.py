@@ -6,12 +6,27 @@ Rows are parsed in chunks of ``CHUNK_LINES`` lines by numpy's C reader, so
 the text of at most one chunk is held at a time; each word's vector is a
 read-only row of its chunk's matrix.  Out-of-vocabulary tokens get a
 deterministic hash-seeded vector so repeated runs see identical inputs.
+
+Each parsed file is cached under its blake2b digest (of the compressed bytes
+for ``.gz``), which the table keeps as ``digest``.  The entry is
+``<CACHE_VERSION>-<digest>.npz`` in ``$XDG_CACHE_HOME/sdprel``, or in
+``~/.cache/sdprel`` when that is unset: the words, one read-only (V x D)
+matrix whose rows the vocabulary views, the dimension and the duplicate
+count.  A load of the same bytes reads the entry instead of parsing.  A
+rejected file writes no entry, an entry that cannot be read or does not
+hold together is parsed again and replaced, and a cache that cannot be
+written is skipped, so the cache never changes what a load returns or
+raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +34,12 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError, reading_text
 
 OOV_SCALE = 0.05
+# Version of the parse rules and of the cache entry layout.  Any change to the
+# rules in load_embeddings or to what an entry holds must bump it, so that
+# entries written under the old rules are never read.
+CACHE_VERSION = 1
+# What a missing, damaged or unwritable cache raises; each is a cache miss.
+_CACHE_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
 # Rows per np.loadtxt call: enough to amortise its per-call cost, few enough
 # that one chunk's text (about 64 KiB at 200 dimensions) is all that is held.
 CHUNK_LINES = 32
@@ -33,6 +54,9 @@ class EmbeddingTable:
     vocabulary: dict[str, np.ndarray] = field(default_factory=dict)
     oov_seed: int = 0
     duplicate_count: int = 0
+    # blake2b hex digest of the file the table was read from; None for a table
+    # built in memory
+    digest: str | None = None
 
     @classmethod
     def empty(cls, dimension: int, oov_seed: int = 0) -> "EmbeddingTable":
@@ -41,7 +65,8 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
-    """Read a word2vec text file into read-only vectors.
+    """Read a word2vec text file into read-only vectors, from the cache when
+    it holds the file's bytes.
 
     Per line: one trailing space is dropped, and empty or single-space lines
     are skipped.  A row whose value count is not the header's dimension is a
@@ -50,6 +75,97 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
     the first bad line.  The first occurrence of a word wins; later ones are
     counted in ``duplicate_count`` and never parsed.
     """
+    if not os.path.isfile(path):  # a pipe is read once; a missing path fails in the parse
+        return _parse(path, oov_seed)
+    digest = _file_digest(path)
+    entry = _cache_entry(digest)
+    table = _read_entry(entry) if entry else None
+    if table is None:
+        table = _parse(path, oov_seed)
+        if entry and _file_digest(path) == digest:  # the parsed bytes are the hashed ones
+            _write_entry(entry, table)
+    table.oov_seed, table.digest = oov_seed, digest
+    return table
+
+
+def _file_digest(path) -> str:
+    digest = hashlib.blake2b(digest_size=32)
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _cache_entry(digest: str) -> str | None:
+    """Where the table of the file with this digest is cached; None without a home."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores a relative or empty value
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    return os.path.join(base, "sdprel", f"{CACHE_VERSION}-{digest}.npz")
+
+
+def _read_entry(entry: str) -> EmbeddingTable | None:
+    """The table a cache entry holds, or None when it is missing or damaged."""
+    try:
+        with zipfile.ZipFile(entry) as zf:
+            words, vectors, counts = (_read_member(zf, n) for n in ("words", "vectors", "counts"))
+        if ((words.dtype, vectors.dtype, counts.dtype) != (np.uint8, np.float64, np.int64)
+                or vectors.ndim != 2 or counts.shape != (2,)):
+            return None
+        # words cannot hold a line break, so they are stored one per line
+        words = words.tobytes().decode("utf-8").split("\n") if len(vectors) else []
+    except _CACHE_ERRORS:
+        return None
+    dimension, duplicates = map(int, counts)
+    vectors.flags.writeable = False  # before the rows are viewed, so that they inherit it
+    vocab = dict(zip(words, vectors))
+    if (vectors.shape != (len(words), dimension) or len(vocab) != len(words)
+            or dimension < 1 or duplicates < 0):
+        return None
+    return EmbeddingTable(dimension=dimension, vocabulary=vocab, duplicate_count=duplicates)
+
+
+def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One array of an entry; reading it to the end checks its CRC."""
+    with zf.open(f"{name}.npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _write_entry(entry: str, table: EmbeddingTable) -> None:
+    """Store the table at `entry` through a temporary file in its directory,
+    so that a reader sees a whole entry or none.  The matrix is written a
+    chunk of rows at a time, never copied whole."""
+    words = "\n".join(table.vocabulary).encode("utf-8")
+    rows = list(table.vocabulary.values())
+    members = {  # name: (dtype, shape, the bytes in blocks)
+        "words": (np.uint8, (len(words),), [words]),
+        "vectors": (np.float64, (len(rows), table.dimension),
+                    (np.stack(rows[i : i + CHUNK_LINES]).tobytes()
+                     for i in range(0, len(rows), CHUNK_LINES))),
+        "counts": (np.int64, (2,),
+                   [np.array([table.dimension, table.duplicate_count], np.int64).tobytes()]),
+    }
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry), suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            for name, (dtype, shape, blocks) in members.items():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
+                    np.lib.format.write_array_header_1_0(
+                        out, {"descr": np.dtype(dtype).str, "fortran_order": False, "shape": shape})
+                    for block in blocks:
+                        out.write(block)
+        os.replace(tmp, entry)
+    except _CACHE_ERRORS:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+def _parse(path, oov_seed: int) -> EmbeddingTable:
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
         header = fh.readline().split()

@@ -499,9 +499,10 @@ class BiLstmModel(_Parameters):
         cache.update(xs=xs, pack=pk, fwd=fwd, bwd=bwd, z=z)
         return cache
 
-    def backward_batch(self, cache, labels, input_grad=True):
-        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta)
+    def backward_batch(self, cache, labels, input_grad=True, out=None):
+        """Batch-summed loss gradient in theta's layout, written into `out` when given,
+        and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta) if out is None else out
         grads = self.tensors(grad)
         d_s = _head_backward(self.head, cache, labels, grads)
         pk, z, units = cache["pack"], cache["z"], self.units
@@ -565,9 +566,10 @@ class RnnBaselineModel(_Parameters):
         cache.update(xs=xs, pack=pk, packed=packed, hs=hs)
         return cache
 
-    def backward_batch(self, cache, labels, input_grad=True):
-        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta)
+    def backward_batch(self, cache, labels, input_grad=True, out=None):
+        """Batch-summed loss gradient in theta's layout, written into `out` when given,
+        and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta) if out is None else out
         grads = self.tensors(grad)
         d_s = _head_backward(self.head, cache, labels, grads)
         pk, packed, hs = cache["pack"], cache["packed"], cache["hs"]
@@ -636,9 +638,10 @@ class MlpBaselineModel(_Parameters):
         cache.update(xs=xs, pack=pk)
         return cache
 
-    def backward_batch(self, cache, labels, input_grad=True):
-        """Batch-summed loss gradient in theta's layout, and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta)
+    def backward_batch(self, cache, labels, input_grad=True, out=None):
+        """Batch-summed loss gradient in theta's layout, written into `out` when given,
+        and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta) if out is None else out
         d_flat = _head_backward(self.head, cache, labels, self.tensors(grad))
         if not input_grad:
             return grad, None

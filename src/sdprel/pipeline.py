@@ -677,7 +677,9 @@ def model_meta(config: TrainConfig, input_dim: int) -> dict:
 @dataclass
 class Checkpoint:
     """A trained model and its input encoder: the config, the model's input
-    width and the arrays.  The model kind and shape follow from the config."""
+    width and the arrays.  The model kind and shape follow from the config.
+    ``embedding_digest`` is the digest of the vectors file it was trained on,
+    None for a table without a file or a checkpoint written without it."""
 
     config: TrainConfig
     input_dim: int
@@ -687,6 +689,7 @@ class Checkpoint:
     pos_table: dict[str, int]
     oov_seed: int
     token_vectors: dict[str, np.ndarray]
+    embedding_digest: str | None = None
 
     @property
     def model_kind(self) -> str:
@@ -715,6 +718,11 @@ class Checkpoint:
         elif table.oov_seed != self.oov_seed:
             raise ConfigError(f"embedding table has oov_seed {table.oov_seed}, "
                               f"the checkpoint was trained with oov_seed {self.oov_seed}")
+        trained_on = self.embedding_digest
+        if trained_on is not None and table.digest not in (None, trained_on):
+            raise ConfigError(
+                f"{self.config.embedding_path} has changed since training: its blake2b digest "
+                f"is {table.digest[:16]}..., the checkpoint's is {trained_on[:16]}...")
         vec = Vectorizer(table, self.pos_ae, self.position_ae, dict(self.token_vectors))
         if vec.token_dim != self.input_dim:
             raise DimensionMismatch(
@@ -808,6 +816,10 @@ def train(
         opt_state, opt_step = AdadeltaState(), adadelta_step
 
     labels = np.array([inst.label for inst in instances])
+    # every step's gradients go to the same buffers, so no step allocates them
+    grads = {"theta": np.empty_like(model.theta)}
+    if config.tune_embeddings:
+        grads["emb"] = np.empty_like(emb)
 
     def step(batch: np.ndarray) -> float:
         """One optimizer step on the instances `batch`; returns their summed loss."""
@@ -819,14 +831,14 @@ def train(
         loss = np.sum(cross_entropy(cache["probs"][:, 1], labels[batch]))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
-        grad, d_xs = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings)
-        grads = {"theta": grad}
+        _, d_xs = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings,
+                                       out=grads["theta"])
         if config.tune_embeddings:
-            grads["emb"] = np.zeros_like(emb)
+            grads["emb"].fill(0.0)
             np.add.at(grads["emb"], rows, d_xs[:, :word_dim])
         for g in grads.values():
             if not np.all(np.isfinite(g)):
-                bad = _first_non_finite({**model.tensors(grad), **grads})
+                bad = _first_non_finite({**model.tensors(grads["theta"]), **grads})
                 raise NonFiniteGradient(f"non-finite gradient in {bad}")
             g *= 1.0 / len(batch)
         opt_step(opt_state, params, grads)
@@ -849,6 +861,7 @@ def train(
         pos_table=dict(pos_table) if pos_table is not None else load_pos_table(),
         oov_seed=table.oov_seed,
         token_vectors=overrides,
+        embedding_digest=table.digest,
     )
     return TrainResult(checkpoint=checkpoint, epoch_losses=losses)
 

@@ -43,6 +43,17 @@ TABLE2_EDGES = [
 ]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def vector_cache(tmp_path_factory):
+    """The word-vector cache of this session: XDG_CACHE_HOME points at a fresh
+    directory before any test runs, so no test reads or writes the user's
+    cache, and CLI subprocesses inherit it.  Yields the cache's sdprel folder."""
+    with pytest.MonkeyPatch.context() as mp:
+        home = tmp_path_factory.mktemp("xdg-cache")
+        mp.setenv("XDG_CACHE_HOME", str(home))
+        yield home / "sdprel"
+
+
 @pytest.fixture
 def table1_record(tmp_path):
     path = tmp_path / "table1.tsv"

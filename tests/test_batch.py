@@ -159,6 +159,22 @@ class TestOracleEquivalence:
         assert params.shape == full.shape == model.theta.shape
         assert np.array_equal(params, full)
 
+    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
+    def test_gradient_into_a_given_buffer(self, kind):
+        model = make_model(kind, seed=13)
+        rng = rng_for(14)
+        lengths = [4, 2, 7]
+        xs = rng.normal(size=(sum(lengths), 5))
+        labels = [1, 0, 1]
+        cache = model.forward_batch(xs, lengths)
+        want, want_d_xs = model.backward_batch(cache, labels)
+        out = np.full_like(model.theta, np.nan)  # every element must be written
+        for input_grad in (True, False):
+            grad, d_xs = model.backward_batch(cache, labels, input_grad=input_grad, out=out)
+            assert grad is out
+            assert np.array_equal(out, want)
+            assert d_xs is None if not input_grad else np.array_equal(d_xs, want_d_xs)
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_deeper_heads(self, activation):
         model = make_model("bilstm", seed=6, depth=2, activation=activation)

@@ -14,7 +14,7 @@ from sdprel.checkpoint import (
 )
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
-from sdprel.embed import EmbeddingTable
+from sdprel.embed import EmbeddingTable, load_embeddings
 from sdprel.errors import (
     ConfigError,
     CorruptChecksum,
@@ -372,6 +372,7 @@ class TestMetadata:
             "model_meta": JSON_VALUES,
             "pos_table": JSON_VALUES,
             "oov_seed": JSON_VALUES,
+            "embedding_digest": st.just("0" * 64) | JSON_VALUES,
         }) | JSON_VALUES,
         payload=st.binary(max_size=48),
     )
@@ -381,3 +382,67 @@ class TestMetadata:
             checkpoint_from_bytes(framed(meta, payload))
         except InputError:
             pass
+
+
+def write_vectors(path, shift=0.0):
+    """An 8-d vectors file for three words; `shift` changes the values, not the dimension."""
+    rows = [f"{word} " + " ".join(f"{(i + k) / 10 + shift}" for k in range(8))
+            for i, word in enumerate(("GeneA0", "interacts", "with"))]
+    path.write_text("3 8\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+class TestEmbeddingDigest:
+    """A checkpoint records the digest of its vectors file; scoring against a
+    file with other bytes is a ConfigError, and a checkpoint without the key
+    loads unchecked."""
+
+    @pytest.fixture
+    def vectors(self, tmp_path):
+        return write_vectors(tmp_path / "vectors.txt")
+
+    @pytest.fixture
+    def checkpoint(self, train_instances, vectors):
+        return train(CONFIG.replace(embedding_path=str(vectors)), train_instances).checkpoint
+
+    def test_train_stores_the_files_digest(self, checkpoint, vectors):
+        digest = load_embeddings(vectors).digest
+        assert checkpoint.embedding_digest == digest
+        blob = checkpoint_bytes(checkpoint)
+        assert split_blob(blob)[0]["embedding_digest"] == digest
+        loaded = checkpoint_from_bytes(blob)
+        assert loaded.embedding_digest == digest
+        assert checkpoint_bytes(loaded) == blob
+        loaded.build_vectorizer()
+
+    def test_changed_file_is_a_config_error(self, checkpoint, vectors):
+        loaded = checkpoint_from_bytes(checkpoint_bytes(checkpoint))
+        write_vectors(vectors, shift=0.5)
+        with pytest.raises(ConfigError, match="has changed since training"):
+            loaded.build_vectorizer()
+        with pytest.raises(ConfigError, match="has changed since training"):
+            loaded.build_vectorizer(load_embeddings(vectors, oov_seed=loaded.oov_seed))
+
+    def test_checkpoint_without_the_key_loads_unchecked(self, checkpoint, vectors):
+        meta, payload = split_blob(checkpoint_bytes(checkpoint))
+        del meta["embedding_digest"]
+        blob = framed(meta, payload)
+        loaded = checkpoint_from_bytes(blob)
+        assert loaded.embedding_digest is None
+        assert checkpoint_bytes(loaded) == blob
+        write_vectors(vectors, shift=0.5)
+        loaded.build_vectorizer()
+
+    def test_table_without_a_digest_is_unchecked(self, checkpoint):
+        checkpoint.build_vectorizer(EmbeddingTable.empty(8, oov_seed=checkpoint.oov_seed))
+
+    def test_no_vectors_file_writes_no_key(self, trained_checkpoint):
+        assert trained_checkpoint.embedding_digest is None
+        assert "embedding_digest" not in split_blob(checkpoint_bytes(trained_checkpoint))[0]
+
+    @pytest.mark.parametrize("value", [None, 5, "abc", "A" * 64, "0" * 63, ["0" * 64]])
+    def test_malformed_digest_is_format_error(self, checkpoint, value):
+        meta, payload = split_blob(checkpoint_bytes(checkpoint))
+        meta["embedding_digest"] = value
+        with pytest.raises(FormatError, match="embedding_digest"):
+            checkpoint_from_bytes(framed(meta, payload))

@@ -318,8 +318,8 @@ class TestNegativeSeed:
         assert not (workdir / "sweep.csv").exists()
 
 
-def write_vectors(path, dim):
-    rows = [f"{word} " + " ".join(f"{(i + k) / 10}" for k in range(dim))
+def write_vectors(path, dim, shift=0.0):
+    rows = [f"{word} " + " ".join(f"{(i + k) / 10 + shift}" for k in range(dim))
             for i, word in enumerate(("GeneA0", "interacts", "with"))]
     path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n", encoding="utf-8")
     return path
@@ -365,6 +365,53 @@ class TestEmbeddingDimension:
         write_vectors(vectors, 6)
         rc = run("predict", "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json")
         self.assert_mismatch(capsys, rc, vectors)
+
+
+class TestVectorsFile:
+    """A checkpoint remembers the digest of its vectors file, and the vectors
+    cache never shows in what the commands print."""
+
+    @pytest.fixture
+    def vectors(self, workdir):
+        (workdir / "vconfig").write_text(
+            CONFIG_TEXT + f"embedding_path={workdir / 'vectors.txt'}\n", encoding="utf-8")
+        run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json")
+        return write_vectors(workdir / "vectors.txt", 8)
+
+    def train_and_predict(self, workdir, capsys):
+        """(exit codes, stdout) of train, then predict, on the vectors file."""
+        codes = [
+            run("train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
+                "--out", workdir / "model.sdpl"),
+            run("predict", "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json"),
+        ]
+        return codes, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [("predict",), ("evaluate", "--report", "csv")])
+    def test_changed_vectors_are_exit_2(self, workdir, vectors, capsys, command):
+        assert self.train_and_predict(workdir, capsys)[0] == [0, 0]
+        write_vectors(vectors, 8, shift=0.5)  # same words and dimension, other values
+        rc = run(command[0], "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json",
+                 *command[1:])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{vectors} has changed since training" in captured.err
+
+    def test_unwritable_cache_changes_no_output(self, workdir, vectors, capsys, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(workdir / "cache"))
+        want = self.train_and_predict(workdir, capsys)
+        model = (workdir / "model.sdpl").read_bytes()
+        assert want[0] == [0, 0]
+        assert len(list((workdir / "cache" / "sdprel").iterdir())) == 1
+        blocker = workdir / "blocker"
+        blocker.write_text("a regular file")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        assert self.train_and_predict(workdir, capsys) == want
+        assert (workdir / "model.sdpl").read_bytes() == model
+        assert blocker.read_text() == "a regular file"
+        assert len(list((workdir / "cache" / "sdprel").iterdir())) == 1
 
 
 class TestCvCommand:

@@ -1,5 +1,8 @@
 import gzip
+import hashlib
+import os
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sdprel import embed
 from sdprel.embed import (
+    CACHE_VERSION,
     CHUNK_LINES,
     OOV_SCALE,
     EmbeddingTable,
@@ -177,6 +182,14 @@ def vector_dir():
         yield Path(tmp)
 
 
+def write_case(vector_dir, case):
+    text, compress = case
+    path = vector_dir / ("emb.txt.gz" if compress else "emb.txt")
+    data = text.encode("utf-8")
+    path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
+    return path
+
+
 def outcome(load, path):
     try:
         return load(path)
@@ -192,10 +205,7 @@ class TestLoaderMatchesReference:
     @example(case=("2 1\nb 1\n  \n", False))  # an empty value the C reader skips
     @settings(max_examples=150, deadline=None)
     def test_same_table_or_same_error(self, vector_dir, case):
-        text, compress = case
-        path = vector_dir / ("emb.txt.gz" if compress else "emb.txt")
-        data = text.encode("utf-8")
-        path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
+        path = write_case(vector_dir, case)
         want = outcome(reference_load_embeddings, path)
         got = outcome(load_embeddings, path)
         if isinstance(want, tuple):
@@ -206,6 +216,200 @@ class TestLoaderMatchesReference:
         assert list(got.vocabulary) == list(want.vocabulary)
         for word, vec in want.vocabulary.items():
             assert got.vocabulary[word].tobytes() == vec.tobytes(), word
+
+
+def entries(home):
+    """Every file in the cache under the XDG_CACHE_HOME `home`, temporary ones included."""
+    return sorted(p.name for p in (Path(home) / "sdprel").glob("*"))
+
+
+def parse_forbidden(path, oov_seed):
+    raise AssertionError(f"{path} was parsed, not read from the cache")
+
+
+def assert_same_table(got, want):
+    assert isinstance(got, EmbeddingTable)
+    assert (got.dimension, got.duplicate_count) == (want.dimension, want.duplicate_count)
+    assert list(got.vocabulary) == list(want.vocabulary)
+    for word, vec in want.vocabulary.items():
+        assert np.array_equal(got.vocabulary[word], vec, equal_nan=True), word
+        assert got.vocabulary[word].tobytes() == vec.tobytes(), word
+        assert not got.vocabulary[word].flags.writeable, word
+
+
+class TestCache:
+    """The first load of a file parses it and writes one entry; a second load
+    of the same bytes reads that entry and returns the same table."""
+
+    @given(case=vector_files())
+    @example(case=("0 3\n", False))  # no words
+    @example(case=("2 1\n 5\n\t 6\n", False))  # an empty word and a tab word
+    @example(case=("3 2\na 1 x\nb 1 2 3\n", True))  # rejected
+    @settings(max_examples=150, deadline=None)
+    def test_miss_hit_and_reference_agree(self, vector_dir, case):
+        path = write_case(vector_dir, case)
+        want = outcome(reference_load_embeddings, path)
+        with tempfile.TemporaryDirectory() as home, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("XDG_CACHE_HOME", home)
+            miss = outcome(load_embeddings, path)
+            if isinstance(want, tuple):
+                assert miss == want
+                assert entries(home) == []
+                assert outcome(load_embeddings, path) == want
+                assert entries(home) == []
+                return
+            assert entries(home) == [f"{CACHE_VERSION}-{miss.digest}.npz"]
+            mp.setattr(embed, "_parse", parse_forbidden)
+            hit = load_embeddings(path, oov_seed=3)
+        assert_same_table(miss, want)
+        assert_same_table(hit, want)
+        assert (miss.oov_seed, hit.oov_seed) == (0, 3)
+        assert miss.digest == hit.digest
+
+    @pytest.fixture
+    def home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache"
+
+    @pytest.fixture
+    def vectors(self, tmp_path):
+        rows = [f"w{i} {i} {-i / 3!r} {i * 1e-7!r}" for i in range(2 * CHUNK_LINES + 5)]
+        return write_vectors(tmp_path / "emb.txt", f"{len(rows)} 3", rows + ["w1 0 0 0"])
+
+    def parse_count(self, monkeypatch):
+        calls = []
+        parse = embed._parse
+        monkeypatch.setattr(embed, "_parse", lambda *a: calls.append(a) or parse(*a))
+        return calls
+
+    def test_one_load_writes_exactly_one_entry(self, home, vectors):
+        table = load_embeddings(vectors)
+        digest = hashlib.blake2b(vectors.read_bytes(), digest_size=32).hexdigest()
+        assert table.digest == digest
+        assert entries(home) == [f"{CACHE_VERSION}-{digest}.npz"]
+        with np.load(home / "sdprel" / entries(home)[0]) as npz:
+            assert npz["vectors"].shape == (2 * CHUNK_LINES + 5, 3)
+            assert list(npz["counts"]) == [3, 1]
+
+    def test_gzip_key_is_the_compressed_bytes(self, home, tmp_path):
+        path = tmp_path / "emb.txt.gz"
+        path.write_bytes(gzip.compress(b"1 2\nw 1 2\n", mtime=0))
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()
+        assert load_embeddings(path).digest == digest
+        assert entries(home) == [f"{CACHE_VERSION}-{digest}.npz"]
+
+    def test_changed_bytes_are_another_entry(self, home, vectors):
+        first = load_embeddings(vectors)
+        vectors.write_text(vectors.read_text().replace("w1 0 0 0", "w1 9 9 9"))
+        second = load_embeddings(vectors)
+        assert first.digest != second.digest
+        assert len(entries(home)) == 2
+        assert_same_table(second, reference_load_embeddings(vectors))
+
+    def test_tables_in_memory_have_no_digest(self):
+        assert EmbeddingTable.empty(4).digest is None
+        assert EmbeddingTable(dimension=1, vocabulary={"w": np.ones(1)}).digest is None
+
+    def damage_truncated(self, entry):
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+    def damage_crc(self, entry):
+        blob = bytearray(entry.read_bytes())
+        at = blob.index(np.float64(-1 / 3).tobytes())  # a byte of the matrix data
+        blob[at] ^= 1
+        entry.write_bytes(bytes(blob))
+
+    def rewrite(self, entry, **change):
+        with np.load(entry) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays.update(change)
+        np.savez(entry, **arrays)
+
+    def damage_rows(self, entry):
+        with np.load(entry) as npz:
+            self.rewrite(entry, vectors=npz["vectors"][:-1])
+
+    def damage_dimension(self, entry):
+        self.rewrite(entry, counts=np.array([4, 1]))
+
+    def damage_words(self, entry):
+        with np.load(entry) as npz:
+            self.rewrite(entry, words=np.frombuffer(npz["words"].tobytes() + b"\nx", np.uint8))
+
+    def damage_repeated_word(self, entry):
+        with np.load(entry) as npz:
+            words = npz["words"].tobytes().replace(b"w1\n", b"w0\n", 1)
+        self.rewrite(entry, words=np.frombuffer(words, np.uint8))
+
+    def damage_dtype(self, entry):
+        with np.load(entry) as npz:
+            self.rewrite(entry, vectors=npz["vectors"].astype(np.float32))
+
+    def damage_not_a_zip(self, entry):
+        with open(entry, "wb") as fh:
+            np.save(fh, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "crc", "rows", "dimension", "words", "repeated_word", "dtype", "not_a_zip"])
+    def test_damaged_entry_is_parsed_again_and_replaced(self, home, vectors, monkeypatch, damage):
+        load_embeddings(vectors)
+        (name,) = entries(home)
+        entry = home / "sdprel" / name
+        good = entry.read_bytes()
+        getattr(self, f"damage_{damage}")(entry)
+        assert entry.read_bytes() != good
+        calls = self.parse_count(monkeypatch)
+        table = load_embeddings(vectors)
+        assert len(calls) == 1
+        assert_same_table(table, reference_load_embeddings(vectors))
+        assert entries(home) == [name]
+        assert entry.read_bytes() == good
+        load_embeddings(vectors)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_unwritable_cache_changes_nothing(self, tmp_path, vectors, monkeypatch, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker if where == "a file" else blocker / "x"))
+        calls = self.parse_count(monkeypatch)
+        for _ in range(2):
+            assert_same_table(load_embeddings(vectors), reference_load_embeddings(vectors))
+        assert len(calls) == 2
+        assert blocker.read_text() == "not a directory"
+
+    def test_relative_cache_home_is_ignored(self, tmp_path, vectors, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        load_embeddings(vectors)
+        assert not (tmp_path / "relative").exists()
+        assert len(entries(tmp_path / "home" / ".cache")) == 1
+
+    def test_a_pipe_is_read_once_and_not_cached(self, home, tmp_path):
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)
+        tables = []
+        reader = threading.Thread(target=lambda: tables.append(load_embeddings(fifo)), daemon=True)
+        reader.start()
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write("1 2\nw 1 2\n")
+        reader.join(timeout=30)
+        assert not reader.is_alive() and len(tables) == 1
+        assert list(tables[0].vocabulary) == ["w"] and tables[0].digest is None
+        assert entries(home) == []
+
+    def test_file_changed_while_parsed_writes_no_entry(self, home, vectors, monkeypatch):
+        parse = embed._parse
+
+        def parse_then_edit(path, oov_seed):
+            table = parse(path, oov_seed)
+            vectors.write_text(vectors.read_text() + "late 1 2 3\n")
+            return table
+
+        monkeypatch.setattr(embed, "_parse", parse_then_edit)
+        load_embeddings(vectors)
+        assert entries(home) == []
 
 
 class TestLookup:

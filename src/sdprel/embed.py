@@ -10,10 +10,11 @@ deterministic hash-seeded vector so repeated runs see identical inputs.
 Each parsed file is cached under its blake2b digest (of the compressed bytes
 for ``.gz``), which the table keeps as ``digest``.  The entry is
 ``<CACHE_VERSION>-<digest>.npz`` in ``$XDG_CACHE_HOME/sdprel``, or in
-``~/.cache/sdprel`` when that is unset: the words, one read-only (V x D)
-matrix whose rows the vocabulary views, the dimension and the duplicate
-count.  A load of the same bytes reads the entry instead of parsing.  A
-rejected file writes no entry, an entry that cannot be read or does not
+``~/.cache/sdprel`` when that is unset: the words, the (V x D) matrix, the
+dimension and the duplicate count.  A load of the same bytes reads the
+entry instead of parsing, ``CHUNK_LINES`` rows at a time, so each word's
+vector is again a read-only row of a chunk.
+A rejected file writes no entry, an entry that cannot be read or does not
 hold together is parsed again and replaced, and a cache that cannot be
 written is skipped, so the cache never changes what a load returns or
 raises.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import hashlib
+import itertools
 import os
 import tempfile
 import zipfile
@@ -40,6 +42,8 @@ OOV_SCALE = 0.05
 CACHE_VERSION = 1
 # What a missing, damaged or unwritable cache raises; each is a cache miss.
 _CACHE_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
 # Rows per np.loadtxt call: enough to amortise its per-call cost, few enough
 # that one chunk's text (about 64 KiB at 200 dimensions) is all that is held.
 CHUNK_LINES = 32
@@ -107,36 +111,70 @@ def _cache_entry(digest: str) -> str | None:
 
 
 def _read_entry(entry: str) -> EmbeddingTable | None:
-    """The table a cache entry holds, or None when it is missing or damaged."""
+    """The table a cache entry holds, or None when it is missing or damaged.
+    The matrix is read ``CHUNK_LINES`` rows at a time, as the parser makes
+    it, and each word's vector is a row of its chunk."""
     try:
         with zipfile.ZipFile(entry) as zf:
-            words, vectors, counts = (_read_member(zf, n) for n in ("words", "vectors", "counts"))
-        if ((words.dtype, vectors.dtype, counts.dtype) != (np.uint8, np.float64, np.int64)
-                or vectors.ndim != 2 or counts.shape != (2,)):
-            return None
+            words, counts = (_read_member(zf, n) for n in ("words", "counts"))
+            if (words.dtype, counts.dtype, counts.shape) != (np.uint8, np.int64, (2,)):
+                return None
+            dimension, duplicates = map(int, counts)
+            if dimension < 1 or duplicates < 0:
+                return None
+            chunks = _read_rows(zf, "vectors", dimension)
         # words cannot hold a line break, so they are stored one per line
-        words = words.tobytes().decode("utf-8").split("\n") if len(vectors) else []
+        words = words.tobytes().decode("utf-8").split("\n") if chunks else []
     except _CACHE_ERRORS:
         return None
-    dimension, duplicates = map(int, counts)
-    vectors.flags.writeable = False  # before the rows are viewed, so that they inherit it
-    vocab = dict(zip(words, vectors))
-    if (vectors.shape != (len(words), dimension) or len(vocab) != len(words)
-            or dimension < 1 or duplicates < 0):
+    vocab = dict(zip(words, itertools.chain.from_iterable(chunks)))
+    if sum(map(len, chunks)) != len(words) or len(vocab) != len(words):
         return None
     return EmbeddingTable(dimension=dimension, vocabulary=vocab, duplicate_count=duplicates)
 
 
 def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
-    """One array of an entry; reading it to the end checks its CRC."""
+    """One array of an entry.  Reading it to the end checks its CRC, and bytes
+    after its data are a ValueError."""
     with zf.open(f"{name}.npy") as fh:
-        return np.lib.format.read_array(fh, allow_pickle=False)
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+        _at_end(fh, name)
+    return array
+
+
+def _read_rows(zf: zipfile.ZipFile, name: str, width: int) -> list[np.ndarray]:
+    """The float64 matrix `name`, `width` columns wide, as read-only arrays of
+    at most ``CHUNK_LINES`` rows each, so no block larger than one of them is
+    allocated.  Any other dtype, layout or width, a short member and bytes
+    after its data are errors; reading it to the end checks its CRC."""
+    with zf.open(f"{name}.npy") as fh:
+        header = _NPY_HEADER_READERS.get(np.lib.format.read_magic(fh))
+        if header is None:
+            raise ValueError(f"{name}: unknown .npy version")
+        shape, fortran_order, dtype = header(fh)
+        if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[1] != width:
+            raise ValueError(f"{name}: {dtype} {shape}, not a float64 matrix {width} wide")
+        chunks = []
+        for start in range(0, shape[0], CHUNK_LINES):
+            size = min(CHUNK_LINES, shape[0] - start) * width * 8
+            data = fh.read(size)
+            if len(data) != size:
+                raise EOFError(f"{name}: data ends early")
+            chunks.append(np.frombuffer(data, np.float64).reshape(-1, width))
+        _at_end(fh, name)
+    return chunks
+
+
+def _at_end(fh, name: str) -> None:
+    if fh.read(1):
+        raise ValueError(f"{name}: bytes after the data")
 
 
 def _write_entry(entry: str, table: EmbeddingTable) -> None:
     """Store the table at `entry` through a temporary file in its directory,
     so that a reader sees a whole entry or none.  The matrix is written a
-    chunk of rows at a time, never copied whole."""
+    chunk of rows at a time, never copied whole.  A cache error skips the
+    write; any exception, an interrupt too, removes the temporary file."""
     words = "\n".join(table.vocabulary).encode("utf-8")
     rows = list(table.vocabulary.values())
     members = {  # name: (dtype, shape, the bytes in blocks)
@@ -159,7 +197,10 @@ def _write_entry(entry: str, table: EmbeddingTable) -> None:
                     for block in blocks:
                         out.write(block)
         os.replace(tmp, entry)
+        tmp = None
     except _CACHE_ERRORS:
+        pass
+    finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)

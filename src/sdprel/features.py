@@ -4,10 +4,17 @@ PoS tags collapse to 8 coarse classes (one-hot coded); relative distances
 become thermometer codes where distance m sets the m lowest-order bits, shown
 with the lowest-order bit rightmost.  Both code families are squeezed through
 a single-layer sigmoid autoencoder trained by Adadelta.
+
+A fit depends only on its distinct codes, its width, its epoch count and its
+seed, so ``train_autoencoders`` keeps every fit it makes in this process, one
+per seed, and a repeated fit (the next ``sweep`` value's, or another
+``cross_validate`` or ``train`` call on the same instances) returns the same
+bits without fitting again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -32,6 +39,10 @@ OTHER_CLASS = 7
 POSITION_DIM = 10
 
 _pos_table_cache: dict[str, int] | None = None
+# Every autoencoder fit made in this process, (weights, loss curve) keyed by
+# (the samples' shape and bytes, d, epochs, seed): a fit is a pure function of
+# those, so a kept one has the bits a new fit would get.
+_FITS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def load_pos_table(path=None) -> dict[str, int]:
@@ -159,13 +170,13 @@ def _ae_loss_grad(ae: Autoencoder, x: np.ndarray):
 
 
 def train_autoencoders(samples, d: int, epochs: int, seeds) -> list[Autoencoder]:
-    """Fit one autoencoder per seed on the same samples, all in one stacked run.
+    """Fit one autoencoder per seed on the same samples, each fit at most once
+    per process.
 
-    Each seed's weights live in one vector ``[enc_w, dec_w, enc_b, dec_b]`` and
-    the vectors are rows of one ``(len(seeds) x P)`` tensor, so each full-batch
-    Adadelta epoch is one batched loss/gradient pass and one step on that
-    tensor.  Every row is the fit that seed would get alone.  Each returned
-    model's fields are views of its own copy of its row, and it keeps its
+    Seeds whose fit on these samples, ``d`` and ``epochs`` was made before are
+    taken from ``_FITS``; the others are fitted in one stacked run, where each
+    row is the fit that seed would get alone, and kept.  Each returned model's
+    fields are views of its own copy of its weight vector, and it keeps its
     per-epoch loss curve.
     """
     x = np.asarray(samples, dtype=np.float64)
@@ -177,6 +188,41 @@ def train_autoencoders(samples, d: int, epochs: int, seeds) -> list[Autoencoder]
     if not seeds:
         raise DimensionMismatch("at least one seed is needed")
 
+    keys = _fit_keys(x, d, epochs, seeds)
+    fits = [_FITS.get(key) for key in keys]
+    missing = [k for k, fit in enumerate(fits) if fit is None]
+    if missing:
+        theta, curves = _fit_stack(x, d, epochs, [seeds[k] for k in missing])
+        for k, row, curve in zip(missing, theta, curves):
+            fits[k] = row, curve
+            if keys[k] is not None:
+                _FITS[keys[k]] = row.copy(), curve.copy()
+    out = []
+    for row, curve in fits:
+        ae = Autoencoder(*_ae_views(row.copy(), d))
+        ae.training_losses = tuple(curve.tolist())
+        out.append(ae)
+    return out
+
+
+def _fit_keys(x: np.ndarray, d, epochs, seeds: list) -> list:
+    """Each seed's key in ``_FITS``; all None when an argument is not an
+    integer, so that the fit itself raises today's error."""
+    try:
+        args = (x.shape, x.tobytes(), operator.index(d), operator.index(epochs))
+        return [(*args, operator.index(seed)) for seed in seeds]
+    except TypeError:
+        return [None] * len(seeds)
+
+
+def _fit_stack(x: np.ndarray, d: int, epochs: int, seeds: list):
+    """Fit one autoencoder per seed, all in one stacked run: the weight vectors
+    ``(len(seeds) x P)`` and the loss curves ``(len(seeds) x epochs)``.
+
+    Each seed's weights live in one vector ``[enc_w, dec_w, enc_b, dec_b]`` and
+    the vectors are rows of one tensor, so each full-batch Adadelta epoch is one
+    batched loss/gradient pass and one step on that tensor.
+    """
     limit = np.sqrt(6.0 / (d + d))
     theta = np.zeros((len(seeds), 2 * d * d + 2 * d))
     for row, seed in zip(theta, seeds):
@@ -190,12 +236,7 @@ def train_autoencoders(samples, d: int, epochs: int, seeds) -> list[Autoencoder]
     for epoch in range(epochs):
         losses[epoch], grad = _ae_loss_grad(stack, x)
         adadelta_step(state, params, {"theta": grad})
-    fits = []
-    for row, curve in zip(theta, losses.T):
-        ae = Autoencoder(*_ae_views(row.copy(), d))
-        ae.training_losses = tuple(curve.tolist())
-        fits.append(ae)
-    return fits
+    return theta, losses.T
 
 
 def train_autoencoder(

@@ -1,5 +1,6 @@
 import pytest
 
+from sdprel import features
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
 
@@ -52,6 +53,30 @@ def vector_cache(tmp_path_factory):
         home = tmp_path_factory.mktemp("xdg-cache")
         mp.setenv("XDG_CACHE_HOME", str(home))
         yield home / "sdprel"
+
+
+class ForgetfulFits(dict):
+    """A ``features._FITS`` that keeps nothing, so every call fits again."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.fixture(autouse=True)
+def fresh_fit_memo():
+    """Each test starts with no autoencoder fits kept, as a new process does.
+    A patch of its own, so a test's ``monkeypatch.undo()`` leaves it alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_FITS", {})
+        yield
+
+
+@pytest.fixture
+def no_fit_memo(fresh_fit_memo):
+    """Turn the fit memo off, so that two equal calls make two real fits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_FITS", ForgetfulFits())
+        yield
 
 
 @pytest.fixture

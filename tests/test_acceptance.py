@@ -234,6 +234,7 @@ def test_criterion_7_candidate_accounting(tmp_path):
               "= generated(52)")
 
 
+@pytest.mark.usefixtures("no_fit_memo")
 def test_criterion_8_cv_determinism(tmp_path):
     """Two cv CLI runs with the same corpus/config/seed produce
     byte-identical CSV reports."""

@@ -502,6 +502,54 @@ class TestSweepCommand:
         assert (workdir / "both.csv").read_text().split("\n")[1:3] == rows
         capsys.readouterr()
 
+    def test_epochs_sweep_fits_each_autoencoder_once(self, workdir, monkeypatch, capsys):
+        import sdprel.features as features_mod
+        import sdprel.pipeline as pipeline_mod
+
+        asked, fitted = [], []
+        ask, fit = pipeline_mod.train_autoencoders, features_mod._fit_stack
+
+        def asking(samples, d, epochs, seeds):
+            asked.extend((samples.tobytes(), d, epochs, s) for s in seeds)
+            return ask(samples, d, epochs, seeds)
+
+        def fitting(x, d, epochs, seeds):
+            fitted.extend((x.tobytes(), d, epochs, s) for s in seeds)
+            return fit(x, d, epochs, seeds)
+
+        monkeypatch.setattr(pipeline_mod, "train_autoencoders", asking)
+        monkeypatch.setattr(features_mod, "_fit_stack", fitting)
+        assert run("sweep", "--param", "epochs", "--values", "2,3",
+                   "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                   "--config", workdir / "config", "--report", workdir / "sweep.csv") == 0
+        # both values ask for the same fits: the first fits each of them, the second none
+        half = len(asked) // 2
+        assert half and asked[:half] == asked[half:]
+        assert sorted(fitted) == sorted(set(asked))
+        capsys.readouterr()
+
+    def test_cv_report_and_checkpoint_do_not_depend_on_the_memo(
+            self, workdir, no_fit_memo, monkeypatch, capsys):
+        import sdprel.features as features_mod
+
+        def outputs():
+            assert run("cv", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                       "--config", workdir / "config", "--report", workdir / "cv.csv") == 0
+            assert run("preprocess", "--corpus", workdir / "corpus.tsv",
+                       "--deps", workdir / "deps.tsv", "--out", workdir / "inst.json") == 0
+            assert run("train", "--instances", workdir / "inst.json",
+                       "--config", workdir / "config", "--out", workdir / "model.sdpl") == 0
+            assert run("predict", "--ck", workdir / "model.sdpl",
+                       "--instances", workdir / "inst.json") == 0
+            return ((workdir / "cv.csv").read_bytes(), (workdir / "model.sdpl").read_bytes(),
+                    capsys.readouterr().out)
+
+        want = outputs()  # every fit made again
+        monkeypatch.setattr(features_mod, "_FITS", {})
+        assert outputs() == want  # a cold memo
+        assert features_mod._FITS
+        assert outputs() == want  # a warm one
+
     def test_sweep_loads_the_vectors_once(self, workdir, monkeypatch, capsys):
         import sdprel.pipeline as pipeline_mod
         from sdprel.pipeline import TrainConfig, cross_validate, preprocess

@@ -5,6 +5,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,14 @@ def entries(home):
     return sorted(p.name for p in (Path(home) / "sdprel").glob("*"))
 
 
+def owner(array):
+    """The object that holds an array's memory: an ndarray that owns its data,
+    or the buffer a view was made from."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
 def parse_forbidden(path, oov_seed):
     raise AssertionError(f"{path} was parsed, not read from the cache")
 
@@ -349,8 +358,27 @@ class TestCache:
         with open(entry, "wb") as fh:
             np.save(fh, np.zeros((3, 3)))
 
+    def rewrite_matrix_bytes(self, entry, change):
+        with zipfile.ZipFile(entry) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        members["vectors.npy"] = change(members["vectors.npy"])
+        with zipfile.ZipFile(entry, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+
+    def damage_trailing_bytes(self, entry):
+        self.rewrite_matrix_bytes(entry, lambda data: data + b"\0" * 8)
+
+    def damage_short_matrix(self, entry):
+        self.rewrite_matrix_bytes(entry, lambda data: data[:-8])
+
+    def damage_fortran_order(self, entry):
+        with np.load(entry) as npz:
+            self.rewrite(entry, vectors=np.asfortranarray(npz["vectors"]))
+
     @pytest.mark.parametrize("damage", [
-        "truncated", "crc", "rows", "dimension", "words", "repeated_word", "dtype", "not_a_zip"])
+        "truncated", "crc", "rows", "dimension", "words", "repeated_word", "dtype", "not_a_zip",
+        "trailing_bytes", "short_matrix", "fortran_order"])
     def test_damaged_entry_is_parsed_again_and_replaced(self, home, vectors, monkeypatch, damage):
         load_embeddings(vectors)
         (name,) = entries(home)
@@ -365,6 +393,37 @@ class TestCache:
         assert entries(home) == [name]
         assert entry.read_bytes() == good
         load_embeddings(vectors)
+        assert len(calls) == 1
+
+    def test_a_hit_reads_the_matrix_a_chunk_at_a_time(self, home, vectors):
+        """A hit's rows are views of chunk arrays of at most CHUNK_LINES rows,
+        as the parser makes them, not of one (V x D) block."""
+        for table in (load_embeddings(vectors), load_embeddings(vectors)):
+            owners = [owner(row) for row in table.vocabulary.values()]
+            chunks = [owners[i : i + CHUNK_LINES] for i in range(0, len(owners), CHUNK_LINES)]
+            assert [len({id(o) for o in chunk}) for chunk in chunks] == [1, 1, 1]
+            assert len({id(chunk[0]) for chunk in chunks}) == 3
+            assert [memoryview(chunk[0]).nbytes for chunk in chunks] == [
+                CHUNK_LINES * 3 * 8, CHUNK_LINES * 3 * 8, 5 * 3 * 8]
+
+    def test_interrupted_write_leaves_no_temporary_file(self, home, vectors, monkeypatch):
+        headers = []
+        write_header = np.lib.format.write_array_header_1_0
+
+        def interrupted(fh, header):
+            headers.append(header)
+            if len(headers) == 2:  # the words are written, the matrix is next
+                raise KeyboardInterrupt
+            write_header(fh, header)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.lib.format, "write_array_header_1_0", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                load_embeddings(vectors)
+        assert entries(home) == []
+        calls = self.parse_count(monkeypatch)
+        for _ in range(2):
+            assert_same_table(load_embeddings(vectors), reference_load_embeddings(vectors))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("where", ["a file", "under a file"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sdprel import features
 from sdprel.errors import DimensionMismatch, ParseError
 from sdprel.features import (
     POS_DIM,
@@ -127,6 +128,7 @@ class TestPositionCode:
         assert np.array_equal(code[: dim - m], np.zeros(dim - m))
 
 
+@pytest.mark.usefixtures("no_fit_memo")
 class TestAutoencoder:
     def test_onehots_round_trip_after_training(self):
         samples = np.eye(POS_DIM)
@@ -178,6 +180,7 @@ def random_codes(d, seed):
     return np.unique((rng.random((2 * d, d)) < 0.4).astype(np.float64), axis=0)
 
 
+@pytest.mark.usefixtures("no_fit_memo")
 class TestAutoencoderVector:
     @pytest.mark.parametrize("d, seed", [(5, 0), (8, 1), (10, 2), (12, 3), (8, 13)])
     def test_equals_the_four_array_reference(self, d, seed):
@@ -208,6 +211,7 @@ class TestAutoencoderVector:
         assert max_relative_error({"theta": grad}, {"theta": numeric}) < 1e-4
 
 
+@pytest.mark.usefixtures("no_fit_memo")
 class TestStackedAutoencoders:
     @pytest.mark.parametrize("d", [5, 8, 10, 12])
     @pytest.mark.parametrize("size", [1, 2, 10])
@@ -285,3 +289,115 @@ class TestEncodeDense:
         ae = train_autoencoder(np.eye(4), 4, epochs=1, seed=0)
         with pytest.raises(DimensionMismatch):
             encode_dense(ae, np.zeros(5))
+
+
+FIELDS = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
+
+
+def assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.training_losses, b.training_losses)
+
+
+def fitted_seeds(monkeypatch):
+    """The seeds that train_autoencoders really fits, one list per stacked run."""
+    runs, fit = [], features._fit_stack
+    monkeypatch.setattr(features, "_fit_stack",
+                        lambda x, d, epochs, seeds: runs.append(list(seeds)) or fit(x, d, epochs, seeds))
+    return runs
+
+
+def lone_fits(samples, d, epochs, seeds):
+    """Each seed's fit alone, made without the memo."""
+    fits = []
+    for seed in seeds:
+        (row,), (curve,) = features._fit_stack(np.asarray(samples, np.float64), d, epochs, [seed])
+        ae = Autoencoder(*_ae_views(row, d))
+        ae.training_losses = tuple(curve.tolist())
+        fits.append(ae)
+    return fits
+
+
+@st.composite
+def fit_cases(draw):
+    d = draw(st.integers(2, 6))
+    codes = draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                          min_size=1, max_size=6, unique_by=tuple))
+    epochs = draw(st.integers(0, 30))
+    seeds = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))  # repeats are common
+    kept = draw(st.lists(st.sampled_from(seeds), min_size=1, unique=True))
+    return np.array(codes, dtype=np.float64), d, epochs, seeds, kept
+
+
+class TestFitMemo:
+    """train_autoencoders keeps each fit under its codes, width, epochs and
+    seed; a kept fit is returned with the same bits instead of refitted."""
+
+    @given(case=fit_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_cold_warm_partial_and_lone_fits_agree(self, case):
+        samples, d, epochs, seeds, kept = case
+        lone = lone_fits(samples, d, epochs, seeds)
+        for prefill in ([], kept):  # a cold memo, then one that holds some seeds
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(features, "_FITS", {})
+                if prefill:
+                    train_autoencoders(samples, d, epochs, prefill)
+                runs = fitted_seeds(mp)
+                first = train_autoencoders(samples, d, epochs, seeds)
+                missing = [s for s in seeds if s not in prefill]
+                assert runs == ([missing] if missing else [])
+                warm = train_autoencoders(samples, d, epochs, seeds)
+                assert len(runs) == bool(missing)  # the warm call fits nothing
+                assert len(features._FITS) == len(set(seeds) | set(prefill))
+            assert_same_fits(first, lone)
+            assert_same_fits(warm, lone)
+            bases = {id(ae.encoder_w.base) for ae in warm}
+            assert len(bases) == len(seeds)  # repeated seeds own separate copies
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_equals_the_reference_cold_and_warm(self, d):
+        samples = random_codes(d, 21)
+        for _ in range(2):
+            (ae,) = train_autoencoders(samples, d, 40, [9])
+            enc_w, enc_b, dec_w, dec_b, losses = reference_autoencoder(samples, d, 40, 9)
+            for got, ref in zip((ae.encoder_w, ae.encoder_b, ae.decoder_w, ae.decoder_b),
+                                (enc_w, enc_b, dec_w, dec_b)):
+                assert np.array_equal(got, ref)
+            assert list(ae.training_losses) == losses
+        assert len(features._FITS) == 1
+
+    @pytest.mark.parametrize("change", [
+        dict(samples=np.eye(5)[:4]), dict(d=4, samples=np.eye(4)), dict(epochs=11), dict(seed=2)])
+    def test_every_argument_is_in_the_key(self, monkeypatch, change):
+        args = dict(samples=np.eye(5), d=5, epochs=10, seed=1)
+        train_autoencoders(args["samples"], args["d"], args["epochs"], [args["seed"]])
+        args.update(change)
+        runs = fitted_seeds(monkeypatch)
+        train_autoencoders(args["samples"], args["d"], args["epochs"], [args["seed"]])
+        assert runs == [[args["seed"]]]
+        assert len(features._FITS) == 2
+
+    def test_a_changed_returned_fit_leaves_the_kept_one_alone(self):
+        (want,) = lone_fits(np.eye(4), 4, 6, [0])
+        for _ in range(2):  # a cold call's fit, then a warm call's
+            (ae,) = train_autoencoders(np.eye(4), 4, 6, [0])
+            ae.encoder_w.base[:] = 7.0
+            ae.training_losses = ()
+        assert_same_fits(train_autoencoders(np.eye(4), 4, 6, [0]), [want])
+
+    def test_bad_arguments_raise_todays_errors_on_a_warm_memo(self):
+        train_autoencoders(np.eye(4), 4, 3, [0, 1])
+        with pytest.raises(DimensionMismatch):
+            train_autoencoders(np.eye(4), 4, 3, [])
+        with pytest.raises(DimensionMismatch):
+            train_autoencoders(np.eye(4), 5, 3, [0])
+        with pytest.raises(ValueError):
+            train_autoencoders(np.eye(4), 4, 3, [0, -1])
+        for seeds in ([0, 1.5], [1.0]):  # 1.0 == 1, but a float seed is an error
+            with pytest.raises(TypeError):
+                train_autoencoders(np.eye(4), 4, 3, seeds)
+        assert len(features._FITS) == 2

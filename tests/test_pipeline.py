@@ -866,6 +866,7 @@ class TestInstancesFileV3:
 
 
 class TestAutoencoderPretraining:
+    @pytest.mark.usefixtures("no_fit_memo")
     def test_deterministic(self, synth_instances):
         cfg = small_config(seed=4)
         a_pos, a_position = pretrain_autoencoders(cfg, synth_instances.instances)
@@ -966,6 +967,7 @@ class TestTrain:
         with pytest.raises(DimensionMismatch, match=r"13-d vectors.*embedding_dim=12"):
             train(cfg, synth_instances.instances, embeddings=table)
 
+    @pytest.mark.usefixtures("no_fit_memo")
     def test_deterministic_checkpoints(self, synth_instances):
         cfg = small_config(seed=21, epochs=8)
         a = train(cfg, synth_instances.instances)
@@ -973,6 +975,7 @@ class TestTrain:
         assert checkpoint_bytes(a.checkpoint) == checkpoint_bytes(b.checkpoint)
         assert a.epoch_losses == b.epoch_losses
 
+    @pytest.mark.usefixtures("no_fit_memo")
     def test_pre_fit_autoencoders_give_the_same_checkpoint(self, synth_instances):
         cfg = small_config(seed=22, epochs=4, dropout=0.2)
         fitted = pretrain_autoencoders(cfg, synth_instances.instances)
@@ -1296,6 +1299,7 @@ def split_corpus(long_synth):
 
 
 class TestStackedFoldPretraining:
+    @pytest.mark.usefixtures("no_fit_memo")
     def test_fold_autoencoders_equal_per_fold_pretraining(self, split_corpus, monkeypatch):
         cfg = small_config(k_folds=4, epochs=1, ae_epochs=60, seed=7)
         result = preprocess(*split_corpus, cfg)
@@ -1336,6 +1340,7 @@ class TestStackedFoldPretraining:
             assert sorted(seeds for dim, seeds in stacks if dim == d) == sorted(groups.values())
             assert sorted(map(len, groups.values())) == [1, 3]
 
+    @pytest.mark.usefixtures("no_fit_memo")
     @pytest.mark.parametrize("use_pos", [True, False])
     @pytest.mark.parametrize("use_position", [True, False])
     def test_reports_equal_the_per_fold_loop(self, split_corpus, use_pos, use_position):

@@ -7,28 +7,22 @@ the text of at most one chunk is held at a time; each word's vector is a
 read-only row of its chunk's matrix.  Out-of-vocabulary tokens get a
 deterministic hash-seeded vector so repeated runs see identical inputs.
 
-Each parsed file is cached under its blake2b digest (of the compressed bytes
-for ``.gz``), which the table keeps as ``digest``.  The entry is
-``<CACHE_VERSION>-<digest>.npz`` in ``$XDG_CACHE_HOME/sdprel``, or in
-``~/.cache/sdprel`` when that is unset: the words, the (V x D) matrix, the
-dimension and the duplicate count.  A load of the same bytes reads the
-entry instead of parsing, ``CHUNK_LINES`` rows at a time, so each word's
-vector is again a read-only row of a chunk.
-A rejected file writes no entry, an entry that cannot be read or does not
-hold together is parsed again and replaced, and a cache that cannot be
-written is skipped, so the cache never changes what a load returns or
-raises.
+The table of the last file parsed is kept in memory, under the blake2b
+digest of the file's bytes (of the compressed bytes for ``.gz``), which each
+table keeps as ``digest``.  A later load of the same bytes returns it
+without parsing, in a table of its own: the caller's ``oov_seed`` and a new
+vocabulary dict over the same read-only rows.  Only one table is kept,
+because a vectors file can be gigabytes and a process reads one.  A rejected
+file, a pipe and a file edited while it is parsed are never kept, so the
+memo never changes what a load returns or raises.  Nothing is written to
+disk.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import hashlib
-import itertools
 import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,14 +30,6 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError, reading_text
 
 OOV_SCALE = 0.05
-# Version of the parse rules and of the cache entry layout.  Any change to the
-# rules in load_embeddings or to what an entry holds must bump it, so that
-# entries written under the old rules are never read.
-CACHE_VERSION = 1
-# What a missing, damaged or unwritable cache raises; each is a cache miss.
-_CACHE_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
-_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
 # Rows per np.loadtxt call: enough to amortise its per-call cost, few enough
 # that one chunk's text (about 64 KiB at 200 dimensions) is all that is held.
 CHUNK_LINES = 32
@@ -68,9 +54,13 @@ class EmbeddingTable:
         return cls(dimension=dimension, oov_seed=oov_seed)
 
 
+# The table of the last file parsed, or None: the memo of load_embeddings.
+_LAST: EmbeddingTable | None = None
+
+
 def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
-    """Read a word2vec text file into read-only vectors, from the cache when
-    it holds the file's bytes.
+    """Read a word2vec text file into read-only vectors, or return the kept
+    table when the file's bytes are those parsed last.
 
     Per line: one trailing space is dropped, and empty or single-space lines
     are skipped.  A row whose value count is not the header's dimension is a
@@ -79,17 +69,20 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
     the first bad line.  The first occurrence of a word wins; later ones are
     counted in ``duplicate_count`` and never parsed.
     """
+    global _LAST
     if not os.path.isfile(path):  # a pipe is read once; a missing path fails in the parse
         return _parse(path, oov_seed)
     digest = _file_digest(path)
-    entry = _cache_entry(digest)
-    table = _read_entry(entry) if entry else None
-    if table is None:
-        table = _parse(path, oov_seed)
-        if entry and _file_digest(path) == digest:  # the parsed bytes are the hashed ones
-            _write_entry(entry, table)
-    table.oov_seed, table.digest = oov_seed, digest
-    return table
+    kept = _LAST
+    if kept is None or kept.digest != digest:
+        _LAST = kept = None  # the old table is not held through the parse
+        kept = _parse(path, oov_seed)
+        kept.digest = digest
+        if _file_digest(path) != digest:  # the parsed bytes are not the hashed ones
+            return kept
+        _LAST = kept
+    return EmbeddingTable(kept.dimension, dict(kept.vocabulary), oov_seed,
+                          kept.duplicate_count, digest)
 
 
 def _file_digest(path) -> str:
@@ -98,112 +91,6 @@ def _file_digest(path) -> str:
         for block in iter(lambda: fh.read(1 << 18), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _cache_entry(digest: str) -> str | None:
-    """Where the table of the file with this digest is cached; None without a home."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # the XDG spec ignores a relative or empty value
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(base):
-        return None
-    return os.path.join(base, "sdprel", f"{CACHE_VERSION}-{digest}.npz")
-
-
-def _read_entry(entry: str) -> EmbeddingTable | None:
-    """The table a cache entry holds, or None when it is missing or damaged.
-    The matrix is read ``CHUNK_LINES`` rows at a time, as the parser makes
-    it, and each word's vector is a row of its chunk."""
-    try:
-        with zipfile.ZipFile(entry) as zf:
-            words, counts = (_read_member(zf, n) for n in ("words", "counts"))
-            if (words.dtype, counts.dtype, counts.shape) != (np.uint8, np.int64, (2,)):
-                return None
-            dimension, duplicates = map(int, counts)
-            if dimension < 1 or duplicates < 0:
-                return None
-            chunks = _read_rows(zf, "vectors", dimension)
-        # words cannot hold a line break, so they are stored one per line
-        words = words.tobytes().decode("utf-8").split("\n") if chunks else []
-    except _CACHE_ERRORS:
-        return None
-    vocab = dict(zip(words, itertools.chain.from_iterable(chunks)))
-    if sum(map(len, chunks)) != len(words) or len(vocab) != len(words):
-        return None
-    return EmbeddingTable(dimension=dimension, vocabulary=vocab, duplicate_count=duplicates)
-
-
-def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
-    """One array of an entry.  Reading it to the end checks its CRC, and bytes
-    after its data are a ValueError."""
-    with zf.open(f"{name}.npy") as fh:
-        array = np.lib.format.read_array(fh, allow_pickle=False)
-        _at_end(fh, name)
-    return array
-
-
-def _read_rows(zf: zipfile.ZipFile, name: str, width: int) -> list[np.ndarray]:
-    """The float64 matrix `name`, `width` columns wide, as read-only arrays of
-    at most ``CHUNK_LINES`` rows each, so no block larger than one of them is
-    allocated.  Any other dtype, layout or width, a short member and bytes
-    after its data are errors; reading it to the end checks its CRC."""
-    with zf.open(f"{name}.npy") as fh:
-        header = _NPY_HEADER_READERS.get(np.lib.format.read_magic(fh))
-        if header is None:
-            raise ValueError(f"{name}: unknown .npy version")
-        shape, fortran_order, dtype = header(fh)
-        if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[1] != width:
-            raise ValueError(f"{name}: {dtype} {shape}, not a float64 matrix {width} wide")
-        chunks = []
-        for start in range(0, shape[0], CHUNK_LINES):
-            size = min(CHUNK_LINES, shape[0] - start) * width * 8
-            data = fh.read(size)
-            if len(data) != size:
-                raise EOFError(f"{name}: data ends early")
-            chunks.append(np.frombuffer(data, np.float64).reshape(-1, width))
-        _at_end(fh, name)
-    return chunks
-
-
-def _at_end(fh, name: str) -> None:
-    if fh.read(1):
-        raise ValueError(f"{name}: bytes after the data")
-
-
-def _write_entry(entry: str, table: EmbeddingTable) -> None:
-    """Store the table at `entry` through a temporary file in its directory,
-    so that a reader sees a whole entry or none.  The matrix is written a
-    chunk of rows at a time, never copied whole.  A cache error skips the
-    write; any exception, an interrupt too, removes the temporary file."""
-    words = "\n".join(table.vocabulary).encode("utf-8")
-    rows = list(table.vocabulary.values())
-    members = {  # name: (dtype, shape, the bytes in blocks)
-        "words": (np.uint8, (len(words),), [words]),
-        "vectors": (np.float64, (len(rows), table.dimension),
-                    (np.stack(rows[i : i + CHUNK_LINES]).tobytes()
-                     for i in range(0, len(rows), CHUNK_LINES))),
-        "counts": (np.int64, (2,),
-                   [np.array([table.dimension, table.duplicate_count], np.int64).tobytes()]),
-    }
-    tmp = None
-    try:
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry), suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
-            for name, (dtype, shape, blocks) in members.items():
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
-                    np.lib.format.write_array_header_1_0(
-                        out, {"descr": np.dtype(dtype).str, "fortran_order": False, "shape": shape})
-                    for block in blocks:
-                        out.write(block)
-        os.replace(tmp, entry)
-        tmp = None
-    except _CACHE_ERRORS:
-        pass
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
 
 
 def _parse(path, oov_seed: int) -> EmbeddingTable:

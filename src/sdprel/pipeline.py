@@ -107,6 +107,8 @@ class TrainConfig:
     score_excluded: bool = True
 
     def validate(self) -> "TrainConfig":
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.optimizer not in ("adam", "adadelta"):
@@ -165,6 +167,14 @@ class TrainConfig:
                     raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
                 values[key] = _coerce(key, value, known[key].default, line_no, path)
         return cls(**values).validate()
+
+
+def _check_type(key, value, kind):
+    """A field holds a value of its default's type; a float field takes an int
+    too, and no number field takes a bool."""
+    kinds = (int, float) if kind is float else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{key} expects {kind.__name__}, got {value!r}")
 
 
 def _coerce(key, value, default, line_no, path):
@@ -610,9 +620,12 @@ def _pretrain_stacked(
 
 
 def _pos_samples(instances: list[SdpInstance]) -> np.ndarray:
-    """The distinct PoS one-hots of these instances, in lexicographic order."""
-    return np.unique(
-        np.stack([encode_pos_onehot(c) for i in instances for c in i.pos_classes]), axis=0)
+    """The distinct PoS one-hots of these instances, in lexicographic order: by
+    descending class index.  Each class is encoded once, in first-seen order,
+    so the first bad class is the one reported."""
+    classes = dict.fromkeys(c for i in instances for c in i.pos_classes)
+    rows = {c: encode_pos_onehot(c) for c in classes}
+    return np.stack([rows[c] for c in sorted(rows, reverse=True)])
 
 
 def _position_samples(instances: list[SdpInstance]) -> np.ndarray:

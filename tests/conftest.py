@@ -1,6 +1,6 @@
 import pytest
 
-from sdprel import features
+from sdprel import embed, features
 from sdprel.corpus import load_corpus
 from sdprel.depgraph import load_dependencies
 
@@ -44,15 +44,13 @@ TABLE2_EDGES = [
 ]
 
 
-@pytest.fixture(scope="session", autouse=True)
-def vector_cache(tmp_path_factory):
-    """The word-vector cache of this session: XDG_CACHE_HOME points at a fresh
-    directory before any test runs, so no test reads or writes the user's
-    cache, and CLI subprocesses inherit it.  Yields the cache's sdprel folder."""
+@pytest.fixture(autouse=True)
+def fresh_vectors_memo():
+    """Each test starts with no word-vector table kept, as a new process does.
+    A patch of its own, so a test's ``monkeypatch.undo()`` leaves it alone."""
     with pytest.MonkeyPatch.context() as mp:
-        home = tmp_path_factory.mktemp("xdg-cache")
-        mp.setenv("XDG_CACHE_HOME", str(home))
-        yield home / "sdprel"
+        mp.setattr(embed, "_LAST", None)
+        yield
 
 
 class ForgetfulFits(dict):

@@ -341,6 +341,31 @@ class TestMetadata:
             assert captured.out == ""
             assert "seed" in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("lstm_units", 3.0), ("mlp_hidden", 2.0), ("batch", 2.5), ("seed", 1.5),  # int
+        ("epochs", True),
+        ("dropout", "0.1"), ("learning_rate", None),  # float
+        ("use_pos", "no"), ("tune_embeddings", 0),  # bool
+        ("embedding_path", 5), ("model", ["bilstm"]),  # str
+    ])
+    def test_a_stored_config_value_of_another_type_is_exit_2(self, trained_checkpoint, tmp_path,
+                                                             capsys, key, value):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["config"][key] = value
+        blob = framed(meta, payload)
+        with pytest.raises(ConfigError, match=f"{key} expects"):
+            checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        for command in (("predict",), ("evaluate", "--report", "csv")):
+            rc = main([command[0], "--ck", str(tmp_path / "model.sdpl"),
+                       "--instances", str(tmp_path / "inst.json"), *command[1:]])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{key} expects" in captured.err
+
     def test_autoencoder_missing_in_memory_is_dimension_mismatch(self, trained_checkpoint):
         ck = dataclasses.replace(trained_checkpoint, pos_ae=None)
         with pytest.raises(DimensionMismatch, match="input dimension"):

@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sdprel import embed as embed_mod
 from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
 from sdprel.pipeline import instances_from_json
 
 from helpers import synthetic_corpus, write_lines
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG_TEXT = """\
 model=bilstm
@@ -399,19 +406,43 @@ class TestVectorsFile:
         assert captured.out == ""
         assert f"{vectors} has changed since training" in captured.err
 
-    def test_unwritable_cache_changes_no_output(self, workdir, vectors, capsys, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(workdir / "cache"))
-        want = self.train_and_predict(workdir, capsys)
-        model = (workdir / "model.sdpl").read_bytes()
-        assert want[0] == [0, 0]
-        assert len(list((workdir / "cache" / "sdprel").iterdir())) == 1
-        blocker = workdir / "blocker"
-        blocker.write_text("a regular file")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
-        assert self.train_and_predict(workdir, capsys) == want
-        assert (workdir / "model.sdpl").read_bytes() == model
-        assert blocker.read_text() == "a regular file"
-        assert len(list((workdir / "cache" / "sdprel").iterdir())) == 1
+    def test_cold_and_warm_memo_give_the_same_output(self, workdir, vectors, capsys,
+                                                     monkeypatch):
+        def outputs(cold):
+            """(stdout of train, stdout of predict, the checkpoint's bytes)"""
+            out = []
+            for argv in (
+                ("train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
+                 "--out", workdir / "model.sdpl"),
+                ("predict", "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json"),
+            ):
+                if cold:
+                    monkeypatch.setattr(embed_mod, "_LAST", None)
+                assert run(*argv) == 0
+                out.append(capsys.readouterr().out)
+            return *out, (workdir / "model.sdpl").read_bytes()
+
+        want = outputs(cold=True)
+        assert embed_mod._LAST is not None
+        assert outputs(cold=False) == want
+
+    def test_commands_leave_no_state_in_home(self, workdir, vectors, tmp_path_factory):
+        """`sdprel train` and `sdprel predict`, run as programs, write nothing
+        under HOME or XDG_CACHE_HOME."""
+        home, cache = tmp_path_factory.mktemp("home"), tmp_path_factory.mktemp("xdg-cache")
+        env = {**os.environ, "HOME": str(home), "XDG_CACHE_HOME": str(cache),
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        for argv in (
+            ["train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
+             "--out", workdir / "model.sdpl"],
+            ["predict", "--ck", workdir / "model.sdpl", "--instances", workdir / "inst.json"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from sdprel.cli import main; sys.exit(main())",
+                 *map(str, argv)], cwd=workdir, env=env, capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr[-3000:]
+        assert list(home.iterdir()) == [] and list(cache.iterdir()) == []
 
 
 class TestCvCommand:

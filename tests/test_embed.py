@@ -5,7 +5,6 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdprel import embed
 from sdprel.embed import (
-    CACHE_VERSION,
     CHUNK_LINES,
     OOV_SCALE,
     EmbeddingTable,
@@ -219,21 +217,8 @@ class TestLoaderMatchesReference:
             assert got.vocabulary[word].tobytes() == vec.tobytes(), word
 
 
-def entries(home):
-    """Every file in the cache under the XDG_CACHE_HOME `home`, temporary ones included."""
-    return sorted(p.name for p in (Path(home) / "sdprel").glob("*"))
-
-
-def owner(array):
-    """The object that holds an array's memory: an ndarray that owns its data,
-    or the buffer a view was made from."""
-    while isinstance(array, np.ndarray) and array.base is not None:
-        array = array.base
-    return array
-
-
 def parse_forbidden(path, oov_seed):
-    raise AssertionError(f"{path} was parsed, not read from the cache")
+    raise AssertionError(f"{path} was parsed, not taken from the memo")
 
 
 def assert_same_table(got, want):
@@ -246,9 +231,13 @@ def assert_same_table(got, want):
         assert not got.vocabulary[word].flags.writeable, word
 
 
+def blake2b(path):
+    return hashlib.blake2b(Path(path).read_bytes(), digest_size=32).hexdigest()
+
+
 class TestCache:
-    """The first load of a file parses it and writes one entry; a second load
-    of the same bytes reads that entry and returns the same table."""
+    """The first load of a file parses it and keeps its table; a second load
+    of the same bytes returns that table's rows without parsing."""
 
     @given(case=vector_files())
     @example(case=("0 3\n", False))  # no words
@@ -258,27 +247,22 @@ class TestCache:
     def test_miss_hit_and_reference_agree(self, vector_dir, case):
         path = write_case(vector_dir, case)
         want = outcome(reference_load_embeddings, path)
-        with tempfile.TemporaryDirectory() as home, pytest.MonkeyPatch.context() as mp:
-            mp.setenv("XDG_CACHE_HOME", home)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "_LAST", None)
             miss = outcome(load_embeddings, path)
             if isinstance(want, tuple):
                 assert miss == want
-                assert entries(home) == []
+                assert embed._LAST is None
                 assert outcome(load_embeddings, path) == want
-                assert entries(home) == []
+                assert embed._LAST is None
                 return
-            assert entries(home) == [f"{CACHE_VERSION}-{miss.digest}.npz"]
+            assert embed._LAST.digest == miss.digest == blake2b(path)
             mp.setattr(embed, "_parse", parse_forbidden)
             hit = load_embeddings(path, oov_seed=3)
         assert_same_table(miss, want)
         assert_same_table(hit, want)
         assert (miss.oov_seed, hit.oov_seed) == (0, 3)
         assert miss.digest == hit.digest
-
-    @pytest.fixture
-    def home(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        return tmp_path / "cache"
 
     @pytest.fixture
     def vectors(self, tmp_path):
@@ -291,161 +275,54 @@ class TestCache:
         monkeypatch.setattr(embed, "_parse", lambda *a: calls.append(a) or parse(*a))
         return calls
 
-    def test_one_load_writes_exactly_one_entry(self, home, vectors):
-        table = load_embeddings(vectors)
-        digest = hashlib.blake2b(vectors.read_bytes(), digest_size=32).hexdigest()
-        assert table.digest == digest
-        assert entries(home) == [f"{CACHE_VERSION}-{digest}.npz"]
-        with np.load(home / "sdprel" / entries(home)[0]) as npz:
-            assert npz["vectors"].shape == (2 * CHUNK_LINES + 5, 3)
-            assert list(npz["counts"]) == [3, 1]
-
-    def test_gzip_key_is_the_compressed_bytes(self, home, tmp_path):
+    def test_gzip_key_is_the_compressed_bytes(self, tmp_path):
         path = tmp_path / "emb.txt.gz"
         path.write_bytes(gzip.compress(b"1 2\nw 1 2\n", mtime=0))
-        digest = hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()
-        assert load_embeddings(path).digest == digest
-        assert entries(home) == [f"{CACHE_VERSION}-{digest}.npz"]
+        assert load_embeddings(path).digest == blake2b(path)
+        assert embed._LAST.digest == blake2b(path)
 
-    def test_changed_bytes_are_another_entry(self, home, vectors):
+    def test_changed_bytes_are_another_entry(self, vectors, monkeypatch):
+        calls = self.parse_count(monkeypatch)
         first = load_embeddings(vectors)
         vectors.write_text(vectors.read_text().replace("w1 0 0 0", "w1 9 9 9"))
         second = load_embeddings(vectors)
         assert first.digest != second.digest
-        assert len(entries(home)) == 2
+        assert len(calls) == 2
         assert_same_table(second, reference_load_embeddings(vectors))
+        assert embed._LAST.digest == second.digest
+
+    def test_the_memo_keeps_one_table(self, tmp_path, vectors, monkeypatch):
+        """A hit shares the kept rows; another file's load replaces the table."""
+        other = write_vectors(tmp_path / "other.txt", "1 3", ["w 1 2 3"])
+        calls = self.parse_count(monkeypatch)
+        miss, hit = load_embeddings(vectors), load_embeddings(vectors)
+        assert all(hit.vocabulary[w] is row for w, row in miss.vocabulary.items())
+        load_embeddings(other)
+        assert embed._LAST.digest == blake2b(other)
+        assert_same_table(load_embeddings(vectors), miss)
+        assert len(calls) == 3
+
+    def test_a_hit_uses_the_callers_oov_seed(self, vectors, monkeypatch):
+        first = load_embeddings(vectors, oov_seed=1)
+        monkeypatch.setattr(embed, "_parse", parse_forbidden)
+        second = load_embeddings(vectors, oov_seed=2)
+        assert (first.oov_seed, second.oov_seed) == (1, 2)
+        assert np.array_equal(lookup(second, "unseen"), oov_vector("unseen", 3, 2))
+        assert np.array_equal(lookup(first, "unseen"), oov_vector("unseen", 3, 1))
+
+    def test_editing_a_returned_dict_does_not_reach_the_next_load(self, vectors, monkeypatch):
+        for table in (load_embeddings(vectors), load_embeddings(vectors)):
+            table.vocabulary["w0"] = np.zeros(3)
+            del table.vocabulary["w1"]
+            table.vocabulary["new"] = np.ones(3)
+        monkeypatch.setattr(embed, "_parse", parse_forbidden)
+        assert_same_table(load_embeddings(vectors), reference_load_embeddings(vectors))
 
     def test_tables_in_memory_have_no_digest(self):
         assert EmbeddingTable.empty(4).digest is None
         assert EmbeddingTable(dimension=1, vocabulary={"w": np.ones(1)}).digest is None
 
-    def damage_truncated(self, entry):
-        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
-
-    def damage_crc(self, entry):
-        blob = bytearray(entry.read_bytes())
-        at = blob.index(np.float64(-1 / 3).tobytes())  # a byte of the matrix data
-        blob[at] ^= 1
-        entry.write_bytes(bytes(blob))
-
-    def rewrite(self, entry, **change):
-        with np.load(entry) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        arrays.update(change)
-        np.savez(entry, **arrays)
-
-    def damage_rows(self, entry):
-        with np.load(entry) as npz:
-            self.rewrite(entry, vectors=npz["vectors"][:-1])
-
-    def damage_dimension(self, entry):
-        self.rewrite(entry, counts=np.array([4, 1]))
-
-    def damage_words(self, entry):
-        with np.load(entry) as npz:
-            self.rewrite(entry, words=np.frombuffer(npz["words"].tobytes() + b"\nx", np.uint8))
-
-    def damage_repeated_word(self, entry):
-        with np.load(entry) as npz:
-            words = npz["words"].tobytes().replace(b"w1\n", b"w0\n", 1)
-        self.rewrite(entry, words=np.frombuffer(words, np.uint8))
-
-    def damage_dtype(self, entry):
-        with np.load(entry) as npz:
-            self.rewrite(entry, vectors=npz["vectors"].astype(np.float32))
-
-    def damage_not_a_zip(self, entry):
-        with open(entry, "wb") as fh:
-            np.save(fh, np.zeros((3, 3)))
-
-    def rewrite_matrix_bytes(self, entry, change):
-        with zipfile.ZipFile(entry) as zf:
-            members = {name: zf.read(name) for name in zf.namelist()}
-        members["vectors.npy"] = change(members["vectors.npy"])
-        with zipfile.ZipFile(entry, "w") as zf:
-            for name, data in members.items():
-                zf.writestr(name, data)
-
-    def damage_trailing_bytes(self, entry):
-        self.rewrite_matrix_bytes(entry, lambda data: data + b"\0" * 8)
-
-    def damage_short_matrix(self, entry):
-        self.rewrite_matrix_bytes(entry, lambda data: data[:-8])
-
-    def damage_fortran_order(self, entry):
-        with np.load(entry) as npz:
-            self.rewrite(entry, vectors=np.asfortranarray(npz["vectors"]))
-
-    @pytest.mark.parametrize("damage", [
-        "truncated", "crc", "rows", "dimension", "words", "repeated_word", "dtype", "not_a_zip",
-        "trailing_bytes", "short_matrix", "fortran_order"])
-    def test_damaged_entry_is_parsed_again_and_replaced(self, home, vectors, monkeypatch, damage):
-        load_embeddings(vectors)
-        (name,) = entries(home)
-        entry = home / "sdprel" / name
-        good = entry.read_bytes()
-        getattr(self, f"damage_{damage}")(entry)
-        assert entry.read_bytes() != good
-        calls = self.parse_count(monkeypatch)
-        table = load_embeddings(vectors)
-        assert len(calls) == 1
-        assert_same_table(table, reference_load_embeddings(vectors))
-        assert entries(home) == [name]
-        assert entry.read_bytes() == good
-        load_embeddings(vectors)
-        assert len(calls) == 1
-
-    def test_a_hit_reads_the_matrix_a_chunk_at_a_time(self, home, vectors):
-        """A hit's rows are views of chunk arrays of at most CHUNK_LINES rows,
-        as the parser makes them, not of one (V x D) block."""
-        for table in (load_embeddings(vectors), load_embeddings(vectors)):
-            owners = [owner(row) for row in table.vocabulary.values()]
-            chunks = [owners[i : i + CHUNK_LINES] for i in range(0, len(owners), CHUNK_LINES)]
-            assert [len({id(o) for o in chunk}) for chunk in chunks] == [1, 1, 1]
-            assert len({id(chunk[0]) for chunk in chunks}) == 3
-            assert [memoryview(chunk[0]).nbytes for chunk in chunks] == [
-                CHUNK_LINES * 3 * 8, CHUNK_LINES * 3 * 8, 5 * 3 * 8]
-
-    def test_interrupted_write_leaves_no_temporary_file(self, home, vectors, monkeypatch):
-        headers = []
-        write_header = np.lib.format.write_array_header_1_0
-
-        def interrupted(fh, header):
-            headers.append(header)
-            if len(headers) == 2:  # the words are written, the matrix is next
-                raise KeyboardInterrupt
-            write_header(fh, header)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.lib.format, "write_array_header_1_0", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                load_embeddings(vectors)
-        assert entries(home) == []
-        calls = self.parse_count(monkeypatch)
-        for _ in range(2):
-            assert_same_table(load_embeddings(vectors), reference_load_embeddings(vectors))
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("where", ["a file", "under a file"])
-    def test_unwritable_cache_changes_nothing(self, tmp_path, vectors, monkeypatch, where):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker if where == "a file" else blocker / "x"))
-        calls = self.parse_count(monkeypatch)
-        for _ in range(2):
-            assert_same_table(load_embeddings(vectors), reference_load_embeddings(vectors))
-        assert len(calls) == 2
-        assert blocker.read_text() == "not a directory"
-
-    def test_relative_cache_home_is_ignored(self, tmp_path, vectors, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        monkeypatch.chdir(tmp_path)
-        load_embeddings(vectors)
-        assert not (tmp_path / "relative").exists()
-        assert len(entries(tmp_path / "home" / ".cache")) == 1
-
-    def test_a_pipe_is_read_once_and_not_cached(self, home, tmp_path):
+    def test_a_pipe_is_read_once_and_not_cached(self, tmp_path):
         fifo = tmp_path / "emb.fifo"
         os.mkfifo(fifo)
         tables = []
@@ -456,9 +333,12 @@ class TestCache:
         reader.join(timeout=30)
         assert not reader.is_alive() and len(tables) == 1
         assert list(tables[0].vocabulary) == ["w"] and tables[0].digest is None
-        assert entries(home) == []
+        assert embed._LAST is None
 
-    def test_file_changed_while_parsed_writes_no_entry(self, home, vectors, monkeypatch):
+    def test_file_changed_while_parsed_writes_no_entry(self, vectors, monkeypatch):
+        """A file edited mid-parse is returned as parsed, with the digest taken
+        before the parse, and not kept."""
+        before, digest = reference_load_embeddings(vectors), blake2b(vectors)
         parse = embed._parse
 
         def parse_then_edit(path, oov_seed):
@@ -467,8 +347,10 @@ class TestCache:
             return table
 
         monkeypatch.setattr(embed, "_parse", parse_then_edit)
-        load_embeddings(vectors)
-        assert entries(home) == []
+        table = load_embeddings(vectors)
+        assert_same_table(table, before)
+        assert table.digest == digest
+        assert embed._LAST is None
 
 
 class TestLookup:

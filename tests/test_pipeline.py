@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,11 +147,23 @@ class TestTrainConfig:
             {"learning_rate": float("inf")},
             {"learning_rate": float("-inf")},
             {"seed": -1},
+            {"lstm_units": 3.0},
+            {"batch": 2.5},
+            {"seed": 1.5},
+            {"epochs": True},
+            {"dropout": "0.1"},
+            {"learning_rate": False},
+            {"use_pos": "no"},
+            {"tune_embeddings": 1},
+            {"embedding_path": 5},
         ],
     )
     def test_validation_rejects(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
+
+    def test_a_float_field_takes_an_int(self):
+        assert TrainConfig.from_dict({"learning_rate": 1, "dropout": 0}).learning_rate == 1
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg"
@@ -873,6 +886,19 @@ class TestAutoencoderPretraining:
         b_pos, b_position = pretrain_autoencoders(cfg, synth_instances.instances)
         assert np.array_equal(a_pos.encoder_w, b_pos.encoder_w)
         assert np.array_equal(a_position.decoder_w, b_position.decoder_w)
+
+    @given(classes=st.lists(st.lists(st.integers(0, POS_DIM - 1), min_size=1, max_size=8),
+                            min_size=1, max_size=6))
+    def test_pos_samples_are_the_unique_one_hots_of_every_token(self, classes):
+        instances = [SimpleNamespace(pos_classes=tuple(c)) for c in classes]
+        every_token = np.stack([encode_pos_onehot(c) for i in instances for c in i.pos_classes])
+        got = pipeline_mod._pos_samples(instances)
+        assert np.array_equal(got, np.unique(every_token, axis=0))
+
+    def test_pos_samples_name_the_first_bad_class(self):
+        instances = [SimpleNamespace(pos_classes=classes) for classes in [(3, POS_DIM + 1), (-1,)]]
+        with pytest.raises(DimensionMismatch, match=f"class index {POS_DIM + 1} outside"):
+            pipeline_mod._pos_samples(instances)
 
     def test_feature_flags_disable(self, synth_instances):
         cfg = small_config(use_pos=False, use_position=False)

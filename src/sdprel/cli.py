@@ -168,11 +168,9 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     base = TrainConfig.from_file(args.config)
     try:
-        values = [int(v) for v in args.values.split(",") if v]
+        values = [int(v) for v in args.values.split(",")]  # an empty item is no integer
     except ValueError:
         raise InputError(f"--values must be comma-separated integers: {args.values!r}")
-    if not values:
-        raise InputError("--values is empty")
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)

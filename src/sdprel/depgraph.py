@@ -109,20 +109,21 @@ def paths_from(
         if src == dst:
             raise IndexOutOfRange("src and dst must be distinct tokens")
 
-    parent: dict[int, int] = {src: src}
+    parent = [-1] * n  # a node's BFS parent, -1 until reached
+    parent[src] = src
     unreached = set(dsts)
     queue = deque([src])
     while queue and unreached:
         node = queue.popleft()
         for nb in g.adjacency[node]:
-            if nb not in parent:
+            if parent[nb] < 0:
                 parent[nb] = node
                 queue.append(nb)
                 unreached.discard(nb)
 
     out: list[SdpPath | Disconnected | PathTooLong] = []
     for dst in dsts:
-        if dst not in parent:
+        if parent[dst] < 0:
             out.append(Disconnected(
                 f"sentence {g.sentence_id!r}: no path between tokens {src} and {dst}"
             ))

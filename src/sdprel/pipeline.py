@@ -13,8 +13,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +156,7 @@ class TrainConfig:
         """Flat key=value file; '#' comments and blank lines are ignored."""
         known = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
+        set_on: dict[str, int] = {}  # key -> the line that set it
         with open(path, encoding="utf-8") as fh, reading_text(path):
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -165,6 +168,9 @@ class TrainConfig:
                 key, value = key.strip(), value.strip()
                 if key not in known:
                     raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+                if set_on.setdefault(key, line_no) != line_no:
+                    raise ConfigError(f"{path}:{line_no}: {key!r} is set twice, "
+                                      f"on lines {set_on[key]} and {line_no}")
                 values[key] = _coerce(key, value, known[key].default, line_no, path)
         return cls(**values).validate()
 
@@ -261,11 +267,14 @@ def _position_table(window: int) -> np.ndarray:
     return np.stack([encode_position(d, window) for d in range(window + 1)])
 
 
-def _by_distance(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows for the tokens of an n-token path, picked by distance from PROT1 (the
-    first token) and from PROT2 (the last); the last row stands for every longer one."""
-    k = np.minimum(np.arange(n), len(rows) - 1)
-    return rows[k], rows[k[::-1]]
+def _by_distance(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows for the tokens of paths of these lengths, one path after another,
+    picked by distance from PROT1 (each path's first token) and from PROT2 (its
+    last); the last row stands for every longer distance."""
+    ends = np.cumsum(lengths)
+    k = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)  # position within the path
+    cap = len(rows) - 1
+    return rows[np.minimum(k, cap)], rows[np.minimum(np.repeat(lengths - 1, lengths) - k, cap)]
 
 
 class _PositionCodes(dict):
@@ -277,7 +286,7 @@ class _PositionCodes(dict):
         self.table = _position_table(window)
 
     def __missing__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        codes = _by_distance(self.table, n)
+        codes = _by_distance(self.table, np.array([n]))
         for m in codes:
             m.flags.writeable = False
         self[n] = codes
@@ -334,17 +343,11 @@ def preprocess(
                         _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label, reason))
                     continue
                 nodes = path.node_indices
-                pos1_codes, pos2_codes = codes[len(nodes)]
-                instances.append(
-                    SdpInstance(
-                        _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label,
-                        tokens=(PROT1, *[tokens[i] for i in nodes[1:-1]], PROT2),
-                        pos_tags=tuple(tags[i] for i in nodes),
-                        pos_classes=tuple(classes[i] for i in nodes),
-                        pos1_codes=pos1_codes,
-                        pos2_codes=pos2_codes,
-                    )
-                )
+                on_path = itemgetter(*nodes)  # a path has 2 or more nodes, so this gives tuples
+                instances.append(SdpInstance(
+                    _pair_id(pair), s.id, pair.prot1, pair.prot2, pair.label,
+                    (PROT1, *on_path(tokens)[1:-1], PROT2), on_path(tags), on_path(classes),
+                    *codes[len(nodes)]))
     return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position,
                             pos_table)
 
@@ -396,6 +399,11 @@ def instances_from_json(text: str) -> PreprocessResult:
                      else load_pos_table())
         instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, version), window)
         excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS, version))
+        ids = [i.instance_id for i in itertools.chain(instances, excluded)]
+        if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
+            seen: set[str] = set()
+            repeated = next(i for i in ids if i in seen or seen.add(i))
+            raise FormatError(f"instance id {repeated!r} appears more than once")
         return PreprocessResult(instances, excluded, window, *flags, pos_table)
     except KeyError as exc:
         raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
@@ -504,9 +512,26 @@ def _excluded_of(columns: list[list]) -> list[ExcludedInstance]:
 # Vectorization
 
 
+class TokenRows(NamedTuple):
+    """The token rows of instances, one instance after another: row r is
+    [word_vectors[word_ids[r]] | fixed[r]], and row k of word_vectors is the
+    vector of words[k], the sorted words of the instances and the special tokens."""
+
+    lengths: np.ndarray
+    words: list[str]
+    word_vectors: np.ndarray
+    word_ids: np.ndarray
+    fixed: np.ndarray  # [PoS | position from PROT1 | from PROT2] columns
+
+    def stacked(self, tokens=slice(None)) -> np.ndarray:
+        """The rows of these tokens, by index; by default every token's."""
+        words = self.word_vectors[self.word_ids[tokens]]
+        return np.concatenate([words, self.fixed[tokens]], axis=1)
+
+
 @dataclass
 class Vectorizer:
-    """Turns an SdpInstance's sparse codes into dense token vectors.
+    """Turns SdpInstances' sparse codes into dense token vectors.
 
     The dense codes are encoded once per PoS class and per capped distance
     into ``pos_rows`` and ``position_rows``, then gathered per token.
@@ -551,26 +576,36 @@ class Vectorizer:
         vec = self.overrides.get(token)
         return lookup(self.table, token) if vec is None else vec
 
+    def token_rows(self, instances: list[SdpInstance]) -> TokenRows:
+        """The instances' token rows: each distinct word is looked up once, and the
+        PoS and position columns are one gather each."""
+        for inst in instances:
+            if self.use_pos and not set(inst.pos_classes) <= _POS_CLASS_SET:
+                raise DimensionMismatch(f"PoS classes {inst.pos_classes} outside 0..{POS_DIM - 1}")
+            if self.use_position and inst.pos1_codes.shape[1] != self.position_ae.dim:
+                raise DimensionMismatch(f"position codes are {inst.pos1_codes.shape[1]} wide, "
+                                        f"the position autoencoder takes {self.position_ae.dim}")
+        tokens = list(itertools.chain.from_iterable(inst.tokens for inst in instances))
+        lengths = np.fromiter((len(inst.tokens) for inst in instances), np.intp, len(instances))
+        words = sorted(set(SPECIAL_TOKENS).union(tokens))
+        index = {w: k for k, w in enumerate(words)}
+        word_ids = np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
+        word_vectors = np.stack([self.word_vector(w) for w in words])
+        fixed = [np.empty((len(tokens), 0))]
+        if self.use_pos:
+            classes = itertools.chain.from_iterable(inst.pos_classes for inst in instances)
+            fixed.append(self.pos_rows[np.fromiter(classes, np.intp, len(tokens))])
+        if self.use_position:
+            fixed += _by_distance(self.position_rows, lengths)
+        fixed = np.concatenate(fixed, axis=1)
+        used_finite = np.isfinite(word_vectors).all(axis=1)[word_ids]  # an unused word is not read
+        if not (used_finite.all() and np.isfinite(fixed).all()):
+            raise DimensionMismatch("token vector has non-finite components")
+        return TokenRows(lengths, words, word_vectors, word_ids, fixed)
+
     def vectorize(self, inst: SdpInstance) -> np.ndarray:
         """(n, token_dim) rows of [word | pos | position from PROT1 | from PROT2]."""
-        columns = [np.stack([self.word_vector(tok) for tok in inst.tokens])]
-        if self.use_pos:
-            classes = np.asarray(inst.pos_classes)
-            if classes.min() < 0 or classes.max() >= POS_DIM:
-                raise DimensionMismatch(f"PoS classes {inst.pos_classes} outside 0..{POS_DIM - 1}")
-            columns.append(self.pos_rows[classes])
-        if self.use_position:
-            window = self.position_ae.dim
-            if inst.pos1_codes.shape[1] != window:
-                raise DimensionMismatch(
-                    f"position codes are {inst.pos1_codes.shape[1]} wide, "
-                    f"the position autoencoder takes {window}"
-                )
-            columns += _by_distance(self.position_rows, len(inst.tokens))
-        out = np.concatenate(columns, axis=1)
-        if not np.all(np.isfinite(out)):
-            raise DimensionMismatch("token vector has non-finite components")
-        return out
+        return self.token_rows([inst]).stacked()
 
 
 def load_table(config: TrainConfig, oov_seed: int) -> EmbeddingTable:
@@ -766,7 +801,7 @@ def _first_non_finite(tensors: dict[str, np.ndarray]) -> str:
     return next(name for name, arr in tensors.items() if not np.all(np.isfinite(arr)))
 
 
-def _token_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _span_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The rows starts[k] .. starts[k] + lengths[k] - 1 for every k, one after another."""
     return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
@@ -795,13 +830,15 @@ def train(
     else:
         pos_ae, position_ae = _checked_autoencoders(config, autoencoders)
 
-    # one (V x D) matrix of the word vectors the run can change; tokens map to row views
-    vocab = sorted(set(SPECIAL_TOKENS).union(*(inst.tokens for inst in instances)))
-    words = vocab if config.tune_embeddings else sorted(SPECIAL_TOKENS)
-    emb = np.stack([lookup(table, w) for w in words])
-    overrides = dict(zip(words, emb))
-
-    vectorizer = Vectorizer(table, pos_ae, position_ae, overrides)
+    vectorizer = Vectorizer(table, pos_ae, position_ae)
+    rows = vectorizer.token_rows(instances)
+    # one (V x D) matrix of the words' vectors, which tuning changes in place; the
+    # checkpoint keeps row views of every word when tuning, else copies of the
+    # special tokens' rows, so that it does not hold the whole matrix
+    emb = rows.word_vectors
+    overrides = dict(zip(rows.words, emb))
+    if not config.tune_embeddings:
+        overrides = {w: overrides[w].copy() for w in sorted(SPECIAL_TOKENS)}
     input_dim = vectorizer.token_dim
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = build_model(config, input_dim, rng)
@@ -810,18 +847,7 @@ def train(
     if config.tune_embeddings:
         # every row steps on every batch, so with Adam a row the batch lacks moves by momentum
         params["emb"] = emb
-    # a batch's token rows are its words' rows of word_matrix beside their fixed
-    # PoS and position columns, both gathered from every training token's row
-    word_dim = table.dimension
-    word_matrix = emb if config.tune_embeddings else np.stack(
-        [vectorizer.word_vector(w) for w in vocab])
-    row_of = {w: k for k, w in enumerate(vocab)}
-    word_rows = np.array([row_of[tok] for inst in instances for tok in inst.tokens])
-    lengths = np.array([len(inst.tokens) for inst in instances])
-    starts = np.cumsum(lengths) - lengths
-    fixed = np.empty((word_rows.size, input_dim - word_dim))
-    for inst, start in zip(instances, starts):
-        fixed[start : start + len(inst.tokens)] = vectorizer.vectorize(inst)[:, word_dim:]
+    starts = np.cumsum(rows.lengths) - rows.lengths
 
     if config.optimizer == "adam":
         opt_state, opt_step = AdamState(lr=config.learning_rate), adam_step
@@ -837,10 +863,8 @@ def train(
     def step(batch: np.ndarray) -> float:
         """One optimizer step on the instances `batch`; returns their summed loss."""
         masks = _make_masks(model, config.dropout, rng, len(batch))
-        tokens = _token_rows(starts[batch], lengths[batch])
-        rows = word_rows[tokens]
-        xs = np.concatenate([word_matrix[rows], fixed[tokens]], axis=1)
-        cache = model.forward_batch(xs, lengths[batch], masks)
+        tokens = _span_rows(starts[batch], rows.lengths[batch])
+        cache = model.forward_batch(rows.stacked(tokens), rows.lengths[batch], masks)
         loss = np.sum(cross_entropy(cache["probs"][:, 1], labels[batch]))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
@@ -848,7 +872,7 @@ def train(
                                        out=grads["theta"])
         if config.tune_embeddings:
             grads["emb"].fill(0.0)
-            np.add.at(grads["emb"], rows, d_xs[:, :word_dim])
+            np.add.at(grads["emb"], rows.word_ids[tokens], d_xs[:, : table.dimension])
         for g in grads.values():
             if not np.all(np.isfinite(g)):
                 bad = _first_non_finite({**model.tensors(grads["theta"]), **grads})
@@ -897,39 +921,25 @@ def baseline_rnn(
 # Prediction / metrics
 
 
-def _decision(prob) -> tuple[int, float]:
-    prob = float(prob)
-    return (corpus_mod.INTERACTING if prob >= 0.5 else corpus_mod.NON_INTERACTING, prob)
-
-
-def predict(
-    ck: Checkpoint,
-    instance: SdpInstance,
-    vectorizer: Vectorizer | None = None,
-    model=None,
-) -> tuple[int, float]:
+def predict(ck: Checkpoint, instance: SdpInstance, vectorizer: Vectorizer | None = None,
+            model=None) -> tuple[int, float]:
     """(label, positive-class probability); prob >= 0.5 means interacting."""
+    return predict_all(ck, [instance], vectorizer, model)[0]
+
+
+def predict_all(ck: Checkpoint, instances: list[SdpInstance],
+                vectorizer: Vectorizer | None = None, model=None) -> list[tuple[int, float]]:
+    """`predict` for every instance, scored in batches of the config's batch size."""
     if vectorizer is None:
         vectorizer = ck.build_vectorizer()
     if model is None:
         model = ck.build_model()
-    return _decision(model.forward(vectorizer.vectorize(instance))["probs"][1])
-
-
-def predict_all(
-    ck: Checkpoint,
-    instances: list[SdpInstance],
-    vectorizer: Vectorizer | None = None,
-) -> list[tuple[int, float]]:
-    """`predict` for every instance, scored in batches of the config's batch size."""
-    if vectorizer is None:
-        vectorizer = ck.build_vectorizer()
-    model = ck.build_model()
     out = []
     for start in range(0, len(instances), ck.config.batch):
-        xs = [vectorizer.vectorize(inst) for inst in instances[start : start + ck.config.batch]]
-        probs = model.forward_batch(np.concatenate(xs), [len(x) for x in xs])["probs"]
-        out += [_decision(p) for p in probs[:, 1]]
+        rows = vectorizer.token_rows(instances[start : start + ck.config.batch])
+        probs = model.forward_batch(rows.stacked(), rows.lengths)["probs"]
+        out += [(corpus_mod.INTERACTING if p >= 0.5 else corpus_mod.NON_INTERACTING, p)
+                for p in probs[:, 1].tolist()]
     return out
 
 
@@ -987,23 +997,11 @@ def evaluate(
 ) -> FoldMetrics:
     """Confusion counts over instances; excluded ones (if passed and the
     config scores them) count as non-interacting predictions."""
-    tp = fp = fn = tn = 0
-    for inst, (pred, _) in zip(instances, predict_all(ck, instances, vectorizer)):
-        if inst.label == 1 and pred == 1:
-            tp += 1
-        elif inst.label == 0 and pred == 1:
-            fp += 1
-        elif inst.label == 1 and pred == 0:
-            fn += 1
-        else:
-            tn += 1
+    scores = predict_all(ck, instances, vectorizer)
+    pairs = Counter((inst.label, pred) for inst, (pred, _) in zip(instances, scores))
     if ck.config.score_excluded:
-        for e in excluded:
-            if e.label == 1:
-                fn += 1
-            else:
-                tn += 1
-    return FoldMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
+        pairs.update((e.label, 0) for e in excluded)
+    return FoldMetrics(tp=pairs[1, 1], fp=pairs[0, 1], fn=pairs[1, 0], tn=pairs[0, 0])
 
 
 @dataclass

@@ -8,7 +8,8 @@ of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, a per-gate split of fused LSTM tensors for version 1
-checkpoints, a word-vector loader that parses one row at a time, and the
+checkpoints, the token rows of one instance at a time, a word-vector loader
+that parses one row at a time, and the
 row-per-instance (version 2) instances file writer and reader, whose reader
 checks one instance at a time.
 """
@@ -535,6 +536,37 @@ def reference_cross_validate(config, result, embeddings=None, pos_table=None):
         macro_recall=sum(m.recall for m in per_fold) / k,
         macro_f1=sum(m.f1 for m in per_fold) / k,
     )
+
+
+# ---------------------------------------------------------------------------
+# Token-row oracle: one instance at a time
+
+
+def reference_vectorize(vec, inst):
+    """One instance's (n, token_dim) rows of [word | pos | position from PROT1 |
+    from PROT2]: each token's word vector looked up on its own, the PoS and
+    position rows gathered for this instance alone."""
+    from sdprel.features import POS_DIM
+
+    columns = [np.stack([vec.word_vector(tok) for tok in inst.tokens])]
+    if vec.use_pos:
+        classes = np.asarray(inst.pos_classes)
+        if classes.min() < 0 or classes.max() >= POS_DIM:
+            raise DimensionMismatch(f"PoS classes {inst.pos_classes} outside 0..{POS_DIM - 1}")
+        columns.append(vec.pos_rows[classes])
+    if vec.use_position:
+        window = vec.position_ae.dim
+        if inst.pos1_codes.shape[1] != window:
+            raise DimensionMismatch(
+                f"position codes are {inst.pos1_codes.shape[1]} wide, "
+                f"the position autoencoder takes {window}"
+            )
+        k = np.minimum(np.arange(len(inst.tokens)), len(vec.position_rows) - 1)
+        columns += [vec.position_rows[k], vec.position_rows[k[::-1]]]
+    out = np.concatenate(columns, axis=1)
+    if not np.all(np.isfinite(out)):
+        raise DimensionMismatch("token vector has non-finite components")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,7 @@ class TestScoring:
         ck = train(small_config(model=kind, epochs=2), insts).checkpoint
         vec, model = ck.build_vectorizer(), ck.build_model()
         one = [predict(ck, inst, vec, model) for inst in insts]
+        assert one == [predict_all(ck, [inst], vec, model)[0] for inst in insts]
         for size in (1, 3, len(insts)):
             ck.config = ck.config.replace(batch=size)
             got = predict_all(ck, insts, vec)

@@ -296,7 +296,8 @@ class TestNegativeSeed:
     """A negative seed is a config error (exit 2), not a traceback from the RNG."""
 
     def write_config(self, workdir):
-        (workdir / "badconfig").write_text(CONFIG_TEXT + "seed=-1\n", encoding="utf-8")
+        (workdir / "badconfig").write_text(CONFIG_TEXT.replace("seed=11", "seed=-1"),
+                                           encoding="utf-8")
         return workdir / "badconfig"
 
     def test_train(self, workdir, capsys):
@@ -323,6 +324,34 @@ class TestNegativeSeed:
         assert rc == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (workdir / "sweep.csv").exists()
+
+
+class TestRepeatedConfigKey:
+    """A key set twice is a config error (exit 2), not a silent last-one-wins."""
+
+    def write_config(self, workdir):
+        text = CONFIG_TEXT.replace("epochs=6\n", "epochs=1\n") + "# later\nepochs=3\n"
+        (workdir / "twice").write_text(text, encoding="utf-8")
+        line = CONFIG_TEXT.splitlines().index("epochs=6") + 1
+        return workdir / "twice", f"'epochs' is set twice, on lines {line} and 12"
+
+    @pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+    def test_exit_2(self, workdir, capsys, command):
+        config, message = self.write_config(workdir)
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        if command == "train":
+            run("preprocess", *common, "--out", workdir / "inst.json")
+            capsys.readouterr()
+            argv = ("train", "--instances", workdir / "inst.json", "--out", workdir / "out")
+        elif command == "cv":
+            argv = ("cv", *common, "--report", workdir / "out")
+        else:
+            argv = ("sweep", "--param", "mlp_hidden", "--values", "2", *common,
+                    "--report", workdir / "out")
+        assert run(*argv, "--config", config) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert not (workdir / "out").exists()
 
 
 def write_vectors(path, dim, shift=0.0):
@@ -666,3 +695,19 @@ class TestSweepCommand:
         )
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("values", ["1,,2", "1,2,", ",1", ""])
+    def test_empty_value_item_exit_2(self, workdir, capsys, values):
+        rc = run(
+            "sweep",
+            "--param", "epochs",
+            "--values", values,
+            "--corpus", workdir / "corpus.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--config", workdir / "config",
+            "--report", workdir / "sweep.csv",
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--values must be comma-separated integers: {values!r}" in err
+        assert not (workdir / "sweep.csv").exists()

@@ -49,6 +49,7 @@ from sdprel.optim import adam_step
 from sdprel.pipeline import (
     INSTANCES_FORMAT,
     INSTANCES_VERSION,
+    ExcludedInstance,
     FoldMetrics,
     PreprocessResult,
     SdpInstance,
@@ -71,6 +72,7 @@ from helpers import (
     reference_instances_from_json,
     reference_instances_to_json,
     reference_preprocess,
+    reference_vectorize,
     synthetic_corpus,
     version_one_text,
     write_lines,
@@ -622,6 +624,41 @@ class TestInstancesFileV2:
             instances_from_json(json.dumps(doc))
 
 
+class TestRepeatedInstanceIds:
+    """Each pair is read once: an id that repeats, within the instances, within
+    the excluded pairs or across the two, is a FormatError naming it."""
+
+    @staticmethod
+    def document(result, version):
+        """The result, with two excluded pairs, as a file of this version."""
+        result = dataclasses.replace(result, excluded=[
+            ExcludedInstance(f"x:e0-e{k}", "x", "e0", f"e{k}", 0, "disconnected")
+            for k in (1, 2)])
+        config = small_config()
+        text = {1: version_one_text, 2: reference_instances_to_json,
+                3: instances_to_json}[version](result, config)
+        return json.loads(text)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["instances", "excluded", "across"])
+    def test_rejected(self, synth_instances, version, where):
+        doc = self.document(synth_instances, version)
+        repeated = "x:e0-e1" if where == "excluded" else synth_instances.instances[0].instance_id
+        if where == "across":
+            entries = doc["excluded"]
+            if version == 3:
+                entries["instance_id"][-1] = repeated
+            else:
+                entries[-1]["instance_id"] = repeated
+        elif version == 3:
+            for column in doc[where].values():
+                column.append(column[0])
+        else:
+            doc[where].append(dict(doc[where][0]))
+        with pytest.raises(FormatError, match=f"instance id {repeated!r} appears more than once"):
+            instances_from_json(json.dumps(doc))
+
+
 WORDS = ("binds", "with", "the", "of", "kinase", "and", "to")
 TAGS = ("NN", "VBZ", "IN", "DT", "CC", "XX")  # no PoS table names XX
 
@@ -977,6 +1014,84 @@ class TestVectorizer:
         with pytest.raises(DimensionMismatch, match="non-finite"):
             vec.vectorize(instances[0])
 
+    @pytest.mark.parametrize("fault", ["PoS classes", "7 wide", "non-finite"])
+    def test_a_bad_instance_after_good_ones_is_rejected(self, long_instances, fault):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae)
+        good, inst = instances[1:4], instances[0]
+        if fault == "PoS classes":
+            inst = dataclasses.replace(inst, pos_classes=(POS_DIM,) + inst.pos_classes[1:])
+        elif fault == "7 wide":
+            inst = dataclasses.replace(inst, pos1_codes=np.zeros((len(inst.tokens), 7)))
+        else:
+            inst = dataclasses.replace(inst, tokens=inst.tokens[:-1] + ("nan-word",))
+            vec.overrides["nan-word"] = np.full(cfg.embedding_dim, np.nan)
+        vec.token_rows(good)
+        with pytest.raises(DimensionMismatch, match=fault):
+            vec.token_rows([*good, inst])
+
+    def test_an_unused_non_finite_word_is_not_read(self, long_instances):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        vec = Vectorizer(EmbeddingTable.empty(cfg.embedding_dim), pos_ae, position_ae,
+                         overrides={"PROTX": np.full(cfg.embedding_dim, np.nan)})
+        inst = next(i for i in instances if "PROTX" not in i.tokens)
+        assert "PROTX" in vec.token_rows([inst]).words
+        assert np.array_equal(vec.vectorize(inst), reference_vectorize(vec, inst))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_token_rows_equal_the_per_instance_rows(self, data):
+        vec = data.draw(st.sampled_from(ROW_VECTORIZERS))
+        window = vec.position_ae.dim if vec.use_position else 10
+        insts = data.draw(row_batches(window))
+        rows = vec.token_rows(insts)
+        want = [reference_vectorize(vec, inst) for inst in insts]
+        assert rows.lengths.tolist() == [len(i.tokens) for i in insts]
+        assert np.array_equal(rows.stacked(), np.concatenate(want))
+        assert rows.words == sorted({"PROT1", "PROT2", "PROTX"}.union(*(i.tokens for i in insts)))
+        for inst, one in zip(insts, want):
+            assert np.array_equal(vec.vectorize(inst), one)
+
+
+def random_autoencoder(rng, d):
+    return Autoencoder(rng.normal(size=(d, d)), rng.normal(size=d),
+                       rng.normal(size=(d, d)), rng.normal(size=d))
+
+
+def row_vectorizers():
+    """Vectorizers with each feature on and off, over 6-d words: 'kinase' and
+    'Zeta' are stored, 'binds' is stored only lowercased, 'Tuned' and 'PROT1'
+    are overridden, and every other word is out of the table."""
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(6, {w: rng.normal(size=6) for w in ("kinase", "Zeta", "binds")},
+                           oov_seed=4)
+    overrides = {w: rng.normal(size=6) for w in ("Tuned", "PROT1")}
+    pos_ae, position_ae = random_autoencoder(rng, POS_DIM), random_autoencoder(rng, 7)
+    return [Vectorizer(table, p, q, overrides)
+            for p in (pos_ae, None) for q in (position_ae, None)]
+
+
+ROW_VECTORIZERS = row_vectorizers()
+ROW_WORDS = ("PROT1", "PROT2", "PROTX", "kinase", "Zeta", "zeta", "binds", "Binds", "BINDS",
+             "Tuned", "tuned", "unseen")
+
+
+@st.composite
+def row_batches(draw, window):
+    """1-5 instances of 1-14 tokens (past the window) over ROW_WORDS, with any
+    PoS classes."""
+    codes = pipeline_mod._PositionCodes(window)
+    insts = []
+    for j in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 14))
+        tokens = draw(st.lists(st.sampled_from(ROW_WORDS), min_size=n, max_size=n))
+        classes = draw(st.lists(st.integers(0, POS_DIM - 1), min_size=n, max_size=n))
+        insts.append(SdpInstance(f"s{j}:e0-e1", f"s{j}", "e0", "e1", j % 2, tuple(tokens),
+                                 ("NN",) * n, tuple(classes), *codes[n]))
+    return insts
+
 
 class TestTrain:
     def test_empty_training_set(self):
@@ -1164,13 +1279,13 @@ class TestTrain:
             dataclasses.replace(i, tokens=(i.tokens[0], "rep", "rep") + i.tokens[3:])
             for i in synth_instances.instances if len(i.tokens) >= 4
         ]
-        vectorized, batches, stepped = [], [], []  # batches: [xs, lengths, d_inputs]
-        real_vectorize = Vectorizer.vectorize
+        built, batches, stepped = [], [], []  # batches: [xs, lengths, d_inputs]
+        real_token_rows = Vectorizer.token_rows
         real_forward, real_backward = BiLstmModel.forward_batch, BiLstmModel.backward_batch
 
-        def record_vectorize(self, inst):
-            vectorized.append((inst, real_vectorize(self, inst)))
-            return vectorized[-1][1]
+        def record_token_rows(self, instances):
+            built.append((self, list(instances)))
+            return real_token_rows(self, instances)
 
         def record_forward(self, xs, lengths, masks=None):
             batches.append([xs, lengths])
@@ -1181,7 +1296,7 @@ class TestTrain:
             batches[-1].append(d_xs.copy())
             return grad, d_xs
 
-        monkeypatch.setattr(Vectorizer, "vectorize", record_vectorize)
+        monkeypatch.setattr(Vectorizer, "token_rows", record_token_rows)
         monkeypatch.setattr(BiLstmModel, "forward_batch", record_forward)
         monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
         monkeypatch.setattr(pl, "adam_step", lambda state, params, grads: stepped.append(grads))
@@ -1191,6 +1306,8 @@ class TestTrain:
         words = sorted({"PROT1", "PROT2", "PROTX"} | {t for i in insts for t in i.tokens})
         expected = np.zeros((len(words), cfg.embedding_dim))
         [(xs, lengths, d)] = batches
+        [(vectorizer, seen)] = built  # train builds every instance's rows once
+        vectorized = [(inst, reference_vectorize(vectorizer, inst)) for inst in seen]
         start = 0
         for n in lengths:  # each block of the batch is one instance's vectorized rows
             inst = next(i for i, v in vectorized if np.array_equal(v, xs[start : start + n]))

@@ -218,19 +218,23 @@ def _lstm_step(p, x, h_prev, c_prev):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h_prev))):
         raise NonFiniteInput("lstm_cell received non-finite input")
     acts = p.w_x @ x + p.w_h @ h_prev + p.b
-    h, c = _activate(acts, c_prev)
+    h, c = np.empty((2, p.units))
+    _activate(acts, c_prev, h, c)
     return h, c, _gate_rows(acts)
 
 
-def _activate(acts, c_prev):
-    """Turn fused pre-activations (last axis) into gate activations in place; returns (h, c)."""
+def _activate(acts, c_prev, h, c) -> None:
+    """Turn fused pre-activations (last axis) into gate activations in place, and
+    write the new hidden and cell states into h and c."""
     units = c_prev.shape[-1]
     gates = acts[..., : 3 * units]
     gates[...] = sigmoid(gates)
+    i, f, o = (gates[..., k * units : (k + 1) * units] for k in range(3))
     u = acts[..., 3 * units :]
     np.tanh(u, out=u)
-    c = gates[..., :units] * u + gates[..., units : 2 * units] * c_prev
-    return gates[..., 2 * units :] * np.tanh(c), c
+    np.multiply(i, u, out=c)
+    c += np.multiply(f, c_prev, out=h)  # c = i u + f c_prev
+    np.multiply(o, np.tanh(c, out=h), out=h)
 
 
 def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
@@ -245,9 +249,8 @@ def _lstm_run(p: LstmParams, xs: np.ndarray, pk: Packing):
         stop = start + n
         step = acts[start:stop]
         step += h[:n] @ w_h
-        h, c = _activate(step, c[:n])
-        states[start:stop] = h
-        cells[start:stop] = c
+        c_prev, h, c = c[:n], states[start:stop], cells[start:stop]
+        _activate(step, c_prev, h, c)
         start = stop
     if not np.all(np.isfinite(states)):
         raise NonFiniteInput("LSTM state became non-finite")

@@ -4,10 +4,11 @@ Parameters and gradients are dicts of name -> float64 ndarray; updates happen
 in place.  Each trainable group is one array (a model is one vector, the
 tuned word vectors are one matrix, an autoencoder is one vector), so a step
 touches one to a few large tensors.
-Both rules are element-wise and run over slices of at most BLOCK elements, so
-a large tensor adds only block-sized temporaries and the result is the same
-as one whole-array update.  Callers own exclusivity (no concurrent steps on
-one state).
+Both rules are element-wise and run over slices of at most BLOCK elements,
+writing every intermediate into scratch buffers that one step allocates once,
+so a step makes no per-block temporaries and the result is the same as one
+whole-array update.  Callers own exclusivity (no concurrent steps on one
+state).
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ def _check_shapes(params, grads):
             raise ShapeMismatch(f"{name}: parameter is not contiguous, so it has no flat view")
 
 
-def _step_blocks(params, grads, slots, update) -> None:
-    """update(p, g, *state) on each BLOCK-element slice of every tensor, through flat
-    views; ``slots`` are the per-name state dicts, a missing entry starts at zeros."""
+def _step_blocks(params, grads, slots, update, scratch: int) -> None:
+    """update(p, g, *state, *buffers) on each BLOCK-element slice of every tensor,
+    through flat views; ``slots`` are the per-name state dicts, a missing entry
+    starts at zeros, and ``scratch`` buffers as long as the slice are the
+    update's to overwrite."""
     _check_shapes(params, grads)
+    largest = max((p.size for p in params.values()), default=0)
+    buffers = np.empty((scratch, min(BLOCK, largest)))
     for name, p in params.items():
         flat = [a.reshape(-1) for a in (p, grads[name])]
         for s in slots:
@@ -45,7 +50,8 @@ def _step_blocks(params, grads, slots, update) -> None:
                 s[name] = np.zeros_like(p)
         flat += [s[name].reshape(-1) for s in slots]
         for start in range(0, p.size, BLOCK):
-            update(*(a[start : start + BLOCK] for a in flat))
+            blocks = [a[start : start + BLOCK] for a in flat]
+            update(*blocks, *buffers[:, : blocks[0].size])
 
 
 @dataclass
@@ -63,16 +69,21 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """One Adam update with bias correction."""
     t = state.step + 1
 
-    def update(p, g, m, v):
+    def update(p, g, m, v, a, b):
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), one element operation at a time
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
 
-    _step_blocks(params, grads, (state.m, state.v), update)
+    _step_blocks(params, grads, (state.m, state.v), update, scratch=2)
     state.step = t
 
 
@@ -87,12 +98,20 @@ class AdadeltaState:
 def adadelta_step(state: AdadeltaState, params: dict, grads: dict) -> None:
     """One Adadelta update (running RMS of gradients and of updates)."""
 
-    def update(p, g, eg2, ed2):
+    def update(p, g, eg2, ed2, delta, b):
+        # delta = -sqrt(ed2 + eps) / sqrt(eg2 + eps) * g, one element operation at a time
         eg2 *= state.rho
-        eg2 += (1.0 - state.rho) * g * g
-        delta = -np.sqrt(ed2 + state.eps) / np.sqrt(eg2 + state.eps) * g
+        np.multiply(g, 1.0 - state.rho, out=b)
+        eg2 += np.multiply(b, g, out=b)
+        np.add(ed2, state.eps, out=delta)
+        np.sqrt(delta, out=delta)
+        np.negative(delta, out=delta)
+        np.add(eg2, state.eps, out=b)
+        delta /= np.sqrt(b, out=b)
+        delta *= g
         ed2 *= state.rho
-        ed2 += (1.0 - state.rho) * delta * delta
+        np.multiply(delta, 1.0 - state.rho, out=b)
+        ed2 += np.multiply(b, delta, out=b)
         p += delta
 
-    _step_blocks(params, grads, (state.avg_sq_grad, state.avg_sq_delta), update)
+    _step_blocks(params, grads, (state.avg_sq_grad, state.avg_sq_delta), update, scratch=2)

@@ -855,13 +855,17 @@ def train(
         opt_state, opt_step = AdadeltaState(), adadelta_step
 
     labels = np.array([inst.label for inst in instances])
-    # every step's gradients go to the same buffers, so no step allocates them
+    # every step's gradients go to the same buffers, so no step allocates them; the
+    # word gradient is zero outside the rows of the batch's words (`touched`), so a
+    # step clears, checks and scales only those rows
     grads = {"theta": np.empty_like(model.theta)}
     if config.tune_embeddings:
-        grads["emb"] = np.empty_like(emb)
+        grads["emb"] = np.zeros_like(emb)
+    touched = np.empty(0, dtype=np.intp)
 
     def step(batch: np.ndarray) -> float:
         """One optimizer step on the instances `batch`; returns their summed loss."""
+        nonlocal touched
         masks = _make_masks(model, config.dropout, rng, len(batch))
         tokens = _span_rows(starts[batch], rows.lengths[batch])
         cache = model.forward_batch(rows.stacked(tokens), rows.lengths[batch], masks)
@@ -870,14 +874,20 @@ def train(
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
         _, d_xs = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings,
                                        out=grads["theta"])
+        parts = [grads["theta"]]
         if config.tune_embeddings:
-            grads["emb"].fill(0.0)
-            np.add.at(grads["emb"], rows.word_ids[tokens], d_xs[:, : table.dimension])
-        for g in grads.values():
+            grads["emb"][touched] = 0.0  # the previous step's rows
+            ids = rows.word_ids[tokens]
+            np.add.at(grads["emb"], ids, d_xs[:, : table.dimension])
+            touched = np.unique(ids)
+            parts.append(grads["emb"][touched])  # a copy, written back once scaled
+        for g in parts:
             if not np.all(np.isfinite(g)):
                 bad = _first_non_finite({**model.tensors(grads["theta"]), **grads})
                 raise NonFiniteGradient(f"non-finite gradient in {bad}")
             g *= 1.0 / len(batch)
+        if config.tune_embeddings:
+            grads["emb"][touched] = parts[1]
         opt_step(opt_state, params, grads)
         return float(loss)
 

@@ -1,7 +1,9 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdprel.errors import ShapeMismatch
 from sdprel.optim import BLOCK, AdadeltaState, AdamState, adadelta_step, adam_step
@@ -201,3 +203,63 @@ class TestBlocks:
         step(state, params, grads)
         assert created == []
         assert all(s[name] is f[name] for s, f in zip(slots, first) for name in params)
+
+
+# a tensor of 0 to several blocks: 1-d of any length, or 2-d with rows that do not
+# line up with the blocks
+tensor_shapes = st.one_of(
+    st.integers(0, 4 * BLOCK + 3).map(lambda n: (n,)),
+    st.tuples(st.integers(0, 9), st.integers(0, BLOCK // 2 + 5)),
+)
+
+
+class TestBlockProperty:
+    @given(shapes=st.lists(tensor_shapes, min_size=1, max_size=3),
+           steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize(
+        "make_state, blocked, reference",
+        [(AdamState, adam_step, whole_array_adam),
+         (AdadeltaState, adadelta_step, whole_array_adadelta)],
+    )
+    def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference,
+                                                     shapes, steps, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        params = {f"t{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)}
+        expected = copy.deepcopy(params)
+        state, ref_state = make_state(), make_state()
+        for _ in range(steps):
+            grads = {}
+            for name, p in params.items():
+                g = rng.normal(scale=10.0 ** rng.integers(-8, 4), size=p.shape)
+                flat = g.reshape(-1)
+                for block in data.draw(st.sets(st.integers(0, p.size // BLOCK))):
+                    flat[block * BLOCK : (block + 1) * BLOCK] = 0.0  # blocks with no gradient
+                grads[name] = g
+            blocked(state, params, grads)
+            reference(ref_state, expected, grads)
+        for name in params:
+            assert np.array_equal(params[name], expected[name])
+        for slot, ref_slot in zip(vars(state).values(), vars(ref_state).values()):
+            if isinstance(slot, dict):
+                assert all(np.array_equal(slot[name], ref_slot[name]) for name in params)
+            else:
+                assert slot == ref_slot
+
+    @pytest.mark.parametrize("make_state, step", [(AdamState, adam_step),
+                                                  (AdadeltaState, adadelta_step)])
+    def test_a_step_makes_no_per_block_temporaries(self, make_state, step):
+        rng = np.random.Generator(np.random.PCG64(3))
+        params = {"p": rng.normal(size=10**6)}
+        grads = {"p": rng.normal(size=10**6)}
+        state = make_state()
+        step(state, params, grads)  # the first step makes the state arrays
+        tracemalloc.start()
+        try:
+            step(state, params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two block-long scratch buffers and small objects; one more block-long array
+        # alive at any moment of the step would pass the bound
+        assert peak < 3 * BLOCK * 8

@@ -1319,6 +1319,61 @@ class TestTrain:
         assert np.array_equal(stepped[0]["emb"], expected)
         assert np.any(expected[words.index("rep")])
 
+    def test_word_gradient_of_every_step_equals_the_dense_sum(self, synth_instances,
+                                                              monkeypatch):
+        import sdprel.pipeline as pl
+        from sdprel.neural import BiLstmModel
+
+        # each instance has words of its own, so consecutive batches share only the
+        # placeholders and a row left over from the step before would show
+        insts = [dataclasses.replace(inst, tokens=(inst.tokens[0], f"own{k}a", f"own{k}b")
+                                     + inst.tokens[3:])
+                 for k, inst in enumerate(synth_instances.instances) if len(inst.tokens) >= 4]
+        built, spans, batches, stepped = [], [], [], []  # batches: [lengths, d_inputs]
+        real_token_rows, real_span_rows = Vectorizer.token_rows, pl._span_rows
+        real_forward, real_backward = BiLstmModel.forward_batch, BiLstmModel.backward_batch
+
+        def record_token_rows(self, instances):
+            built.append(real_token_rows(self, instances))
+            return built[-1]
+
+        def record_span_rows(starts, lengths):
+            spans.append(real_span_rows(starts, lengths))
+            return spans[-1]
+
+        def record_forward(self, xs, lengths, masks=None):
+            batches.append([lengths])
+            return real_forward(self, xs, lengths, masks)
+
+        def record_backward(self, cache, labels, **kw):
+            grad, d_xs = real_backward(self, cache, labels, **kw)
+            batches[-1].append(d_xs.copy())
+            return grad, d_xs
+
+        def record_step(state, params, grads):
+            stepped.append({name: g.copy() for name, g in grads.items()})
+            adam_step(state, params, grads)
+
+        monkeypatch.setattr(Vectorizer, "token_rows", record_token_rows)
+        monkeypatch.setattr(pl, "_span_rows", record_span_rows)
+        monkeypatch.setattr(BiLstmModel, "forward_batch", record_forward)
+        monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
+        monkeypatch.setattr(pl, "adam_step", record_step)
+        cfg = small_config(epochs=2, batch=3, tune_embeddings=True)
+        train(cfg, insts)
+
+        [rows] = built
+        assert len(stepped) == len(spans) == len(batches) == 2 * -(-len(insts) // cfg.batch)
+        previous: set[int] = set()
+        for grads, tokens, (lengths, d) in zip(stepped, spans, batches):
+            expected = np.zeros((len(rows.words), cfg.embedding_dim))  # the dense fill
+            np.add.at(expected, rows.word_ids[tokens], d[:, : cfg.embedding_dim])
+            expected *= 1.0 / len(lengths)
+            assert np.array_equal(grads["emb"], expected)
+            now = set(rows.word_ids[tokens].tolist())
+            assert previous - now or not previous  # rows of the step before, not of this one
+            previous = now
+
     def test_untouched_tuned_word_moves_by_momentum(self, synth_instances, monkeypatch):
         import sdprel.pipeline as pl
 

@@ -13,13 +13,16 @@ state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
 
-BLOCK = 8192  # 64 KiB of float64: temporaries stay small and below malloc's mmap threshold
+# 128 KiB of float64.  A block's parameters, gradient, two moments and scratch
+# (640 KiB for Adam) stay in a core's L2 cache; 8,192 and 131,072 were slower.
+BLOCK = 16384
 
 
 def _check_shapes(params, grads):
@@ -66,24 +69,27 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> None:
-    """One Adam update with bias correction."""
+    """One Adam update with bias correction, in the folded form of Kingma & Ba
+    (2015, section 2): with a = lr sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_t = eps sqrt(1 - beta2^t), p -= a (m / (sqrt(v) + eps_t)).  m and v are
+    the usual moments; p differs from the m_hat/v_hat form only by rounding."""
     t = state.step + 1
+    root = math.sqrt(1.0 - state.beta2**t)
+    step_size = state.lr * root / (1.0 - state.beta1**t)
+    eps_t = state.eps * root
 
-    def update(p, g, m, v, a, b):
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), one element operation at a time
+    def update(p, g, m, v, a):
         m *= state.beta1
         m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
         np.multiply(g, 1.0 - state.beta2, out=a)
         v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - state.beta1**t, out=a)
-        a *= state.lr
-        np.divide(v, 1.0 - state.beta2**t, out=b)
-        np.sqrt(b, out=b)
-        b += state.eps
-        p -= np.divide(a, b, out=a)
+        np.sqrt(v, out=a)
+        a += eps_t
+        np.divide(m, a, out=a)
+        p -= np.multiply(a, step_size, out=a)
 
-    _step_blocks(params, grads, (state.m, state.v), update, scratch=2)
+    _step_blocks(params, grads, (state.m, state.v), update, scratch=1)
     state.step = t
 
 

@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -115,7 +116,7 @@ class TestAdadelta:
 
 
 def whole_array_adam(state, params, grads):
-    """The Adam formula over each tensor at once, for comparison with the blocked step."""
+    """The textbook Adam formula (bias-corrected m_hat and v_hat) over each tensor at once."""
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -129,6 +130,23 @@ def whole_array_adam(state, params, grads):
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def whole_array_folded_adam(state, params, grads):
+    """adam_step's folded formula over each tensor at once."""
+    state.step += 1
+    t = state.step
+    root = math.sqrt(1.0 - state.beta2**t)
+    step_size = state.lr * root / (1.0 - state.beta1**t)
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= m / (np.sqrt(v) + state.eps * root) * step_size
 
 
 def whole_array_adadelta(state, params, grads):
@@ -150,7 +168,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "make_state, blocked, reference",
-        [(AdamState, adam_step, whole_array_adam),
+        [(AdamState, adam_step, whole_array_folded_adam),
          (AdadeltaState, adadelta_step, whole_array_adadelta)],
     )
     def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference):
@@ -170,6 +188,23 @@ class TestBlocks:
                 assert all(np.array_equal(slot[name], ref_slot[name]) for name in params)
             else:
                 assert slot == ref_slot
+
+    def test_folded_step_follows_the_textbook_formula(self):
+        # the moments are the same numbers; the parameters differ by rounding only
+        rng = np.random.Generator(np.random.PCG64(12))
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        expected = copy.deepcopy(params)
+        state, ref_state = AdamState(), AdamState()
+        for _ in range(25):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8, 3, size=p.shape)
+                     for name, p in params.items()}
+            grads["big"][BLOCK : 2 * BLOCK] = 0.0
+            adam_step(state, params, grads)
+            whole_array_adam(ref_state, expected, grads)
+        for name in params:
+            assert np.array_equal(state.m[name], ref_state.m[name])
+            assert np.array_equal(state.v[name], ref_state.v[name])
+            np.testing.assert_allclose(params[name], expected[name], rtol=1e-12, atol=0)
 
     def test_parameter_without_a_flat_view_is_refused(self):
         p = np.zeros((4, 6))[:, :3]  # an update through a flat copy would be lost
@@ -219,7 +254,7 @@ class TestBlockProperty:
     @settings(max_examples=25, deadline=None)
     @pytest.mark.parametrize(
         "make_state, blocked, reference",
-        [(AdamState, adam_step, whole_array_adam),
+        [(AdamState, adam_step, whole_array_folded_adam),
          (AdadeltaState, adadelta_step, whole_array_adadelta)],
     )
     def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference,
@@ -260,6 +295,6 @@ class TestBlockProperty:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two block-long scratch buffers and small objects; one more block-long array
+        # at most two block-long scratch buffers and small objects; one more block-long array
         # alive at any moment of the step would pass the bound
         assert peak < 3 * BLOCK * 8

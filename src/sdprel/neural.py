@@ -228,10 +228,12 @@ def _activate(acts, c_prev, h, c) -> None:
     write the new hidden and cell states into h and c."""
     units = c_prev.shape[-1]
     gates = acts[..., : 3 * units]
-    gates[...] = sigmoid(gates)
+    gates *= 0.5  # sigmoid(x) = 0.5 + 0.5 tanh(x / 2), so one tanh serves all four gates
+    np.tanh(acts, out=acts)
+    gates *= 0.5
+    gates += 0.5
     i, f, o = (gates[..., k * units : (k + 1) * units] for k in range(3))
     u = acts[..., 3 * units :]
-    np.tanh(u, out=u)
     np.multiply(i, u, out=c)
     c += np.multiply(f, c_prev, out=h)  # c = i u + f c_prev
     np.multiply(o, np.tanh(c, out=h), out=h)

@@ -12,6 +12,7 @@ from sdprel.neural import (
     MlpBaselineModel,
     RnnBaselineModel,
     BiLstmModel,
+    _activate,
     _lstm_step,
     bilstm_forward,
     glorot,
@@ -255,6 +256,31 @@ class TestSigmoid:
         want = masked_sigmoid(x)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestGateActivations:
+    TINY = np.finfo(np.float64).smallest_subnormal
+    EDGES = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308,
+             TINY, -TINY, 1e-310, -1e-310, np.finfo(np.float64).tiny, 40.0, -40.0]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_tanh_gates(self, seed):
+        units = 3
+        x = np.concatenate([rng_for(seed).normal(0.0, 30.0, size=30_000), self.EDGES])
+        acts = np.repeat(x[:, None], 4 * units, axis=1)
+        c_prev = rng_for(seed + 7).normal(size=(x.size, units))
+        h, c = np.empty((2, x.size, units))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _activate(acts, c_prev, h, c)
+        gates, u = acts[:, : 3 * units], acts[:, 3 * units :]
+        assert np.array_equal(gates, np.repeat((0.5 + 0.5 * np.tanh(0.5 * x))[:, None],
+                                               3 * units, axis=1))
+        # within one ulp of 1.0 of the two-exp sigmoid
+        assert np.max(np.abs(gates - sigmoid(x)[:, None])) <= np.spacing(1.0)
+        assert np.array_equal(u, np.repeat(np.tanh(x)[:, None], units, axis=1))
+        i, f, o = np.split(gates, 3, axis=1)
+        assert np.array_equal(c, i * u + f * c_prev)
+        assert np.array_equal(h, o * np.tanh(c))
 
 
 class TestCrossEntropy:

@@ -395,9 +395,11 @@ def instances_from_json(text: str) -> PreprocessResult:
         flags = doc["use_pos"], doc["use_position"]
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
-        pos_table = (_checked_pos_table(doc["pos_table"]) if version == INSTANCES_VERSION
-                     else load_pos_table())
-        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, version), window)
+        # a version 3 file's classes must follow its own table
+        recorded = _checked_pos_table(doc["pos_table"]) if version == INSTANCES_VERSION else None
+        pos_table = load_pos_table() if recorded is None else recorded
+        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, version), window,
+                                  recorded)
         excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS, version))
         ids = [i.instance_id for i in itertools.chain(instances, excluded)]
         if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
@@ -459,8 +461,10 @@ def _check_ids_and_label(ids, label) -> None:
              f"label must be 0 or 1, got {label!r}")
 
 
-def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_classes) -> None:
-    """One instance's checks in order; the first that fails raises."""
+def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_classes,
+                        pos_table=None) -> None:
+    """One instance's checks in order; the first that fails raises.  Given a PoS
+    table, each tag's class must be the table's."""
     sequences = (tokens, pos_tags, pos_classes)
     _require(all(type(seq) is list for seq in sequences) and tokens
              and len(set(map(len, sequences))) == 1, iid,
@@ -470,28 +474,36 @@ def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_cla
              "tokens and pos_tags must be strings")
     _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), iid,
              f"pos_classes must be integers in 0..{POS_DIM - 1}")
+    for tag, stored in zip(pos_tags, pos_classes) if pos_table is not None else ():
+        wanted = pos_table.get(tag, OTHER_CLASS)
+        _require(stored == wanted, iid,
+                 f"tag {tag!r} has PoS class {stored}, but the file's pos_table gives {wanted}")
 
 
-def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list, classes: list) -> bool:
+def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list, classes: list,
+                  pos_table) -> bool:
     """Whether every row passes `_check_instance_row`, judged over whole columns."""
     if not _all_of(list, itertools.chain(tokens, tags, classes)):
         return False
     lengths = list(map(len, tokens))
     if 0 in lengths or not lengths == list(map(len, tags)) == list(map(len, classes)):
         return False
-    strings = itertools.chain(*ids, *map(itertools.chain.from_iterable, (tokens, tags)))
+    flat_tags = list(itertools.chain.from_iterable(tags))
     flat_classes = list(itertools.chain.from_iterable(classes))
+    strings = itertools.chain(*ids, itertools.chain.from_iterable(tokens), flat_tags)
     return (_all_of(str, strings) and _labels_ok(labels)
-            and _all_of(int, flat_classes) and set(flat_classes) <= _POS_CLASS_SET)
+            and _all_of(int, flat_classes) and set(flat_classes) <= _POS_CLASS_SET
+            and (pos_table is None or flat_classes == list(
+                map(pos_table.get, flat_tags, itertools.repeat(OTHER_CLASS)))))
 
 
-def _instances_of(columns: list[list], window: int) -> list[SdpInstance]:
+def _instances_of(columns: list[list], window: int, pos_table) -> list[SdpInstance]:
     """The instances of the columns; those of one path length share read-only
-    position codes."""
+    position codes.  Given a PoS table, the classes must follow it."""
     *ids, labels, tokens, tags, classes = columns
-    if not _instances_ok(ids, labels, tokens, tags, classes):
+    if not _instances_ok(ids, labels, tokens, tags, classes, pos_table):
         for row in zip(*columns):
-            _check_instance_row(*row)
+            _check_instance_row(*row, pos_table)
     codes = _PositionCodes(window)
     return [SdpInstance(*head, tuple(toks), tuple(tgs), tuple(cls), *codes[len(toks)])
             for *head, toks, tgs, cls in zip(*columns)]

@@ -172,10 +172,11 @@ def reference_instances_to_json(result, config) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def reference_instances_from_json(text: str):
-    """The version 1 and 2 reader, which checks one instance at a time."""
+def reference_instances_from_json(text: str, pos_table=None):
+    """The version 1 and 2 reader, which checks one instance at a time.  Given the
+    PoS table of a version 3 file, each tag's class must also be the table's."""
     from sdprel.errors import ConfigError
-    from sdprel.features import POS_DIM
+    from sdprel.features import OTHER_CLASS, POS_DIM
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance, _PositionCodes
 
     id_fields = ("instance_id", "sentence_id", "prot1", "prot2")
@@ -222,6 +223,10 @@ def reference_instances_from_json(text: str):
                     "tokens and pos_tags must be strings")
             require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), inst,
                     f"pos_classes must be integers in 0..{POS_DIM - 1}")
+            for tag, stored in zip(pos_tags, pos_classes):
+                wanted = pos_table.get(tag, OTHER_CLASS) if pos_table is not None else stored
+                require(stored == wanted, inst,
+                        f"tag {tag!r} has PoS class {stored}, but the file's pos_table gives {wanted}")
             instances.append(inst)
         excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
         for e in excluded:

@@ -269,6 +269,29 @@ class TestTrainEvaluatePredict:
         assert captured.out == ""
         assert "other.json was made with another PoS table than the checkpoint's" in captured.err
 
+    def test_classes_that_disagree_with_the_files_pos_table_are_exit_2(self, workdir, capsys):
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json")
+        run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+            "--out", workdir / "model.sdpl")
+        doc = json.loads((workdir / "inst.json").read_text())
+        columns = doc["instances"]
+        columns["pos_classes"] = [[(c + 1) % 8 for c in row] for row in columns["pos_classes"]]
+        (workdir / "shifted.json").write_text(json.dumps(doc), encoding="utf-8")
+        first, tag = columns["instance_id"][0], columns["pos_tags"][0][0]
+        stored = columns["pos_classes"][0][0]
+        message = (f"instance {first!r}: tag {tag!r} has PoS class {stored}, "
+                   f"but the file's pos_table gives {doc['pos_table'][tag]}")
+        capsys.readouterr()
+        for argv in (("train", "--config", workdir / "config", "--out", workdir / "m2.sdpl"),
+                     ("evaluate", "--ck", workdir / "model.sdpl"),
+                     ("predict", "--ck", workdir / "model.sdpl")):
+            assert run(*argv, "--instances", workdir / "shifted.json") == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+        assert not (workdir / "m2.sdpl").exists()
+
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
             "preprocess",

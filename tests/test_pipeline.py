@@ -37,6 +37,7 @@ from sdprel.errors import (
 )
 from sdprel.embed import EmbeddingTable, assemble
 from sdprel.features import (
+    OTHER_CLASS,
     POS_DIM,
     Autoencoder,
     code_string,
@@ -546,10 +547,14 @@ def derived_codes(n, window):
 @st.composite
 def instance_sets(draw):
     window = draw(st.integers(5, 12))
+    table = load_pos_table()
+    # a table tag or any other text (class OTHER_CLASS), so every class can be drawn
+    tag_strategy = st.one_of(st.sampled_from(sorted(table)), st.text(max_size=3))
     instances = []
     for j in range(draw(st.integers(0, 4))):
         n = draw(st.integers(1, 30))
         pos1, pos2 = derived_codes(n, window)
+        tags = tuple(draw(st.lists(tag_strategy, min_size=n, max_size=n)))
         instances.append(SdpInstance(
             instance_id=f"s{j}:e0-e1",
             sentence_id=f"s{j}",
@@ -557,13 +562,13 @@ def instance_sets(draw):
             prot2="e1",
             label=draw(st.integers(0, 1)),
             tokens=tuple(draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))),
-            pos_tags=tuple(draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))),
-            pos_classes=tuple(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))),
+            pos_tags=tags,
+            pos_classes=tuple(table.get(tag, OTHER_CLASS) for tag in tags),
             pos1_codes=pos1,
             pos2_codes=pos2,
         ))
     flags = draw(st.tuples(st.booleans(), st.booleans()))
-    return PreprocessResult(instances, [], window, *flags)
+    return PreprocessResult(instances, [], window, *flags, table)
 
 
 def same_instances(a, b):
@@ -819,7 +824,8 @@ class TestInstancesFileV3:
     @settings(max_examples=300, deadline=None)
     def test_reader_agrees_with_the_row_by_row_reader(self, doc):
         """A near-valid document, version 2 or 3, reads as the version 2 reader
-        reads its rows: the same instances, or the same error."""
+        reads its rows: the same instances, or the same error.  A version 3 row
+        must also follow the file's PoS table."""
         columns = isinstance(doc["instances"], dict)
         if doc["version"] != (3 if columns else 2):
             return  # the two readers know different versions
@@ -828,8 +834,9 @@ class TestInstancesFileV3:
                 instances_from_json(json.dumps(doc))
             return
         got = outcome(instances_from_json, json.dumps(doc))
-        want = outcome(reference_instances_from_json,
-                       json.dumps(as_version_two(doc) if columns else doc))
+        want = outcome(lambda text: reference_instances_from_json(
+            text, doc["pos_table"] if columns else None),
+            json.dumps(as_version_two(doc) if columns else doc))
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -845,6 +852,35 @@ class TestInstancesFileV3:
         for text in (instances_to_json(synth_instances, cfg),
                      reference_instances_to_json(synth_instances, cfg)):
             assert len(instances_from_json(text).instances) == len(synth_instances.instances)
+
+    def test_classes_must_follow_the_files_pos_table(self, synth_instances):
+        cfg = small_config()
+        doc = json.loads(instances_to_json(synth_instances, cfg))
+        classes, tags = doc["instances"]["pos_classes"], doc["instances"]["pos_tags"]
+        k = 2  # one class of the third instance disagrees with the table
+        classes[k][1] = (classes[k][1] + 1) % POS_DIM
+        iid = doc["instances"]["instance_id"][k]
+        with pytest.raises(FormatError) as caught:
+            instances_from_json(json.dumps(doc))
+        assert str(caught.value) == (
+            f"instance {iid!r}: tag {tags[k][1]!r} has PoS class {classes[k][1]}, "
+            f"but the file's pos_table gives {doc['pos_table'][tags[k][1]]}")
+        # a tag the table lacks has class OTHER_CLASS
+        doc = json.loads(instances_to_json(synth_instances, cfg))
+        doc["instances"]["pos_tags"][0][0] = "NOT-A-TAG"
+        with pytest.raises(FormatError, match=f"'NOT-A-TAG' has PoS class 0, but the file's "
+                                              f"pos_table gives {OTHER_CLASS}"):
+            instances_from_json(json.dumps(doc))
+
+    def test_older_versions_keep_their_stored_classes(self, synth_instances):
+        cfg = small_config()
+        shifted = dataclasses.replace(synth_instances, instances=[
+            dataclasses.replace(inst, pos_classes=tuple((c + 1) % POS_DIM for c in inst.pos_classes))
+            for inst in synth_instances.instances])
+        for text in (reference_instances_to_json(shifted, cfg), version_one_text(shifted, cfg)):
+            read = instances_from_json(text)
+            assert [i.pos_classes for i in read.instances] == [
+                i.pos_classes for i in shifted.instances]
 
     @pytest.mark.parametrize("kind,key", [("instances", "label"), ("instances", "tokens"),
                                           ("excluded", "reason")])

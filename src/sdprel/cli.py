@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -87,7 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths) -> None:
+    """Each path that is given can be written: its directory exists and is writable,
+    and it is not itself a directory.  Nothing is created or truncated."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            raise InputError(f"cannot write {path}: it is a directory, or its directory "
+                             "does not exist or is not writable")
+
+
 def _cmd_preprocess(args) -> int:
+    _check_writable(args.out)
     config = TrainConfig(
         position_window=args.window,
         use_pos=not args.no_pos,
@@ -107,6 +119,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_writable(args.out, args.losses)
     config = TrainConfig.from_file(args.config)
     if args.tune_embeddings:
         config = config.replace(tune_embeddings=True)
@@ -136,6 +149,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    _check_writable(args.report)
     config = TrainConfig.from_file(args.config)
     if args.k is not None:
         config = config.replace(k_folds=args.k)
@@ -166,6 +180,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.report)
     base = TrainConfig.from_file(args.config)
     try:
         values = [int(v) for v in args.values.split(",")]  # an empty item is no integer

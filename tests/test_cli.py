@@ -734,3 +734,53 @@ class TestSweepCommand:
         out, err = capsys.readouterr()
         assert out == "" and f"--values must be comma-separated integers: {values!r}" in err
         assert not (workdir / "sweep.csv").exists()
+
+
+class TestOutputPaths:
+    """A path that cannot be written ends the command before it reads any input."""
+
+    @pytest.fixture
+    def refuse_work(self, monkeypatch):
+        import sdprel.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command did work before checking its output path")
+
+        for name in ("train", "cross_validate", "preprocess", "load_corpus", "_read_instances"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        monkeypatch.setattr(cli_mod.TrainConfig, "from_file", staticmethod(refuse))
+
+    def commands(self, workdir, bad):
+        good = workdir / "good.out"
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        return [
+            ("preprocess", *common, "--out", bad),
+            ("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+             "--out", bad),
+            ("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+             "--out", good, "--losses", bad),
+            ("cv", *common, "--config", workdir / "config", "--report", bad),
+            ("sweep", "--param", "epochs", "--values", "1", *common,
+             "--config", workdir / "config", "--report", bad),
+        ]
+
+    @pytest.mark.usefixtures("refuse_work")
+    @pytest.mark.parametrize("where", ["missing directory", "a directory", "under a file"])
+    def test_unwritable_output_is_exit_2_before_any_work(self, workdir, capsys, where):
+        bad = {"missing directory": workdir / "no" / "such" / "r.csv",
+               "a directory": workdir,
+               "under a file": workdir / "corpus.tsv" / "r.csv"}[where]
+        for argv in self.commands(workdir, bad):
+            assert run(*argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and str(bad) in captured.err
+        assert not (workdir / "good.out").exists()
+
+    def test_no_file_is_created_or_truncated_early(self, workdir, capsys):
+        (workdir / "losses.csv").write_text("kept\n", encoding="utf-8")
+        rc = run("train", "--instances", workdir / "missing.json", "--config", workdir / "config",
+                 "--out", workdir / "m.sdpl", "--losses", workdir / "losses.csv")
+        assert rc == 2
+        assert "missing.json" in capsys.readouterr().err
+        assert not (workdir / "m.sdpl").exists()
+        assert (workdir / "losses.csv").read_text(encoding="utf-8") == "kept\n"

@@ -1,8 +1,12 @@
-"""The benchmark's own self-test, run as a user would run it."""
+"""The benchmark run as a user would run it: its self-test, and one round of
+each workload with every output check."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -11,3 +15,14 @@ def test_perfbench_self_test_passes():
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-test"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+@pytest.mark.parametrize("workload", ["cv_paper", "preprocess_dense", "tune_predict"])
+def test_perfbench_workload_runs_correctly(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.01", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-3000:]

@@ -474,7 +474,9 @@ def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_cla
              "tokens and pos_tags must be strings")
     _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), iid,
              f"pos_classes must be integers in 0..{POS_DIM - 1}")
-    for tag, stored in zip(pos_tags, pos_classes) if pos_table is not None else ():
+    if pos_table is None:
+        return
+    for tag, stored in zip(pos_tags, pos_classes):
         wanted = pos_table.get(tag, OTHER_CLASS)
         _require(stored == wanted, iid,
                  f"tag {tag!r} has PoS class {stored}, but the file's pos_table gives {wanted}")

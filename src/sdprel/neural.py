@@ -232,7 +232,7 @@ def _activate(acts, c_prev, h, c) -> None:
     np.tanh(acts, out=acts)
     gates *= 0.5
     gates += 0.5
-    i, f, o = (gates[..., k * units : (k + 1) * units] for k in range(3))
+    i, f, o = gates[..., :units], gates[..., units : 2 * units], gates[..., 2 * units :]
     u = acts[..., 3 * units :]
     np.multiply(i, u, out=c)
     c += np.multiply(f, c_prev, out=h)  # c = i u + f c_prev

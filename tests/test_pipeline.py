@@ -875,7 +875,8 @@ class TestInstancesFileV3:
     def test_older_versions_keep_their_stored_classes(self, synth_instances):
         cfg = small_config()
         shifted = dataclasses.replace(synth_instances, instances=[
-            dataclasses.replace(inst, pos_classes=tuple((c + 1) % POS_DIM for c in inst.pos_classes))
+            dataclasses.replace(inst, pos_classes=tuple((c + 1) % POS_DIM
+                                                        for c in inst.pos_classes))
             for inst in synth_instances.instances])
         for text in (reference_instances_to_json(shifted, cfg), version_one_text(shifted, cfg)):
             read = instances_from_json(text)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -137,6 +138,12 @@ class TrainConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
+    @property
+    def input_dim(self) -> int:
+        """The width of a token row: word vector, PoS code, two position codes."""
+        return (self.embedding_dim + POS_DIM * self.use_pos
+                + 2 * self.position_window * self.use_position)
+
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
 
@@ -153,7 +160,9 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """Flat key=value file; '#' comments and blank lines are ignored."""
+        """Flat key=value file; '#' comments and blank lines are ignored.  A
+        relative embedding_path is made absolute against the working directory,
+        so that a checkpoint finds the vectors file from any directory."""
         known = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
         set_on: dict[str, int] = {}  # key -> the line that set it
@@ -172,6 +181,8 @@ class TrainConfig:
                     raise ConfigError(f"{path}:{line_no}: {key!r} is set twice, "
                                       f"on lines {set_on[key]} and {line_no}")
                 values[key] = _coerce(key, value, known[key].default, line_no, path)
+        if values.get("embedding_path"):
+            values["embedding_path"] = os.path.abspath(values["embedding_path"])
         return cls(**values).validate()
 
 
@@ -717,35 +728,25 @@ def _checked_autoencoders(config: TrainConfig, autoencoders):
 # Models / training
 
 
-def build_model(config: TrainConfig, input_dim: int, rng: np.random.Generator | None = None):
-    """The config's model over input_dim-d tokens: Glorot draws from rng, or all zeros."""
+def build_model(config: TrainConfig, rng: np.random.Generator | None = None):
+    """The config's model over its token rows: Glorot draws from rng, or all zeros."""
     size = {"pad_len": config.mlp_pad_len} if config.model == "mlp" else {"units": config.lstm_units}
     size.update(hidden_size=config.mlp_hidden, depth=config.mlp_depth, activation=config.activation)
     cls = MODEL_KINDS[config.model]
-    return cls(input_dim, **size) if rng is None else cls.init(rng, input_dim, **size)
-
-
-def model_meta(config: TrainConfig, input_dim: int) -> dict:
-    return {
-        "input_dim": input_dim,
-        "units": config.lstm_units,
-        "hidden_size": config.mlp_hidden,
-        "depth": config.mlp_depth,
-        "pad_len": config.mlp_pad_len,
-        "activation": config.activation,
-    }
+    return (cls(config.input_dim, **size) if rng is None
+            else cls.init(rng, config.input_dim, **size))
 
 
 @dataclass
 class Checkpoint:
-    """A trained model and its input encoder: the config, the model's input
-    width and the arrays.  The model kind and shape follow from the config.
-    ``embedding_digest`` is the digest of the vectors file it was trained on,
-    None for a table without a file or a checkpoint written without it."""
+    """A trained model and its input encoder: the config, the model's parameter
+    vector `theta` and the arrays.  The model's kind, input width and layout
+    follow from the config.  ``embedding_digest`` is the digest of the vectors
+    file it was trained on, None for a table without a file or a checkpoint
+    written without it."""
 
     config: TrainConfig
-    input_dim: int
-    params: dict[str, np.ndarray]
+    theta: np.ndarray
     pos_ae: Autoencoder | None
     position_ae: Autoencoder | None
     pos_table: dict[str, int]
@@ -753,22 +754,12 @@ class Checkpoint:
     token_vectors: dict[str, np.ndarray]
     embedding_digest: str | None = None
 
-    @property
-    def model_kind(self) -> str:
-        return self.config.model
-
-    @property
-    def model_meta(self) -> dict:
-        return model_meta(self.config, self.input_dim)
-
     def build_model(self):
-        model = build_model(self.config.validate(), self.input_dim)
-        shapes = {name: arr.shape for name, arr in self.params.items()}
-        if shapes != model.shapes:
-            raise DimensionMismatch(f"checkpoint tensors {shapes} do not match the model's "
-                                    f"{model.shapes}")
-        for name, arr in model.tensors().items():
-            arr[...] = self.params[name]
+        model = build_model(self.config.validate())
+        if self.theta.shape != model.theta.shape:
+            raise DimensionMismatch(f"checkpoint theta has shape {self.theta.shape}, the "
+                                    f"config's {self.config.model} needs {model.theta.shape}")
+        model.theta[...] = self.theta
         if not np.all(np.isfinite(model.theta)):
             bad = _first_non_finite(model.tensors())
             raise FormatError(f"checkpoint tensor {bad} is not finite")
@@ -786,10 +777,10 @@ class Checkpoint:
                 f"{self.config.embedding_path} has changed since training: its blake2b digest "
                 f"is {table.digest[:16]}..., the checkpoint's is {trained_on[:16]}...")
         vec = Vectorizer(table, self.pos_ae, self.position_ae, dict(self.token_vectors))
-        if vec.token_dim != self.input_dim:
+        if vec.token_dim != self.config.input_dim:
             raise DimensionMismatch(
                 f"vectorizer dimension {vec.token_dim} does not match checkpoint "
-                f"input dimension {self.input_dim}"
+                f"input dimension {self.config.input_dim}"
             )
         if any(v.shape != (table.dimension,) for v in self.token_vectors.values()):
             raise DimensionMismatch(f"checkpoint token vectors are not {table.dimension}-d")
@@ -853,9 +844,8 @@ def train(
     overrides = dict(zip(rows.words, emb))
     if not config.tune_embeddings:
         overrides = {w: overrides[w].copy() for w in sorted(SPECIAL_TOKENS)}
-    input_dim = vectorizer.token_dim
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    model = build_model(config, input_dim, rng)
+    model = build_model(config, rng)
 
     params = {"theta": model.theta}
     if config.tune_embeddings:
@@ -915,8 +905,7 @@ def train(
 
     checkpoint = Checkpoint(
         config=config,
-        input_dim=input_dim,
-        params=model.tensors(),
+        theta=model.theta,
         pos_ae=pos_ae,
         position_ae=position_ae,
         pos_table=dict(pos_table) if pos_table is not None else load_pos_table(),

@@ -7,8 +7,8 @@ backprop, a scalar-loop LSTM cell, a per-instance forward and backward pass
 of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
-own autoencoders, a per-gate split of fused LSTM tensors for version 1
-checkpoints, the token rows of one instance at a time, a word-vector loader
+own autoencoders, the version 2 checkpoint writer (one array per named tensor
+and per word), the token rows of one instance at a time, a word-vector loader
 that parses one row at a time, and the
 row-per-instance (version 2) instances file writer and reader, whose reader
 checks one instance at a time.
@@ -29,6 +29,7 @@ from sdprel.checkpoint import FORMAT_VERSION, MAGIC
 from sdprel.embed import EmbeddingTable
 from sdprel.errors import DimensionMismatch, FormatError, reading_text
 from sdprel.neural import ACTIVATIONS, GATES, cross_entropy, sigmoid, softmax
+from sdprel.pipeline import build_model
 
 # ---------------------------------------------------------------------------
 # Graph oracle
@@ -628,10 +629,10 @@ def split_blob(blob):
     return json.loads(blob[start : start + meta_len]), blob[start + meta_len : -8]
 
 
-def framed(meta, payload=b""):
+def framed(meta, payload=b"", version=FORMAT_VERSION):
     """A checkpoint file around this metadata, with its length and checksum fixed up."""
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = MAGIC + struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)) + meta_bytes + payload
+    body = MAGIC + struct.pack("<HQ", version, len(meta_bytes)) + meta_bytes + payload
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
@@ -641,24 +642,40 @@ def with_version(blob, version):
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
-def per_gate_blob(blob):
-    """The version 1 file of a version 2 checkpoint: each fused LSTM tensor
-    (``fwd.w_in`` ...) stored as one array of rows per gate (``fwd.w_in.i`` ...)."""
-    meta, payload = split_blob(blob)
-    arrays, offset = {}, 0
-    for sec, name, shape in meta["arrays"]:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-        if sec == "param" and name.startswith(("fwd.", "bwd.")):
-            rows = shape[0] // len(GATES)
-            for k, gate in enumerate(GATES):
-                arrays[(sec, f"{name}.{gate}")] = arr[k * rows : (k + 1) * rows]
-        else:
-            arrays[(sec, name)] = arr
+def v2_checkpoint_bytes(ck):
+    """The version 2 file of a checkpoint: each named view of theta, each
+    autoencoder array and each word vector as its own array, sorted by
+    (section, name), and the model's kind and shape repeated as ``model_kind``
+    and ``model_meta``."""
+    config = ck.config
+    arrays = {("param", name): arr
+              for name, arr in build_model(config).tensors(ck.theta).items()}
+    for section, ae in (("pos_ae", ck.pos_ae), ("position_ae", ck.position_ae)):
+        if ae is not None:
+            for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
+                arrays[(section, name)] = getattr(ae, name)
+    for token, vec in ck.token_vectors.items():
+        arrays[("tok", token)] = vec
     index = sorted(arrays)
-    meta["arrays"] = [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index]
-    return with_version(framed(meta, b"".join(arrays[key].tobytes() for key in index)), 1)
+    meta = {
+        "config": config.to_dict(),
+        "model_kind": config.model,
+        "model_meta": {
+            "input_dim": config.input_dim,
+            "units": config.lstm_units,
+            "hidden_size": config.mlp_hidden,
+            "depth": config.mlp_depth,
+            "pad_len": config.mlp_pad_len,
+            "activation": config.activation,
+        },
+        "oov_seed": ck.oov_seed,
+        "pos_table": ck.pos_table,
+        "arrays": [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index],
+    }
+    if ck.embedding_digest is not None:
+        meta["embedding_digest"] = ck.embedding_digest
+    payload = b"".join(np.ascontiguousarray(arrays[key], dtype="<f8").tobytes() for key in index)
+    return framed(meta, payload, version=2)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def replay_first_epoch(config, instances, table):
     overrides = {w: pl.lookup(table, w).copy() for w in words}
     vectorizer = Vectorizer(table, pos_ae, position_ae, overrides)
     rng = rng_for(config.seed)
-    model = build_model(config, vectorizer.token_dim, rng)
+    model = build_model(config, rng)
     order = np.arange(len(instances))
     rng.shuffle(order)
     batches = [order[s : s + config.batch] for s in range(0, len(order), config.batch)]

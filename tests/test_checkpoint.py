@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -28,9 +27,9 @@ from sdprel.pipeline import TrainConfig, instances_to_json, predict, preprocess,
 
 from helpers import (
     framed,
-    per_gate_blob,
     split_blob,
     synthetic_corpus,
+    v2_checkpoint_bytes,
     with_version,
     write_lines,
 )
@@ -59,7 +58,8 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 ARRAY_ENTRIES = st.lists(
-    st.tuples(st.sampled_from(["param", "pos_ae", "position_ae", "tok"]), st.text(max_size=4),
+    st.tuples(st.sampled_from(["param", "pos_ae", "position_ae", "tok", "words"]),
+              st.sampled_from(["theta", "vectors", "encoder_w"]) | st.text(max_size=4),
               st.lists(st.integers(-1, 3), max_size=3) | JSON_VALUES).map(list),
     max_size=3,
 )
@@ -86,13 +86,9 @@ class TestRoundTrip:
     def test_fields_survive(self, trained_checkpoint):
         loaded = checkpoint_from_bytes(checkpoint_bytes(trained_checkpoint))
         assert loaded.config == trained_checkpoint.config
-        assert loaded.model_kind == trained_checkpoint.model_kind
-        assert loaded.model_meta == trained_checkpoint.model_meta
         assert loaded.oov_seed == trained_checkpoint.oov_seed
         assert loaded.pos_table == trained_checkpoint.pos_table
-        assert set(loaded.params) == set(trained_checkpoint.params)
-        for name, arr in trained_checkpoint.params.items():
-            assert np.array_equal(loaded.params[name], arr)
+        assert np.array_equal(loaded.theta, trained_checkpoint.theta)
         assert np.array_equal(
             loaded.pos_ae.encoder_w, trained_checkpoint.pos_ae.encoder_w
         )
@@ -130,26 +126,55 @@ class TestRoundTrip:
 
 
 class TestVersionOne:
-    @pytest.mark.parametrize("kind", ["bilstm", "rnn", "mlp"])
-    def test_per_gate_file_predicts_identically(self, kind, train_instances, tmp_path):
-        from sdprel.pipeline import predict
-
-        ck = train(CONFIG.replace(model=kind, epochs=1), train_instances).checkpoint
-        blob = per_gate_blob(checkpoint_bytes(ck))
-        assert (b'"fwd.w_in.i"' in blob) == (kind == "bilstm")
-        assert b'"fwd.w_in"' not in blob
-        loaded = checkpoint_from_bytes(blob)
-        assert set(loaded.params) == set(ck.params)
-        for inst in synthetic_instances(tmp_path, 4, seed=9):
-            assert predict(ck, inst) == predict(loaded, inst)
-
-    def test_missing_gate_is_format_error(self, trained_checkpoint):
-        body = per_gate_blob(checkpoint_bytes(trained_checkpoint))[:-8]
-        assert body.count(b'"bwd.b.u"') == 1
-        body = body.replace(b'"bwd.b.u"', b'"bwd.b.x"')
-        blob = body + hashlib.blake2b(body, digest_size=8).digest()
-        with pytest.raises(FormatError, match="bwd.b"):
+    def test_version_1_file_exits_2(self, trained_checkpoint, tmp_path, capsys):
+        """Version 1 (one tensor per LSTM gate) is no longer read; the error names
+        it and the versions that are."""
+        blob = with_version(checkpoint_bytes(trained_checkpoint), 1)
+        with pytest.raises(VersionMismatch, match="version 1, reader supports versions 2 and 3"):
             checkpoint_from_bytes(blob)
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "version 1, reader supports versions 2 and 3" in captured.err
+
+
+class TestVersionTwo:
+    """A version 2 file, as the former writer made it (``helpers.v2_checkpoint_bytes``),
+    loads to the same checkpoint as the version 3 file of one trained model."""
+
+    @pytest.mark.parametrize("kind, tune", [("bilstm", False), ("bilstm", True), ("rnn", True),
+                                            ("mlp", False)])
+    def test_v2_and_v3_files_load_and_predict_alike(self, kind, tune, train_instances,
+                                                    tmp_path):
+        ck = train(CONFIG.replace(model=kind, epochs=2, tune_embeddings=tune),
+                   train_instances).checkpoint
+        v2 = checkpoint_from_bytes(v2_checkpoint_bytes(ck))
+        v3 = checkpoint_from_bytes(checkpoint_bytes(ck))
+        assert split_blob(checkpoint_bytes(ck))[0]["words"] == sorted(ck.token_vectors)
+        for loaded in (v2, v3):
+            assert np.array_equal(loaded.theta, ck.theta)
+            for ae in ("pos_ae", "position_ae"):
+                for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
+                    assert np.array_equal(getattr(getattr(loaded, ae), name),
+                                          getattr(getattr(ck, ae), name))
+            assert loaded.token_vectors.keys() == ck.token_vectors.keys()
+            for word, vec in ck.token_vectors.items():
+                assert np.array_equal(loaded.token_vectors[word], vec)
+        assert checkpoint_bytes(v2) == checkpoint_bytes(v3) == checkpoint_bytes(ck)
+        for inst in synthetic_instances(tmp_path, 4, seed=9):
+            assert predict(v2, inst) == predict(v3, inst) == predict(ck, inst)
+
+    def test_tensor_of_another_shape_is_dimension_mismatch(self, trained_checkpoint):
+        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
+        entry = next(e for e in meta["arrays"] if e[:2] == ["param", "head.w_out"])
+        entry[2] = entry[2][::-1]
+        with pytest.raises(DimensionMismatch, match="head.w_out"):
+            checkpoint_from_bytes(framed(meta, payload, version=2))
 
 
 FIRST_TENSOR = {"bilstm": "fwd.w_in", "rnn": "rnn.w_in", "mlp": "head.w0"}
@@ -164,10 +189,10 @@ def kind_checkpoints(train_instances):
 def with_weight(ck, value, *names):
     """The checkpoint file of `ck` with the last entry of each named tensor set to
     `value`, written by the regular writer, so that its checksum is valid."""
-    params = {name: arr.copy() for name, arr in ck.params.items()}
+    model = ck.build_model()
     for name in names:
-        params[name].flat[-1] = value
-    return checkpoint_bytes(dataclasses.replace(ck, params=params))
+        model.tensors()[name].flat[-1] = value
+    return checkpoint_bytes(dataclasses.replace(ck, theta=model.theta))
 
 
 class TestNonFiniteWeights:
@@ -198,6 +223,27 @@ class TestNonFiniteWeights:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "head.w_out is not finite" in captured.err
+
+
+class TestThetaLength:
+    @pytest.mark.parametrize("kind", list(FIRST_TENSOR))
+    def test_theta_of_another_length_exits_2(self, kind_checkpoints, kind, tmp_path, capsys):
+        ck = kind_checkpoints[kind]
+        size = ck.theta.size
+        blob = checkpoint_bytes(dataclasses.replace(ck, theta=ck.theta[:-1]))
+        with pytest.raises(DimensionMismatch,
+                           match=rf"theta has shape \({size - 1},\), the config's {kind} "
+                                 rf"needs \({size},\)"):
+            checkpoint_from_bytes(blob).build_model()
+        (tmp_path / "model.sdpl").write_bytes(blob)
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theta has shape" in captured.err
 
 
 class TestCorruption:
@@ -246,13 +292,15 @@ class TestMetadata:
         assert checkpoint_bytes(checkpoint_from_bytes(framed(meta, payload))) == blob
 
     @pytest.mark.parametrize(
-        "key", ["arrays", "config", "model_kind", "model_meta", "pos_table", "oov_seed"]
+        "key", ["arrays", "config", "model_kind", "model_meta", "pos_table", "oov_seed", "words"]
     )
     def test_missing_key_is_format_error(self, trained_checkpoint, key):
-        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        version = 2 if key.startswith("model_") else FORMAT_VERSION  # keys of version 2 only
+        write = v2_checkpoint_bytes if version == 2 else checkpoint_bytes
+        meta, payload = split_blob(write(trained_checkpoint))
         del meta[key]
         with pytest.raises(FormatError, match=f"missing key '{key}'"):
-            checkpoint_from_bytes(framed(meta, payload))
+            checkpoint_from_bytes(framed(meta, payload, version))
 
     def test_missing_oov_seed_makes_predict_exit_2(self, trained_checkpoint, tmp_path, capsys):
         meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
@@ -266,17 +314,17 @@ class TestMetadata:
         assert "oov_seed" in capsys.readouterr().err
 
     def test_model_meta_must_follow_the_config(self, trained_checkpoint):
-        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
         meta["model_meta"]["units"] += 1
-        with pytest.raises(FormatError, match="model metadata"):
-            checkpoint_from_bytes(framed(meta, payload))
+        with pytest.raises(FormatError, match="model_meta .* does not match its config"):
+            checkpoint_from_bytes(framed(meta, payload, version=2))
 
     def test_model_kind_must_follow_the_config(self, train_instances, tmp_path, capsys):
-        rnn = train(CONFIG.replace(model="rnn", epochs=1), train_instances).checkpoint
-        relabelled = dataclasses.replace(rnn, config=rnn.config.replace(model="bilstm"))
-        meta, payload = split_blob(checkpoint_bytes(relabelled))
+        """In a version 2 file, model_kind must be the stored config's model."""
+        ck = train(CONFIG.replace(epochs=1), train_instances).checkpoint
+        meta, payload = split_blob(v2_checkpoint_bytes(ck))
         meta["model_kind"] = "rnn"
-        blob = framed(meta, payload)
+        blob = framed(meta, payload, version=2)
         with pytest.raises(FormatError, match="model_kind 'rnn'.*'bilstm'"):
             checkpoint_from_bytes(blob)
         (tmp_path / "model.sdpl").write_bytes(blob)
@@ -290,9 +338,10 @@ class TestMetadata:
     @pytest.mark.parametrize("input_dim", [40.0, True, 0, -3, "40", None])
     def test_input_dim_must_be_a_positive_int(self, trained_checkpoint, input_dim, tmp_path,
                                               capsys):
-        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        """A version 2 file's input_dim must be the width that its config gives."""
+        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
         meta["model_meta"]["input_dim"] = input_dim
-        blob = framed(meta, payload)
+        blob = framed(meta, payload, version=2)
         with pytest.raises(FormatError, match="input_dim"):
             checkpoint_from_bytes(blob)
         (tmp_path / "model.sdpl").write_bytes(blob)
@@ -385,9 +434,80 @@ class TestMetadata:
 
     def test_token_vector_of_another_dimension_is_rejected(self, trained_checkpoint):
         vectors = {**trained_checkpoint.token_vectors, "PROT1": np.zeros(5)}
-        blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, token_vectors=vectors))
-        with pytest.raises(DimensionMismatch, match="token vectors"):
+        ck = dataclasses.replace(trained_checkpoint, token_vectors=vectors)
+        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
+            checkpoint_bytes(ck)
+        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
+            ck.build_vectorizer()
+        blob = v2_checkpoint_bytes(ck)
+        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
             checkpoint_from_bytes(blob).build_vectorizer()
+
+    @pytest.mark.parametrize("version", [2, FORMAT_VERSION])
+    def test_an_array_listed_twice_is_format_error(self, trained_checkpoint, version):
+        """A repeated (section, name) entry is rejected, not read over the first."""
+        write = v2_checkpoint_bytes if version == 2 else checkpoint_bytes
+        meta, payload = split_blob(write(trained_checkpoint))
+        meta["arrays"].append(["pos_ae", "encoder_b", [8]])
+        blob = framed(meta, payload + np.full(8, 7.0).tobytes(), version)
+        with pytest.raises(FormatError, match="lists the array pos_ae/encoder_b twice"):
+            checkpoint_from_bytes(blob)
+
+    def test_a_word_listed_twice_in_a_v2_file_is_format_error(self, trained_checkpoint):
+        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
+        meta["arrays"].append(["tok", "PROT1", [8]])
+        blob = framed(meta, payload + np.full(8, 7.0).tobytes(), version=2)
+        with pytest.raises(FormatError, match="tok/PROT1 twice"):
+            checkpoint_from_bytes(blob)
+
+    @pytest.mark.parametrize("words", [
+        ["PROT1", "PROT1", "PROTX"],  # repeated
+        ["PROT2", "PROT1", "PROTX"],  # unsorted
+        ["PROT1", 2, "PROTX"],  # not a string
+        {"PROT1": 0, "PROT2": 1, "PROTX": 2},
+        "PROT",
+        None,
+    ])
+    def test_words_must_be_distinct_sorted_strings(self, trained_checkpoint, words):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        assert meta["words"] == ["PROT1", "PROT2", "PROTX"]
+        meta["words"] = words
+        with pytest.raises(FormatError, match="words must be distinct strings in sorted order"):
+            checkpoint_from_bytes(framed(meta, payload))
+
+    @pytest.mark.parametrize("words, shape", [
+        (["PROT1", "PROT2"], [3, 8]),  # one word fewer than rows
+        (["PROT1", "PROT2", "PROTX", "PROTY"], [3, 8]),  # one more
+        (["PROT1", "PROT2", "PROTX"], [4, 6]),  # rows of another width, the same payload size
+        (["PROT1", "PROT2", "PROTX"], [24]),
+    ])
+    def test_word_matrix_must_be_words_by_embedding_dim(self, trained_checkpoint, words, shape):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        entry = next(e for e in meta["arrays"] if e[:2] == ["words", "vectors"])
+        assert entry[2] == [3, 8]
+        meta["words"], entry[2] = words, shape
+        with pytest.raises(FormatError, match=r"word vectors have shape .* need \(\d+, 8\)"):
+            checkpoint_from_bytes(framed(meta, payload))
+
+    @pytest.mark.parametrize("entry", [["param", "theta"], ["words", "vectors"]])
+    def test_missing_v3_array_is_format_error(self, trained_checkpoint, entry):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        kept, offset = [], 0
+        for sec, name, shape in meta["arrays"]:
+            size = 8 * int(np.prod(shape))
+            if [sec, name] != entry:
+                kept.append(payload[offset : offset + size])
+            offset += size
+        meta["arrays"] = [e for e in meta["arrays"] if e[:2] != entry]
+        with pytest.raises(FormatError, match="missing key"):
+            checkpoint_from_bytes(framed(meta, b"".join(kept)))
+
+    def test_unknown_array_is_format_error(self, trained_checkpoint):
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["arrays"].append(["tok", "PROT1", [8]])
+        blob = framed(meta, payload + np.zeros(8).tobytes())
+        with pytest.raises(FormatError, match=r"unknown arrays \[\('tok', 'PROT1'\)\]"):
+            checkpoint_from_bytes(blob)
 
     @given(
         meta=st.fixed_dictionaries({}, optional={
@@ -397,14 +517,17 @@ class TestMetadata:
             "model_meta": JSON_VALUES,
             "pos_table": JSON_VALUES,
             "oov_seed": JSON_VALUES,
+            "words": st.lists(st.sampled_from(["PROT1", "PROT2", "PROTX"]), max_size=3)
+                     | JSON_VALUES,
             "embedding_digest": st.just("0" * 64) | JSON_VALUES,
         }) | JSON_VALUES,
         payload=st.binary(max_size=48),
+        version=st.sampled_from([2, FORMAT_VERSION]),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_random_metadata_raises_only_input_errors(self, meta, payload):
+    @settings(max_examples=400, deadline=None)
+    def test_random_metadata_raises_only_input_errors(self, meta, payload, version):
         try:
-            checkpoint_from_bytes(framed(meta, payload))
+            checkpoint_from_bytes(framed(meta, payload, version))
         except InputError:
             pass
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sdprel import embed as embed_mod
+from sdprel.checkpoint import load_checkpoint
 from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
 from sdprel.pipeline import instances_from_json
@@ -477,6 +478,38 @@ class TestVectorsFile:
         want = outputs(cold=True)
         assert embed_mod._LAST is not None
         assert outputs(cold=False) == want
+
+    def test_relative_path_is_found_from_another_directory(self, workdir, vectors, capsys,
+                                                           monkeypatch, tmp_path_factory):
+        """A relative embedding_path is made absolute against the working
+        directory when the config is read, so predict finds the file from a
+        sibling directory."""
+        (workdir / "rconfig").write_text(CONFIG_TEXT + "embedding_path=vectors.txt\n",
+                                         encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        assert run("train", "--instances", "inst.json", "--config", "rconfig",
+                   "--out", "model.sdpl") == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path_factory.mktemp("sibling"))
+        assert run("predict", "--ck", workdir / "model.sdpl",
+                   "--instances", workdir / "inst.json") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + 16
+
+    def test_spellings_of_one_relative_path_give_one_checkpoint(self, workdir, vectors,
+                                                                monkeypatch):
+        monkeypatch.chdir(workdir)
+        blobs = []
+        for spelling in ("vectors.txt", "./vectors.txt"):
+            (workdir / "rconfig").write_text(CONFIG_TEXT + f"embedding_path={spelling}\n",
+                                             encoding="utf-8")
+            assert run("train", "--instances", "inst.json", "--config", "rconfig",
+                       "--out", "model.sdpl") == 0
+            blobs.append((workdir / "model.sdpl").read_bytes())
+        assert blobs[0] == blobs[1]
+        stored = load_checkpoint(workdir / "model.sdpl").config.embedding_path
+        assert stored == os.path.abspath("vectors.txt")
 
     def test_commands_leave_no_state_in_home(self, workdir, vectors, tmp_path_factory):
         """`sdprel train` and `sdprel predict`, run as programs, write nothing

@@ -1279,14 +1279,17 @@ class TestTrain:
     def test_word_only_ablation_trains(self, synth_instances):
         cfg = small_config(use_pos=False, use_position=False, epochs=5)
         tr = train(cfg, synth_instances.instances)
-        assert tr.checkpoint.model_meta["input_dim"] == cfg.embedding_dim
+        assert tr.checkpoint.config.input_dim == cfg.embedding_dim
+        assert tr.checkpoint.build_vectorizer().token_dim == cfg.embedding_dim
         assert tr.checkpoint.pos_ae is None
         assert tr.checkpoint.position_ae is None
 
     def test_token_dimension_with_all_features(self, synth_instances):
         cfg = small_config(epochs=2)
         tr = train(cfg, synth_instances.instances)
-        assert tr.checkpoint.model_meta["input_dim"] == 12 + 8 + 10 + 10
+        assert tr.checkpoint.config.input_dim == 12 + 8 + 10 + 10
+        assert tr.checkpoint.build_vectorizer().token_dim == 12 + 8 + 10 + 10
+        assert tr.checkpoint.build_model().input_dim == 12 + 8 + 10 + 10
 
     def test_special_token_vectors_persisted(self, synth_instances):
         tr = train(small_config(epochs=2), synth_instances.instances)
@@ -1449,8 +1452,7 @@ class TestPredictEvaluate:
     def test_zero_model_predicts_half(self, synth_instances):
         cfg = small_config(epochs=1)
         tr = train(cfg, synth_instances.instances)
-        for arr in tr.checkpoint.params.values():
-            arr[...] = 0.0
+        tr.checkpoint.theta[...] = 0.0
         label, prob = predict(tr.checkpoint, synth_instances.instances[0])
         assert prob == 0.5
         assert label == 1  # >= 0.5 boundary counts as interacting
@@ -1631,14 +1633,14 @@ class TestCrossValidate:
 class TestBaselines:
     def test_baseline_mlp(self, synth_instances):
         tr = baseline_mlp(small_config(epochs=5), synth_instances.instances)
-        assert tr.checkpoint.model_kind == "mlp"
+        assert tr.checkpoint.config.model == "mlp"
         model = tr.checkpoint.build_model()
-        token_dim = tr.checkpoint.model_meta["input_dim"]
+        token_dim = tr.checkpoint.config.input_dim
         assert model.head.hidden[0][0].shape[1] == 20 * token_dim
 
     def test_baseline_rnn(self, synth_instances):
         tr = baseline_rnn(small_config(epochs=5), synth_instances.instances)
-        assert tr.checkpoint.model_kind == "rnn"
+        assert tr.checkpoint.config.model == "rnn"
         assert len(tr.epoch_losses) == 5
 
     def test_baseline_mlp_learns_synthetic(self, synth_instances):

@@ -26,3 +26,21 @@ def test_perfbench_workload_runs_correctly(workload):
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-3000:]
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    """Under the repository's warning filters, a failing Hypothesis test ends
+    with its falsifying example, not with an INTERNALERROR from the modules that
+    Hypothesis imports to explain it."""
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property(n):\n"
+        "    assert n < 5\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output[-3000:]
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output[-3000:]

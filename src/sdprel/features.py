@@ -46,7 +46,8 @@ _FITS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def load_pos_table(path=None) -> dict[str, int]:
-    """Read a tag<TAB>class_index table; defaults to the bundled one."""
+    """Read a tag<TAB>class_index table, each tag on one line; defaults to the
+    bundled one."""
     if path is None:
         text = (
             resources.files("sdprel").joinpath("data/pos_classes.tsv").read_text("utf-8")
@@ -55,6 +56,7 @@ def load_pos_table(path=None) -> dict[str, int]:
         with open(path, encoding="utf-8") as fh, reading_text(path):
             text = fh.read()
     table: dict[str, int] = {}
+    set_on: dict[str, int] = {}  # tag -> the line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -68,6 +70,9 @@ def load_pos_table(path=None) -> dict[str, int]:
             raise ParseError(line_no, f"non-integer class index {idx_s!r}") from None
         if not 0 <= idx < POS_DIM:
             raise ParseError(line_no, f"class index {idx} outside 0..{POS_DIM - 1}")
+        if set_on.setdefault(tag, line_no) != line_no:
+            raise ParseError(line_no, f"tag {tag!r} is set twice, on lines {set_on[tag]} "
+                                      f"and {line_no}")
         table[tag] = idx
     return table
 

@@ -264,7 +264,8 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, grads: LstmPar
 
     d_states is the gradient arriving at each packed row's hidden state.
     Writes the weight gradients into `grads` and returns the (rows x 4H)
-    gate gradients in packed order; those times p.w_x are d xs.
+    gate gradients in packed order, in the buffer that held their scales;
+    those times p.w_x are d xs.
     """
     states, acts, cells = run
     rows, units = states.shape
@@ -280,7 +281,6 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, grads: LstmPar
         scale[:, k] *= gate * (1.0 - gate)
     scale[:, 3] *= 1.0 - u * u
     dc_dh = o * (1.0 - tanh_c * tanh_c)
-    d_pre = np.empty_like(scale)
     # rows past a step's running prefix stay zero: those sequences start there
     dh_carry = np.zeros((pk.steps[0], units))
     dc_carry = np.zeros((pk.steps[0], units))
@@ -289,12 +289,13 @@ def _lstm_backprop(p: LstmParams, xs, run, d_states, pk: Packing, grads: LstmPar
         block = slice(stop - n, stop)
         dh = d_states[block] + dh_carry[:n]
         dc = dc_carry[:n] + dh * dc_dh[block]
-        np.multiply(scale[block], dc[:, None, :], out=d_pre[block])
-        d_pre[block, 2] = scale[block, 2] * dh
+        d_o = scale[block, 2] * dh  # before the block's scales become its gate gradients
+        scale[block] *= dc[:, None, :]
+        scale[block, 2] = d_o
         dc_carry[:n] = dc * f[block]
-        dh_carry[:n] = d_pre[block].reshape(n, -1) @ p.w_h
+        dh_carry[:n] = scale[block].reshape(n, -1) @ p.w_h
         stop -= n
-    d_pre = d_pre.reshape(rows, -1)
+    d_pre = scale.reshape(rows, -1)
     np.matmul(d_pre.T, xs, out=grads.w_x)
     np.matmul(d_pre[pk.steps[0]:].T, states[pk.prev], out=grads.w_h)
     d_pre.sum(axis=0, out=grads.b)
@@ -514,15 +515,17 @@ class BiLstmModel(_Parameters):
         d_z = np.zeros_like(z)
         d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
         xs = cache["xs"]
-        d_pre_f = _lstm_backprop(self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units],
-                                 pk, _lstm_views(grads, "fwd"))
-        d_pre_b = _lstm_backprop(self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:],
-                                 pk, _lstm_views(grads, "bwd"))
-        if not input_grad:
-            return grad, None
-        d_xs = np.empty_like(xs)
-        d_xs[pk.fwd] = d_pre_f @ self.forward_lstm.w_x
-        d_xs[pk.bwd] += d_pre_b @ self.backward_lstm.w_x
+        d_xs = np.empty_like(xs) if input_grad else None
+        # each direction's gate gradients are freed before the next direction runs
+        d_pre = _lstm_backprop(self.forward_lstm, xs[pk.fwd], cache["fwd"], d_z[pk.fwd, :units],
+                               pk, _lstm_views(grads, "fwd"))
+        if input_grad:
+            d_xs[pk.fwd] = d_pre @ self.forward_lstm.w_x
+        del d_pre
+        d_pre = _lstm_backprop(self.backward_lstm, xs[pk.bwd], cache["bwd"], d_z[pk.bwd, units:],
+                               pk, _lstm_views(grads, "bwd"))
+        if input_grad:
+            d_xs[pk.bwd] += d_pre @ self.backward_lstm.w_x
         return grad, d_xs
 
     def forward(self, xs, masks=None):

@@ -1,9 +1,9 @@
 """End-to-end orchestration: preprocessing, training, evaluation, k-fold CV.
 
 Instances flow as sparse codes (tokens, PoS classes, thermometer position
-codes).  The position codes depend only on the path length and the window, so
-the instances file (version 3, columnar) leaves them out and its reader
-derives them.
+codes).  The PoS classes follow from the tags and the PoS table, and the
+position codes from the path length and the window, so the instances file
+(version 4, columnar) stores neither and its reader derives both.
 The dense token vectors are assembled at training time because the feature
 autoencoders are fit on the training split only.
 """
@@ -72,11 +72,11 @@ SPECIAL_TOKENS = (PROT1, PROT2, PROTX)
 
 REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
-INSTANCES_VERSION = 3
+INSTANCES_VERSION = 4
 POSITION_WINDOWS = range(5, 13)  # thermometer code widths the method allows
 EXCLUSION_REASONS = ("disconnected", "path_too_long")
 _ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
-_INSTANCE_FIELDS = (*_ID_FIELDS, "label", "tokens", "pos_tags", "pos_classes")
+_INSTANCE_FIELDS = (*_ID_FIELDS, "label", "tokens", "pos_tags")
 _EXCLUDED_FIELDS = (*_ID_FIELDS, "label", "reason")
 _POS_CLASS_SET = frozenset(range(POS_DIM))
 
@@ -364,9 +364,9 @@ def preprocess(
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
-    """Compact version 3 document.  The instances and the excluded pairs are
-    each an object of equal-length columns, one list per field; the position
-    codes are left to the reader."""
+    """Compact version 4 document.  The instances and the excluded pairs are
+    each an object of equal-length columns, one list per field; the PoS
+    classes and the position codes are left to the reader."""
     doc = {
         "format": INSTANCES_FORMAT,
         "version": INSTANCES_VERSION,
@@ -374,7 +374,6 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
         "use_pos": config.use_pos,
         "use_position": config.use_position,
         "pos_table": result.pos_table,
-        "stats": result.stats(),
         "instances": {k: list(map(attrgetter(k), result.instances)) for k in _INSTANCE_FIELDS},
         "excluded": {k: list(map(attrgetter(k), result.excluded)) for k in _EXCLUDED_FIELDS},
     }
@@ -382,36 +381,37 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
 
 
 def instances_from_json(text: str) -> PreprocessResult:
-    """Parse an instances file of version 1, 2 or 3; malformed content raises FormatError.
+    """Parse an instances file of version 3 or 4; malformed content raises FormatError.
 
-    The rows of versions 1 and 2 are turned into version 3's columns, and one
-    set of checks over whole columns covers every version.  Only when one of
-    them fails are the rows checked one by one, so that the error names the
-    first bad instance.  Versions 1 and 2 were made with the bundled PoS
-    table.  The position codes are derived from each path's length and the
-    window, so the code matrices that a version 1 file also holds are not read.
+    One set of checks runs over whole columns.  Only when one of them fails
+    are the rows checked one by one, so that the error names the first bad
+    instance.  Each tag's PoS class is derived from the file's own PoS table
+    and each path's position codes from its length and the window, so the
+    classes that a version 3 file also holds are not read.  A version 1 or 2
+    file is rejected: preprocessing the corpus again rebuilds it.
     """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is not int or version not in (1, 2, INSTANCES_VERSION):
+        if type(version) is int and version in (1, 2):
+            raise ConfigError(f"instances file version {version} is no longer read; "
+                              "run `sdprel preprocess` again to rebuild it")
+        if type(version) is not int or version not in (3, INSTANCES_VERSION):
             raise ConfigError(
-                f"instances file version {version!r}, reader supports 1, 2 and {INSTANCES_VERSION}"
-            )
+                f"instances file version {version!r}, reader supports 3 and {INSTANCES_VERSION}")
         window = doc["position_window"]
         if type(window) is not int or window not in POSITION_WINDOWS:
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
         flags = doc["use_pos"], doc["use_position"]
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
-        # a version 3 file's classes must follow its own table
-        recorded = _checked_pos_table(doc["pos_table"]) if version == INSTANCES_VERSION else None
-        pos_table = load_pos_table() if recorded is None else recorded
-        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, version), window,
-                                  recorded)
-        excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS, version))
+        pos_table = _checked_pos_table(doc["pos_table"])
+        unread = ("pos_classes",) if version == 3 else ()
+        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, unread), window,
+                                  pos_table)
+        excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS))
         ids = [i.instance_id for i in itertools.chain(instances, excluded)]
         if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
             seen: set[str] = set()
@@ -431,19 +431,13 @@ def _checked_pos_table(table) -> dict[str, int]:
     return table
 
 
-def _columns(doc: dict, key: str, fields: tuple[str, ...], version: int) -> list[list]:
-    """The `fields` columns of doc[key]: version 3's object of equal-length
-    lists, or the rows (one object per entry) of versions 1 and 2."""
+def _columns(doc: dict, key: str, fields: tuple[str, ...], unread=()) -> list[list]:
+    """The `fields` columns of doc[key], an object of equal-length lists; the
+    `unread` columns may be present and are skipped."""
     node = doc[key]
-    if version < INSTANCES_VERSION:
-        columns = [[row[k] for row in node] for k in fields]
-        # a version 1 instance also holds its code matrices; an excluded pair holds nothing else
-        if key == "excluded" and any(len(row) != len(fields) for row in node):
-            raise FormatError(f"malformed instances file: an excluded entry has keys besides {fields}")
-        return columns
     if type(node) is not dict:
         raise FormatError(f"{key} must be an object of columns")
-    unknown = node.keys() - set(fields)
+    unknown = node.keys() - set(fields) - set(unread)
     if unknown:
         raise FormatError(f"unknown {key} columns {sorted(unknown)}")
     columns = [node[k] for k in fields]
@@ -472,54 +466,38 @@ def _check_ids_and_label(ids, label) -> None:
              f"label must be 0 or 1, got {label!r}")
 
 
-def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags, pos_classes,
-                        pos_table=None) -> None:
-    """One instance's checks in order; the first that fails raises.  Given a PoS
-    table, each tag's class must be the table's."""
-    sequences = (tokens, pos_tags, pos_classes)
-    _require(all(type(seq) is list for seq in sequences) and tokens
-             and len(set(map(len, sequences))) == 1, iid,
-             "tokens, pos_tags and pos_classes must be non-empty lists of equal length")
+def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags) -> None:
+    """One instance's checks in order; the first that fails raises."""
+    _require(type(tokens) is list and type(pos_tags) is list and tokens
+             and len(tokens) == len(pos_tags), iid,
+             "tokens and pos_tags must be non-empty lists of equal length")
     _check_ids_and_label((iid, sid, prot1, prot2), label)
     _require(all(isinstance(t, str) for t in tokens + pos_tags), iid,
              "tokens and pos_tags must be strings")
-    _require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), iid,
-             f"pos_classes must be integers in 0..{POS_DIM - 1}")
-    if pos_table is None:
-        return
-    for tag, stored in zip(pos_tags, pos_classes):
-        wanted = pos_table.get(tag, OTHER_CLASS)
-        _require(stored == wanted, iid,
-                 f"tag {tag!r} has PoS class {stored}, but the file's pos_table gives {wanted}")
 
 
-def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list, classes: list,
-                  pos_table) -> bool:
+def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list) -> bool:
     """Whether every row passes `_check_instance_row`, judged over whole columns."""
-    if not _all_of(list, itertools.chain(tokens, tags, classes)):
+    if not _all_of(list, itertools.chain(tokens, tags)):
         return False
     lengths = list(map(len, tokens))
-    if 0 in lengths or not lengths == list(map(len, tags)) == list(map(len, classes)):
+    if 0 in lengths or lengths != list(map(len, tags)):
         return False
-    flat_tags = list(itertools.chain.from_iterable(tags))
-    flat_classes = list(itertools.chain.from_iterable(classes))
-    strings = itertools.chain(*ids, itertools.chain.from_iterable(tokens), flat_tags)
-    return (_all_of(str, strings) and _labels_ok(labels)
-            and _all_of(int, flat_classes) and set(flat_classes) <= _POS_CLASS_SET
-            and (pos_table is None or flat_classes == list(
-                map(pos_table.get, flat_tags, itertools.repeat(OTHER_CLASS)))))
+    strings = itertools.chain(*ids, *tokens, *tags)
+    return _all_of(str, strings) and _labels_ok(labels)
 
 
 def _instances_of(columns: list[list], window: int, pos_table) -> list[SdpInstance]:
-    """The instances of the columns; those of one path length share read-only
-    position codes.  Given a PoS table, the classes must follow it."""
-    *ids, labels, tokens, tags, classes = columns
-    if not _instances_ok(ids, labels, tokens, tags, classes, pos_table):
+    """The instances of the columns, each tag's class from the PoS table; those
+    of one path length share read-only position codes."""
+    *ids, labels, tokens, tags = columns
+    if not _instances_ok(ids, labels, tokens, tags):
         for row in zip(*columns):
-            _check_instance_row(*row, pos_table)
+            _check_instance_row(*row)
     codes = _PositionCodes(window)
-    return [SdpInstance(*head, tuple(toks), tuple(tgs), tuple(cls), *codes[len(toks)])
-            for *head, toks, tgs, cls in zip(*columns)]
+    return [SdpInstance(*head, tuple(toks), tuple(tgs),
+                        tuple(pos_table.get(t, OTHER_CLASS) for t in tgs), *codes[len(toks)])
+            for *head, toks, tgs in zip(*columns)]
 
 
 def _excluded_of(columns: list[list]) -> list[ExcludedInstance]:
@@ -674,8 +652,9 @@ def _pretrain_stacked(
         pos = _fit_by_sample_set([_pos_samples(insts) for insts in train_sets],
                                  POS_DIM, config.ae_epochs, seeds)
     if config.use_position:
-        position = _fit_by_sample_set([_position_samples(insts) for insts in train_sets],
-                                      config.position_window, config.ae_epochs, seeds)
+        window = config.position_window
+        position = _fit_by_sample_set([_position_samples(insts, window) for insts in train_sets],
+                                      window, config.ae_epochs, seeds)
     return list(zip(pos, position))
 
 
@@ -688,11 +667,16 @@ def _pos_samples(instances: list[SdpInstance]) -> np.ndarray:
     return np.stack([rows[c] for c in sorted(rows, reverse=True)])
 
 
-def _position_samples(instances: list[SdpInstance]) -> np.ndarray:
-    """The distinct position codes of these instances, in lexicographic order."""
-    return np.unique(
-        np.concatenate([i.pos1_codes for i in instances] + [i.pos2_codes for i in instances]),
-        axis=0)
+def _position_samples(instances: list[SdpInstance], window: int) -> np.ndarray:
+    """The distinct position codes of these instances, in lexicographic order:
+    the codes of distances 0 up to the longest path's last, capped at the window."""
+    for inst in instances:
+        for codes in (inst.pos1_codes, inst.pos2_codes):
+            if codes.shape[1] != window:
+                raise DimensionMismatch(f"position codes are {codes.shape[1]} wide, "
+                                        f"the position window is {window}")
+    longest = max(len(inst.pos1_codes) for inst in instances)
+    return _position_table(window)[: min(longest, window + 1)]
 
 
 def _fit_by_sample_set(sample_sets: list[np.ndarray], d: int, epochs: int, seeds: list[int]):

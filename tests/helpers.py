@@ -7,16 +7,16 @@ backprop, a scalar-loop LSTM cell, a per-instance forward and backward pass
 of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
-own autoencoders, the version 2 checkpoint writer (one array per named tensor
+own autoencoders, the position autoencoder's samples as the distinct rows of
+every code matrix, the version 2 checkpoint writer (one array per named tensor
 and per word), the token rows of one instance at a time, a word-vector loader
-that parses one row at a time, and the
-row-per-instance (version 2) instances file writer and reader, whose reader
-checks one instance at a time.
+that parses one row at a time, the version 3 instances file writer (stored
+PoS classes and stats), and an instances file reader that checks one
+instance at a time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import hashlib
 import json
@@ -142,112 +142,120 @@ def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=F
     return PreprocessResult(instances, excluded, window, config.use_pos, config.use_position, table)
 
 
+def reference_position_samples(instances):
+    """The distinct rows of every instance's position codes, in lexicographic order."""
+    return np.unique(
+        np.concatenate([i.pos1_codes for i in instances] + [i.pos2_codes for i in instances]),
+        axis=0)
+
+
 # ---------------------------------------------------------------------------
-# Instances file oracle: version 2, one object per instance
+# Instances file oracles: the version 3 writer, a reader of one row at a time
+
+ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
+V3_INSTANCE_FIELDS = (*ID_FIELDS, "label", "tokens", "pos_tags", "pos_classes")
+EXCLUDED_FIELDS = (*ID_FIELDS, "label", "reason")
 
 
-def reference_instances_to_json(result, config) -> str:
-    """The version 2 writer: compact JSON, one object per instance, no PoS table."""
+def v3_instances_json(result, config) -> str:
+    """The version 3 writer: compact columns, the PoS table, each token's
+    stored PoS class and the stats object."""
     doc = {
         "format": "sdprel-instances",
-        "version": 2,
+        "version": 3,
         "position_window": result.position_window,
         "use_pos": config.use_pos,
         "use_position": config.use_position,
+        "pos_table": result.pos_table,
         "stats": result.stats(),
-        "instances": [
-            {
-                "instance_id": i.instance_id,
-                "sentence_id": i.sentence_id,
-                "prot1": i.prot1,
-                "prot2": i.prot2,
-                "label": i.label,
-                "tokens": list(i.tokens),
-                "pos_tags": list(i.pos_tags),
-                "pos_classes": list(i.pos_classes),
-            }
-            for i in result.instances
-        ],
-        "excluded": [dataclasses.asdict(e) for e in result.excluded],
+        "instances": {k: [getattr(i, k) for i in result.instances] for k in V3_INSTANCE_FIELDS},
+        "excluded": {k: [getattr(e, k) for e in result.excluded] for k in EXCLUDED_FIELDS},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def reference_instances_from_json(text: str, pos_table=None):
-    """The version 1 and 2 reader, which checks one instance at a time.  Given the
-    PoS table of a version 3 file, each tag's class must also be the table's."""
+def reference_instances_from_json(text: str):
+    """A version 3 and 4 reader that takes the columns apart into rows and
+    checks one row at a time.  Each tag's class comes from the file's PoS
+    table; a version 3 file's stored classes are dropped unread."""
     from sdprel.errors import ConfigError
     from sdprel.features import OTHER_CLASS, POS_DIM
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance, _PositionCodes
 
-    id_fields = ("instance_id", "sentence_id", "prot1", "prot2")
     reasons = ("disconnected", "path_too_long")
 
-    def require(ok, entry, what):
+    def require(ok, row, what):
         if not ok:
-            raise FormatError(f"instance {entry.instance_id!r}: {what}")
+            raise FormatError(f"instance {row['instance_id']!r}: {what}")
 
-    def check_ids_and_label(entry):
-        require(all(isinstance(getattr(entry, k), str) for k in id_fields), entry,
-                f"{', '.join(id_fields)} must be strings")
-        require(type(entry.label) is int and entry.label in (0, 1), entry,
-                f"label must be 0 or 1, got {entry.label!r}")
+    def check_ids_and_label(row):
+        require(all(isinstance(row[k], str) for k in ID_FIELDS), row,
+                f"{', '.join(ID_FIELDS)} must be strings")
+        require(type(row["label"]) is int and row["label"] in (0, 1), row,
+                f"label must be 0 or 1, got {row['label']!r}")
+
+    def rows(doc, key, fields, unread=()):
+        columns = doc[key]
+        if type(columns) is not dict:
+            raise FormatError(f"{key} must be an object of columns")
+        unknown = set(columns) - set(fields) - set(unread)
+        if unknown:
+            raise FormatError(f"unknown {key} columns {sorted(unknown)}")
+        values = [columns[k] for k in fields]
+        if not (all(type(v) is list for v in values) and len(set(map(len, values))) == 1):
+            raise FormatError(f"the {key} columns must be lists of equal length")
+        return [dict(zip(fields, row)) for row in zip(*values)]
 
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != "sdprel-instances":
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is not int or version not in (1, 2):
-            raise ConfigError(f"instances file version {version!r}, reader supports 1 and 2")
+        if type(version) is int and version in (1, 2):
+            raise ConfigError(f"instances file version {version} is no longer read; "
+                              "run `sdprel preprocess` again to rebuild it")
+        if type(version) is not int or version not in (3, 4):
+            raise ConfigError(f"instances file version {version!r}, reader supports 3 and 4")
         window = doc["position_window"]
         if type(window) is not int or window not in range(5, 13):
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
         flags = doc["use_pos"], doc["use_position"]
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
+        table = doc["pos_table"]
+        if not (type(table) is dict
+                and all(type(c) is int and 0 <= c < POS_DIM for c in table.values())):
+            raise FormatError(f"pos_table must map tags to integers in 0..{POS_DIM - 1}")
         codes = _PositionCodes(window)
         instances = []
-        for i in doc["instances"]:
-            sequences = [i[k] for k in ("tokens", "pos_tags", "pos_classes")]
-            if not (all(isinstance(seq, list) for seq in sequences) and sequences[0]
-                    and len(set(map(len, sequences))) == 1):
-                raise FormatError(
-                    f"instance {i['instance_id']!r}: tokens, pos_tags and pos_classes "
-                    "must be non-empty lists of equal length"
-                )
-            tokens, pos_tags, pos_classes = map(tuple, sequences)
-            inst = SdpInstance(*(i[k] for k in id_fields), i["label"], tokens, pos_tags,
-                               pos_classes, *codes[len(tokens)])
-            check_ids_and_label(inst)
-            require(all(isinstance(t, str) for t in tokens + pos_tags), inst,
+        unread = ("pos_classes",) if version == 3 else ()
+        for row in rows(doc, "instances", (*ID_FIELDS, "label", "tokens", "pos_tags"), unread):
+            tokens, tags = row["tokens"], row["pos_tags"]
+            require(type(tokens) is list and type(tags) is list and tokens
+                    and len(tokens) == len(tags), row,
+                    "tokens and pos_tags must be non-empty lists of equal length")
+            check_ids_and_label(row)
+            require(all(isinstance(t, str) for t in tokens + tags), row,
                     "tokens and pos_tags must be strings")
-            require(all(type(c) is int and 0 <= c < POS_DIM for c in pos_classes), inst,
-                    f"pos_classes must be integers in 0..{POS_DIM - 1}")
-            for tag, stored in zip(pos_tags, pos_classes):
-                wanted = pos_table.get(tag, OTHER_CLASS) if pos_table is not None else stored
-                require(stored == wanted, inst,
-                        f"tag {tag!r} has PoS class {stored}, but the file's pos_table gives {wanted}")
-            instances.append(inst)
-        excluded = [ExcludedInstance(**e) for e in doc["excluded"]]
-        for e in excluded:
-            check_ids_and_label(e)
-            require(e.reason in reasons, e, f"reason must be one of {reasons}, got {e.reason!r}")
-        return PreprocessResult(instances, excluded, window, *flags)
+            classes = tuple(table.get(tag, OTHER_CLASS) for tag in tags)
+            instances.append(SdpInstance(*(row[k] for k in ID_FIELDS), row["label"], tuple(tokens),
+                                         tuple(tags), classes, *codes[len(tokens)]))
+        excluded = []
+        for row in rows(doc, "excluded", EXCLUDED_FIELDS):
+            check_ids_and_label(row)
+            require(row["reason"] in reasons, row,
+                    f"reason must be one of {reasons}, got {row['reason']!r}")
+            excluded.append(ExcludedInstance(**row))
+        seen = set()
+        for entry in instances + excluded:
+            if entry.instance_id in seen:
+                raise FormatError(f"instance id {entry.instance_id!r} appears more than once")
+            seen.add(entry.instance_id)
+        return PreprocessResult(instances, excluded, window, *flags, table)
     except KeyError as exc:
         raise FormatError(f"instances file is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed instances file: {exc}") from None
-
-
-def version_one_text(result, config) -> str:
-    """The same result as the version 1 writer laid it out: indented, codes stored."""
-    doc = json.loads(reference_instances_to_json(result, config))
-    doc["version"] = 1
-    for entry, inst in zip(doc["instances"], result.instances):
-        entry["pos1_codes"] = inst.pos1_codes.astype(int).tolist()
-        entry["pos2_codes"] = inst.pos2_codes.astype(int).tolist()
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

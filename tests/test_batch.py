@@ -6,6 +6,8 @@ the batch's loss and gradients are the per-instance ones summed, and that
 `train` draws the dropout masks a per-instance loop over the same RNG draws.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,3 +300,28 @@ class TestScoring:
             got = predict_all(ck, insts, vec)
             assert [label for label, _ in got] == [label for label, _ in one]
             assert max(abs(p - q) for (_, p), (_, q) in zip(got, one)) <= ROW_TOLERANCE
+
+
+class TestMemory:
+    def test_backward_holds_one_directions_gate_gradients(self):
+        """At production width, the BiLSTM's backward pass without the input
+        gradient holds one direction's gate gradients at a time, in the buffer
+        of their scales: with its gathered input rows and a few state-sized
+        arrays, it stays under a bound that one more gate-sized array breaks."""
+        rng = rng_for(1)
+        dim, units = 228, 64
+        model = BiLstmModel.init(rng, dim, units=units, hidden_size=30)
+        lengths = np.array([9, 12, 3, 7, 9, 9, 15, 4, 8, 9, 10, 11, 2, 6, 9, 5])
+        rows = int(lengths.sum())
+        cache = model.forward_batch(rng.normal(size=(rows, dim)), lengths)
+        labels = rng.integers(0, 2, size=lengths.size)
+        out = np.empty_like(model.theta)
+        model.backward_batch(cache, labels, input_grad=False, out=out)  # warm caches
+        tracemalloc.start()
+        try:
+            model.backward_batch(cache, labels, input_grad=False, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gates, inputs, state = (rows * width * 8 for width in (4 * units, dim, units))
+        assert peak < gates + inputs + 10 * state

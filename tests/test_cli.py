@@ -53,8 +53,9 @@ class TestPreprocessCommand:
         )
         assert rc == 0
         doc = json.loads((workdir / "inst.json").read_text())
-        assert doc["format"] == "sdprel-instances"
-        assert doc["stats"]["generated"] == 16
+        assert doc["format"] == "sdprel-instances" and doc["version"] == 4
+        assert "stats" not in doc and "pos_classes" not in doc["instances"]
+        assert len(doc["instances"]["instance_id"]) + len(doc["excluded"]["instance_id"]) == 16
         out = capsys.readouterr().out
         assert "generated: 16" in out
 
@@ -270,28 +271,28 @@ class TestTrainEvaluatePredict:
         assert captured.out == ""
         assert "other.json was made with another PoS table than the checkpoint's" in captured.err
 
-    def test_classes_that_disagree_with_the_files_pos_table_are_exit_2(self, workdir, capsys):
+    def test_stored_classes_of_a_version_3_file_are_not_read(self, workdir, capsys):
+        """A version 3 file whose stored classes disagree with its PoS table trains
+        and scores as its version 4 twin does: the classes come from the tags."""
         common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
         run("preprocess", *common, "--out", workdir / "inst.json")
-        run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
-            "--out", workdir / "model.sdpl")
         doc = json.loads((workdir / "inst.json").read_text())
-        columns = doc["instances"]
-        columns["pos_classes"] = [[(c + 1) % 8 for c in row] for row in columns["pos_classes"]]
-        (workdir / "shifted.json").write_text(json.dumps(doc), encoding="utf-8")
-        first, tag = columns["instance_id"][0], columns["pos_tags"][0][0]
-        stored = columns["pos_classes"][0][0]
-        message = (f"instance {first!r}: tag {tag!r} has PoS class {stored}, "
-                   f"but the file's pos_table gives {doc['pos_table'][tag]}")
-        capsys.readouterr()
-        for argv in (("train", "--config", workdir / "config", "--out", workdir / "m2.sdpl"),
-                     ("evaluate", "--ck", workdir / "model.sdpl"),
-                     ("predict", "--ck", workdir / "model.sdpl")):
-            assert run(*argv, "--instances", workdir / "shifted.json") == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert message in captured.err
-        assert not (workdir / "m2.sdpl").exists()
+        doc["version"] = 3
+        doc["instances"]["pos_classes"] = [[(doc["pos_table"].get(t, 7) + 1) % 8 for t in row]
+                                           for row in doc["instances"]["pos_tags"]]
+        (workdir / "v3.json").write_text(json.dumps(doc), encoding="utf-8")
+        outputs = []
+        for name in ("inst", "v3"):
+            capsys.readouterr()
+            instances = workdir / f"{name}.json"
+            assert run("train", "--instances", instances, "--config", workdir / "config",
+                       "--out", workdir / f"{name}.sdpl") == 0
+            assert run("evaluate", "--ck", workdir / f"{name}.sdpl", "--instances", instances) == 0
+            assert run("predict", "--ck", workdir / f"{name}.sdpl", "--instances", instances) == 0
+            out = capsys.readouterr().out
+            outputs.append((out.replace(str(workdir / f"{name}.sdpl"), "MODEL"),
+                            (workdir / f"{name}.sdpl").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
@@ -314,6 +315,52 @@ class TestTrainEvaluatePredict:
         )
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+class TestOlderInstancesFiles:
+    """Versions 1 and 2 are no longer read: each command that reads an instances
+    file exits 2, names the version and prints nothing on stdout."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_exit_2(self, workdir, capsys, version):
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
+        run("preprocess", *common, "--out", workdir / "inst.json")
+        run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+            "--out", workdir / "model.sdpl")
+        doc = json.loads((workdir / "inst.json").read_text())
+        doc["version"] = version
+        (workdir / "old.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (("train", "--config", workdir / "config", "--out", workdir / "m2.sdpl"),
+                     ("evaluate", "--ck", workdir / "model.sdpl"),
+                     ("predict", "--ck", workdir / "model.sdpl")):
+            assert run(*argv, "--instances", workdir / "old.json") == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"instances file version {version} is no longer read; "
+                    "run `sdprel preprocess` again") in captured.err
+        assert not (workdir / "m2.sdpl").exists()
+
+
+class TestRepeatedPosTag:
+    """A tag set twice in a --pos-table file exits 2, naming it and both lines."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "cv", "sweep"])
+    def test_exit_2(self, workdir, capsys, command):
+        (workdir / "pos.tsv").write_text("NN\t0\nVBZ\t1\n\nNN\t3\n", encoding="utf-8")
+        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                  "--pos-table", workdir / "pos.tsv")
+        argv = {
+            "preprocess": ("preprocess", *common, "--out", workdir / "out"),
+            "cv": ("cv", *common, "--config", workdir / "config", "--report", workdir / "out"),
+            "sweep": ("sweep", "--param", "epochs", "--values", "2", *common,
+                      "--config", workdir / "config", "--report", workdir / "out"),
+        }[command]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4: tag 'NN' is set twice, on lines 1 and 4" in captured.err
+        assert not (workdir / "out").exists()
 
 
 class TestNegativeSeed:

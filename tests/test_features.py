@@ -58,6 +58,12 @@ class TestCoarsePos:
         with pytest.raises(ParseError):
             load_pos_table(path)
 
+    def test_a_tag_set_twice_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("NN\t0\nVB\t1\nNN\t3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: tag 'NN' is set twice, on lines 1 and 3"):
+            load_pos_table(path)
+
 
 class TestPosOneHot:
     def test_noun_code(self):

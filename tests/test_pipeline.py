@@ -49,7 +49,6 @@ from sdprel.features import (
 from sdprel.optim import adam_step
 from sdprel.pipeline import (
     INSTANCES_FORMAT,
-    INSTANCES_VERSION,
     ExcludedInstance,
     FoldMetrics,
     PreprocessResult,
@@ -71,11 +70,11 @@ from sdprel.pipeline import (
 from helpers import (
     reference_cross_validate,
     reference_instances_from_json,
-    reference_instances_to_json,
+    reference_position_samples,
     reference_preprocess,
     reference_vectorize,
     synthetic_corpus,
-    version_one_text,
+    v3_instances_json,
     write_lines,
 )
 
@@ -218,44 +217,35 @@ ID_KEYS = ("instance_id", "sentence_id", "prot1", "prot2")
 
 
 def tiny_document():
-    """A valid version 2 instances document with one instance and one excluded pair."""
+    """A valid version 4 instances document with one instance and one excluded pair."""
     return {
-        "format": INSTANCES_FORMAT, "version": 2, "position_window": 10,
-        "use_pos": True, "use_position": True,
-        "instances": [{
-            "instance_id": "s1:e0-e1", "sentence_id": "s1", "prot1": "e0", "prot2": "e1",
-            "label": 1, "tokens": ["PROT1", "binds", "PROT2"],
-            "pos_tags": ["NN", "VBZ", "NN"], "pos_classes": [0, 1, 0],
-        }],
-        "excluded": [{
-            "instance_id": "s1:e0-e2", "sentence_id": "s1", "prot1": "e0", "prot2": "e2",
-            "label": 0, "reason": "disconnected",
-        }],
+        "format": INSTANCES_FORMAT, "version": 4, "position_window": 10,
+        "use_pos": True, "use_position": True, "pos_table": {"NN": 0, "VBZ": 1},
+        "instances": {
+            "instance_id": ["s1:e0-e1"], "sentence_id": ["s1"], "prot1": ["e0"],
+            "prot2": ["e1"], "label": [1], "tokens": [["PROT1", "binds", "PROT2"]],
+            "pos_tags": [["NN", "VBZ", "NN"]],
+        },
+        "excluded": {
+            "instance_id": ["s1:e0-e2"], "sentence_id": ["s1"], "prot1": ["e0"],
+            "prot2": ["e2"], "label": [0], "reason": ["disconnected"],
+        },
     }
 
 
-def columns_of(rows):
-    return {k: [row[k] for row in rows] for k in rows[0]}
-
-
 def tiny_document_v3():
-    """tiny_document laid out as version 3 columns, with a PoS table."""
+    """tiny_document as the version 3 writer laid it out, with stored PoS classes
+    and the stats object."""
     doc = tiny_document()
-    doc.update(version=3, pos_table={"NN": 0, "VBZ": 1},
-               instances=columns_of(doc["instances"]), excluded=columns_of(doc["excluded"]))
+    doc["version"] = 3
+    doc["instances"]["pos_classes"] = [[0, 1, 0]]
+    doc["stats"] = {"generated": 2, "evaluable": 1, "excluded_disconnected": 1,
+                    "excluded_path_too_long": 0, "positives": 1, "negatives": 1, "ratio": 1.0}
     return doc
 
 
 def rows_of(columns):
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
-
-
-def as_version_two(doc):
-    """A version 3 document laid out as version 2 rows, without its PoS table."""
-    doc = dict(doc, version=2, instances=rows_of(doc["instances"]),
-               excluded=rows_of(doc["excluded"]))
-    del doc["pos_table"]
-    return doc
 
 
 def leaf_paths(node, prefix=()):
@@ -277,7 +267,7 @@ def replaced(doc, path, value):
 
 @st.composite
 def near_valid_documents(draw):
-    """tiny_document (version 2 or 3) with at most one scalar replaced by
+    """tiny_document (version 4 or 3) with at most one scalar replaced by
     another JSON value."""
     doc = draw(st.sampled_from([tiny_document, tiny_document_v3]))()
     path = draw(st.sampled_from([None, *leaf_paths(doc)]))
@@ -294,6 +284,7 @@ def assert_well_typed(result):
     for inst in result.instances:
         assert all(type(t) is str for t in inst.tokens + inst.pos_tags)
         assert all(type(c) is int and 0 <= c <= 7 for c in inst.pos_classes)
+        assert inst.pos_classes == tuple(result.pos_table.get(t, OTHER_CLASS) for t in inst.pos_tags)
     assert all(e.reason in ("disconnected", "path_too_long") for e in result.excluded)
     stats = result.stats()
     assert all(value >= 0 for value in stats.values())
@@ -396,15 +387,14 @@ class TestPreprocess:
             pass
 
     @given(doc=st.fixed_dictionaries(
-        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([1, 2])},
+        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([3, 4])},
         optional={
             "position_window": JSON_VALUES,
             "use_pos": JSON_VALUES,
             "use_position": JSON_VALUES,
-            "instances": st.lists(st.dictionaries(INSTANCE_KEYS, JSON_VALUES), max_size=2)
-            | JSON_VALUES,
-            "excluded": st.lists(st.dictionaries(EXCLUDED_KEYS, JSON_VALUES), max_size=2)
-            | JSON_VALUES,
+            "pos_table": JSON_VALUES,
+            "instances": st.dictionaries(INSTANCE_KEYS, JSON_VALUES) | JSON_VALUES,
+            "excluded": st.dictionaries(EXCLUDED_KEYS, JSON_VALUES) | JSON_VALUES,
         },
     ))
     @settings(max_examples=200, deadline=None)
@@ -415,7 +405,7 @@ class TestPreprocess:
             pass
 
     @given(doc=st.fixed_dictionaries(
-        {"format": st.just(INSTANCES_FORMAT), "version": st.just(INSTANCES_VERSION)},
+        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([3, 4])},
         optional={
             "position_window": st.integers(4, 13) | JSON_VALUES,
             "use_pos": st.booleans() | JSON_VALUES,
@@ -445,6 +435,7 @@ class TestPreprocess:
         assert_well_typed(result)
 
     @pytest.mark.parametrize("path,value", [
+        # a version 4 file, addressed by row: (kind, row, column, ...)
         (("instances", 0, "label"), 5),
         (("instances", 0, "label"), True),
         (("instances", 0, "label"), 1.0),
@@ -452,19 +443,19 @@ class TestPreprocess:
         (("excluded", 0, "reason"), "too_far"),
         (("instances", 0, "tokens", 1), 7),
         (("instances", 0, "pos_tags", 0), None),
-        (("instances", 0, "pos_classes", 2), 8),
-        (("instances", 0, "pos_classes", 2), "0"),
+        (("instances", 0, "pos_tags", 2), 8),
+        (("instances", 0, "label"), "0"),
         (("instances", 0, "prot2"), 3),
         (("excluded", 0, "sentence_id"), ["s1"]),
-        # version 3 columns: (kind, column, row, ...)
+        # a version 3 file, addressed by column: (kind, column, row, ...)
         (("instances", "label", 0), 5),
         (("instances", "label", 0), True),
         (("excluded", "label", 0), "1"),
         (("excluded", "reason", 0), "too_far"),
         (("instances", "tokens", 0, 1), 7),
         (("instances", "pos_tags", 0, 0), None),
-        (("instances", "pos_classes", 0, 2), 8),
-        (("instances", "pos_classes", 0, 2), -1),
+        (("instances", "pos_tags", 0, 2), 8),
+        (("instances", "tokens", 0, 2), -1),
         (("instances", "prot2", 0), 3),
         (("instances", "tokens", 0), []),
         (("instances", "pos_tags", 0), "NN"),
@@ -472,11 +463,12 @@ class TestPreprocess:
     ])
     def test_ill_typed_value_is_format_error_naming_the_instance(self, path, value):
         if isinstance(path[1], int):
-            doc = replaced(tiny_document(), path, value)
-            name = doc[path[0]][0]["instance_id"]
+            kind, row, column, *rest = path
+            doc = replaced(tiny_document(), (kind, column, row, *rest), value)
         else:
+            kind, _, row, *_ = path
             doc = replaced(tiny_document_v3(), path, value)
-            name = doc[path[0]]["instance_id"][path[2]]
+        name = doc[kind]["instance_id"][row]
         with pytest.raises(FormatError, match=f"instance '{name}'"):
             instances_from_json(json.dumps(doc))
 
@@ -579,33 +571,38 @@ def same_instances(a, b):
     for x, y in zip(a.instances, b.instances):
         for f in dataclasses.fields(SdpInstance):
             assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), f.name
+        assert set(map(type, x.pos_classes)) <= {int} and set(map(type, y.pos_classes)) <= {int}
         assert y.pos1_codes.dtype == y.pos2_codes.dtype == np.float64
 
 
 class TestInstancesFileV2:
+    """The compact file: since version 2 the position codes are derived, not stored."""
+
     @given(result=instance_sets())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_derives_the_codes(self, result):
         config = TrainConfig(position_window=result.position_window,
                              use_pos=result.use_pos, use_position=result.use_position)
         text = instances_to_json(result, config)
-        assert '"pos1_codes"' not in text and "\n" not in text
+        assert '"pos1_codes"' not in text and '"pos_classes"' not in text and "\n" not in text
         same_instances(instances_from_json(text), result)
 
-    def test_version_one_reads_like_version_two(self, long_synth):
-        cfg = small_config(position_window=7)
-        result = preprocess(*long_synth, cfg)
-        assert max(len(i.tokens) for i in result.instances) == 16  # past the cap
-        v2 = instances_from_json(reference_instances_to_json(result, cfg))
-        same_instances(instances_from_json(version_one_text(result, cfg)), v2)
-        same_instances(v2, result)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_one_and_two_are_rejected(self, synth_instances, version):
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["version"] = version
+        with pytest.raises(ConfigError) as caught:
+            instances_from_json(json.dumps(doc))
+        assert str(caught.value) == (f"instances file version {version} is no longer read; "
+                                     "run `sdprel preprocess` again to rebuild it")
 
     def test_version_one_code_matrices_are_not_read(self, synth_instances):
-        cfg = small_config()
-        doc = json.loads(version_one_text(synth_instances, cfg))
-        doc["instances"][0]["pos1_codes"] = "not a matrix"
-        same_instances(instances_from_json(json.dumps(doc)),
-                       instances_from_json(reference_instances_to_json(synth_instances, cfg)))
+        """A version 1 file is rejected for its version before anything else in it,
+        its code matrices included, is read."""
+        doc = json.loads(v3_instances_json(synth_instances, small_config()))
+        doc.update(version=1, instances=[{"pos1_codes": "not a matrix"}])
+        with pytest.raises(ConfigError, match="version 1 is no longer read"):
+            instances_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("window", [0, 4, 13, 10**9, True, "10", 10.0, None])
     def test_position_window_out_of_range_is_format_error(self, synth_instances, window):
@@ -614,54 +611,42 @@ class TestInstancesFileV2:
         with pytest.raises(FormatError, match="position_window"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [4, 0, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [5, 0, True, 2.0, "2", None])
     def test_unknown_version_is_rejected(self, synth_instances, version):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["version"] = version
-        with pytest.raises(ConfigError, match="supports 1, 2 and 3"):
+        with pytest.raises(ConfigError, match="supports 3 and 4"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["tokens", "pos_tags", "pos_classes"])
+    @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
     def test_unequal_lengths_are_format_error(self, synth_instances, key):
-        doc = json.loads(reference_instances_to_json(synth_instances, small_config()))
-        doc["instances"][0][key] = doc["instances"][0][key][:-1]
+        doc = json.loads(v3_instances_json(synth_instances, small_config()))
+        doc["instances"][key][0] = doc["instances"][key][0][:-1]
         with pytest.raises(FormatError, match="equal length"):
             instances_from_json(json.dumps(doc))
 
 
 class TestRepeatedInstanceIds:
     """Each pair is read once: an id that repeats, within the instances, within
-    the excluded pairs or across the two, is a FormatError naming it."""
+    the excluded pairs or across the two, is a FormatError naming it, whether
+    it has one, two or three more copies, in a version 3 or 4 file."""
 
-    @staticmethod
-    def document(result, version):
-        """The result, with two excluded pairs, as a file of this version."""
-        result = dataclasses.replace(result, excluded=[
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["instances", "excluded", "across"])
+    def test_rejected(self, synth_instances, copies, where):
+        result = dataclasses.replace(synth_instances, excluded=[
             ExcludedInstance(f"x:e0-e{k}", "x", "e0", f"e{k}", 0, "disconnected")
             for k in (1, 2)])
-        config = small_config()
-        text = {1: version_one_text, 2: reference_instances_to_json,
-                3: instances_to_json}[version](result, config)
-        return json.loads(text)
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    @pytest.mark.parametrize("where", ["instances", "excluded", "across"])
-    def test_rejected(self, synth_instances, version, where):
-        doc = self.document(synth_instances, version)
         repeated = "x:e0-e1" if where == "excluded" else synth_instances.instances[0].instance_id
-        if where == "across":
-            entries = doc["excluded"]
-            if version == 3:
-                entries["instance_id"][-1] = repeated
-            else:
-                entries[-1]["instance_id"] = repeated
-        elif version == 3:
-            for column in doc[where].values():
-                column.append(column[0])
-        else:
-            doc[where].append(dict(doc[where][0]))
-        with pytest.raises(FormatError, match=f"instance id {repeated!r} appears more than once"):
-            instances_from_json(json.dumps(doc))
+        kind = "instances" if where == "instances" else "excluded"
+        for write in (instances_to_json, v3_instances_json):
+            doc = json.loads(write(result, small_config()))
+            for column in doc[kind].values():
+                column.extend(column[:1] * copies)
+            doc[kind]["instance_id"][-copies:] = [repeated] * copies
+            with pytest.raises(FormatError,
+                               match=f"instance id {repeated!r} appears more than once"):
+                instances_from_json(json.dumps(doc))
 
 
 WORDS = ("binds", "with", "the", "of", "kinase", "and", "to")
@@ -789,10 +774,6 @@ def features_config(result):
                        use_position=result.use_position)
 
 
-def valid_table(table):
-    return all(type(c) is int and 0 <= c <= 7 for c in table.values())
-
-
 def outcome(read, text):
     """What a reader makes of a text: its result, or its error's type and message."""
     try:
@@ -805,42 +786,32 @@ class TestInstancesFileV3:
     @given(result=instance_sets() | preprocessed_corpora())
     @settings(max_examples=120, deadline=None)
     def test_round_trip_and_older_versions(self, result):
+        """A version 4 file reads back to its result, and the version 3 file of the
+        same result reads to equal instances: tags, classes and codes."""
         config = features_config(result)
         text = instances_to_json(result, config)
         doc = json.loads(text)
-        assert doc["version"] == 3 and "\n" not in text and '"pos1_codes"' not in text
+        assert doc["version"] == 4 and "\n" not in text and "stats" not in doc
+        assert set(doc["instances"]) == {"instance_id", "sentence_id", "prot1", "prot2", "label",
+                                         "tokens", "pos_tags"}
         assert all(type(c) is list and len(c) == len(result.instances)
                    for c in doc["instances"].values())
-        v3 = instances_from_json(text)
-        same_instances(v3, result)
-        # an older file holds no PoS table: it reads as made with the bundled one
-        as_default = dataclasses.replace(v3, pos_table=load_pos_table())
-        v2_text = reference_instances_to_json(result, config)
-        for older in (v2_text, version_one_text(result, config)):
-            same_instances(instances_from_json(older), as_default)
-        same_instances(reference_instances_from_json(v2_text), as_default)
+        v4 = instances_from_json(text)
+        same_instances(v4, result)
+        same_instances(instances_from_json(v3_instances_json(result, config)), v4)
+        same_instances(reference_instances_from_json(text), v4)
 
     @given(doc=near_valid_documents())
     @settings(max_examples=300, deadline=None)
     def test_reader_agrees_with_the_row_by_row_reader(self, doc):
-        """A near-valid document, version 2 or 3, reads as the version 2 reader
-        reads its rows: the same instances, or the same error.  A version 3 row
-        must also follow the file's PoS table."""
-        columns = isinstance(doc["instances"], dict)
-        if doc["version"] != (3 if columns else 2):
-            return  # the two readers know different versions
-        if columns and not valid_table(doc["pos_table"]):
-            with pytest.raises(FormatError, match="pos_table"):
-                instances_from_json(json.dumps(doc))
-            return
+        """A near-valid document, version 3 or 4, reads as the reader of one row
+        at a time reads it: the same instances, or the same error."""
         got = outcome(instances_from_json, json.dumps(doc))
-        want = outcome(lambda text: reference_instances_from_json(
-            text, doc["pos_table"] if columns else None),
-            json.dumps(as_version_two(doc) if columns else doc))
+        want = outcome(reference_instances_from_json, json.dumps(doc))
         if isinstance(want, tuple):
             assert got == want
         else:
-            same_instances(dataclasses.replace(got, pos_table=want.pos_table), want)
+            same_instances(got, want)
 
     def test_valid_files_skip_the_row_checks(self, synth_instances, monkeypatch):
         def refuse(*row):
@@ -850,38 +821,32 @@ class TestInstancesFileV3:
         monkeypatch.setattr(pipeline_mod, "_check_ids_and_label", refuse)
         cfg = small_config()
         for text in (instances_to_json(synth_instances, cfg),
-                     reference_instances_to_json(synth_instances, cfg)):
+                     v3_instances_json(synth_instances, cfg)):
             assert len(instances_from_json(text).instances) == len(synth_instances.instances)
 
     def test_classes_must_follow_the_files_pos_table(self, synth_instances):
-        cfg = small_config()
-        doc = json.loads(instances_to_json(synth_instances, cfg))
-        classes, tags = doc["instances"]["pos_classes"], doc["instances"]["pos_tags"]
-        k = 2  # one class of the third instance disagrees with the table
-        classes[k][1] = (classes[k][1] + 1) % POS_DIM
-        iid = doc["instances"]["instance_id"][k]
-        with pytest.raises(FormatError) as caught:
-            instances_from_json(json.dumps(doc))
-        assert str(caught.value) == (
-            f"instance {iid!r}: tag {tags[k][1]!r} has PoS class {classes[k][1]}, "
-            f"but the file's pos_table gives {doc['pos_table'][tags[k][1]]}")
-        # a tag the table lacks has class OTHER_CLASS
-        doc = json.loads(instances_to_json(synth_instances, cfg))
+        """Each tag's class is the one the file's PoS table gives it, and
+        OTHER_CLASS for a tag that the table lacks."""
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
+        doc["pos_table"]["NN"] = 6
         doc["instances"]["pos_tags"][0][0] = "NOT-A-TAG"
-        with pytest.raises(FormatError, match=f"'NOT-A-TAG' has PoS class 0, but the file's "
-                                              f"pos_table gives {OTHER_CLASS}"):
-            instances_from_json(json.dumps(doc))
+        back = instances_from_json(json.dumps(doc))
+        for inst, tags in zip(back.instances, doc["instances"]["pos_tags"]):
+            assert inst.pos_classes == tuple(doc["pos_table"].get(t, OTHER_CLASS) for t in tags)
+        assert back.instances[0].pos_classes[0] == OTHER_CLASS
+        assert any(6 in inst.pos_classes for inst in back.instances)
 
-    def test_older_versions_keep_their_stored_classes(self, synth_instances):
+    def test_version_three_classes_are_not_read(self, synth_instances):
+        """A version 3 file's stored classes are dropped unread: shifted, cut short
+        or not a column at all, the file reads as its version 4 twin does."""
         cfg = small_config()
-        shifted = dataclasses.replace(synth_instances, instances=[
-            dataclasses.replace(inst, pos_classes=tuple((c + 1) % POS_DIM
-                                                        for c in inst.pos_classes))
-            for inst in synth_instances.instances])
-        for text in (reference_instances_to_json(shifted, cfg), version_one_text(shifted, cfg)):
-            read = instances_from_json(text)
-            assert [i.pos_classes for i in read.instances] == [
-                i.pos_classes for i in shifted.instances]
+        want = instances_from_json(instances_to_json(synth_instances, cfg))
+        doc = json.loads(v3_instances_json(synth_instances, cfg))
+        stored = doc["instances"]["pos_classes"]
+        for classes in ([[(c + 1) % POS_DIM for c in row] for row in stored],
+                        [row[:-1] for row in stored], stored[:1], "not a column"):
+            doc["instances"]["pos_classes"] = classes
+            same_instances(instances_from_json(json.dumps(doc)), want)
 
     @pytest.mark.parametrize("kind,key", [("instances", "label"), ("instances", "tokens"),
                                           ("excluded", "reason")])
@@ -891,7 +856,7 @@ class TestInstancesFileV3:
         with pytest.raises(FormatError, match=f"the {kind} columns must be lists of equal length"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["tokens", "pos_tags", "pos_classes"])
+    @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
     def test_unequal_sequences_are_format_error(self, synth_instances, key):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["instances"][key][1] = doc["instances"][key][1][:-1]
@@ -902,11 +867,8 @@ class TestInstancesFileV3:
     @pytest.mark.parametrize("layout", [tiny_document, tiny_document_v3])
     def test_empty_path_is_format_error(self, layout):
         doc = layout()
-        for key in ("tokens", "pos_tags", "pos_classes"):
-            if doc["version"] == 3:
-                doc["instances"][key][0] = []
-            else:
-                doc["instances"][0][key] = []
+        for key in ("tokens", "pos_tags"):
+            doc["instances"][key][0] = []
         with pytest.raises(FormatError, match="instance 's1:e0-e1': .*non-empty lists"):
             instances_from_json(json.dumps(doc))
 
@@ -921,9 +883,15 @@ class TestInstancesFileV3:
             instances_from_json(json.dumps(doc))
 
     def test_excluded_entry_with_another_key_is_format_error(self):
+        """Only the instances of a version 3 file may hold the unread class column."""
+        for layout in (tiny_document, tiny_document_v3):
+            doc = layout()
+            doc["excluded"]["pos_classes"] = [[0]]
+            with pytest.raises(FormatError, match=r"unknown excluded columns \['pos_classes'\]"):
+                instances_from_json(json.dumps(doc))
         doc = tiny_document()
-        doc["excluded"][0]["note"] = "x"
-        with pytest.raises(FormatError, match="excluded entry has keys besides"):
+        doc["instances"]["pos_classes"] = [[0, 1, 0]]
+        with pytest.raises(FormatError, match=r"unknown instances columns \['pos_classes'\]"):
             instances_from_json(json.dumps(doc))
 
     def test_preprocess_records_the_pos_table(self, synth):
@@ -968,6 +936,22 @@ class TestAutoencoderPretraining:
         every_token = np.stack([encode_pos_onehot(c) for i in instances for c in i.pos_classes])
         got = pipeline_mod._pos_samples(instances)
         assert np.array_equal(got, np.unique(every_token, axis=0))
+
+    @given(result=instance_sets() | preprocessed_corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_position_samples_are_the_unique_rows_of_every_code(self, result):
+        if not result.instances:
+            return
+        got = pipeline_mod._position_samples(result.instances, result.position_window)
+        want = reference_position_samples(result.instances)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_position_samples_reject_codes_of_another_width(self, synth_instances):
+        inst = synth_instances.instances[1]
+        narrow = dataclasses.replace(inst, pos2_codes=inst.pos2_codes[:, :7])
+        with pytest.raises(DimensionMismatch, match="position codes are 7 wide"):
+            pipeline_mod._position_samples([synth_instances.instances[0], narrow], 10)
 
     def test_pos_samples_name_the_first_bad_class(self):
         instances = [SimpleNamespace(pos_classes=classes) for classes in [(3, POS_DIM + 1), (-1,)]]

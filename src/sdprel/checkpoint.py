@@ -7,12 +7,12 @@ table | 8-byte blake2b checksum of everything before it.
 Version 3 stores the model's parameter vector as one array (``param/theta``),
 the autoencoders' arrays and one matrix of word vectors (``words/vectors``)
 whose rows follow the sorted ``words`` list; the model's kind, input width and
-layout follow from the stored config.  Version 2, one array per named tensor
-and per word, is still read; version 1 is not.  Malformed metadata, or metadata
-that disagrees with the stored config, raises FormatError (DimensionMismatch for
-a version 2 tensor of another shape).  The optional key
-``embedding_digest`` holds the blake2b hex digest of the vectors file the model
-was trained on; a checkpoint without it loads unchecked.
+layout follow from the stored config.  Only version 3 is read.  A version 1
+or 2 file raises VersionMismatch: its model can be rebuilt only by training
+again.  Malformed metadata, or metadata that disagrees with the stored config,
+raises FormatError.  The optional key ``embedding_digest`` holds the blake2b
+hex digest of the vectors file the model was trained on; a checkpoint without
+it loads unchecked.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CorruptChecksum, DimensionMismatch, FormatError, VersionMismatch
 from .features import POS_DIM, Autoencoder
-from .pipeline import Checkpoint, TrainConfig, build_model
+from .pipeline import Checkpoint, TrainConfig
 
 MAGIC = b"SDPL"
 FORMAT_VERSION = 3
@@ -91,19 +91,22 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     if hashlib.blake2b(body, digest_size=8).digest() != blob[-8:]:
         raise CorruptChecksum("checkpoint checksum does not match")
     (version,) = struct.unpack_from("<H", blob, len(MAGIC))
-    if version not in (2, FORMAT_VERSION):
+    if version in (1, 2):
+        raise VersionMismatch(f"checkpoint format version {version} is no longer read; "
+                              "only training the model again rebuilds it")
+    if version != FORMAT_VERSION:
         raise VersionMismatch(f"checkpoint format version {version}, reader supports "
-                              f"versions 2 and {FORMAT_VERSION}")
+                              f"version {FORMAT_VERSION}")
     offset = len(MAGIC) + 2
     (meta_len,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
     try:
         meta = json.loads(bytes(body[offset : offset + meta_len]).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
-        raise CorruptChecksum(f"unreadable checkpoint metadata: {exc}") from None
+        raise CorruptChecksum(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
     offset += meta_len
     try:
-        return _checkpoint_from_meta(meta, version, body, offset)
+        return _checkpoint_from_meta(meta, body, offset)
     except KeyError as exc:
         raise FormatError(f"checkpoint metadata is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -137,41 +140,7 @@ def _take_ae(arrays, section: str) -> Autoencoder | None:
     return Autoencoder(*parts)
 
 
-def _version_3(meta, config: TrainConfig, arrays):
-    """(theta, token vectors) of a version 3 file."""
-    words, vectors = meta["words"], arrays.pop(("words", "vectors"))
-    if not (type(words) is list and all(type(w) is str for w in words)
-            and words == sorted(set(words))):
-        raise FormatError("checkpoint words must be distinct strings in sorted order")
-    if vectors.shape != (len(words), config.embedding_dim):
-        raise FormatError(f"checkpoint word vectors have shape {vectors.shape}, its words "
-                          f"and embedding_dim need {(len(words), config.embedding_dim)}")
-    return arrays.pop(("param", "theta")), dict(zip(words, vectors))
-
-
-def _version_2(meta, config: TrainConfig, arrays):
-    """(theta, token vectors) of a version 2 file: its named tensors laid out
-    into a zero model's theta, and one array per word."""
-    if meta["model_kind"] != config.model:
-        raise FormatError(f"checkpoint model_kind {meta['model_kind']!r} is not its config's "
-                          f"model {config.model!r}")
-    expected = {"input_dim": config.input_dim, "units": config.lstm_units,
-                "hidden_size": config.mlp_hidden, "depth": config.mlp_depth,
-                "pad_len": config.mlp_pad_len, "activation": config.activation}
-    if meta["model_meta"] != expected:
-        raise FormatError(f"checkpoint model_meta {meta['model_meta']!r} does not match its "
-                          f"config's {expected!r}")
-    model = build_model(config)
-    for name, view in model.tensors().items():
-        arr = arrays.pop(("param", name), None)
-        if arr is None or arr.shape != view.shape:
-            raise DimensionMismatch(f"checkpoint tensor {name} is missing or not {view.shape}")
-        view[...] = arr
-    return model.theta, {name: arrays.pop((sec, name)) for sec, name in list(arrays)
-                         if sec == "tok"}
-
-
-def _checkpoint_from_meta(meta, version: int, body, offset: int) -> Checkpoint:
+def _checkpoint_from_meta(meta, body, offset: int) -> Checkpoint:
     """The checkpoint that the parsed metadata and the payload describe."""
     arrays = _payload(meta["arrays"], body, offset)
     config = TrainConfig.from_dict(meta["config"])
@@ -187,9 +156,16 @@ def _checkpoint_from_meta(meta, version: int, body, offset: int) -> Checkpoint:
     digest = meta.get("embedding_digest")
     if "embedding_digest" in meta and not (type(digest) is str and _DIGEST.fullmatch(digest)):
         raise FormatError(f"checkpoint embedding_digest must be 64 hex digits, got {digest!r}")
-    theta, token_vectors = (_version_2 if version == 2 else _version_3)(meta, config, arrays)
+    words, vectors = meta["words"], arrays.pop(("words", "vectors"))
+    if not (type(words) is list and all(type(w) is str for w in words)
+            and words == sorted(set(words))):
+        raise FormatError("checkpoint words must be distinct strings in sorted order")
+    if vectors.shape != (len(words), config.embedding_dim):
+        raise FormatError(f"checkpoint word vectors have shape {vectors.shape}, its words "
+                          f"and embedding_dim need {(len(words), config.embedding_dim)}")
+    theta = arrays.pop(("param", "theta"))
     if arrays:
         raise FormatError(f"checkpoint has unknown arrays {list(arrays)}")
     return Checkpoint(config=config, theta=theta, pos_ae=pos_ae, position_ae=position_ae,
-                      pos_table=pos_table, oov_seed=oov_seed, token_vectors=token_vectors,
-                      embedding_digest=digest)
+                      pos_table=pos_table, oov_seed=oov_seed,
+                      token_vectors=dict(zip(words, vectors)), embedding_digest=digest)

@@ -186,14 +186,15 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")]  # an empty item is no integer
     except ValueError:
         raise InputError(f"--values must be comma-separated integers: {args.values!r}")
+    # every value is checked before any input is read or any value is run
+    configs = [base.replace(**{SWEEP_PARAMS[args.param]: value}).validate() for value in values]
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
     table = load_table(base, base.seed)  # no sweep parameter changes the seed or the vectors
     rows = ["param,value,precision,recall,f1"]
     by_window = {}  # only position_window changes what preprocess makes
-    for value in values:
-        config = base.replace(**{SWEEP_PARAMS[args.param]: value}).validate()
+    for value, config in zip(values, configs):
         if config.position_window not in by_window:
             by_window[config.position_window] = preprocess(
                 sentences, deps, config, pos_table=pos_table)

@@ -381,26 +381,26 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
 
 
 def instances_from_json(text: str) -> PreprocessResult:
-    """Parse an instances file of version 3 or 4; malformed content raises FormatError.
+    """Parse an instances file of version 4; malformed content raises FormatError.
 
     One set of checks runs over whole columns.  Only when one of them fails
     are the rows checked one by one, so that the error names the first bad
     instance.  Each tag's PoS class is derived from the file's own PoS table
-    and each path's position codes from its length and the window, so the
-    classes that a version 3 file also holds are not read.  A version 1 or 2
-    file is rejected: preprocessing the corpus again rebuilds it.
+    and each path's position codes from its length and the window.  A file
+    of version 1, 2 or 3 is rejected: preprocessing the corpus again
+    rebuilds it.
     """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is int and version in (1, 2):
+        if type(version) is int and version in (1, 2, 3):
             raise ConfigError(f"instances file version {version} is no longer read; "
                               "run `sdprel preprocess` again to rebuild it")
-        if type(version) is not int or version not in (3, INSTANCES_VERSION):
+        if type(version) is not int or version != INSTANCES_VERSION:
             raise ConfigError(
-                f"instances file version {version!r}, reader supports 3 and {INSTANCES_VERSION}")
+                f"instances file version {version!r}, reader supports version {INSTANCES_VERSION}")
         window = doc["position_window"]
         if type(window) is not int or window not in POSITION_WINDOWS:
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
@@ -408,9 +408,7 @@ def instances_from_json(text: str) -> PreprocessResult:
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
         pos_table = _checked_pos_table(doc["pos_table"])
-        unread = ("pos_classes",) if version == 3 else ()
-        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS, unread), window,
-                                  pos_table)
+        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS), window, pos_table)
         excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS))
         ids = [i.instance_id for i in itertools.chain(instances, excluded)]
         if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
@@ -431,13 +429,12 @@ def _checked_pos_table(table) -> dict[str, int]:
     return table
 
 
-def _columns(doc: dict, key: str, fields: tuple[str, ...], unread=()) -> list[list]:
-    """The `fields` columns of doc[key], an object of equal-length lists; the
-    `unread` columns may be present and are skipped."""
+def _columns(doc: dict, key: str, fields: tuple[str, ...]) -> list[list]:
+    """The `fields` columns of doc[key], an object of equal-length lists."""
     node = doc[key]
     if type(node) is not dict:
         raise FormatError(f"{key} must be an object of columns")
-    unknown = node.keys() - set(fields) - set(unread)
+    unknown = node.keys() - set(fields)
     if unknown:
         raise FormatError(f"unknown {key} columns {sorted(unknown)}")
     columns = [node[k] for k in fields]
@@ -1049,21 +1046,24 @@ def cross_validate(
         e.instance_id for e in result.excluded
     ]
     folds = split_folds(ids, config.k_folds, config.seed)
+    # each pair's fold is looked up once; every list below keeps the pairs' order
+    fold_of = [folds.fold_of(i) for i in ids]
+    test_sets = [[] for _ in range(config.k_folds)]
+    for inst, fold in zip(result.instances, fold_of):
+        test_sets[fold].append(inst)
+    excluded_sets = [[] for _ in range(config.k_folds)]
+    for entry, fold in zip(result.excluded, fold_of[len(result.instances):]):
+        excluded_sets[fold].append(entry)
     train_sets = [
-        [i for i in result.instances if folds.fold_of(i.instance_id) != fold]
+        [i for i, f in zip(result.instances, fold_of) if f != fold]
         for fold in range(config.k_folds)
     ]
     # every fold's autoencoders at once: folds with equal code sets share one fit
     fold_autoencoders = _pretrain_stacked(
         config, train_sets, [config.seed + fold for fold in range(config.k_folds)])
     per_fold: list[FoldMetrics] = []
-    for fold, (train_insts, autoencoders) in enumerate(zip(train_sets, fold_autoencoders)):
-        test_insts = [
-            i for i in result.instances if folds.fold_of(i.instance_id) == fold
-        ]
-        test_excluded = [
-            e for e in result.excluded if folds.fold_of(e.instance_id) == fold
-        ]
+    for fold, (train_insts, autoencoders, test_insts, test_excluded) in enumerate(
+            zip(train_sets, fold_autoencoders, test_sets, excluded_sets)):
         fold_config = config.replace(seed=config.seed + fold)
         tr = train(fold_config, train_insts, embeddings=table, pos_table=pos_table,
                    autoencoders=autoencoders)

@@ -8,11 +8,11 @@ of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, the position autoencoder's samples as the distinct rows of
-every code matrix, the version 2 checkpoint writer (one array per named tensor
-and per word), the token rows of one instance at a time, a word-vector loader
-that parses one row at a time, the version 3 instances file writer (stored
-PoS classes and stats), and an instances file reader that checks one
-instance at a time.
+every code matrix, the token rows of one instance at a time, a word-vector
+loader that parses one row at a time, and an instances file reader that
+checks one instance at a time.  There is no oracle for a retired file
+format: its readers are gone, and each such file is only checked to be
+rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from sdprel.checkpoint import FORMAT_VERSION, MAGIC
 from sdprel.embed import EmbeddingTable
 from sdprel.errors import DimensionMismatch, FormatError, reading_text
 from sdprel.neural import ACTIVATIONS, GATES, cross_entropy, sigmoid, softmax
-from sdprel.pipeline import build_model
 
 # ---------------------------------------------------------------------------
 # Graph oracle
@@ -150,34 +149,15 @@ def reference_position_samples(instances):
 
 
 # ---------------------------------------------------------------------------
-# Instances file oracles: the version 3 writer, a reader of one row at a time
+# Instances file oracle: a reader of one row at a time
 
 ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
-V3_INSTANCE_FIELDS = (*ID_FIELDS, "label", "tokens", "pos_tags", "pos_classes")
 EXCLUDED_FIELDS = (*ID_FIELDS, "label", "reason")
 
 
-def v3_instances_json(result, config) -> str:
-    """The version 3 writer: compact columns, the PoS table, each token's
-    stored PoS class and the stats object."""
-    doc = {
-        "format": "sdprel-instances",
-        "version": 3,
-        "position_window": result.position_window,
-        "use_pos": config.use_pos,
-        "use_position": config.use_position,
-        "pos_table": result.pos_table,
-        "stats": result.stats(),
-        "instances": {k: [getattr(i, k) for i in result.instances] for k in V3_INSTANCE_FIELDS},
-        "excluded": {k: [getattr(e, k) for e in result.excluded] for k in EXCLUDED_FIELDS},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def reference_instances_from_json(text: str):
-    """A version 3 and 4 reader that takes the columns apart into rows and
-    checks one row at a time.  Each tag's class comes from the file's PoS
-    table; a version 3 file's stored classes are dropped unread."""
+    """A version 4 reader that takes the columns apart into rows and checks
+    one row at a time.  Each tag's class comes from the file's PoS table."""
     from sdprel.errors import ConfigError
     from sdprel.features import OTHER_CLASS, POS_DIM
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance, _PositionCodes
@@ -194,11 +174,11 @@ def reference_instances_from_json(text: str):
         require(type(row["label"]) is int and row["label"] in (0, 1), row,
                 f"label must be 0 or 1, got {row['label']!r}")
 
-    def rows(doc, key, fields, unread=()):
+    def rows(doc, key, fields):
         columns = doc[key]
         if type(columns) is not dict:
             raise FormatError(f"{key} must be an object of columns")
-        unknown = set(columns) - set(fields) - set(unread)
+        unknown = set(columns) - set(fields)
         if unknown:
             raise FormatError(f"unknown {key} columns {sorted(unknown)}")
         values = [columns[k] for k in fields]
@@ -211,11 +191,11 @@ def reference_instances_from_json(text: str):
         if not isinstance(doc, dict) or doc.get("format") != "sdprel-instances":
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is int and version in (1, 2):
+        if type(version) is int and version in (1, 2, 3):
             raise ConfigError(f"instances file version {version} is no longer read; "
                               "run `sdprel preprocess` again to rebuild it")
-        if type(version) is not int or version not in (3, 4):
-            raise ConfigError(f"instances file version {version!r}, reader supports 3 and 4")
+        if type(version) is not int or version != 4:
+            raise ConfigError(f"instances file version {version!r}, reader supports version 4")
         window = doc["position_window"]
         if type(window) is not int or window not in range(5, 13):
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
@@ -228,8 +208,7 @@ def reference_instances_from_json(text: str):
             raise FormatError(f"pos_table must map tags to integers in 0..{POS_DIM - 1}")
         codes = _PositionCodes(window)
         instances = []
-        unread = ("pos_classes",) if version == 3 else ()
-        for row in rows(doc, "instances", (*ID_FIELDS, "label", "tokens", "pos_tags"), unread):
+        for row in rows(doc, "instances", (*ID_FIELDS, "label", "tokens", "pos_tags")):
             tokens, tags = row["tokens"], row["pos_tags"]
             require(type(tokens) is list and type(tags) is list and tokens
                     and len(tokens) == len(tags), row,
@@ -648,42 +627,6 @@ def with_version(blob, version):
     """The checkpoint file with its format version replaced and its checksum fixed up."""
     body = blob[: len(MAGIC)] + struct.pack("<H", version) + blob[len(MAGIC) + 2 : -8]
     return body + hashlib.blake2b(body, digest_size=8).digest()
-
-
-def v2_checkpoint_bytes(ck):
-    """The version 2 file of a checkpoint: each named view of theta, each
-    autoencoder array and each word vector as its own array, sorted by
-    (section, name), and the model's kind and shape repeated as ``model_kind``
-    and ``model_meta``."""
-    config = ck.config
-    arrays = {("param", name): arr
-              for name, arr in build_model(config).tensors(ck.theta).items()}
-    for section, ae in (("pos_ae", ck.pos_ae), ("position_ae", ck.position_ae)):
-        if ae is not None:
-            for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
-                arrays[(section, name)] = getattr(ae, name)
-    for token, vec in ck.token_vectors.items():
-        arrays[("tok", token)] = vec
-    index = sorted(arrays)
-    meta = {
-        "config": config.to_dict(),
-        "model_kind": config.model,
-        "model_meta": {
-            "input_dim": config.input_dim,
-            "units": config.lstm_units,
-            "hidden_size": config.mlp_hidden,
-            "depth": config.mlp_depth,
-            "pad_len": config.mlp_pad_len,
-            "activation": config.activation,
-        },
-        "oov_seed": ck.oov_seed,
-        "pos_table": ck.pos_table,
-        "arrays": [[sec, name, list(arrays[(sec, name)].shape)] for sec, name in index],
-    }
-    if ck.embedding_digest is not None:
-        meta["embedding_digest"] = ck.embedding_digest
-    payload = b"".join(np.ascontiguousarray(arrays[key], dtype="<f8").tobytes() for key in index)
-    return framed(meta, payload, version=2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from helpers import (
     framed,
     split_blob,
     synthetic_corpus,
-    v2_checkpoint_bytes,
     with_version,
     write_lines,
 )
@@ -126,55 +125,29 @@ class TestRoundTrip:
 
 
 class TestVersionOne:
-    def test_version_1_file_exits_2(self, trained_checkpoint, tmp_path, capsys):
-        """Version 1 (one tensor per LSTM gate) is no longer read; the error names
-        it and the versions that are."""
-        blob = with_version(checkpoint_bytes(trained_checkpoint), 1)
-        with pytest.raises(VersionMismatch, match="version 1, reader supports versions 2 and 3"):
+    @pytest.mark.parametrize("command", [("predict",), ("evaluate", "--report", "csv")],
+                             ids=["predict", "evaluate"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_exits_2(self, trained_checkpoint, version, command, tmp_path,
+                                     capsys):
+        """Versions 1 (one tensor per LSTM gate) and 2 (one array per named tensor
+        and per word) are no longer read; the error names the version and says
+        that only training again rebuilds the model."""
+        message = (f"checkpoint format version {version} is no longer read; "
+                   "only training the model again rebuilds it")
+        blob = with_version(checkpoint_bytes(trained_checkpoint), version)
+        with pytest.raises(VersionMismatch) as caught:
             checkpoint_from_bytes(blob)
+        assert str(caught.value) == message
         (tmp_path / "model.sdpl").write_bytes(blob)
         result = synthetic_result(tmp_path, 4, seed=9)
         (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
-        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
-                   "--instances", str(tmp_path / "inst.json")])
+        rc = main([command[0], "--ck", str(tmp_path / "model.sdpl"),
+                   "--instances", str(tmp_path / "inst.json"), *command[1:]])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "version 1, reader supports versions 2 and 3" in captured.err
-
-
-class TestVersionTwo:
-    """A version 2 file, as the former writer made it (``helpers.v2_checkpoint_bytes``),
-    loads to the same checkpoint as the version 3 file of one trained model."""
-
-    @pytest.mark.parametrize("kind, tune", [("bilstm", False), ("bilstm", True), ("rnn", True),
-                                            ("mlp", False)])
-    def test_v2_and_v3_files_load_and_predict_alike(self, kind, tune, train_instances,
-                                                    tmp_path):
-        ck = train(CONFIG.replace(model=kind, epochs=2, tune_embeddings=tune),
-                   train_instances).checkpoint
-        v2 = checkpoint_from_bytes(v2_checkpoint_bytes(ck))
-        v3 = checkpoint_from_bytes(checkpoint_bytes(ck))
-        assert split_blob(checkpoint_bytes(ck))[0]["words"] == sorted(ck.token_vectors)
-        for loaded in (v2, v3):
-            assert np.array_equal(loaded.theta, ck.theta)
-            for ae in ("pos_ae", "position_ae"):
-                for name in ("encoder_w", "encoder_b", "decoder_w", "decoder_b"):
-                    assert np.array_equal(getattr(getattr(loaded, ae), name),
-                                          getattr(getattr(ck, ae), name))
-            assert loaded.token_vectors.keys() == ck.token_vectors.keys()
-            for word, vec in ck.token_vectors.items():
-                assert np.array_equal(loaded.token_vectors[word], vec)
-        assert checkpoint_bytes(v2) == checkpoint_bytes(v3) == checkpoint_bytes(ck)
-        for inst in synthetic_instances(tmp_path, 4, seed=9):
-            assert predict(v2, inst) == predict(v3, inst) == predict(ck, inst)
-
-    def test_tensor_of_another_shape_is_dimension_mismatch(self, trained_checkpoint):
-        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
-        entry = next(e for e in meta["arrays"] if e[:2] == ["param", "head.w_out"])
-        entry[2] = entry[2][::-1]
-        with pytest.raises(DimensionMismatch, match="head.w_out"):
-            checkpoint_from_bytes(framed(meta, payload, version=2))
+        assert message in captured.err
 
 
 FIRST_TENSOR = {"bilstm": "fwd.w_in", "rnn": "rnn.w_in", "mlp": "head.w0"}
@@ -278,7 +251,7 @@ class TestCorruption:
         assert str(FORMAT_VERSION) in message
         assert str(FORMAT_VERSION + 1) in message
 
-    def test_unknown_model_kind_is_input_error(self, trained_checkpoint):
+    def test_unknown_model_is_input_error(self, trained_checkpoint):
         ck = dataclasses.replace(
             trained_checkpoint, config=trained_checkpoint.config.replace(model="gru"))
         with pytest.raises(InputError):
@@ -291,16 +264,12 @@ class TestMetadata:
         meta, payload = split_blob(blob)
         assert checkpoint_bytes(checkpoint_from_bytes(framed(meta, payload))) == blob
 
-    @pytest.mark.parametrize(
-        "key", ["arrays", "config", "model_kind", "model_meta", "pos_table", "oov_seed", "words"]
-    )
+    @pytest.mark.parametrize("key", ["arrays", "config", "pos_table", "oov_seed", "words"])
     def test_missing_key_is_format_error(self, trained_checkpoint, key):
-        version = 2 if key.startswith("model_") else FORMAT_VERSION  # keys of version 2 only
-        write = v2_checkpoint_bytes if version == 2 else checkpoint_bytes
-        meta, payload = split_blob(write(trained_checkpoint))
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
         del meta[key]
         with pytest.raises(FormatError, match=f"missing key '{key}'"):
-            checkpoint_from_bytes(framed(meta, payload, version))
+            checkpoint_from_bytes(framed(meta, payload))
 
     def test_missing_oov_seed_makes_predict_exit_2(self, trained_checkpoint, tmp_path, capsys):
         meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
@@ -312,45 +281,6 @@ class TestMetadata:
                    "--instances", str(tmp_path / "inst.json")])
         assert rc == 2
         assert "oov_seed" in capsys.readouterr().err
-
-    def test_model_meta_must_follow_the_config(self, trained_checkpoint):
-        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
-        meta["model_meta"]["units"] += 1
-        with pytest.raises(FormatError, match="model_meta .* does not match its config"):
-            checkpoint_from_bytes(framed(meta, payload, version=2))
-
-    def test_model_kind_must_follow_the_config(self, train_instances, tmp_path, capsys):
-        """In a version 2 file, model_kind must be the stored config's model."""
-        ck = train(CONFIG.replace(epochs=1), train_instances).checkpoint
-        meta, payload = split_blob(v2_checkpoint_bytes(ck))
-        meta["model_kind"] = "rnn"
-        blob = framed(meta, payload, version=2)
-        with pytest.raises(FormatError, match="model_kind 'rnn'.*'bilstm'"):
-            checkpoint_from_bytes(blob)
-        (tmp_path / "model.sdpl").write_bytes(blob)
-        result = synthetic_result(tmp_path, 4, seed=9)
-        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
-        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
-                   "--instances", str(tmp_path / "inst.json")])
-        assert rc == 2
-        assert "model_kind" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("input_dim", [40.0, True, 0, -3, "40", None])
-    def test_input_dim_must_be_a_positive_int(self, trained_checkpoint, input_dim, tmp_path,
-                                              capsys):
-        """A version 2 file's input_dim must be the width that its config gives."""
-        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
-        meta["model_meta"]["input_dim"] = input_dim
-        blob = framed(meta, payload, version=2)
-        with pytest.raises(FormatError, match="input_dim"):
-            checkpoint_from_bytes(blob)
-        (tmp_path / "model.sdpl").write_bytes(blob)
-        result = synthetic_result(tmp_path, 4, seed=9)
-        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
-        rc = main(["predict", "--ck", str(tmp_path / "model.sdpl"),
-                   "--instances", str(tmp_path / "inst.json")])
-        assert rc == 2
-        assert "input_dim" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("oov_seed", 5.7), ("oov_seed", True), ("oov_seed", "5"), ("oov_seed", None),
@@ -439,25 +369,13 @@ class TestMetadata:
             checkpoint_bytes(ck)
         with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
             ck.build_vectorizer()
-        blob = v2_checkpoint_bytes(ck)
-        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
-            checkpoint_from_bytes(blob).build_vectorizer()
 
-    @pytest.mark.parametrize("version", [2, FORMAT_VERSION])
-    def test_an_array_listed_twice_is_format_error(self, trained_checkpoint, version):
+    def test_an_array_listed_twice_is_format_error(self, trained_checkpoint):
         """A repeated (section, name) entry is rejected, not read over the first."""
-        write = v2_checkpoint_bytes if version == 2 else checkpoint_bytes
-        meta, payload = split_blob(write(trained_checkpoint))
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
         meta["arrays"].append(["pos_ae", "encoder_b", [8]])
-        blob = framed(meta, payload + np.full(8, 7.0).tobytes(), version)
+        blob = framed(meta, payload + np.full(8, 7.0).tobytes())
         with pytest.raises(FormatError, match="lists the array pos_ae/encoder_b twice"):
-            checkpoint_from_bytes(blob)
-
-    def test_a_word_listed_twice_in_a_v2_file_is_format_error(self, trained_checkpoint):
-        meta, payload = split_blob(v2_checkpoint_bytes(trained_checkpoint))
-        meta["arrays"].append(["tok", "PROT1", [8]])
-        blob = framed(meta, payload + np.full(8, 7.0).tobytes(), version=2)
-        with pytest.raises(FormatError, match="tok/PROT1 twice"):
             checkpoint_from_bytes(blob)
 
     @pytest.mark.parametrize("words", [
@@ -513,8 +431,6 @@ class TestMetadata:
         meta=st.fixed_dictionaries({}, optional={
             "arrays": ARRAY_ENTRIES | JSON_VALUES,
             "config": st.just(CONFIG.to_dict()) | JSON_VALUES,
-            "model_kind": st.just("bilstm") | JSON_VALUES,
-            "model_meta": JSON_VALUES,
             "pos_table": JSON_VALUES,
             "oov_seed": JSON_VALUES,
             "words": st.lists(st.sampled_from(["PROT1", "PROT2", "PROTX"]), max_size=3)
@@ -522,12 +438,11 @@ class TestMetadata:
             "embedding_digest": st.just("0" * 64) | JSON_VALUES,
         }) | JSON_VALUES,
         payload=st.binary(max_size=48),
-        version=st.sampled_from([2, FORMAT_VERSION]),
     )
     @settings(max_examples=400, deadline=None)
-    def test_random_metadata_raises_only_input_errors(self, meta, payload, version):
+    def test_random_metadata_raises_only_input_errors(self, meta, payload):
         try:
-            checkpoint_from_bytes(framed(meta, payload, version))
+            checkpoint_from_bytes(framed(meta, payload))
         except InputError:
             pass
 

@@ -271,29 +271,6 @@ class TestTrainEvaluatePredict:
         assert captured.out == ""
         assert "other.json was made with another PoS table than the checkpoint's" in captured.err
 
-    def test_stored_classes_of_a_version_3_file_are_not_read(self, workdir, capsys):
-        """A version 3 file whose stored classes disagree with its PoS table trains
-        and scores as its version 4 twin does: the classes come from the tags."""
-        common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
-        run("preprocess", *common, "--out", workdir / "inst.json")
-        doc = json.loads((workdir / "inst.json").read_text())
-        doc["version"] = 3
-        doc["instances"]["pos_classes"] = [[(doc["pos_table"].get(t, 7) + 1) % 8 for t in row]
-                                           for row in doc["instances"]["pos_tags"]]
-        (workdir / "v3.json").write_text(json.dumps(doc), encoding="utf-8")
-        outputs = []
-        for name in ("inst", "v3"):
-            capsys.readouterr()
-            instances = workdir / f"{name}.json"
-            assert run("train", "--instances", instances, "--config", workdir / "config",
-                       "--out", workdir / f"{name}.sdpl") == 0
-            assert run("evaluate", "--ck", workdir / f"{name}.sdpl", "--instances", instances) == 0
-            assert run("predict", "--ck", workdir / f"{name}.sdpl", "--instances", instances) == 0
-            out = capsys.readouterr().out
-            outputs.append((out.replace(str(workdir / f"{name}.sdpl"), "MODEL"),
-                            (workdir / f"{name}.sdpl").read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
             "preprocess",
@@ -318,10 +295,11 @@ class TestTrainEvaluatePredict:
 
 
 class TestOlderInstancesFiles:
-    """Versions 1 and 2 are no longer read: each command that reads an instances
-    file exits 2, names the version and prints nothing on stdout."""
+    """Versions 1, 2 and 3 are no longer read: each command that reads an
+    instances file exits 2, names the version and the remedy, and prints
+    nothing on stdout."""
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_exit_2(self, workdir, capsys, version):
         common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
         run("preprocess", *common, "--out", workdir / "inst.json")
@@ -338,7 +316,7 @@ class TestOlderInstancesFiles:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert (f"instances file version {version} is no longer read; "
-                    "run `sdprel preprocess` again") in captured.err
+                    "run `sdprel preprocess` again to rebuild it") in captured.err
         assert not (workdir / "m2.sdpl").exists()
 
 
@@ -798,6 +776,23 @@ class TestSweepCommand:
         )
         assert rc == 2
         capsys.readouterr()
+
+    def test_invalid_value_exits_2_before_any_work(self, workdir, monkeypatch, capsys):
+        """Every value is validated first: a bad later value runs no value and
+        writes no report."""
+        import sdprel.cli as cli_mod
+
+        calls = []
+        for name in ("load_corpus", "load_table", "preprocess", "cross_validate"):
+            monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **kw: calls.append(name))
+        rc = run("sweep", "--param", "epochs", "--values", "2,0",
+                 "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                 "--config", workdir / "config", "--report", workdir / "sweep.csv")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "epochs" in err
+        assert calls == []
+        assert not (workdir / "sweep.csv").exists()
 
     @pytest.mark.parametrize("values", ["1,,2", "1,2,", ",1", ""])
     def test_empty_value_item_exit_2(self, workdir, capsys, values):

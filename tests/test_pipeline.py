@@ -74,7 +74,6 @@ from helpers import (
     reference_preprocess,
     reference_vectorize,
     synthetic_corpus,
-    v3_instances_json,
     write_lines,
 )
 
@@ -233,17 +232,6 @@ def tiny_document():
     }
 
 
-def tiny_document_v3():
-    """tiny_document as the version 3 writer laid it out, with stored PoS classes
-    and the stats object."""
-    doc = tiny_document()
-    doc["version"] = 3
-    doc["instances"]["pos_classes"] = [[0, 1, 0]]
-    doc["stats"] = {"generated": 2, "evaluable": 1, "excluded_disconnected": 1,
-                    "excluded_path_too_long": 0, "positives": 1, "negatives": 1, "ratio": 1.0}
-    return doc
-
-
 def rows_of(columns):
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
@@ -267,9 +255,8 @@ def replaced(doc, path, value):
 
 @st.composite
 def near_valid_documents(draw):
-    """tiny_document (version 4 or 3) with at most one scalar replaced by
-    another JSON value."""
-    doc = draw(st.sampled_from([tiny_document, tiny_document_v3]))()
+    """tiny_document with at most one scalar replaced by another JSON value."""
+    doc = tiny_document()
     path = draw(st.sampled_from([None, *leaf_paths(doc)]))
     if path is None:
         return doc
@@ -435,39 +422,34 @@ class TestPreprocess:
         assert_well_typed(result)
 
     @pytest.mark.parametrize("path,value", [
-        # a version 4 file, addressed by row: (kind, row, column, ...)
-        (("instances", 0, "label"), 5),
-        (("instances", 0, "label"), True),
-        (("instances", 0, "label"), 1.0),
-        (("excluded", 0, "label"), "1"),
-        (("excluded", 0, "reason"), "too_far"),
-        (("instances", 0, "tokens", 1), 7),
-        (("instances", 0, "pos_tags", 0), None),
-        (("instances", 0, "pos_tags", 2), 8),
-        (("instances", 0, "label"), "0"),
-        (("instances", 0, "prot2"), 3),
-        (("excluded", 0, "sentence_id"), ["s1"]),
-        # a version 3 file, addressed by column: (kind, column, row, ...)
+        # (kind, column, row, ...) of tiny_document
         (("instances", "label", 0), 5),
         (("instances", "label", 0), True),
+        (("instances", "label", 0), 1.0),
         (("excluded", "label", 0), "1"),
         (("excluded", "reason", 0), "too_far"),
         (("instances", "tokens", 0, 1), 7),
         (("instances", "pos_tags", 0, 0), None),
         (("instances", "pos_tags", 0, 2), 8),
-        (("instances", "tokens", 0, 2), -1),
+        (("instances", "label", 0), "0"),
         (("instances", "prot2", 0), 3),
+        (("excluded", "sentence_id", 0), ["s1"]),
+        (("instances", "label", 0), -1),
+        (("instances", "label", 0), None),
+        (("excluded", "label", 0), 2),
+        (("excluded", "reason", 0), None),
+        (("instances", "tokens", 0, 0), None),
+        (("instances", "pos_tags", 0, 1), ["VBZ"]),
+        (("instances", "tokens", 0, 2), -1),
+        (("instances", "sentence_id", 0), 0),
         (("instances", "tokens", 0), []),
         (("instances", "pos_tags", 0), "NN"),
-        (("excluded", "sentence_id", 0), ["s1"]),
+        (("instances", "prot1", 0), None),
+        (("excluded", "prot2", 0), False),
     ])
     def test_ill_typed_value_is_format_error_naming_the_instance(self, path, value):
-        if isinstance(path[1], int):
-            kind, row, column, *rest = path
-            doc = replaced(tiny_document(), (kind, column, row, *rest), value)
-        else:
-            kind, _, row, *_ = path
-            doc = replaced(tiny_document_v3(), path, value)
+        kind, _, row, *_ = path
+        doc = replaced(tiny_document(), path, value)
         name = doc[kind]["instance_id"][row]
         with pytest.raises(FormatError, match=f"instance '{name}'"):
             instances_from_json(json.dumps(doc))
@@ -479,10 +461,9 @@ class TestPreprocess:
                 instances_from_json(json.dumps(replaced(tiny_document(), (key,), value)))
 
     def test_tiny_document_is_read(self):
-        for doc in (tiny_document(), tiny_document_v3()):
-            result = instances_from_json(json.dumps(doc))
-            assert_well_typed(result)
-            assert result.stats()["positives"] == result.stats()["negatives"] == 1
+        result = instances_from_json(json.dumps(tiny_document()))
+        assert_well_typed(result)
+        assert result.stats()["positives"] == result.stats()["negatives"] == 1
 
     def test_graph_built_once_per_sentence(self, tmp_path, monkeypatch):
         import sdprel.pipeline as pl
@@ -599,7 +580,7 @@ class TestInstancesFileV2:
     def test_version_one_code_matrices_are_not_read(self, synth_instances):
         """A version 1 file is rejected for its version before anything else in it,
         its code matrices included, is read."""
-        doc = json.loads(v3_instances_json(synth_instances, small_config()))
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc.update(version=1, instances=[{"pos1_codes": "not a matrix"}])
         with pytest.raises(ConfigError, match="version 1 is no longer read"):
             instances_from_json(json.dumps(doc))
@@ -615,12 +596,12 @@ class TestInstancesFileV2:
     def test_unknown_version_is_rejected(self, synth_instances, version):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["version"] = version
-        with pytest.raises(ConfigError, match="supports 3 and 4"):
+        with pytest.raises(ConfigError, match="reader supports version 4"):
             instances_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
     def test_unequal_lengths_are_format_error(self, synth_instances, key):
-        doc = json.loads(v3_instances_json(synth_instances, small_config()))
+        doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["instances"][key][0] = doc["instances"][key][0][:-1]
         with pytest.raises(FormatError, match="equal length"):
             instances_from_json(json.dumps(doc))
@@ -629,7 +610,7 @@ class TestInstancesFileV2:
 class TestRepeatedInstanceIds:
     """Each pair is read once: an id that repeats, within the instances, within
     the excluded pairs or across the two, is a FormatError naming it, whether
-    it has one, two or three more copies, in a version 3 or 4 file."""
+    it has one, two or three more copies."""
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
     @pytest.mark.parametrize("where", ["instances", "excluded", "across"])
@@ -639,14 +620,12 @@ class TestRepeatedInstanceIds:
             for k in (1, 2)])
         repeated = "x:e0-e1" if where == "excluded" else synth_instances.instances[0].instance_id
         kind = "instances" if where == "instances" else "excluded"
-        for write in (instances_to_json, v3_instances_json):
-            doc = json.loads(write(result, small_config()))
-            for column in doc[kind].values():
-                column.extend(column[:1] * copies)
-            doc[kind]["instance_id"][-copies:] = [repeated] * copies
-            with pytest.raises(FormatError,
-                               match=f"instance id {repeated!r} appears more than once"):
-                instances_from_json(json.dumps(doc))
+        doc = json.loads(instances_to_json(result, small_config()))
+        for column in doc[kind].values():
+            column.extend(column[:1] * copies)
+        doc[kind]["instance_id"][-copies:] = [repeated] * copies
+        with pytest.raises(FormatError, match=f"instance id {repeated!r} appears more than once"):
+            instances_from_json(json.dumps(doc))
 
 
 WORDS = ("binds", "with", "the", "of", "kinase", "and", "to")
@@ -786,8 +765,8 @@ class TestInstancesFileV3:
     @given(result=instance_sets() | preprocessed_corpora())
     @settings(max_examples=120, deadline=None)
     def test_round_trip_and_older_versions(self, result):
-        """A version 4 file reads back to its result, and the version 3 file of the
-        same result reads to equal instances: tags, classes and codes."""
+        """A version 4 file reads back to its result, and the same document
+        labelled with an older version is rejected before it is read."""
         config = features_config(result)
         text = instances_to_json(result, config)
         doc = json.loads(text)
@@ -798,14 +777,17 @@ class TestInstancesFileV3:
                    for c in doc["instances"].values())
         v4 = instances_from_json(text)
         same_instances(v4, result)
-        same_instances(instances_from_json(v3_instances_json(result, config)), v4)
         same_instances(reference_instances_from_json(text), v4)
+        for version in (1, 2, 3):
+            doc["version"] = version
+            with pytest.raises(ConfigError, match=f"version {version} is no longer read"):
+                instances_from_json(json.dumps(doc))
 
     @given(doc=near_valid_documents())
     @settings(max_examples=300, deadline=None)
     def test_reader_agrees_with_the_row_by_row_reader(self, doc):
-        """A near-valid document, version 3 or 4, reads as the reader of one row
-        at a time reads it: the same instances, or the same error."""
+        """A near-valid document reads as the reader of one row at a time reads
+        it: the same instances, or the same error."""
         got = outcome(instances_from_json, json.dumps(doc))
         want = outcome(reference_instances_from_json, json.dumps(doc))
         if isinstance(want, tuple):
@@ -819,10 +801,8 @@ class TestInstancesFileV3:
 
         monkeypatch.setattr(pipeline_mod, "_check_instance_row", refuse)
         monkeypatch.setattr(pipeline_mod, "_check_ids_and_label", refuse)
-        cfg = small_config()
-        for text in (instances_to_json(synth_instances, cfg),
-                     v3_instances_json(synth_instances, cfg)):
-            assert len(instances_from_json(text).instances) == len(synth_instances.instances)
+        text = instances_to_json(synth_instances, small_config())
+        assert len(instances_from_json(text).instances) == len(synth_instances.instances)
 
     def test_classes_must_follow_the_files_pos_table(self, synth_instances):
         """Each tag's class is the one the file's PoS table gives it, and
@@ -836,22 +816,10 @@ class TestInstancesFileV3:
         assert back.instances[0].pos_classes[0] == OTHER_CLASS
         assert any(6 in inst.pos_classes for inst in back.instances)
 
-    def test_version_three_classes_are_not_read(self, synth_instances):
-        """A version 3 file's stored classes are dropped unread: shifted, cut short
-        or not a column at all, the file reads as its version 4 twin does."""
-        cfg = small_config()
-        want = instances_from_json(instances_to_json(synth_instances, cfg))
-        doc = json.loads(v3_instances_json(synth_instances, cfg))
-        stored = doc["instances"]["pos_classes"]
-        for classes in ([[(c + 1) % POS_DIM for c in row] for row in stored],
-                        [row[:-1] for row in stored], stored[:1], "not a column"):
-            doc["instances"]["pos_classes"] = classes
-            same_instances(instances_from_json(json.dumps(doc)), want)
-
     @pytest.mark.parametrize("kind,key", [("instances", "label"), ("instances", "tokens"),
                                           ("excluded", "reason")])
     def test_unequal_columns_are_format_error(self, kind, key):
-        doc = tiny_document_v3()
+        doc = tiny_document()
         doc[kind][key].append(doc[kind][key][0])
         with pytest.raises(FormatError, match=f"the {kind} columns must be lists of equal length"):
             instances_from_json(json.dumps(doc))
@@ -864,9 +832,8 @@ class TestInstancesFileV3:
         with pytest.raises(FormatError, match=f"instance '{name}'.*equal length"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("layout", [tiny_document, tiny_document_v3])
-    def test_empty_path_is_format_error(self, layout):
-        doc = layout()
+    def test_empty_path_is_format_error(self):
+        doc = tiny_document()
         for key in ("tokens", "pos_tags"):
             doc["instances"][key][0] = []
         with pytest.raises(FormatError, match="instance 's1:e0-e1': .*non-empty lists"):
@@ -874,25 +841,22 @@ class TestInstancesFileV3:
 
     @pytest.mark.parametrize("kind", ["instances", "excluded"])
     def test_rows_or_unknown_columns_are_format_errors(self, kind):
-        doc = tiny_document_v3()
+        doc = tiny_document()
         doc[kind]["pos1_codes"] = [[[0]]]
         with pytest.raises(FormatError, match=f"unknown {kind} columns \\['pos1_codes'\\]"):
             instances_from_json(json.dumps(doc))
-        doc[kind] = rows_of(tiny_document_v3()[kind])
+        doc[kind] = rows_of(tiny_document()[kind])
         with pytest.raises(FormatError, match=f"{kind} must be an object of columns"):
             instances_from_json(json.dumps(doc))
 
     def test_excluded_entry_with_another_key_is_format_error(self):
-        """Only the instances of a version 3 file may hold the unread class column."""
-        for layout in (tiny_document, tiny_document_v3):
-            doc = layout()
-            doc["excluded"]["pos_classes"] = [[0]]
-            with pytest.raises(FormatError, match=r"unknown excluded columns \['pos_classes'\]"):
+        """A class column, which the reader derives, is an unknown column of the
+        instances and of the excluded pairs alike."""
+        for kind, classes in (("excluded", [[0]]), ("instances", [[0, 1, 0]])):
+            doc = tiny_document()
+            doc[kind]["pos_classes"] = classes
+            with pytest.raises(FormatError, match=rf"unknown {kind} columns \['pos_classes'\]"):
                 instances_from_json(json.dumps(doc))
-        doc = tiny_document()
-        doc["instances"]["pos_classes"] = [[0, 1, 0]]
-        with pytest.raises(FormatError, match=r"unknown instances columns \['pos_classes'\]"):
-            instances_from_json(json.dumps(doc))
 
     def test_preprocess_records_the_pos_table(self, synth):
         sentences, deps = synth
@@ -908,13 +872,13 @@ class TestInstancesFileV3:
     @pytest.mark.parametrize("table", [{"NN": 8}, {"NN": -1}, {"NN": "0"}, {"NN": True},
                                        {"NN": 1.0}, {"NN": None}, ["NN", 0], "NN", None])
     def test_bad_pos_table_is_format_error(self, table):
-        doc = tiny_document_v3()
+        doc = tiny_document()
         doc["pos_table"] = table
         with pytest.raises(FormatError, match="pos_table must map tags to integers in 0..7"):
             instances_from_json(json.dumps(doc))
 
     def test_missing_pos_table_is_format_error(self):
-        doc = tiny_document_v3()
+        doc = tiny_document()
         del doc["pos_table"]
         with pytest.raises(FormatError, match="missing key 'pos_table'"):
             instances_from_json(json.dumps(doc))

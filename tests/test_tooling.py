@@ -1,5 +1,5 @@
 """The benchmark run as a user would run it: its self-test, and one round of
-each workload with every output check."""
+each workload with every output check.  The output-digest script run twice."""
 
 import json
 import subprocess
@@ -44,3 +44,14 @@ def test_a_failing_property_reports_its_example(tmp_path):
     output = proc.stdout + proc.stderr
     assert proc.returncode == 1, output[-3000:]
     assert "Falsifying example" in output and "INTERNALERROR" not in output, output[-3000:]
+
+
+def test_output_digests_repeat_in_one_process(tmp_path):
+    """Same seed, same bytes: two runs of ``tests/output_digests.py`` in one
+    process, the second with the vectors and autoencoder memos warm, print the
+    same digest of every output."""
+    import output_digests
+
+    first = output_digests.digests(tmp_path)
+    assert len(first) == 78 and len({line.split()[0] for line in first}) == 78
+    assert output_digests.digests(tmp_path) == first

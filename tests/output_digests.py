@@ -48,10 +48,11 @@ EXTRA_DEPS = ["x1\t0\t1\targ", "x1\t1\t2\targ", "x2\t0\t1\targ", "x2\t1\t2\targ"
 VECTOR_WORDS = ("GeneA0", "interacts", "with", "bind", "protein", "was", "to")
 
 
-def _vectors_text(dim: int) -> str:
-    rows = [f"{word} " + " ".join(f"{((i * 7 + k) % 11 - 5) / 10}" for k in range(dim))
+def _vectors_text() -> str:
+    """A word2vec text file of 8-d vectors, the config's embedding_dim."""
+    rows = [f"{word} " + " ".join(f"{((i * 7 + k) % 11 - 5) / 10}" for k in range(8))
             for i, word in enumerate(VECTOR_WORDS)]
-    return f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n"
+    return f"{len(rows)} 8\n" + "\n".join(rows) + "\n"
 
 
 def digests(workdir) -> list[str]:
@@ -73,7 +74,7 @@ def digests(workdir) -> list[str]:
     corpus_lines, dep_lines, _ = synthetic_corpus(24, seed=4)
     inputs = ("--corpus", write_lines(work / "corpus.tsv", corpus_lines + EXTRA_SENTENCES),
               "--deps", write_lines(work / "deps.tsv", dep_lines + EXTRA_DEPS))
-    (work / "vectors.txt").write_text(_vectors_text(8), encoding="utf-8")
+    (work / "vectors.txt").write_text(_vectors_text(), encoding="utf-8")
     instances = work / "instances.json"
     run("preprocess", "preprocess", *inputs, "--out", instances)
     record("preprocess/instances.json", instances.read_bytes())

@@ -19,6 +19,7 @@ from .features import load_pos_table
 from .pipeline import (
     REPORT_HEADER,
     TrainConfig,
+    check_features,
     cross_validate,
     evaluate,
     instances_from_json,
@@ -155,12 +156,11 @@ def _cmd_cv(args) -> int:
         config = config.replace(k_folds=args.k)
     if args.seed is not None:
         config = config.replace(seed=args.seed)
-    config.validate()
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
     result = preprocess(sentences, deps, config, pos_table=pos_table)
-    report = cross_validate(config, result, pos_table=pos_table)
+    report = cross_validate(config, result)
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_csv())
     for key, value in result.stats().items():
@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise InputError(f"--values must be comma-separated integers: {args.values!r}")
     # every value is checked before any input is read or any value is run
-    configs = [base.replace(**{SWEEP_PARAMS[args.param]: value}).validate() for value in values]
+    configs = [base.replace(**{SWEEP_PARAMS[args.param]: value}) for value in values]
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
@@ -198,8 +198,7 @@ def _cmd_sweep(args) -> int:
         if config.position_window not in by_window:
             by_window[config.position_window] = preprocess(
                 sentences, deps, config, pos_table=pos_table)
-        report = cross_validate(config, by_window[config.position_window], embeddings=table,
-                                pos_table=pos_table)
+        report = cross_validate(config, by_window[config.position_window], embeddings=table)
         m = report.micro
         rows.append(
             f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"
@@ -215,12 +214,7 @@ def _read_instances(path, config: TrainConfig, source: str, pos_table=None):
     features, and its PoS table where one is given."""
     with open(path, encoding="utf-8") as fh, reading_text(path):
         result = instances_from_json(fh.read())
-    for key in ("position_window", "use_pos", "use_position"):
-        made, wanted = getattr(result, key), getattr(config, key)
-        if made != wanted:
-            raise ConfigError(
-                f"{path} was made with {key}={made}, but the {source} has {key}={wanted}"
-            )
+    check_features(result, config, path, source)
     if pos_table is not None and result.pos_table != pos_table:
         differ = sorted(tag for tag in result.pos_table.keys() | pos_table.keys()
                         if result.pos_table.get(tag) != pos_table.get(tag))

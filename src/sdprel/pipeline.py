@@ -79,14 +79,18 @@ _ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
 _INSTANCE_FIELDS = (*_ID_FIELDS, "label", "tokens", "pos_tags")
 _EXCLUDED_FIELDS = (*_ID_FIELDS, "label", "reason")
 _POS_CLASS_SET = frozenset(range(POS_DIM))
+_FEATURE_KEYS = ("position_window", "use_pos", "use_position")  # what an instance's codes hold
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every stage's settings.  Making a config checks it, so an invalid one
+    raises ConfigError and never exists; a config cannot change once made."""
+
     model: str = "bilstm"  # bilstm | mlp | rnn
     lstm_units: int = 64
     dropout: float = 0.3
@@ -109,7 +113,7 @@ class TrainConfig:
     tune_embeddings: bool = False
     score_excluded: bool = True
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.model not in MODEL_KINDS:
@@ -136,7 +140,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        return self
 
     @property
     def input_dim(self) -> int:
@@ -152,11 +155,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(known)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -183,7 +185,7 @@ class TrainConfig:
                 values[key] = _coerce(key, value, known[key].default, line_no, path)
         if values.get("embedding_path"):
             values["embedding_path"] = os.path.abspath(values["embedding_path"])
-        return cls(**values).validate()
+        return cls(**values)
 
 
 def _check_type(key, value, kind):
@@ -323,7 +325,6 @@ def preprocess(
     share their read-only position code matrices; copy one before writing.
     The result records the PoS table, the bundled one when none is given.
     """
-    config.validate()
     window = config.position_window
     pos_table = dict(pos_table) if pos_table is not None else load_pos_table()
     codes = _PositionCodes(window)
@@ -363,16 +364,25 @@ def preprocess(
                             pos_table)
 
 
+def check_features(result: PreprocessResult, config: TrainConfig, made_by, source: str) -> None:
+    """Raise ConfigError unless the config uses the features the result was made with."""
+    for key in _FEATURE_KEYS:
+        made, wanted = getattr(result, key), getattr(config, key)
+        if made != wanted:
+            raise ConfigError(
+                f"{made_by} was made with {key}={made}, but the {source} has {key}={wanted}")
+
+
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
     """Compact version 4 document.  The instances and the excluded pairs are
     each an object of equal-length columns, one list per field; the PoS
-    classes and the position codes are left to the reader."""
+    classes and the position codes are left to the reader.  A config whose
+    features are not the result's raises ConfigError."""
+    check_features(result, config, "the result", "config")
     doc = {
         "format": INSTANCES_FORMAT,
         "version": INSTANCES_VERSION,
-        "position_window": result.position_window,
-        "use_pos": config.use_pos,
-        "use_position": config.use_position,
+        **{key: getattr(result, key) for key in _FEATURE_KEYS},
         "pos_table": result.pos_table,
         "instances": {k: list(map(attrgetter(k), result.instances)) for k in _INSTANCE_FIELDS},
         "excluded": {k: list(map(attrgetter(k), result.excluded)) for k in _EXCLUDED_FIELDS},
@@ -736,7 +746,7 @@ class Checkpoint:
     embedding_digest: str | None = None
 
     def build_model(self):
-        model = build_model(self.config.validate())
+        model = build_model(self.config)
         if self.theta.shape != model.theta.shape:
             raise DimensionMismatch(f"checkpoint theta has shape {self.theta.shape}, the "
                                     f"config's {self.config.model} needs {model.theta.shape}")
@@ -804,7 +814,6 @@ def train(
     ``autoencoders`` is a pre-fit (pos_ae, position_ae) pair, each None where
     the config disables its feature; by default both are fit on `instances`.
     """
-    config.validate()
     if not instances:
         raise EmptyTrainingSet("no training instances")
     if embeddings is None:
@@ -1036,11 +1045,9 @@ def cross_validate(
     config: TrainConfig,
     result: PreprocessResult,
     embeddings: EmbeddingTable | None = None,
-    pos_table: dict[str, int] | None = None,
 ) -> CvReport:
-    """k-fold CV over all generated candidates (excluded ones included in
-    the fold split so each is scored exactly once)."""
-    config.validate()
+    """k-fold CV over all generated candidates (excluded ones included in the
+    fold split so each is scored exactly once); every fold trains with the result's PoS table."""
     table = embeddings if embeddings is not None else load_table(config, config.seed)
     ids = [i.instance_id for i in result.instances] + [
         e.instance_id for e in result.excluded
@@ -1065,7 +1072,7 @@ def cross_validate(
     for fold, (train_insts, autoencoders, test_insts, test_excluded) in enumerate(
             zip(train_sets, fold_autoencoders, test_sets, excluded_sets)):
         fold_config = config.replace(seed=config.seed + fold)
-        tr = train(fold_config, train_insts, embeddings=table, pos_table=pos_table,
+        tr = train(fold_config, train_insts, embeddings=table, pos_table=result.pos_table,
                    autoencoders=autoencoders)
         metrics = evaluate(
             tr.checkpoint,
@@ -1074,13 +1081,10 @@ def cross_validate(
             vectorizer=tr.checkpoint.build_vectorizer(table),
         )
         per_fold.append(metrics)
-    micro = FoldMetrics(0, 0, 0, 0)
-    for m in per_fold:
-        micro = micro + m
     k = len(per_fold)
     return CvReport(
         per_fold=per_fold,
-        micro=micro,
+        micro=sum(per_fold, FoldMetrics(0, 0, 0, 0)),
         macro_precision=sum(m.precision for m in per_fold) / k,
         macro_recall=sum(m.recall for m in per_fold) / k,
         macro_f1=sum(m.f1 for m in per_fold) / k,

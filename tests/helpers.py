@@ -108,7 +108,6 @@ def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=F
     from sdprel.features import coarse_pos, encode_position, load_pos_table
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance
 
-    config.validate()
     window = config.position_window
     instances, excluded = [], []
     for s in sentences:
@@ -157,10 +156,11 @@ EXCLUDED_FIELDS = (*ID_FIELDS, "label", "reason")
 
 def reference_instances_from_json(text: str):
     """A version 4 reader that takes the columns apart into rows and checks
-    one row at a time.  Each tag's class comes from the file's PoS table."""
+    one row at a time.  Each tag's class comes from the file's PoS table, and
+    each token's position codes from its own ``encode_position`` calls."""
     from sdprel.errors import ConfigError
-    from sdprel.features import OTHER_CLASS, POS_DIM
-    from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance, _PositionCodes
+    from sdprel.features import OTHER_CLASS, POS_DIM, encode_position
+    from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance
 
     reasons = ("disconnected", "path_too_long")
 
@@ -206,7 +206,6 @@ def reference_instances_from_json(text: str):
         if not (type(table) is dict
                 and all(type(c) is int and 0 <= c < POS_DIM for c in table.values())):
             raise FormatError(f"pos_table must map tags to integers in 0..{POS_DIM - 1}")
-        codes = _PositionCodes(window)
         instances = []
         for row in rows(doc, "instances", (*ID_FIELDS, "label", "tokens", "pos_tags")):
             tokens, tags = row["tokens"], row["pos_tags"]
@@ -217,8 +216,11 @@ def reference_instances_from_json(text: str):
             require(all(isinstance(t, str) for t in tokens + tags), row,
                     "tokens and pos_tags must be strings")
             classes = tuple(table.get(tag, OTHER_CLASS) for tag in tags)
-            instances.append(SdpInstance(*(row[k] for k in ID_FIELDS), row["label"], tuple(tokens),
-                                         tuple(tags), classes, *codes[len(tokens)]))
+            n = len(tokens)
+            instances.append(SdpInstance(
+                *(row[k] for k in ID_FIELDS), row["label"], tuple(tokens), tuple(tags), classes,
+                pos1_codes=np.stack([encode_position(k, window) for k in range(n)]),
+                pos2_codes=np.stack([encode_position(n - 1 - k, window) for k in range(n)])))
         excluded = []
         for row in rows(doc, "excluded", EXCLUDED_FIELDS):
             check_ids_and_label(row)
@@ -500,9 +502,9 @@ def reference_autoencoder(samples, d, epochs, seed):
 # Cross-validation oracle
 
 
-def reference_cross_validate(config, result, embeddings=None, pos_table=None):
+def reference_cross_validate(config, result, embeddings=None):
     """k-fold CV as one loop over the folds, in which each fold's ``train`` call
-    fits that fold's autoencoders itself."""
+    fits that fold's autoencoders itself and takes the result's PoS table."""
     from sdprel.corpus import split_folds
     from sdprel.pipeline import CvReport, FoldMetrics, evaluate, load_table, train
 
@@ -515,7 +517,7 @@ def reference_cross_validate(config, result, embeddings=None, pos_table=None):
         test_insts = [i for i in result.instances if folds.fold_of(i.instance_id) == fold]
         test_excluded = [e for e in result.excluded if folds.fold_of(e.instance_id) == fold]
         tr = train(config.replace(seed=config.seed + fold), train_insts,
-                   embeddings=table, pos_table=pos_table)
+                   embeddings=table, pos_table=result.pos_table)
         per_fold.append(evaluate(tr.checkpoint, test_insts, excluded=test_excluded,
                                  vectorizer=tr.checkpoint.build_vectorizer(table)))
     micro = FoldMetrics(0, 0, 0, 0)

@@ -18,7 +18,9 @@ from sdprel.neural import (
     BiLstmModel,
     MlpBaselineModel,
     RnnBaselineModel,
+    _as_sequence,
     _pack,
+    backward,
     cross_entropy,
     dropout_mask,
 )
@@ -97,6 +99,39 @@ def assert_batch_matches_oracle(model, seqs, labels, masks):
 
 
 KINDS = ["bilstm", "rnn", "mlp"]
+
+
+class TestSpecViews:
+    """The one-instance views over the batched passes."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_backward_is_the_oracles(self, kind, label):
+        model = make_model(kind, seed=3)
+        xs = rng_for(4).normal(size=(7, model.input_dim))  # longer than the MLP's pad_len
+        got = backward(model, xs, label)
+        want = oracle_backward(model, oracle_forward(model, xs), label)
+        assert set(got) == set(want) == set(model.tensors()) | {"__inputs__"}
+        for name, g in want.items():
+            assert got[name].shape == g.shape, name
+            assert np.max(np.abs(got[name] - g)) <= GRAD_TOLERANCE, name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_token_vector_is_a_sequence_of_one(self, kind):
+        model = make_model(kind, seed=5)
+        vec = rng_for(6).normal(size=model.input_dim)
+        assert _as_sequence(vec).shape == (1, model.input_dim)
+        assert np.array_equal(_as_sequence(vec)[0], vec)
+        assert model.forward(vec)["probs"].tolist() == model.forward(vec[None, :])["probs"].tolist()
+        one, row = backward(model, vec, 1), backward(model, vec[None, :], 1)
+        assert all(np.array_equal(one[name], row[name]) for name in row)
+        assert one["__inputs__"].shape == (1, model.input_dim)
+
+    @pytest.mark.parametrize("seq", [np.zeros((0, 5)), np.zeros((1, 2, 5)), np.float64(1.0)],
+                             ids=["no-rows", "3-D", "scalar"])
+    def test_other_shapes_are_no_sequence(self, seq):
+        with pytest.raises(EmptySequence):
+            _as_sequence(seq)
 
 
 class TestPacking:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdprel.checkpoint import (
     FORMAT_VERSION,
+    MAGIC,
     checkpoint_bytes,
     checkpoint_from_bytes,
     load_checkpoint,
@@ -252,10 +254,23 @@ class TestCorruption:
         assert str(FORMAT_VERSION + 1) in message
 
     def test_unknown_model_is_input_error(self, trained_checkpoint):
-        ck = dataclasses.replace(
-            trained_checkpoint, config=trained_checkpoint.config.replace(model="gru"))
-        with pytest.raises(InputError):
-            ck.build_model()
+        """No config names an unknown model, so neither does a checkpoint: the
+        config is rejected when it is made, and a file that stores one is
+        rejected when it is read."""
+        with pytest.raises(ConfigError, match="unknown model 'gru'"):
+            trained_checkpoint.config.replace(model="gru")
+        meta, payload = split_blob(checkpoint_bytes(trained_checkpoint))
+        meta["config"]["model"] = "gru"
+        with pytest.raises(InputError, match="unknown model 'gru'"):
+            checkpoint_from_bytes(framed(meta, payload))
+
+    def test_metadata_that_is_not_utf8_json(self, trained_checkpoint):
+        blob = checkpoint_bytes(trained_checkpoint)
+        start = len(MAGIC) + 2 + 8  # the metadata's first byte, its opening brace
+        for bad in (b"\xff", b"}"):  # not UTF-8; not JSON
+            body = blob[:start] + bad + blob[start + 1 : -8]
+            with pytest.raises(CorruptChecksum, match="metadata is not UTF-8 JSON"):
+                checkpoint_from_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
 
 
 class TestMetadata:

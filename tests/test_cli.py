@@ -83,6 +83,29 @@ class TestPreprocessCommand:
         result = instances_from_json(text)
         assert all(i.pos1_codes.shape[1] == i.pos2_codes.shape[1] == 6 for i in result.instances)
 
+    @pytest.mark.parametrize("window", ["4", "13"])
+    def test_bad_window_exits_2_before_any_input_is_read(self, workdir, monkeypatch, capsys,
+                                                          window):
+        import sdprel.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_pos_table", "load_corpus", "load_dependencies"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        rc = run(
+            "preprocess",
+            "--corpus", workdir / "nope.tsv",
+            "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json",
+            "--pos-table", workdir / "nope.tsv",
+            "--window", window,
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "position_window must be in [5, 12]" in err
+        assert not (workdir / "inst.json").exists()
+
 
 class TestTrainEvaluatePredict:
     def test_full_cycle(self, workdir, capsys):
@@ -733,15 +756,18 @@ class TestSweepCommand:
             "--pos-table", table,
         )
         assert run("cv", *common, "--report", workdir / "cv.csv") == 0
+        import sdprel.pipeline as pipeline_mod
+
         seen = []
-        for name in ("preprocess", "cross_validate"):
-            real = getattr(cli_mod, name)
-            monkeypatch.setattr(cli_mod, name, lambda *a, real=real, **kw:
+        for module, name in ((cli_mod, "preprocess"), (pipeline_mod, "train")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, **kw:
                                 seen.append(kw["pos_table"]) or real(*a, **kw))
         # the config's own epoch count, so the sweep's one run is the cv run
         assert run("sweep", "--param", "epochs", "--values", "6", *common,
                    "--report", workdir / "sweep.csv") == 0
-        assert seen == [{"NN": 3, "VBZ": 3, "VBN": 6, "IN": 6}] * 2
+        # preprocessing, then each of the two folds' training runs
+        assert seen == [{"NN": 3, "VBZ": 3, "VBN": 6, "IN": 6}] * 3
         cv_lines = (workdir / "cv.csv").read_text().split("\n")
         micro = next(line for line in cv_lines if line.startswith("micro,"))
         prf = micro.split(",")[-3:]

@@ -159,6 +159,11 @@ class TestGeneralize:
         with pytest.raises(EntityNotInSentence):
             generalize(table1_record, CandidatePair("s1", "e1", "e99", 0))
 
+    def test_entity_by_id_of_an_unknown_id(self, table1_record):
+        assert table1_record.entity_by_id("e3") == Entity("e3", 13, 13)
+        with pytest.raises(EntityNotInSentence, match="entity 'e9' not declared in sentence 's1'"):
+            table1_record.entity_by_id("e9")
+
     def test_mention_inside_another_span_does_not_survive(self):
         rec = SentenceRecord("s", ("A", "B", "binds", "C"), ("NN",) * 4,
                              (Entity("e1", 0, 1), Entity("e2", 1, 1), Entity("e3", 3, 3)))

@@ -1,7 +1,10 @@
 """Every text reader ends malformed input in an InputError that the CLI turns
-into exit code 2: random bytes, text that is not UTF-8 and damaged gzip files."""
+into exit code 2: random bytes, text that is not UTF-8, damaged gzip files,
+one-character edits of valid lines, and a table of each loader's faults, one
+row per message."""
 
 import gzip
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from sdprel.cli import main
 from sdprel.corpus import RESERVED_TOKENS, Entity, SentenceRecord, load_corpus
 from sdprel.depgraph import load_dependencies
 from sdprel.embed import load_embeddings
-from sdprel.errors import FormatError, InputError
+from sdprel.errors import DimensionMismatch, FormatError, InputError, ParseError
 from sdprel.features import load_pos_table
 from sdprel.pipeline import TrainConfig
 
@@ -177,3 +180,130 @@ class TestCliExitCodes:
                            workdir / "deps.tsv", "--config", config,
                            "--report", workdir / "cv.csv")
         assert name in err
+
+
+# ---------------------------------------------------------------------------
+# Each loader's faults, one row per message.  The faulty line follows a valid
+# one, so a ParseError names line 2.
+
+VALID_CORPUS_LINE = "s0\tA|NN binds|VBZ B|NN\te1:0:0;e2:2:2\te1-e2"
+CORPUS_FAULTS = [
+    ("s1\ta|NN\te1:0:0\t\tx", "expected 3 or 4 tab-separated fields, got 5"),
+    ("s1", "expected 3 or 4 tab-separated fields, got 1"),
+    ("\ta|NN b|NN\te1:0:0", "empty sentence id"),
+    ("s1\ta|NN  b|NN\t", "empty token/pos chunk"),
+    ("s1\tab\t", "token chunk 'ab' is not token|pos"),
+    ("s1\ta|b|NN\t", "token chunk 'a|b|NN' is not token|pos"),
+    ("s1\t|NN\t", "token chunk '|NN' has empty token or pos"),
+    ("s1\ta|\t", "token chunk 'a|' has empty token or pos"),
+    ("s1\ta:b|NN\t", "forbidden character ':' in 'a:b|NN'"),
+    ("s1\ta|N;N\t", "forbidden character ';' in 'a|N;N'"),
+    ("s1\ta|NN b|NN\te1:0", "entity chunk 'e1:0' is not id:start:end"),
+    ("s1\ta|NN b|NN\te1:0:0:1", "entity chunk 'e1:0:0:1' is not id:start:end"),
+    ("s1\ta|NN b|NN\t:0:0", "bad entity id ''"),
+    ("s1\ta|NN b|NN\te-1:0:0", "bad entity id 'e-1'"),
+    ("s1\ta|NN b|NN\te1:x:0", "non-integer span in 'e1:x:0'"),
+    ("s1\ta|NN b|NN\te1:1:0", "entity 'e1' span start exceeds end"),
+    ("s1\ta|NN b|NN\te1:0:0;e2:1:1\te1e2", "interaction chunk 'e1e2' is not idA-idB"),
+    ("s1\ta|NN b|NN\te1:0:0;e2:1:1\te1-", "interaction chunk 'e1-' is not idA-idB"),
+    ("s1\ta|NN b|NN\te1:0:0;e2:1:1\te1-e2-e1", "interaction chunk 'e1-e2-e1' is not idA-idB"),
+    ("s1\ta|NN b|NN\te1:0:0;e2:1:1\te1-e1", "interaction 'e1-e1' joins an entity to itself"),
+    ("s1\ta|NN b|NN\te1:0:0;e1:1:1", "duplicate entity id 'e1'"),
+    ("s1\ta|NN b|NN\te1:0:2", "entity 'e1' span 0:2 outside 0:1"),
+    ("s1\ta|NN b|NN\te1:0:1;e2:1:1", "entity 'e2' overlaps entity 'e1'"),
+    ("s1\ta|NN b|NN\te1:0:0\te1-e3", "interaction references undeclared entity 'e3'"),
+    ("s1\tPROT1|NN b|NN\t", "token 'PROT1' collides with a reserved placeholder"),
+]
+
+VALID_EDGE_LINE = "s0\t0\t1\targ"
+EDGE_FAULTS = [
+    ("s1\t0\t1", "expected 4 tab-separated fields, got 3"),
+    ("s1\t0\t1\targ\tx", "expected 4 tab-separated fields, got 5"),
+    ("\t0\t1\targ", "empty sentence id"),
+    ("s1\tx\t1\targ", "non-integer token index in 's1\\tx\\t1\\targ'"),
+    ("s1\t0\t1.5\targ", "non-integer token index in"),
+]
+
+VECTORS_FAULTS = [
+    ("3\na 1 2 3\n", FormatError, ": header must be '<vocab_size> <dimension>'"),
+    ("1 2 3\na 1 2\n", FormatError, ": header must be '<vocab_size> <dimension>'"),
+    ("one 2\na 1 2\n", FormatError, ": non-integer header ['one', '2']"),
+    ("1 0\na\n", FormatError, ": dimension must be positive, got 0"),
+    ("1 -2\na 1 2\n", FormatError, ": dimension must be positive, got -2"),
+    ("2 3\na 1 2 3\nb 1 2\n", DimensionMismatch, ":3: 2 values for declared dimension 3"),
+    ("1 2\na 1 x\n", FormatError, ":2: non-numeric vector value"),
+]
+
+
+class TestFaultTables:
+    @pytest.mark.parametrize("line, message", CORPUS_FAULTS)
+    def test_corpus(self, tmp_path, line, message):
+        path = write_lines(tmp_path / "corpus.tsv", [VALID_CORPUS_LINE, line])
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("line, message", EDGE_FAULTS)
+    def test_dependencies(self, tmp_path, line, message):
+        path = write_lines(tmp_path / "deps.tsv", [VALID_EDGE_LINE, line])
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+            load_dependencies(path)
+
+    @pytest.mark.parametrize("text, error, message", VECTORS_FAULTS)
+    def test_vectors(self, tmp_path, text, error, message):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=re.escape(f"{path}{message}")):
+            load_embeddings(path)
+
+    def test_the_valid_lines_load(self, tmp_path):
+        assert len(load_corpus(write_lines(tmp_path / "c.tsv", [VALID_CORPUS_LINE]))) == 1
+        assert load_dependencies(write_lines(tmp_path / "d.tsv", [VALID_EDGE_LINE])) == {
+            "s0": [(0, 1, "arg")]}
+
+
+# ---------------------------------------------------------------------------
+# One-character edits of valid lines: an insertion, a deletion or a replacement
+
+
+EDIT_CHARS = st.one_of(
+    st.sampled_from("|\t;:- 0123456789eNPROT\n\r"),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@st.composite
+def edited(draw, lines):
+    line = draw(st.sampled_from(lines))
+    at = draw(st.integers(0, len(line)))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        return line[:at] + draw(EDIT_CHARS) + line[at:]
+    cut = min(at, len(line) - 1)
+    return line[:cut] + (draw(EDIT_CHARS) if kind == "replace" else "") + line[cut + 1:]
+
+
+CORPUS_LINES = [VALID_CORPUS_LINE, *synthetic_corpus(3, seed=2)[0],
+                "s9\tX|NN and|CC Y|NN bind|VB Z|NN .|.\tx:0:0;y:2:2;z:4:4\tx-y;y-z"]
+EDGE_LINES = [VALID_EDGE_LINE, *synthetic_corpus(2, seed=2)[1], "s9\t12\t3\tnmod:poss"]
+
+
+class TestOneCharacterEdits:
+    @given(line=edited(CORPUS_LINES))
+    @settings(max_examples=300, deadline=None)
+    def test_corpus_line(self, fuzz_dir, line):
+        path = fuzz_dir / "edited_corpus.tsv"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            load_corpus(path)
+        except InputError:
+            pass
+
+    @given(line=edited(EDGE_LINES))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_line(self, fuzz_dir, line):
+        path = fuzz_dir / "edited_deps.tsv"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            load_dependencies(path)
+        except InputError:
+            pass

@@ -157,11 +157,63 @@ class TestTrainConfig:
             {"use_pos": "no"},
             {"tune_embeddings": 1},
             {"embedding_path": 5},
+            {"batch": 0},
+            {"lstm_units": 0},
+            {"mlp_hidden": 0},
+            {"mlp_pad_len": 0},
+            {"embedding_dim": 0},
+            {"ae_epochs": 0},
         ],
     )
-    def test_validation_rejects(self, kw):
-        with pytest.raises(ConfigError):
-            TrainConfig(**kw).validate()
+    def test_validation_rejects(self, kw, tmp_path):
+        """Every way of making a config rejects the value.  A config file holds
+        text, so a string value is written quoted; `tune_embeddings=1` (a
+        boolean in a file) and `embedding_path=5` (a path) have no faulty
+        file form."""
+        [(key, value)] = kw.items()
+        path = tmp_path / "cfg"
+        path.write_text(f"{key}={value!r}\n" if isinstance(value, str) else f"{key}={value}\n",
+                        encoding="utf-8")
+        makers = [lambda: TrainConfig(**kw), lambda: TrainConfig().replace(**kw),
+                  lambda: TrainConfig.from_dict(kw)]
+        if key not in ("tune_embeddings", "embedding_path"):
+            makers.append(lambda: TrainConfig.from_file(path))
+        for make in makers:
+            with pytest.raises(ConfigError):
+                make()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_a_config_cannot_change(self, name):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+        assert cfg == TrainConfig()
+
+    def test_there_is_no_separate_check(self):
+        assert not hasattr(TrainConfig, "validate")
+
+    def test_a_changed_copy_is_checked(self):
+        cfg = TrainConfig().replace(epochs=3)
+        assert cfg.epochs == 3 and TrainConfig().epochs == 130
+        with pytest.raises(ConfigError, match="epochs"):
+            cfg.replace(epochs=0)
+
+    @pytest.mark.parametrize("value, want", [
+        ("true", True), ("yes", True), ("1", True), ("TRUE", True),
+        ("false", False), ("no", False), ("0", False), ("No", False),
+    ])
+    def test_file_booleans(self, tmp_path, value, want):
+        path = tmp_path / "cfg"
+        path.write_text(f"use_pos={value}\nscore_excluded={value}\n", encoding="utf-8")
+        cfg = TrainConfig.from_file(path)
+        assert cfg.use_pos is want and cfg.score_excluded is want
+
+    @pytest.mark.parametrize("value", ["2", "on", "y", "", "truth"])
+    def test_bad_file_boolean(self, tmp_path, value):
+        path = tmp_path / "cfg"
+        path.write_text(f"# flags\n\nuse_position={value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"cfg:3: use_position expects a boolean, got {value!r}"):
+            TrainConfig.from_file(path)
 
     def test_a_float_field_takes_an_int(self):
         assert TrainConfig.from_dict({"learning_rate": 1, "dropout": 0}).learning_rate == 1
@@ -794,6 +846,20 @@ class TestInstancesFileV3:
             assert got == want
         else:
             same_instances(got, want)
+
+    def test_the_header_is_the_results(self, synth):
+        """The file states the features its instances were made with; a config
+        that disagrees on any of them is refused, not written."""
+        sentences, deps = synth
+        made = small_config(use_pos=False, position_window=7)
+        result = preprocess(sentences, deps, made)
+        doc = json.loads(instances_to_json(result, made))
+        assert (doc["position_window"], doc["use_pos"], doc["use_position"]) == (7, False, True)
+        for key, other in (("use_pos", small_config(position_window=7)),
+                           ("position_window", small_config(use_pos=False)),
+                           ("use_position", made.replace(use_position=False))):
+            with pytest.raises(ConfigError, match=f"the result was made with {key}="):
+                instances_to_json(result, other)
 
     def test_valid_files_skip_the_row_checks(self, synth_instances, monkeypatch):
         def refuse(*row):

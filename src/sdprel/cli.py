@@ -89,18 +89,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(*paths) -> None:
-    """Each path that is given can be written: its directory exists and is writable,
-    and it is not itself a directory.  Nothing is created or truncated."""
-    for path in filter(None, paths):
+def _check_writable(outputs, inputs) -> None:
+    """Each output path that is given can be written: its directory exists and is
+    writable, it is not itself a directory, and it is neither one of the inputs
+    nor another output.  Nothing is created or truncated."""
+    outputs = [path for path in outputs if path]
+    for i, path in enumerate(outputs):
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise InputError(f"cannot write {path}: it is a directory, or its directory "
                              "does not exist or is not writable")
+        others = [(p, "reads") for p in inputs if p] + [(p, "writes") for p in outputs[:i]]
+        for other, role in others:
+            if _same_file(path, other):
+                raise InputError(f"cannot write {path}: it is the same file as {other}, "
+                                 f"which this command also {role}")
+
+
+def _same_file(a, b) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_preprocess(args) -> int:
-    _check_writable(args.out)
+    _check_writable([args.out], [args.corpus, args.deps, args.pos_table])
     config = TrainConfig(
         position_window=args.window,
         use_pos=not args.no_pos,
@@ -120,8 +133,10 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_writable(args.out, args.losses)
+    outputs = [args.out, args.losses]
+    _check_writable(outputs, [args.instances, args.config])
     config = TrainConfig.from_file(args.config)
+    _check_writable(outputs, [config.embedding_path])
     if args.tune_embeddings:
         config = config.replace(tune_embeddings=True)
     result = _read_instances(args.instances, config, "config")
@@ -150,8 +165,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    _check_writable(args.report)
+    _check_writable([args.report], [args.corpus, args.deps, args.config, args.pos_table])
     config = TrainConfig.from_file(args.config)
+    _check_writable([args.report], [config.embedding_path])
     if args.k is not None:
         config = config.replace(k_folds=args.k)
     if args.seed is not None:
@@ -180,8 +196,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_writable(args.report)
+    _check_writable([args.report], [args.corpus, args.deps, args.config, args.pos_table])
     base = TrainConfig.from_file(args.config)
+    _check_writable([args.report], [base.embedding_path])
     try:
         values = [int(v) for v in args.values.split(",")]  # an empty item is no integer
     except ValueError:
@@ -212,7 +229,7 @@ def _cmd_sweep(args) -> int:
 def _read_instances(path, config: TrainConfig, source: str, pos_table=None):
     """Parse an instances file; `source` (config or checkpoint) must use its
     features, and its PoS table where one is given."""
-    with open(path, encoding="utf-8") as fh, reading_text(path):
+    with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         result = instances_from_json(fh.read())
     check_features(result, config, path, source)
     if pos_table is not None and result.pos_table != pos_table:

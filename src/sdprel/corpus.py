@@ -195,16 +195,14 @@ def load_corpus(path) -> list[SentenceRecord]:
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh, reading_text(path):
+    with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             rec = _parse_line(line_no, line)
             if rec.id in seen:
-                raise DuplicateSentenceId(
-                    f"line {line_no}: sentence id {rec.id!r} already defined"
-                )
+                raise DuplicateSentenceId(line_no, f"sentence id {rec.id!r} already defined")
             seen.add(rec.id)
             records.append(rec)
     return records

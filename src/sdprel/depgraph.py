@@ -163,7 +163,7 @@ def sdp_endpoints(s: SentenceRecord, prot1_id: str, prot2_id: str) -> tuple[int,
 def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
     """Read a dependency edge file into sentence_id -> edge list."""
     edges: dict[str, list[tuple[int, int, str]]] = {}
-    with open(path, encoding="utf-8") as fh, reading_text(path):
+    with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -95,7 +95,7 @@ def _file_digest(path) -> str:
 
 def _parse(path, oov_seed: int) -> EmbeddingTable:
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
+    with opener(path, "rt", encoding="utf-8-sig") as fh, reading_text(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")

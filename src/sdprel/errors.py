@@ -18,13 +18,14 @@ class InputError(SdprelError):
 
 
 class ParseError(InputError):
-    def __init__(self, line_no, reason):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no, reason, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
 
-class DuplicateSentenceId(InputError):
+class DuplicateSentenceId(ParseError):
     pass
 
 
@@ -39,9 +40,11 @@ class ConfigError(InputError):
 @contextmanager
 def reading_text(path):
     """Turn a decoding or decompression error while reading `path` into a
-    FormatError that names it."""
+    FormatError that names it, and name it in a ParseError."""
     try:
         yield
+    except ParseError as exc:
+        raise type(exc)(exc.line_no, exc.reason, path) from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:

@@ -49,12 +49,14 @@ def load_pos_table(path=None) -> dict[str, int]:
     """Read a tag<TAB>class_index table, each tag on one line; defaults to the
     bundled one."""
     if path is None:
-        text = (
+        return _pos_table_of(
             resources.files("sdprel").joinpath("data/pos_classes.tsv").read_text("utf-8")
         )
-    else:
-        with open(path, encoding="utf-8") as fh, reading_text(path):
-            text = fh.read()
+    with open(path, encoding="utf-8-sig") as fh, reading_text(path):
+        return _pos_table_of(fh.read())
+
+
+def _pos_table_of(text: str) -> dict[str, int]:
     table: dict[str, int] = {}
     set_on: dict[str, int] = {}  # tag -> the line that set it
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class TrainConfig:
         known = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
         set_on: dict[str, int] = {}  # key -> the line that set it
-        with open(path, encoding="utf-8") as fh, reading_text(path):
+        with open(path, encoding="utf-8-sig") as fh, reading_text(path):
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -306,6 +306,15 @@ class _PositionCodes(dict):
         return codes
 
 
+class _TagClasses(dict):
+    """Tag -> its class in a PoS table, or OTHER_CLASS for a tag the table
+    lacks, kept on first use."""
+
+    def __missing__(self, tag: str) -> int:
+        self[tag] = OTHER_CLASS
+        return OTHER_CLASS
+
+
 def preprocess(
     sentences: list[SentenceRecord],
     deps: dict[str, list[tuple[int, int, str]]],
@@ -327,7 +336,7 @@ def preprocess(
     """
     window = config.position_window
     pos_table = dict(pos_table) if pos_table is not None else load_pos_table()
-    codes = _PositionCodes(window)
+    codes, tag_classes = _PositionCodes(window), _TagClasses(pos_table)
     instances: list[SdpInstance] = []
     excluded: list[ExcludedInstance] = []
     for s in sentences:
@@ -342,7 +351,7 @@ def preprocess(
         collapsed = collapse_entities(s)
         graph = build_graph(collapsed.record, edges)
         tokens, tags = collapsed.record.tokens, collapsed.record.pos_tags
-        classes = [pos_table.get(t, OTHER_CLASS) for t in tags]
+        classes = list(map(tag_classes.__getitem__, tags))
         # candidates come ordered by prot1, so each source's pairs are adjacent
         for prot1, group in itertools.groupby(pairs, key=lambda p: p.prot1):
             group = list(group)
@@ -393,9 +402,9 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
 def instances_from_json(text: str) -> PreprocessResult:
     """Parse an instances file of version 4; malformed content raises FormatError.
 
-    One set of checks runs over whole columns.  Only when one of them fails
-    are the rows checked one by one, so that the error names the first bad
-    instance.  Each tag's PoS class is derived from the file's own PoS table
+    The instances and then the excluded pairs are read one row at a time,
+    each row checked once as it is built, so that the error names the first
+    bad row.  Each tag's PoS class is derived from the file's own PoS table
     and each path's position codes from its length and the window.  A file
     of version 1, 2 or 3 is rejected: preprocessing the corpus again
     rebuilds it.
@@ -433,7 +442,7 @@ def instances_from_json(text: str) -> PreprocessResult:
 
 
 def _checked_pos_table(table) -> dict[str, int]:
-    if not (type(table) is dict and _all_of(int, table.values())
+    if not (type(table) is dict and set(map(type, table.values())) <= {int}
             and set(table.values()) <= _POS_CLASS_SET):
         raise FormatError(f"pos_table must map tags to integers in 0..{POS_DIM - 1}")
     return table
@@ -453,69 +462,55 @@ def _columns(doc: dict, key: str, fields: tuple[str, ...]) -> list[list]:
     return columns
 
 
-def _all_of(kind: type, values) -> bool:
-    return set(map(type, values)) <= {kind}
+def _checked_rows(columns: list[list], fault) -> Iterator[tuple]:
+    """The rows of the columns in order; the first row that `fault` finds
+    breaking a rule raises FormatError naming it."""
+    for row in zip(*columns):
+        what = fault(*row)
+        if what is not None:
+            raise FormatError(f"instance {row[0]!r}: {what}")
+        yield row
 
 
-def _labels_ok(labels: list) -> bool:
-    return _all_of(int, labels) and set(labels) <= {0, 1}
+def _ids_and_label_fault(iid, sid, prot1, prot2, label) -> str | None:
+    if not type(iid) is type(sid) is type(prot1) is type(prot2) is str:
+        return f"{', '.join(_ID_FIELDS)} must be strings"
+    if type(label) is not int or label not in (0, 1):
+        return f"label must be 0 or 1, got {label!r}"
+    return None
 
 
-def _require(ok: bool, instance_id, what: str) -> None:
-    if not ok:
-        raise FormatError(f"instance {instance_id!r}: {what}")
+def _instance_fault(iid, sid, prot1, prot2, label, tokens, pos_tags) -> str | None:
+    """The first rule that one instance row breaks, or None."""
+    if not (type(tokens) is list and type(pos_tags) is list and tokens
+            and len(tokens) == len(pos_tags)):
+        return "tokens and pos_tags must be non-empty lists of equal length"
+    fault = _ids_and_label_fault(iid, sid, prot1, prot2, label)
+    if fault is None and not all(map(str.__instancecheck__, tokens + pos_tags)):
+        fault = "tokens and pos_tags must be strings"
+    return fault
 
 
-def _check_ids_and_label(ids, label) -> None:
-    _require(all(isinstance(v, str) for v in ids), ids[0],
-             f"{', '.join(_ID_FIELDS)} must be strings")
-    _require(type(label) is int and label in (0, 1), ids[0],
-             f"label must be 0 or 1, got {label!r}")
-
-
-def _check_instance_row(iid, sid, prot1, prot2, label, tokens, pos_tags) -> None:
-    """One instance's checks in order; the first that fails raises."""
-    _require(type(tokens) is list and type(pos_tags) is list and tokens
-             and len(tokens) == len(pos_tags), iid,
-             "tokens and pos_tags must be non-empty lists of equal length")
-    _check_ids_and_label((iid, sid, prot1, prot2), label)
-    _require(all(isinstance(t, str) for t in tokens + pos_tags), iid,
-             "tokens and pos_tags must be strings")
-
-
-def _instances_ok(ids: list[list], labels: list, tokens: list, tags: list) -> bool:
-    """Whether every row passes `_check_instance_row`, judged over whole columns."""
-    if not _all_of(list, itertools.chain(tokens, tags)):
-        return False
-    lengths = list(map(len, tokens))
-    if 0 in lengths or lengths != list(map(len, tags)):
-        return False
-    strings = itertools.chain(*ids, *tokens, *tags)
-    return _all_of(str, strings) and _labels_ok(labels)
+def _excluded_fault(iid, sid, prot1, prot2, label, reason) -> str | None:
+    """The first rule that one excluded row breaks, or None."""
+    fault = _ids_and_label_fault(iid, sid, prot1, prot2, label)
+    if fault is None and reason not in EXCLUSION_REASONS:
+        fault = f"reason must be one of {EXCLUSION_REASONS}, got {reason!r}"
+    return fault
 
 
 def _instances_of(columns: list[list], window: int, pos_table) -> list[SdpInstance]:
     """The instances of the columns, each tag's class from the PoS table; those
     of one path length share read-only position codes."""
-    *ids, labels, tokens, tags = columns
-    if not _instances_ok(ids, labels, tokens, tags):
-        for row in zip(*columns):
-            _check_instance_row(*row)
-    codes = _PositionCodes(window)
-    return [SdpInstance(*head, tuple(toks), tuple(tgs),
-                        tuple(pos_table.get(t, OTHER_CLASS) for t in tgs), *codes[len(toks)])
-            for *head, toks, tgs in zip(*columns)]
+    codes, classes = _PositionCodes(window), _TagClasses(pos_table)
+    return [SdpInstance(iid, sid, prot1, prot2, label, tuple(tokens), tuple(tags),
+                        tuple(map(classes.__getitem__, tags)), *codes[len(tokens)])
+            for iid, sid, prot1, prot2, label, tokens, tags
+            in _checked_rows(columns, _instance_fault)]
 
 
 def _excluded_of(columns: list[list]) -> list[ExcludedInstance]:
-    *ids, labels, reasons = columns
-    if not (_all_of(str, itertools.chain(*ids)) and _labels_ok(labels)
-            and _all_of(str, reasons) and set(reasons) <= set(EXCLUSION_REASONS)):
-        for *row_ids, label, reason in zip(*columns):
-            _check_ids_and_label(row_ids, label)
-            _require(reason in EXCLUSION_REASONS, row_ids[0],
-                     f"reason must be one of {EXCLUSION_REASONS}, got {reason!r}")
-    return list(map(ExcludedInstance, *columns))
+    return list(itertools.starmap(ExcludedInstance, _checked_rows(columns, _excluded_fault)))
 
 
 # ---------------------------------------------------------------------------

@@ -885,3 +885,66 @@ class TestOutputPaths:
         assert "missing.json" in capsys.readouterr().err
         assert not (workdir / "m.sdpl").exists()
         assert (workdir / "losses.csv").read_text(encoding="utf-8") == "kept\n"
+
+
+class TestOutputsAreNotInputs:
+    """An output path that names an input, or another output of the command,
+    ends the command with exit 2 before it reads or writes anything: every file
+    keeps its bytes and none is added."""
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        assert run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps",
+                   workdir / "deps.tsv", "--out", workdir / "inst.json") == 0
+        (workdir / "pos.tsv").write_text("NN\t3\n", encoding="utf-8")
+        write_vectors(workdir / "vectors.txt", 8)
+        (workdir / "vconfig").write_text(
+            CONFIG_TEXT + f"embedding_path={workdir / 'vectors.txt'}\n", encoding="utf-8")
+        os.symlink(workdir / "corpus.tsv", workdir / "link.tsv")
+        (workdir / "sub").mkdir()
+        return workdir
+
+    CORPUS = ("--corpus", Path("corpus.tsv"), "--deps", Path("deps.tsv"))
+    TRAIN = ("train", "--instances", Path("inst.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ("preprocess", *CORPUS, "--out", Path("corpus.tsv")),
+        ("preprocess", *CORPUS, "--out", Path("link.tsv")),
+        ("preprocess", *CORPUS, "--pos-table", Path("pos.tsv"), "--out", Path("pos.tsv")),
+        (*TRAIN, "--config", Path("config"), "--out", Path("inst.json")),
+        (*TRAIN, "--config", Path("config"), "--out", Path("m.ck"), "--losses", Path("m.ck")),
+        (*TRAIN, "--config", Path("config"), "--out", Path("m.ck"),
+         "--losses", Path("sub/../m.ck")),
+        (*TRAIN, "--config", Path("vconfig"), "--out", Path("m.ck"),
+         "--losses", Path("vectors.txt")),
+        ("cv", *CORPUS, "--config", Path("config"), "--report", Path("config")),
+        ("cv", *CORPUS, "--config", Path("vconfig"), "--report", Path("vectors.txt")),
+        ("sweep", "--param", "epochs", "--values", "1", *CORPUS, "--config", Path("config"),
+         "--report", Path("sub/../deps.tsv")),
+        ("sweep", "--param", "epochs", "--values", "1", *CORPUS, "--config", Path("vconfig"),
+         "--report", Path("vectors.txt")),
+    ], ids=["preprocess-corpus", "preprocess-symlink", "preprocess-pos-table", "train-instances",
+            "train-out-losses", "train-out-losses-spelled", "train-vectors", "cv-config",
+            "cv-vectors", "sweep-deps-spelled", "sweep-vectors"])
+    def test_exit_2_and_nothing_changes(self, inputs, capsys, argv):
+        before = {p: p.read_bytes() for p in inputs.rglob("*") if p.is_file()}
+        assert run(*(inputs / a if isinstance(a, Path) else a for a in argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot write" in err and "it is the same file as" in err
+        assert {p: p.read_bytes() for p in inputs.rglob("*") if p.is_file()} == before
+
+
+class TestLineErrorsNameTheFile:
+    @pytest.mark.parametrize("flag, line, reason", [
+        ("--deps", "s1\t0\t1", "expected 4 tab-separated fields, got 3"),
+        ("--corpus", "s1", "expected 3 or 4 tab-separated fields, got 1"),
+        ("--pos-table", "NN 3", "expected tag<TAB>class, got 'NN 3'"),
+    ], ids=["deps", "corpus", "pos_table"])
+    def test_cv(self, workdir, capsys, flag, line, reason):
+        bad = write_lines(workdir / "bad.tsv", [line])
+        paths = {"--corpus": workdir / "corpus.tsv", "--deps": workdir / "deps.tsv", flag: bad}
+        rc = run("cv", *(a for item in paths.items() for a in item),
+                 "--config", workdir / "config", "--report", workdir / "cv.csv")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bad}: line 1: {reason}\n"

@@ -11,13 +11,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdprel.cli import main
+from sdprel.cli import _read_instances, main
 from sdprel.corpus import RESERVED_TOKENS, Entity, SentenceRecord, load_corpus
 from sdprel.depgraph import load_dependencies
 from sdprel.embed import load_embeddings
-from sdprel.errors import DimensionMismatch, FormatError, InputError, ParseError
+from sdprel.errors import (
+    DimensionMismatch,
+    DuplicateSentenceId,
+    FormatError,
+    InputError,
+    ParseError,
+)
 from sdprel.features import load_pos_table
-from sdprel.pipeline import TrainConfig
+from sdprel.pipeline import TrainConfig, instances_to_json, preprocess
 
 from helpers import synthetic_corpus, write_lines
 
@@ -259,6 +265,76 @@ class TestFaultTables:
         assert len(load_corpus(write_lines(tmp_path / "c.tsv", [VALID_CORPUS_LINE]))) == 1
         assert load_dependencies(write_lines(tmp_path / "d.tsv", [VALID_EDGE_LINE])) == {
             "s0": [(0, 1, "arg")]}
+
+
+class TestLineErrorsNameTheFile:
+    """A line error names its file before the line, so that the user can tell
+    which of a command's line-oriented inputs is bad."""
+
+    @pytest.mark.parametrize("name, load, lines, error, reason", [
+        ("corpus.tsv", load_corpus, [VALID_CORPUS_LINE, "s1"], ParseError,
+         "expected 3 or 4 tab-separated fields, got 1"),
+        ("corpus.tsv", load_corpus, [VALID_CORPUS_LINE, VALID_CORPUS_LINE], DuplicateSentenceId,
+         "sentence id 's0' already defined"),
+        ("deps.tsv", load_dependencies, [VALID_EDGE_LINE, "s1\t0\t1"], ParseError,
+         "expected 4 tab-separated fields, got 3"),
+        ("pos.tsv", load_pos_table, ["NN\t3", "NN 3"], ParseError,
+         "expected tag<TAB>class, got 'NN 3'"),
+    ], ids=["corpus", "duplicate-sentence", "dependencies", "pos_table"])
+    def test_message(self, tmp_path, name, load, lines, error, reason):
+        path = write_lines(tmp_path / name, lines)
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == f"{path}: line 2: {reason}"
+        assert (info.value.line_no, info.value.reason) == (2, reason)
+
+
+BOM = "\ufeff"
+VECTORS_TEXT = "2 3\na 1 2 3\nb 4 5 6\n"
+MODEL_CONFIG = TrainConfig(epochs=1, ae_epochs=5, embedding_dim=4)
+BINDS = SentenceRecord("s0", ("A", "binds", "B"), ("NN", "VBZ", "NN"),
+                       (Entity("e1", 0, 0), Entity("e2", 2, 2)),
+                       frozenset({frozenset({"e1", "e2"})}))
+
+
+def vectors_view(table):
+    vectors = {word: vector.tolist() for word, vector in table.vocabulary.items()}
+    return table.dimension, table.duplicate_count, vectors
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is no part of the first line: each
+    loader reads a file that starts with one as it reads the same file without."""
+
+    # name: (file name, text, loader, a view of what it loads that == compares)
+    CASES = {
+        "corpus": ("corpus.tsv", "\n".join(synthetic_corpus(4, seed=5)[0]) + "\n",
+                   load_corpus, list),
+        "dependencies": ("deps.tsv", "\n".join(synthetic_corpus(4, seed=5)[1]) + "\n",
+                         load_dependencies, dict),
+        "pos_table": ("pos.tsv", "NN\t3\nVBZ\t1\n", load_pos_table, dict),
+        "config": ("config.txt", "epochs=3\nseed=5\n", TrainConfig.from_file,
+                   TrainConfig.to_dict),
+        "vectors": ("vectors.txt", VECTORS_TEXT, load_embeddings, vectors_view),
+        "vectors-gzip": ("vectors.txt.gz", VECTORS_TEXT, load_embeddings, vectors_view),
+        "instances": ("inst.json",
+                      instances_to_json(preprocess([BINDS], {"s0": [(1, 0, "a"), (1, 2, "a")]},
+                                                   MODEL_CONFIG), MODEL_CONFIG),
+                      lambda path: _read_instances(path, MODEL_CONFIG, "config"),
+                      lambda result: instances_to_json(result, MODEL_CONFIG)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loads_as_without_it(self, tmp_path, case):
+        name, text, load, view = self.CASES[case]
+        loaded = []
+        for prefix in ("", BOM):
+            path = tmp_path / ("bom" if prefix else "plain") / name
+            path.parent.mkdir()
+            data = (prefix + text).encode("utf-8")
+            path.write_bytes(gzip.compress(data, mtime=0) if name.endswith(".gz") else data)
+            loaded.append(view(load(path)))
+        assert loaded[0] == loaded[1]
 
 
 # ---------------------------------------------------------------------------

@@ -861,14 +861,43 @@ class TestInstancesFileV3:
             with pytest.raises(ConfigError, match=f"the result was made with {key}="):
                 instances_to_json(result, other)
 
-    def test_valid_files_skip_the_row_checks(self, synth_instances, monkeypatch):
-        def refuse(*row):
-            raise AssertionError("row checks ran on a valid file")
+    def test_each_row_is_checked_once(self, synth_instances, monkeypatch):
+        """Each instance row and each excluded row goes through its fault
+        function once, in file order."""
+        result = dataclasses.replace(synth_instances, excluded=[
+            ExcludedInstance(f"x:e0-e{k}", "x", "e0", f"e{k}", 0, "disconnected")
+            for k in (1, 2)])
+        checked = {"_instance_fault": [], "_excluded_fault": []}
+        for name, seen in checked.items():
+            def counted(*row, fault=getattr(pipeline_mod, name), seen=seen):
+                seen.append(row[0])
+                return fault(*row)
+            monkeypatch.setattr(pipeline_mod, name, counted)
+        back = instances_from_json(instances_to_json(result, small_config()))
+        assert checked["_instance_fault"] == [i.instance_id for i in result.instances]
+        assert checked["_excluded_fault"] == [e.instance_id for e in result.excluded]
+        same_instances(back, result)
 
-        monkeypatch.setattr(pipeline_mod, "_check_instance_row", refuse)
-        monkeypatch.setattr(pipeline_mod, "_check_ids_and_label", refuse)
-        text = instances_to_json(synth_instances, small_config())
-        assert len(instances_from_json(text).instances) == len(synth_instances.instances)
+    @pytest.mark.parametrize("kind, faults, first", [
+        ("instances", {"tokens": [], "instance_id": 5},
+         "tokens and pos_tags must be non-empty lists of equal length"),
+        ("instances", {"prot2": None, "label": 2},
+         "instance_id, sentence_id, prot1, prot2 must be strings"),
+        ("instances", {"label": 2, "pos_tags": ["NN", 3, "NN"]}, "label must be 0 or 1, got 2"),
+        ("excluded", {"sentence_id": 1, "label": "0"},
+         "instance_id, sentence_id, prot1, prot2 must be strings"),
+        ("excluded", {"label": True, "reason": "far"}, "label must be 0 or 1, got True"),
+    ], ids=["shape-before-ids", "ids-before-label", "label-before-strings",
+            "excluded-ids-before-label", "excluded-label-before-reason"])
+    def test_a_row_names_its_first_fault(self, kind, faults, first):
+        """A row that breaks two rules is reported by the one that comes first."""
+        doc = tiny_document()
+        for key, value in faults.items():
+            doc[kind][key][0] = value
+        text = json.dumps(doc)
+        want = (FormatError, f"instance {doc[kind]['instance_id'][0]!r}: {first}")
+        assert outcome(instances_from_json, text) == want
+        assert outcome(reference_instances_from_json, text) == want
 
     def test_classes_must_follow_the_files_pos_table(self, synth_instances):
         """Each tag's class is the one the file's PoS table gives it, and

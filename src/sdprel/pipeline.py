@@ -427,8 +427,8 @@ def instances_from_json(text: str) -> PreprocessResult:
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
         pos_table = _checked_pos_table(doc["pos_table"])
-        instances = _instances_of(_columns(doc, "instances", _INSTANCE_FIELDS), window, pos_table)
-        excluded = _excluded_of(_columns(doc, "excluded", _EXCLUDED_FIELDS))
+        instances = _instances_of(doc, window, pos_table)
+        excluded = _excluded_of(doc)
         ids = [i.instance_id for i in itertools.chain(instances, excluded)]
         if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
             seen: set[str] = set()
@@ -448,8 +448,10 @@ def _checked_pos_table(table) -> dict[str, int]:
     return table
 
 
-def _columns(doc: dict, key: str, fields: tuple[str, ...]) -> list[list]:
-    """The `fields` columns of doc[key], an object of equal-length lists."""
+def _rows(doc: dict, key: str, fields: tuple[str, ...], fault) -> Iterator[tuple]:
+    """The rows of doc[key], an object of equal-length columns named `fields`,
+    in order; the first row that `fault` finds breaking a rule raises
+    FormatError naming it."""
     node = doc[key]
     if type(node) is not dict:
         raise FormatError(f"{key} must be an object of columns")
@@ -459,12 +461,6 @@ def _columns(doc: dict, key: str, fields: tuple[str, ...]) -> list[list]:
     columns = [node[k] for k in fields]
     if not (all(type(c) is list for c in columns) and len(set(map(len, columns))) == 1):
         raise FormatError(f"the {key} columns must be lists of equal length")
-    return columns
-
-
-def _checked_rows(columns: list[list], fault) -> Iterator[tuple]:
-    """The rows of the columns in order; the first row that `fault` finds
-    breaking a rule raises FormatError naming it."""
     for row in zip(*columns):
         what = fault(*row)
         if what is not None:
@@ -499,18 +495,19 @@ def _excluded_fault(iid, sid, prot1, prot2, label, reason) -> str | None:
     return fault
 
 
-def _instances_of(columns: list[list], window: int, pos_table) -> list[SdpInstance]:
-    """The instances of the columns, each tag's class from the PoS table; those
-    of one path length share read-only position codes."""
+def _instances_of(doc: dict, window: int, pos_table) -> list[SdpInstance]:
+    """The file's instances, each tag's class from the PoS table; those of one
+    path length share read-only position codes."""
     codes, classes = _PositionCodes(window), _TagClasses(pos_table)
     return [SdpInstance(iid, sid, prot1, prot2, label, tuple(tokens), tuple(tags),
                         tuple(map(classes.__getitem__, tags)), *codes[len(tokens)])
             for iid, sid, prot1, prot2, label, tokens, tags
-            in _checked_rows(columns, _instance_fault)]
+            in _rows(doc, "instances", _INSTANCE_FIELDS, _instance_fault)]
 
 
-def _excluded_of(columns: list[list]) -> list[ExcludedInstance]:
-    return list(itertools.starmap(ExcludedInstance, _checked_rows(columns, _excluded_fault)))
+def _excluded_of(doc: dict) -> list[ExcludedInstance]:
+    rows = _rows(doc, "excluded", _EXCLUDED_FIELDS, _excluded_fault)
+    return list(itertools.starmap(ExcludedInstance, rows))
 
 
 # ---------------------------------------------------------------------------

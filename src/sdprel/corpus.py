@@ -190,8 +190,8 @@ def _parse_line(line_no: int, line: str) -> SentenceRecord:
 def load_corpus(path) -> list[SentenceRecord]:
     """Read a line-delimited corpus file.
 
-    Raises ParseError with the offending line number on any malformed line;
-    blank lines are ignored.
+    Raises ParseError naming the file and the offending line number on any
+    malformed line; blank lines are ignored.
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()

@@ -841,17 +841,14 @@ def train(
         opt_state, opt_step = AdadeltaState(), adadelta_step
 
     labels = np.array([inst.label for inst in instances])
-    # every step's gradients go to the same buffers, so no step allocates them; the
-    # word gradient is zero outside the rows of the batch's words (`touched`), so a
-    # step clears, checks and scales only those rows
+    # every step's model gradient goes to the same buffer, so no step allocates it;
+    # the word gradient holds only the rows of the batch's distinct words,
+    # grad_rows["emb"], and the optimizer steps every other row at gradient zero
     grads = {"theta": np.empty_like(model.theta)}
-    if config.tune_embeddings:
-        grads["emb"] = np.zeros_like(emb)
-    touched = np.empty(0, dtype=np.intp)
+    grad_rows = {}
 
     def step(batch: np.ndarray) -> float:
         """One optimizer step on the instances `batch`; returns their summed loss."""
-        nonlocal touched
         masks = _make_masks(model, config.dropout, rng, len(batch))
         tokens = _span_rows(starts[batch], rows.lengths[batch])
         cache = model.forward_batch(rows.stacked(tokens), rows.lengths[batch], masks)
@@ -860,21 +857,16 @@ def train(
             raise NonFiniteLoss(f"training loss became non-finite: {loss}")
         _, d_xs = model.backward_batch(cache, labels[batch], input_grad=config.tune_embeddings,
                                        out=grads["theta"])
-        parts = [grads["theta"]]
         if config.tune_embeddings:
-            grads["emb"][touched] = 0.0  # the previous step's rows
-            ids = rows.word_ids[tokens]
-            np.add.at(grads["emb"], ids, d_xs[:, : table.dimension])
-            touched = np.unique(ids)
-            parts.append(grads["emb"][touched])  # a copy, written back once scaled
-        for g in parts:
+            grad_rows["emb"], inverse = np.unique(rows.word_ids[tokens], return_inverse=True)
+            grads["emb"] = np.zeros((len(grad_rows["emb"]), table.dimension))
+            np.add.at(grads["emb"], inverse, d_xs[:, : table.dimension])
+        for g in grads.values():
             if not np.all(np.isfinite(g)):
                 bad = _first_non_finite({**model.tensors(grads["theta"]), **grads})
                 raise NonFiniteGradient(f"non-finite gradient in {bad}")
             g *= 1.0 / len(batch)
-        if config.tune_embeddings:
-            grads["emb"][touched] = parts[1]
-        opt_step(opt_state, params, grads)
+        opt_step(opt_state, params, grads, grad_rows)
         return float(loss)
 
     order = np.arange(len(instances))

@@ -8,9 +8,10 @@ of each model (one sequence at a time, one step per row), the
 two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, the position autoencoder's samples as the distinct rows of
-every code matrix, the token rows of one instance at a time, a word-vector
-loader that parses one row at a time, and an instances file reader that
-checks one instance at a time.  There is no oracle for a retired file
+every code matrix, the token rows of one instance at a time, a row-sparse
+gradient scattered into its dense matrix, a word-vector loader that parses
+one row at a time, and an instances file reader that checks one instance at
+a time.  There is no oracle for a retired file
 format: its readers are gone, and each such file is only checked to be
 rejected.
 """
@@ -562,6 +563,14 @@ def reference_vectorize(vec, inst):
     if not np.all(np.isfinite(out)):
         raise DimensionMismatch("token vector has non-finite components")
     return out
+
+
+def scattered(grad, rows, n):
+    """The dense gradient of an n-row tensor whose row-sparse gradient ``grad``
+    holds the rows ``rows``: zero elsewhere."""
+    dense = np.zeros((n, *grad.shape[1:]))
+    dense[rows] = grad
+    return dense
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from sdprel.pipeline import (
     train,
 )
 
-from helpers import oracle_backward, oracle_forward
+from helpers import oracle_backward, oracle_forward, scattered
 from test_pipeline import small_config, synth, synth_instances  # noqa: F401 (fixtures)
 
 GRAD_TOLERANCE = 1e-10
@@ -300,8 +300,8 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("kind", KINDS)
     def test_first_step_equals_the_per_instance_oracle(self, kind, synth_instances, monkeypatch):
         stepped = []
-        monkeypatch.setattr(pl, "adam_step", lambda state, params, grads: stepped.append(
-            {name: g.copy() for name, g in grads.items()}))
+        monkeypatch.setattr(pl, "adam_step", lambda state, params, grads, rows: stepped.append(
+            ({name: g.copy() for name, g in grads.items()}, dict(rows))))
         insts = synth_instances.instances[:10]
         cfg = small_config(model=kind, epochs=1, batch=6, dropout=0.3, tune_embeddings=True)
         train(cfg, insts)
@@ -315,8 +315,10 @@ class TestTrainingLoop:
         want["emb"] = np.zeros((len(words), cfg.embedding_dim))
         rows = [words.index(tok) for inst in batch for tok in inst.tokens]
         np.add.at(want["emb"], rows, d_inputs[:, : cfg.embedding_dim])
-        assert set(stepped[0]) == {"theta", "emb"}
-        got = {**model.tensors(stepped[0]["theta"]), "emb": stepped[0]["emb"]}
+        grads, grad_rows = stepped[0]
+        assert set(grads) == {"theta", "emb"}
+        got = {**model.tensors(grads["theta"]),
+               "emb": scattered(grads["emb"], grad_rows["emb"], len(words))}
         assert set(got) == set(want)
         for name, g in want.items():
             assert np.max(np.abs(got[name] - g / len(batch))) <= GRAD_TOLERANCE, name

@@ -9,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 from sdprel.errors import ShapeMismatch
 from sdprel.optim import BLOCK, AdadeltaState, AdamState, adadelta_step, adam_step
 
+from helpers import scattered
+
 
 def params_and_grads(seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
     grads = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
     return params, grads
+
+OPTIMIZERS = [(AdamState, adam_step), (AdadeltaState, adadelta_step)]
 
 
 class TestAdam:
@@ -162,15 +166,15 @@ def whole_array_adadelta(state, params, grads):
         p += delta
 
 
+DENSE_REFERENCE = [(AdamState, adam_step, whole_array_folded_adam),
+                   (AdadeltaState, adadelta_step, whole_array_adadelta)]
+
+
 class TestBlocks:
     # three full blocks and a ragged tail, a 2-d tensor and a small one
     SHAPES = {"big": (3 * BLOCK + 17,), "matrix": (7, BLOCK // 3), "small": (5,)}
 
-    @pytest.mark.parametrize(
-        "make_state, blocked, reference",
-        [(AdamState, adam_step, whole_array_folded_adam),
-         (AdadeltaState, adadelta_step, whole_array_adadelta)],
-    )
+    @pytest.mark.parametrize("make_state, blocked, reference", DENSE_REFERENCE)
     def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference):
         rng = np.random.Generator(np.random.PCG64(11))
         params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
@@ -219,8 +223,7 @@ class TestBlocks:
             adam_step(state, params, grads)
         assert state.step == 0
 
-    @pytest.mark.parametrize("make_state, step", [(AdamState, adam_step),
-                                                  (AdadeltaState, adadelta_step)])
+    @pytest.mark.parametrize("make_state, step", OPTIMIZERS)
     def test_only_the_first_step_creates_state_arrays(self, make_state, step, monkeypatch):
         params, grads = params_and_grads(4)
         state = make_state()
@@ -252,11 +255,7 @@ class TestBlockProperty:
     @given(shapes=st.lists(tensor_shapes, min_size=1, max_size=3),
            steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=25, deadline=None)
-    @pytest.mark.parametrize(
-        "make_state, blocked, reference",
-        [(AdamState, adam_step, whole_array_folded_adam),
-         (AdadeltaState, adadelta_step, whole_array_adadelta)],
-    )
+    @pytest.mark.parametrize("make_state, blocked, reference", DENSE_REFERENCE)
     def test_blocked_step_equals_whole_array_formula(self, make_state, blocked, reference,
                                                      shapes, steps, seed, data):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -281,20 +280,123 @@ class TestBlockProperty:
             else:
                 assert slot == ref_slot
 
-    @pytest.mark.parametrize("make_state, step", [(AdamState, adam_step),
-                                                  (AdadeltaState, adadelta_step)])
+    @pytest.mark.parametrize("make_state, step", OPTIMIZERS)
     def test_a_step_makes_no_per_block_temporaries(self, make_state, step):
         rng = np.random.Generator(np.random.PCG64(3))
-        params = {"p": rng.normal(size=10**6)}
-        grads = {"p": rng.normal(size=10**6)}
+        params = {"p": rng.normal(size=(10**4, 100))}
+        listed = np.arange(0, 10**4, 200)
+        for rows in (None, {"p": listed}):  # a dense step, then one of 50 listed rows
+            grads = {"p": rng.normal(size=(10**4 if rows is None else len(listed), 100))}
+            state = make_state()
+            step(state, params, grads, rows)  # the first step makes the state arrays
+            tracemalloc.start()
+            try:
+                step(state, params, grads, rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # at most two block-long scratch buffers, the gathered copies of the listed
+            # rows of the parameter and its two state arrays, and small objects; one more
+            # block-long array alive at any moment of the step would pass the bound
+            gathered = 0 if rows is None else 3 * grads["p"].nbytes
+            assert peak < 3 * BLOCK * 8 + gathered
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of every zero, which np.array_equal ignores."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# signed zeros, subnormals and normal numbers: a first moment of either sign, and a
+# second moment, a running sum of squares, that is never negative
+SIGNED_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-3, -2.5)
+UNSIGNED_VALUES = tuple(x for x in SIGNED_VALUES if not math.copysign(1.0, x) < 0)
+STATE_VALUES = {"m": SIGNED_VALUES, "v": UNSIGNED_VALUES,
+                "avg_sq_grad": UNSIGNED_VALUES, "avg_sq_delta": UNSIGNED_VALUES}
+
+
+class TestRowSparseStep:
+    @given(height=st.integers(0, 12), width=st.sampled_from([1, 5, BLOCK // 4 + 3]),
+           beta1=st.sampled_from([0.9, 0.25]), steps=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("make_state, step", OPTIMIZERS)
+    def test_rows_step_equals_the_dense_step_on_the_scattered_gradient(
+            self, make_state, step, height, width, beta1, steps, seed, data):
+        # up to 12 rows of 4,099 values: a matrix of up to three blocks, which no row
+        # boundary lines up with; a beta1 of 0.25 takes a -5e-324 first moment to -0.0
+        rng = np.random.Generator(np.random.PCG64(seed))
+        params = {"w": rng.choice(SIGNED_VALUES + (1.0, -0.5), size=(height, width)),
+                  "b": rng.normal(size=3)}
+        state = make_state(**({"beta1": beta1} if make_state is AdamState else {}))
+        for slot, values in STATE_VALUES.items():
+            if hasattr(state, slot):
+                getattr(state, slot).update(
+                    {name: rng.choice(values, size=p.shape) for name, p in params.items()})
+        dense_params, dense_state = copy.deepcopy(params), copy.deepcopy(state)
+        every_row = st.sets(st.integers(0, max(height - 1, 0))) if height else st.just(set())
+        for _ in range(steps):
+            listed = np.array(sorted(data.draw(st.one_of(
+                st.just(set()), st.just(set(range(height))), every_row))), dtype=np.intp)
+            grads = {"w": rng.normal(scale=10.0 ** rng.integers(-8, 4), size=(len(listed), width)),
+                     "b": rng.normal(size=3)}
+            step(state, params, grads, {"w": listed})
+            step(dense_state, dense_params, {**grads, "w": scattered(grads["w"], listed, height)})
+        for name in params:
+            assert same_bits(params[name], dense_params[name])
+        for slot, dense_slot in zip(vars(state).values(), vars(dense_state).values()):
+            if isinstance(slot, dict):
+                assert all(same_bits(slot[name], dense_slot[name]) for name in params)
+            else:
+                assert slot == dense_slot
+
+    @pytest.mark.parametrize("make_state, step, reference", DENSE_REFERENCE)
+    def test_a_rows_step_of_every_row_equals_the_whole_array_formula(self, make_state, step,
+                                                                    reference):
+        rng = np.random.Generator(np.random.PCG64(13))
+        params = {"w": rng.normal(size=(9, BLOCK // 3))}
+        expected = copy.deepcopy(params)
+        state, ref_state = make_state(), make_state()
+        for _ in range(3):
+            grads = {"w": rng.normal(size=params["w"].shape)}
+            step(state, params, grads, {"w": np.arange(9)})
+            reference(ref_state, expected, grads)
+        assert np.array_equal(params["w"], expected["w"])
+
+    # (rows, gradient row count, error): unsorted, repeated, out-of-range, miscounted
+    # and malformed rows
+    BAD_ROWS = [
+        ([2, 1], 2, "sorted and unique"),
+        ([1, 1], 2, "sorted and unique"),
+        ([0, 3, 3], 3, "sorted and unique"),
+        ([0, 5], 2, "outside 0..4"),
+        ([-1, 2], 2, "outside 0..4"),
+        ([1, 2], 3, "for 2 rows"),
+        ([1, 2], 1, "for 2 rows"),
+        (np.empty(0, np.intp), 1, "for 0 rows"),
+        ([0.0, 1.0], 2, "1-d integer array"),
+        ([[0, 1]], 2, "1-d integer array"),
+        ([True, False], 2, "1-d integer array"),
+    ]
+
+    @pytest.mark.parametrize("listed, count, match", BAD_ROWS)
+    @pytest.mark.parametrize("make_state, step", OPTIMIZERS)
+    def test_bad_rows_are_refused_before_any_change(self, make_state, step, listed, count,
+                                                    match):
+        params = {"w": np.ones((5, 3)), "b": np.ones(2)}
+        grads = {"w": np.ones((count, 3)), "b": np.ones(2)}
         state = make_state()
-        step(state, params, grads)  # the first step makes the state arrays
-        tracemalloc.start()
-        try:
-            step(state, params, grads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # at most two block-long scratch buffers and small objects; one more block-long array
-        # alive at any moment of the step would pass the bound
-        assert peak < 3 * BLOCK * 8
+        with pytest.raises(ShapeMismatch, match=match):
+            step(state, params, grads, {"w": np.array(listed)})
+        assert np.array_equal(params["w"], np.ones((5, 3)))
+        assert np.array_equal(params["b"], np.ones(2))
+        assert vars(state) == vars(make_state())
+
+    @pytest.mark.parametrize("make_state, step", OPTIMIZERS)
+    def test_rows_of_no_parameter_or_of_a_scalar_are_refused(self, make_state, step):
+        with pytest.raises(ShapeMismatch, match="rows given for no parameter"):
+            step(make_state(), {"w": np.ones(3)}, {"w": np.ones(3)}, {"x": np.arange(1)})
+        with pytest.raises(ShapeMismatch, match="1-d integer array"):
+            step(make_state(), {"w": np.ones(())}, {"w": np.ones(())}, {"w": np.arange(0)})
+        with pytest.raises(ShapeMismatch, match="1-d integer array"):
+            step(make_state(), {"w": np.ones((2, 2))}, {"w": np.ones((1, 2))}, {"w": [1]})

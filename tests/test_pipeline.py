@@ -73,6 +73,7 @@ from helpers import (
     reference_position_samples,
     reference_preprocess,
     reference_vectorize,
+    scattered,
     synthetic_corpus,
     write_lines,
 )
@@ -1382,7 +1383,8 @@ class TestTrain:
         monkeypatch.setattr(Vectorizer, "token_rows", record_token_rows)
         monkeypatch.setattr(BiLstmModel, "forward_batch", record_forward)
         monkeypatch.setattr(BiLstmModel, "backward_batch", record_backward)
-        monkeypatch.setattr(pl, "adam_step", lambda state, params, grads: stepped.append(grads))
+        monkeypatch.setattr(pl, "adam_step",
+                            lambda state, params, grads, rows: stepped.append((grads, rows)))
         cfg = small_config(epochs=1, batch=len(insts), tune_embeddings=True)
         train(cfg, insts)
 
@@ -1398,8 +1400,10 @@ class TestTrain:
                 expected[words.index(tok)] += d[start + k, : cfg.embedding_dim]
             start += n
         expected *= 1.0 / len(insts)
-        assert len(stepped) == 1
-        assert np.array_equal(stepped[0]["emb"], expected)
+        [(grads, grad_rows)] = stepped
+        assert np.array_equal(grad_rows["emb"],
+                              sorted({words.index(tok) for i in insts for tok in i.tokens}))
+        assert np.array_equal(scattered(grads["emb"], grad_rows["emb"], len(words)), expected)
         assert np.any(expected[words.index("rep")])
 
     def test_word_gradient_of_every_step_equals_the_dense_sum(self, synth_instances,
@@ -1433,9 +1437,9 @@ class TestTrain:
             batches[-1].append(d_xs.copy())
             return grad, d_xs
 
-        def record_step(state, params, grads):
-            stepped.append({name: g.copy() for name, g in grads.items()})
-            adam_step(state, params, grads)
+        def record_step(state, params, grads, grad_rows):
+            stepped.append(({name: g.copy() for name, g in grads.items()}, dict(grad_rows)))
+            adam_step(state, params, grads, grad_rows)
 
         monkeypatch.setattr(Vectorizer, "token_rows", record_token_rows)
         monkeypatch.setattr(pl, "_span_rows", record_span_rows)
@@ -1448,12 +1452,16 @@ class TestTrain:
         [rows] = built
         assert len(stepped) == len(spans) == len(batches) == 2 * -(-len(insts) // cfg.batch)
         previous: set[int] = set()
-        for grads, tokens, (lengths, d) in zip(stepped, spans, batches):
+        for (grads, grad_rows), tokens, (lengths, d) in zip(stepped, spans, batches):
             expected = np.zeros((len(rows.words), cfg.embedding_dim))  # the dense fill
             np.add.at(expected, rows.word_ids[tokens], d[:, : cfg.embedding_dim])
             expected *= 1.0 / len(lengths)
-            assert np.array_equal(grads["emb"], expected)
             now = set(rows.word_ids[tokens].tolist())
+            # the optimizer gets the rows of the batch's distinct words, never a V x D matrix
+            assert np.array_equal(grad_rows["emb"], sorted(now))
+            assert grads["emb"].shape == (len(now), cfg.embedding_dim) and len(now) < len(rows.words)
+            assert np.array_equal(scattered(grads["emb"], grad_rows["emb"], len(rows.words)),
+                                  expected)
             assert previous - now or not previous  # rows of the step before, not of this one
             previous = now
 
@@ -1466,10 +1474,10 @@ class TestTrain:
         row = words.index("solitary")
         steps = []  # (word in this batch, row before, row after)
 
-        def record_step(state, params, grads):
+        def record_step(state, params, grads, grad_rows):
             before = params["emb"][row].copy()
-            adam_step(state, params, grads)
-            steps.append((bool(grads["emb"][row].any()), before, params["emb"][row].copy()))
+            adam_step(state, params, grads, grad_rows)
+            steps.append((row in grad_rows["emb"], before, params["emb"][row].copy()))
 
         monkeypatch.setattr(pl, "adam_step", record_step)
         train(small_config(epochs=2, batch=1, tune_embeddings=True), insts)

@@ -1,5 +1,6 @@
-"""The benchmark run as a user would run it: its self-test, and one round of
-each workload with every output check.  The output-digest script run twice."""
+"""The benchmark run as a user would run it: its self-test, one round of each
+workload with every output check, and a traced round of the tuned-embeddings
+workload.  The output-digest script run twice."""
 
 import json
 import subprocess
@@ -26,6 +27,21 @@ def test_perfbench_workload_runs_correctly(workload):
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-3000:]
+
+
+def test_perfbench_traced_run_of_tuned_embeddings():
+    """A traced run counts every optimizer step's gradients, the row-sparse word
+    gradient among them, and still checks every output."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "tune_predict", "--seed", "1",
+         "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-3000:]
+    metrics = result["metrics"]
+    assert metrics["optim.adam_step_calls"]["value"] > 0
+    assert metrics["optim.tensors_per_step"]["value"] == 2  # the model and the word vectors
 
 
 def test_a_failing_property_reports_its_example(tmp_path):

@@ -11,9 +11,8 @@ own autoencoders, the position autoencoder's samples as the distinct rows of
 every code matrix, the token rows of one instance at a time, a row-sparse
 gradient scattered into its dense matrix, a word-vector loader that parses
 one row at a time, and an instances file reader that checks one instance at
-a time.  There is no oracle for a retired file
-format: its readers are gone, and each such file is only checked to be
-rejected.
+a time.  There is no oracle for a retired file format: its readers are gone,
+and each such file is only checked to be rejected.
 """
 
 from __future__ import annotations

@@ -334,10 +334,10 @@ class TestRowSparseStep:
                 getattr(state, slot).update(
                     {name: rng.choice(values, size=p.shape) for name, p in params.items()})
         dense_params, dense_state = copy.deepcopy(params), copy.deepcopy(state)
-        every_row = st.sets(st.integers(0, max(height - 1, 0))) if height else st.just(set())
+        some_rows = st.sets(st.integers(0, height - 1)) if height else st.just(set())
         for _ in range(steps):
             listed = np.array(sorted(data.draw(st.one_of(
-                st.just(set()), st.just(set(range(height))), every_row))), dtype=np.intp)
+                st.just(set()), st.just(set(range(height))), some_rows))), dtype=np.intp)
             grads = {"w": rng.normal(scale=10.0 ** rng.integers(-8, 4), size=(len(listed), width)),
                      "b": rng.normal(size=3)}
             step(state, params, grads, {"w": listed})
@@ -349,19 +349,6 @@ class TestRowSparseStep:
                 assert all(same_bits(slot[name], dense_slot[name]) for name in params)
             else:
                 assert slot == dense_slot
-
-    @pytest.mark.parametrize("make_state, step, reference", DENSE_REFERENCE)
-    def test_a_rows_step_of_every_row_equals_the_whole_array_formula(self, make_state, step,
-                                                                    reference):
-        rng = np.random.Generator(np.random.PCG64(13))
-        params = {"w": rng.normal(size=(9, BLOCK // 3))}
-        expected = copy.deepcopy(params)
-        state, ref_state = make_state(), make_state()
-        for _ in range(3):
-            grads = {"w": rng.normal(size=params["w"].shape)}
-            step(state, params, grads, {"w": np.arange(9)})
-            reference(ref_state, expected, grads)
-        assert np.array_equal(params["w"], expected["w"])
 
     # (rows, gradient row count, error): unsorted, repeated, out-of-range, miscounted
     # and malformed rows

@@ -1459,7 +1459,8 @@ class TestTrain:
             now = set(rows.word_ids[tokens].tolist())
             # the optimizer gets the rows of the batch's distinct words, never a V x D matrix
             assert np.array_equal(grad_rows["emb"], sorted(now))
-            assert grads["emb"].shape == (len(now), cfg.embedding_dim) and len(now) < len(rows.words)
+            assert grads["emb"].shape == (len(now), cfg.embedding_dim)
+            assert len(now) < len(rows.words)
             assert np.array_equal(scattered(grads["emb"], grad_rows["emb"], len(rows.words)),
                                   expected)
             assert previous - now or not previous  # rows of the step before, not of this one

@@ -12,9 +12,10 @@ whole-array update.
 A gradient that is zero outside a few rows can come row-sparse: ``rows[name]``
 is a sorted, unique array of row indices and ``grads[name]`` holds just those
 rows, ``(len(rows[name]), *shape[1:])``.  The listed rows take the update on
-gathered copies; every other row takes the update at g = +0.0, bit for bit,
-through a shorter rule that reads no gradient.  Callers own exclusivity (no
-concurrent steps on one state).
+gathered copies; every other row takes the same update on a zero-stride +0.0
+gradient, which allocates nothing, so the result is the dense step's on the
+scattered gradient by construction.  Callers own exclusivity (no concurrent
+steps on one state).
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ def _blocks(fn, arrays, buffers) -> None:
         fn(*blocks, *buffers[:, : blocks[0].size])
 
 
-def _step_blocks(params, grads, rows, slots, update, still, scratch: int) -> None:
+def _step_blocks(params, grads, rows, slots, update, scratch: int) -> None:
     """update(p, g, *state, *buffers) on every tensor, or, for a name in ``rows``,
-    on gathered copies of its listed rows and still(p, *state, *buffers) on the
-    whole tensor before the copies are written back; ``slots`` are the per-name
-    state dicts, a missing entry starts at zeros, and ``scratch`` buffers as long
-    as a slice are the rules' to overwrite."""
+    on gathered copies of its listed rows and at g = +0.0 on the whole tensor
+    before the copies are written back; ``slots`` are the per-name state dicts, a
+    missing entry starts at zeros, and ``scratch`` buffers as long as a slice are
+    the rule's to overwrite."""
     rows = rows or {}
     _check_shapes(params, grads, rows)
     largest = max((p.size for p in params.values()), default=0)
@@ -89,7 +90,7 @@ def _step_blocks(params, grads, rows, slots, update, still, scratch: int) -> Non
             continue
         listed = rows[name]
         gathered = [t[listed] for t in tensors]
-        _blocks(still, tensors, buffers)
+        _blocks(update, [p, np.broadcast_to(0.0, (p.size,)), *tensors[1:]], buffers)
         _blocks(update, [gathered[0], grads[name], *gathered[1:]], buffers)
         for t, g in zip(tensors, gathered):
             t[listed] = g
@@ -117,29 +118,18 @@ def adam_step(state: AdamState, params: dict, grads: dict, rows: dict | None = N
     step_size = state.lr * root / (1.0 - state.beta1**t)
     eps_t = state.eps * root
 
-    def move(p, m, v, a):
-        np.sqrt(v, out=a)
-        a += eps_t
-        np.divide(m, a, out=a)
-        p -= np.multiply(a, step_size, out=a)
-
     def update(p, g, m, v, a):
         m *= state.beta1
         m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
         np.multiply(g, 1.0 - state.beta2, out=a)
         v += np.multiply(a, g, out=a)
-        move(p, m, v, a)
+        np.sqrt(v, out=a)
+        a += eps_t
+        np.divide(m, a, out=a)
+        p -= np.multiply(a, step_size, out=a)
 
-    def still(p, m, v, a):
-        # update at g = +0.0: m + 0.0 turns a -0.0 into +0.0, while v, a sum of
-        # squares, is never negative, so v + 0.0 is v
-        m *= state.beta1
-        m += 0.0
-        v *= state.beta2
-        move(p, m, v, a)
-
-    _step_blocks(params, grads, rows, (state.m, state.v), update, still, scratch=1)
+    _step_blocks(params, grads, rows, (state.m, state.v), update, scratch=1)
     state.step = t
 
 
@@ -172,11 +162,4 @@ def adadelta_step(state: AdadeltaState, params: dict, grads: dict,
         ed2 += np.multiply(b, delta, out=b)
         p += delta
 
-    def still(p, eg2, ed2, delta, b):
-        # update at g = +0.0: delta is -0.0, and adding -0.0 (to p) or its square
-        # +0.0 (to the averages, sums of squares that are never negative) changes nothing
-        eg2 *= state.rho
-        ed2 *= state.rho
-
-    _step_blocks(params, grads, rows, (state.avg_sq_grad, state.avg_sq_delta), update, still,
-                 scratch=2)
+    _step_blocks(params, grads, rows, (state.avg_sq_grad, state.avg_sq_delta), update, scratch=2)

@@ -34,7 +34,7 @@ INTERACTING = 1
 NON_INTERACTING = 0
 
 _FORBIDDEN_IN_TOKEN = ("|", "\t", ";", ":")
-_FORBIDDEN_IN_ID = (":", ";", "-", "|", "\t", " ")
+_FORBIDDEN_IN_ID = frozenset(":;-|\t ")
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,30 @@ def _validate_record(line_no: int, rec: SentenceRecord) -> None:
                 raise ParseError(
                     line_no, f"interaction references undeclared entity {eid!r}"
                 )
-    for tok in rec.tokens:
-        if tok in RESERVED_TOKENS:
-            raise ParseError(
-                line_no, f"token {tok!r} collides with a reserved placeholder"
-            )
+    if not RESERVED_TOKENS.isdisjoint(rec.tokens):
+        tok = next(t for t in rec.tokens if t in RESERVED_TOKENS)
+        raise ParseError(line_no, f"token {tok!r} collides with a reserved placeholder")
 
 
-def _parse_line(line_no: int, line: str) -> SentenceRecord:
+def _token_fault(line_no: int, token_field: str) -> ParseError:
+    """The error of the first malformed chunk of a token field."""
+    for chunk in token_field.split(" "):
+        if not chunk:
+            return ParseError(line_no, "empty token/pos chunk")
+        if chunk.count("|") != 1:
+            return ParseError(line_no, f"token chunk {chunk!r} is not token|pos")
+        tok, pos = chunk.split("|")
+        if not tok or not pos:
+            return ParseError(line_no, f"token chunk {chunk!r} has empty token or pos")
+        for bad in _FORBIDDEN_IN_TOKEN:
+            if bad in tok or bad in pos:
+                return ParseError(line_no, f"forbidden character {bad!r} in {chunk!r}")
+    raise AssertionError(f"token field {token_field!r} is well-formed")
+
+
+def _parse_line(line_no: int, line: str, shared: dict[str, str]) -> SentenceRecord:
+    """One corpus line as a record whose tokens, tags and entity ids are the
+    values of ``shared``, which maps each value to its one object."""
     fields = line.split("\t")
     if len(fields) == 3:
         fields.append("")
@@ -133,21 +149,18 @@ def _parse_line(line_no: int, line: str) -> SentenceRecord:
     if not sent_id:
         raise ParseError(line_no, "empty sentence id")
 
-    tokens: list[str] = []
-    pos_tags: list[str] = []
-    for chunk in token_field.split(" "):
-        if not chunk:
-            raise ParseError(line_no, "empty token/pos chunk")
-        if chunk.count("|") != 1:
-            raise ParseError(line_no, f"token chunk {chunk!r} is not token|pos")
-        tok, pos = chunk.split("|")
-        if not tok or not pos:
-            raise ParseError(line_no, f"token chunk {chunk!r} has empty token or pos")
-        for bad in _FORBIDDEN_IN_TOKEN:
-            if bad in tok or bad in pos:
-                raise ParseError(line_no, f"forbidden character {bad!r} in {chunk!r}")
-        tokens.append(tok)
-        pos_tags.append(pos)
+    # Column-wise: zip makes as many columns as the shortest chunk has parts,
+    # so the unpacking needs every chunk to hold a "|", and a count of "|"
+    # equal to the chunk count then leaves each chunk exactly one.
+    chunks = [c.split("|") for c in token_field.split(" ")]
+    try:
+        tokens, pos_tags = zip(*chunks)
+    except ValueError:
+        raise _token_fault(line_no, token_field) from None
+    if (token_field.count("|") != len(chunks) or "" in tokens or "" in pos_tags
+            or ";" in token_field or ":" in token_field):
+        raise _token_fault(line_no, token_field)
+    share = shared.setdefault
 
     entities: list[Entity] = []
     if entity_field:
@@ -156,7 +169,7 @@ def _parse_line(line_no: int, line: str) -> SentenceRecord:
             if len(parts) != 3:
                 raise ParseError(line_no, f"entity chunk {chunk!r} is not id:start:end")
             eid, start_s, end_s = parts
-            if not eid or any(bad in eid for bad in _FORBIDDEN_IN_ID):
+            if not eid or not _FORBIDDEN_IN_ID.isdisjoint(eid):
                 raise ParseError(line_no, f"bad entity id {eid!r}")
             try:
                 start, end = int(start_s), int(end_s)
@@ -164,7 +177,7 @@ def _parse_line(line_no: int, line: str) -> SentenceRecord:
                 raise ParseError(line_no, f"non-integer span in {chunk!r}") from None
             if start > end:
                 raise ParseError(line_no, f"entity {eid!r} span start exceeds end")
-            entities.append(Entity(eid, start, end))
+            entities.append(Entity(share(eid, eid), start, end))
 
     interactions: set[frozenset[str]] = set()
     if interaction_field:
@@ -174,12 +187,12 @@ def _parse_line(line_no: int, line: str) -> SentenceRecord:
                 raise ParseError(line_no, f"interaction chunk {chunk!r} is not idA-idB")
             if parts[0] == parts[1]:
                 raise ParseError(line_no, f"interaction {chunk!r} joins an entity to itself")
-            interactions.add(frozenset(parts))
+            interactions.add(frozenset(map(share, parts, parts)))
 
     rec = SentenceRecord(
         id=sent_id,
-        tokens=tuple(tokens),
-        pos_tags=tuple(pos_tags),
+        tokens=tuple(map(share, tokens, tokens)),
+        pos_tags=tuple(map(share, pos_tags, pos_tags)),
         entities=tuple(entities),
         interactions=frozenset(interactions),
     )
@@ -191,16 +204,20 @@ def load_corpus(path) -> list[SentenceRecord]:
     """Read a line-delimited corpus file.
 
     Raises ParseError naming the file and the offending line number on any
-    malformed line; blank lines are ignored.
+    malformed line; blank lines are ignored.  Equal tokens, PoS tags and
+    entity ids are one ``str`` object across the whole result, so its memory
+    grows with the file's distinct values rather than with their
+    occurrences; sharing is safe because a ``str`` is immutable.
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            rec = _parse_line(line_no, line)
+            rec = _parse_line(line_no, line, shared)
             if rec.id in seen:
                 raise DuplicateSentenceId(line_no, f"sentence id {rec.id!r} already defined")
             seen.add(rec.id)

@@ -161,24 +161,50 @@ def sdp_endpoints(s: SentenceRecord, prot1_id: str, prot2_id: str) -> tuple[int,
 
 
 def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
-    """Read a dependency edge file into sentence_id -> edge list."""
+    """Read a dependency edge file into sentence_id -> edge list.
+
+    Raises ParseError naming the file and the offending line number on any
+    malformed line, a self-loop included; blank lines are ignored.  Equal
+    edges are one ``(head, dep, relation)`` tuple and equal relation labels
+    one ``str`` across the whole result, so its memory grows with the file's
+    distinct edges rather than with its lines; sharing is safe because
+    tuples and strings are immutable.
+    """
     edges: dict[str, list[tuple[int, int, str]]] = {}
+    parsed: dict[str, tuple[int, int, str]] = {}  # the text after the id -> its edge
+    shared: dict = {}  # each relation label and edge -> its one object
+    last_id = None
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(
-                    line_no, f"expected 4 tab-separated fields, got {len(fields)}"
-                )
-            sent_id, head_s, dep_s, rel = fields
-            if not sent_id:
+            sent_id, _, edge_text = line.partition("\t")
+            edge = parsed.get(edge_text)
+            if edge is None:
+                edge = parsed[edge_text] = _parse_edge(line_no, line, shared)
+            elif not sent_id:
                 raise ParseError(line_no, "empty sentence id")
-            try:
-                head, dep = int(head_s), int(dep_s)
-            except ValueError:
-                raise ParseError(line_no, f"non-integer token index in {line!r}") from None
-            edges.setdefault(sent_id, []).append((head, dep, rel))
+            if sent_id != last_id:
+                sentence_edges = edges.setdefault(sent_id, [])
+                last_id = sent_id
+            sentence_edges.append(edge)
     return edges
+
+
+def _parse_edge(line_no: int, line: str, shared: dict) -> tuple[int, int, str]:
+    """The edge of one line, its label and itself taken from ``shared``."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ParseError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
+    sent_id, head_s, dep_s, rel = fields
+    if not sent_id:
+        raise ParseError(line_no, "empty sentence id")
+    try:
+        head, dep = int(head_s), int(dep_s)
+    except ValueError:
+        raise ParseError(line_no, f"non-integer token index in {line!r}") from None
+    if head == dep:
+        raise ParseError(line_no, f"self-loop at token {head}")
+    edge = (head, dep, shared.setdefault(rel, rel))
+    return shared.setdefault(edge, edge)

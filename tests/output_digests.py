@@ -58,6 +58,7 @@ def _vectors_text() -> str:
 def digests(workdir) -> list[str]:
     """Run every command in `workdir` and return the ``name sha256`` lines."""
     work = Path(workdir)
+    work.mkdir(parents=True, exist_ok=True)
     lines = []
 
     def record(name: str, data: bytes) -> None:

@@ -948,3 +948,17 @@ class TestLineErrorsNameTheFile:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err == f"error: {bad}: line 1: {reason}\n"
+
+    @pytest.mark.parametrize("sentence", ["syn000", "absent"],
+                             ids=["in-corpus", "missing-from-corpus"])
+    def test_self_loop_edge(self, workdir, capsys, sentence):
+        """A self-loop is an error of its edge line, whether or not the corpus
+        has its sentence."""
+        dep_lines = (workdir / "deps.tsv").read_text(encoding="utf-8").splitlines()
+        deps = write_lines(workdir / "deps.tsv", dep_lines + [f"{sentence}\t1\t1\tnsubj"])
+        rc = run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", deps,
+                 "--out", workdir / "inst.json")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {deps}: line {len(dep_lines) + 1}: self-loop at token 1\n"
+        assert not (workdir / "inst.json").exists()

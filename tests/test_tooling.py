@@ -1,8 +1,10 @@
 """The benchmark run as a user would run it: its self-test, one round of each
 workload with every output check, and a traced round of the tuned-embeddings
-workload.  The output-digest script run twice."""
+workload.  The output-digest script run twice, and run as a script on a new
+directory."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +73,16 @@ def test_output_digests_repeat_in_one_process(tmp_path):
     first = output_digests.digests(tmp_path)
     assert len(first) == 78 and len({line.split()[0] for line in first}) == 78
     assert output_digests.digests(tmp_path) == first
+
+
+def test_output_digests_script_makes_its_workdir(tmp_path):
+    """Run as its docstring says, the script creates a WORKDIR that does not
+    exist yet, parents included, and prints one line per output."""
+    workdir = tmp_path / "new" / "work"
+    proc = subprocess.run(
+        [sys.executable, "tests/output_digests.py", str(workdir)], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert len(proc.stdout.splitlines()) == 78
+    assert (workdir / "corpus.tsv").is_file()

@@ -87,8 +87,6 @@ class FoldAssignment:
 
 def _validate_record(line_no: int, rec: SentenceRecord) -> None:
     n = len(rec.tokens)
-    if len(rec.pos_tags) != n:
-        raise ParseError(line_no, "pos tag count differs from token count")
     seen_ids = set()
     covered: list[tuple[int, int, str]] = []
     for e in rec.entities:

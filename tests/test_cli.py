@@ -939,7 +939,9 @@ class TestLineErrorsNameTheFile:
         ("--deps", "s1\t0\t1", "expected 4 tab-separated fields, got 3"),
         ("--corpus", "s1", "expected 3 or 4 tab-separated fields, got 1"),
         ("--pos-table", "NN 3", "expected tag<TAB>class, got 'NN 3'"),
-    ], ids=["deps", "corpus", "pos_table"])
+        # a self-loop fails as a line error although the corpus has no sentence s1
+        ("--deps", "s1\t1\t1\tnsubj", "self-loop at token 1"),
+    ], ids=["deps", "corpus", "pos_table", "deps-self-loop"])
     def test_cv(self, workdir, capsys, flag, line, reason):
         bad = write_lines(workdir / "bad.tsv", [line])
         paths = {"--corpus": workdir / "corpus.tsv", "--deps": workdir / "deps.tsv", flag: bad}
@@ -948,17 +950,3 @@ class TestLineErrorsNameTheFile:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err == f"error: {bad}: line 1: {reason}\n"
-
-    @pytest.mark.parametrize("sentence", ["syn000", "absent"],
-                             ids=["in-corpus", "missing-from-corpus"])
-    def test_self_loop_edge(self, workdir, capsys, sentence):
-        """A self-loop is an error of its edge line, whether or not the corpus
-        has its sentence."""
-        dep_lines = (workdir / "deps.tsv").read_text(encoding="utf-8").splitlines()
-        deps = write_lines(workdir / "deps.tsv", dep_lines + [f"{sentence}\t1\t1\tnsubj"])
-        rc = run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", deps,
-                 "--out", workdir / "inst.json")
-        out, err = capsys.readouterr()
-        assert (rc, out) == (2, "")
-        assert err == f"error: {deps}: line {len(dep_lines) + 1}: self-loop at token 1\n"
-        assert not (workdir / "inst.json").exists()

@@ -78,22 +78,25 @@ def corpus_text(records) -> str:
 
 @st.composite
 def edge_lines(draw):
-    """(sentence id, head, dep, relation) lines over small pools, with the
-    lines of different sentences interleaved."""
+    """(sentence id, head, dep, relation, line) over small pools, with the
+    lines of different sentences interleaved and an index written in any
+    spelling that ``int`` reads, so that equal edges can differ in text."""
     sentences = draw(st.lists(IDENT, min_size=1, max_size=4, unique=True))
     relations = draw(st.lists(RELATION, min_size=1, max_size=3, unique=True))
     index = st.one_of(st.integers(0, 4), st.integers(0, 1000))
+    spelling = st.sampled_from(["{}", "0{}", "+{}", " {} "])
     lines = []
     for _ in range(draw(st.integers(1, 25))):
-        head = draw(index)
+        sid, head = draw(st.sampled_from(sentences)), draw(index)
         dep = draw(index.filter(lambda d: d != head))
-        lines.append((draw(st.sampled_from(sentences)), head, dep,
-                      draw(st.sampled_from(relations))))
+        rel = draw(st.sampled_from(relations))
+        text = f"{sid}\t{draw(spelling).format(head)}\t{draw(spelling).format(dep)}\t{rel}\n"
+        lines.append((sid, head, dep, rel, text))
     return lines
 
 
 def edges_text(lines) -> str:
-    return "".join(f"{sid}\t{head}\t{dep}\t{rel}\n" for sid, head, dep, rel in lines)
+    return "".join(line[-1] for line in lines)
 
 
 def assert_equal_values_are_one_object(values):
@@ -141,7 +144,7 @@ class TestValidFiles:
         path = work_dir / "deps.tsv"
         path.write_text(edges_text(lines), encoding="utf-8")
         expected = {}
-        for sid, head, dep, rel in lines:
+        for sid, head, dep, rel, _ in lines:
             expected.setdefault(sid, []).append((head, dep, rel))
         loaded = load_dependencies(path)
         assert list(loaded.items()) == list(expected.items())
@@ -190,7 +193,12 @@ class TestOneByteEdits:
         assert_loads_or_names_the_file(load_dependencies, path)
 
 
-TOKEN_FIELD = st.text(alphabet="ab|;: NNé", max_size=12)
+# Chunks of one to three parts joined by "|", so that a field often holds
+# several well-formed chunks and one with no "|" or two; a part may be empty
+# or hold a forbidden ";" or ":".
+PART = st.one_of(st.sampled_from(["a", "b", "é"]), st.text(alphabet="ab;:", max_size=2))
+TOKEN_FIELD = st.lists(st.lists(PART, min_size=1, max_size=3).map("|".join),
+                       min_size=1, max_size=4).map(" ".join)
 
 
 class TestQuickTokenCheck:

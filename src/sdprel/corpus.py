@@ -34,7 +34,7 @@ INTERACTING = 1
 NON_INTERACTING = 0
 
 _FORBIDDEN_IN_TOKEN = ("|", "\t", ";", ":")
-_FORBIDDEN_IN_ID = frozenset(":;-|\t ")
+_FORBIDDEN_IN_ID = (":", ";", "-", "|", "\t", " ")
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,17 @@ def _validate_record(line_no: int, rec: SentenceRecord) -> None:
                 raise ParseError(
                     line_no, f"interaction references undeclared entity {eid!r}"
                 )
-    if not RESERVED_TOKENS.isdisjoint(rec.tokens):
-        tok = next(t for t in rec.tokens if t in RESERVED_TOKENS)
-        raise ParseError(line_no, f"token {tok!r} collides with a reserved placeholder")
+    for tok in rec.tokens:
+        if tok in RESERVED_TOKENS:
+            raise ParseError(
+                line_no, f"token {tok!r} collides with a reserved placeholder"
+            )
 
 
 def _token_fault(line_no: int, token_field: str) -> ParseError:
-    """The error of the first malformed chunk of a token field."""
+    """The error of the first malformed chunk of a token field that the
+    column-wise check in ``_parse_line`` rejected, found one chunk at a time
+    so that the message and its order are the per-chunk checks' own."""
     for chunk in token_field.split(" "):
         if not chunk:
             return ParseError(line_no, "empty token/pos chunk")
@@ -167,7 +171,7 @@ def _parse_line(line_no: int, line: str, shared: dict[str, str]) -> SentenceReco
             if len(parts) != 3:
                 raise ParseError(line_no, f"entity chunk {chunk!r} is not id:start:end")
             eid, start_s, end_s = parts
-            if not eid or not _FORBIDDEN_IN_ID.isdisjoint(eid):
+            if not eid or any(bad in eid for bad in _FORBIDDEN_IN_ID):
                 raise ParseError(line_no, f"bad entity id {eid!r}")
             try:
                 start, end = int(start_s), int(end_s)

@@ -171,40 +171,27 @@ def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
     tuples and strings are immutable.
     """
     edges: dict[str, list[tuple[int, int, str]]] = {}
-    parsed: dict[str, tuple[int, int, str]] = {}  # the text after the id -> its edge
     shared: dict = {}  # each relation label and edge -> its one object
-    last_id = None
+    share = shared.setdefault
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            sent_id, _, edge_text = line.partition("\t")
-            edge = parsed.get(edge_text)
-            if edge is None:
-                edge = parsed[edge_text] = _parse_edge(line_no, line, shared)
-            elif not sent_id:
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ParseError(
+                    line_no, f"expected 4 tab-separated fields, got {len(fields)}"
+                )
+            sent_id, head_s, dep_s, rel = fields
+            if not sent_id:
                 raise ParseError(line_no, "empty sentence id")
-            if sent_id != last_id:
-                sentence_edges = edges.setdefault(sent_id, [])
-                last_id = sent_id
-            sentence_edges.append(edge)
+            try:
+                head, dep = int(head_s), int(dep_s)
+            except ValueError:
+                raise ParseError(line_no, f"non-integer token index in {line!r}") from None
+            if head == dep:
+                raise ParseError(line_no, f"self-loop at token {head}")
+            edge = (head, dep, share(rel, rel))
+            edges.setdefault(sent_id, []).append(share(edge, edge))
     return edges
-
-
-def _parse_edge(line_no: int, line: str, shared: dict) -> tuple[int, int, str]:
-    """The edge of one line, its label and itself taken from ``shared``."""
-    fields = line.split("\t")
-    if len(fields) != 4:
-        raise ParseError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
-    sent_id, head_s, dep_s, rel = fields
-    if not sent_id:
-        raise ParseError(line_no, "empty sentence id")
-    try:
-        head, dep = int(head_s), int(dep_s)
-    except ValueError:
-        raise ParseError(line_no, f"non-integer token index in {line!r}") from None
-    if head == dep:
-        raise ParseError(line_no, f"self-loop at token {head}")
-    edge = (head, dep, shared.setdefault(rel, rel))
-    return shared.setdefault(edge, edge)

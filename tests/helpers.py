@@ -9,11 +9,10 @@ two-branch logistic function, an autoencoder fit that keeps its four weight
 arrays in separate dicts, a cross-validation loop whose every fold fits its
 own autoencoders, the position autoencoder's samples as the distinct rows of
 every code matrix, the token rows of one instance at a time, a row-sparse
-gradient scattered into its dense matrix, a corpus token field parsed one
-chunk at a time, a word-vector loader that parses one row at a time, and an
-instances file reader that checks one instance at a time.  There is no
-oracle for a retired file format: its readers are gone, and each such file
-is only checked to be rejected.
+gradient scattered into its dense matrix, a word-vector loader that parses
+one row at a time, and an instances file reader that checks one instance at
+a time.  There is no oracle for a retired file format: its readers are gone,
+and each such file is only checked to be rejected.
 """
 
 from __future__ import annotations
@@ -571,30 +570,6 @@ def scattered(grad, rows, n):
     dense = np.zeros((n, *grad.shape[1:]))
     dense[rows] = grad
     return dense
-
-
-# ---------------------------------------------------------------------------
-# Corpus token field oracle
-
-
-def reference_token_field(token_field):
-    """(tokens, tags) of a corpus line's token field, or the reason of the
-    ParseError for its first bad chunk, checking one chunk at a time."""
-    tokens, tags = [], []
-    for chunk in token_field.split(" "):
-        if not chunk:
-            return "empty token/pos chunk"
-        if chunk.count("|") != 1:
-            return f"token chunk {chunk!r} is not token|pos"
-        tok, pos = chunk.split("|")
-        if not tok or not pos:
-            return f"token chunk {chunk!r} has empty token or pos"
-        for bad in ("|", "\t", ";", ":"):
-            if bad in tok or bad in pos:
-                return f"forbidden character {bad!r} in {chunk!r}"
-        tokens.append(tok)
-        tags.append(pos)
-    return tuple(tokens), tuple(tags)
 
 
 # ---------------------------------------------------------------------------

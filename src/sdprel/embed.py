@@ -7,21 +7,22 @@ the text of at most one chunk is held at a time; each word's vector is a
 read-only row of its chunk's matrix.  Out-of-vocabulary tokens get a
 deterministic hash-seeded vector so repeated runs see identical inputs.
 
-The table of the last file parsed is kept in memory, under the blake2b
-digest of the file's bytes (of the compressed bytes for ``.gz``), which each
-table keeps as ``digest``.  A later load of the same bytes returns it
-without parsing, in a table of its own: the caller's ``oov_seed`` and a new
-vocabulary dict over the same read-only rows.  Only one table is kept,
-because a vectors file can be gigabytes and a process reads one.  A rejected
-file, a pipe and a file edited while it is parsed are never kept, so the
-memo never changes what a load returns or raises.  Nothing is written to
-disk.
+A parse reads the file once and hashes its bytes (the compressed bytes for
+``.gz``) as it reads them: their blake2b is the table's ``digest``, which a
+checkpoint records, and their SHA-256 keys the one table kept in memory, that
+of the last file parsed.  With a table kept, a load first reads the file for
+its SHA-256 and, on a match, returns the kept rows without parsing, in a table
+of its own (the caller's ``oov_seed``, a new vocabulary dict).  A rejected
+file and a pipe are never kept.  SHA-256 is the key because CPUs with SHA
+extensions hash it fastest; without them it can be slower than blake2b.
+Nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -54,8 +55,8 @@ class EmbeddingTable:
         return cls(dimension=dimension, oov_seed=oov_seed)
 
 
-# The table of the last file parsed, or None: the memo of load_embeddings.
-_LAST: EmbeddingTable | None = None
+# (SHA-256 hex digest, table) of the last file parsed: the memo of load_embeddings.
+_LAST: tuple[str, EmbeddingTable] | None = None
 
 
 def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
@@ -70,32 +71,55 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
     counted in ``duplicate_count`` and never parsed.
     """
     global _LAST
-    if not os.path.isfile(path):  # a pipe is read once; a missing path fails in the parse
-        return _parse(path, oov_seed)
-    digest = _file_digest(path)
-    kept = _LAST
-    if kept is None or kept.digest != digest:
-        _LAST = kept = None  # the old table is not held through the parse
-        kept = _parse(path, oov_seed)
-        kept.digest = digest
-        if _file_digest(path) != digest:  # the parsed bytes are not the hashed ones
+    if _LAST is not None and os.path.isfile(path) and _sha256(path) == _LAST[0]:
+        kept = _LAST[1]
+    else:
+        _LAST = None  # the old table is not held through the parse
+        key, kept = _parse(path, oov_seed)
+        if key is None:  # a pipe is read once
             return kept
-        _LAST = kept
+        _LAST = key, kept
     return EmbeddingTable(kept.dimension, dict(kept.vocabulary), oov_seed,
-                          kept.duplicate_count, digest)
+                          kept.duplicate_count, kept.digest)
 
 
-def _file_digest(path) -> str:
-    digest = hashlib.blake2b(digest_size=32)
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 18), b""):
-            digest.update(block)
-    return digest.hexdigest()
+class _Hashing(io.RawIOBase):
+    """A binary file that feeds every byte read through it to its hashes."""
+
+    def __init__(self, raw, *hashes):
+        self.raw, self.hashes = raw, hashes
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.raw.read(size)
+        for digest in self.hashes:
+            digest.update(data)
+        return data
+
+    def drain(self) -> None:
+        """Read to the end of the file, so that the hashes cover all of it."""
+        while self.read(1 << 18):
+            pass
 
 
-def _parse(path, oov_seed: int) -> EmbeddingTable:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8-sig") as fh, reading_text(path):
+def _sha256(path) -> str:
+    key = hashlib.sha256()
+    with open(path, "rb", buffering=0) as raw:
+        _Hashing(raw, key).drain()
+    return key.hexdigest()
+
+
+def _parse(path, oov_seed: int) -> tuple[str | None, EmbeddingTable]:
+    """Parse the file, reading its bytes once; returns their SHA-256 hex
+    digest and the table, whose ``digest`` is their blake2b.  Both are None
+    for a file that cannot seek, such as a pipe."""
+    digest, key = hashlib.blake2b(digest_size=32), hashlib.sha256()
+    with open(path, "rb", buffering=0) as raw, reading_text(path):
+        hashing = _Hashing(raw, digest, key)
+        binary = gzip.GzipFile(fileobj=hashing) if str(path).endswith(".gz") else hashing
+        fh = io.TextIOWrapper(binary, encoding="utf-8-sig")
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")
@@ -131,9 +155,10 @@ def _parse(path, oov_seed: int) -> EmbeddingTable:
             if len(chunk) == CHUNK_LINES:
                 _parse_chunk(path, dim, chunk, vocab)
         _parse_chunk(path, dim, chunk, vocab)
-    return EmbeddingTable(
-        dimension=dim, vocabulary=vocab, oov_seed=oov_seed, duplicate_count=duplicates
-    )
+        hashing.drain()
+        kept = raw.seekable()  # a pipe cannot be read again to check its bytes
+    table = EmbeddingTable(dim, vocab, oov_seed, duplicates, digest.hexdigest() if kept else None)
+    return (key.hexdigest() if kept else None), table
 
 
 def _parse_chunk(path, dim: int, chunk: list[tuple[int, str, str]], vocab: dict) -> None:

@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -526,6 +528,18 @@ class TestVectorsFile:
         want = outputs(cold=True)
         assert embed_mod._LAST is not None
         assert outputs(cold=False) == want
+
+    def test_gzip_vectors_score_as_the_plain_file(self, workdir, vectors, capsys):
+        """The checkpoint records the blake2b digest of the compressed bytes."""
+        plain = self.train_and_predict(workdir, capsys)
+        assert plain[0] == [0, 0] and len(plain[1].splitlines()) > 16
+        packed = workdir / "vectors.txt.gz"
+        packed.write_bytes(gzip.compress(vectors.read_bytes(), mtime=0))
+        (workdir / "vconfig").write_text(CONFIG_TEXT + f"embedding_path={packed}\n",
+                                         encoding="utf-8")
+        assert self.train_and_predict(workdir, capsys) == plain
+        digest = hashlib.blake2b(packed.read_bytes(), digest_size=32).hexdigest()
+        assert load_checkpoint(workdir / "model.sdpl").embedding_digest == digest
 
     def test_relative_path_is_found_from_another_directory(self, workdir, vectors, capsys,
                                                            monkeypatch, tmp_path_factory):

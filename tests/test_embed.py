@@ -235,9 +235,14 @@ def blake2b(path):
     return hashlib.blake2b(Path(path).read_bytes(), digest_size=32).hexdigest()
 
 
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestCache:
-    """The first load of a file parses it and keeps its table; a second load
-    of the same bytes returns that table's rows without parsing."""
+    """The first load of a file parses it and keeps its table under the
+    SHA-256 of the bytes parsed; a second load of the same bytes returns that
+    table's rows without parsing."""
 
     @given(case=vector_files())
     @example(case=("0 3\n", False))  # no words
@@ -256,7 +261,9 @@ class TestCache:
                 assert outcome(load_embeddings, path) == want
                 assert embed._LAST is None
                 return
-            assert embed._LAST.digest == miss.digest == blake2b(path)
+            key, kept = embed._LAST
+            assert kept.digest == miss.digest == blake2b(path)
+            assert key == sha256(path)
             mp.setattr(embed, "_parse", parse_forbidden)
             hit = load_embeddings(path, oov_seed=3)
         assert_same_table(miss, want)
@@ -279,7 +286,8 @@ class TestCache:
         path = tmp_path / "emb.txt.gz"
         path.write_bytes(gzip.compress(b"1 2\nw 1 2\n", mtime=0))
         assert load_embeddings(path).digest == blake2b(path)
-        assert embed._LAST.digest == blake2b(path)
+        assert embed._LAST[1].digest == blake2b(path)
+        assert embed._LAST[0] == sha256(path)
 
     def test_changed_bytes_are_another_entry(self, vectors, monkeypatch):
         calls = self.parse_count(monkeypatch)
@@ -289,7 +297,8 @@ class TestCache:
         assert first.digest != second.digest
         assert len(calls) == 2
         assert_same_table(second, reference_load_embeddings(vectors))
-        assert embed._LAST.digest == second.digest
+        assert embed._LAST[1].digest == second.digest
+        assert embed._LAST[0] == sha256(vectors)
 
     def test_the_memo_keeps_one_table(self, tmp_path, vectors, monkeypatch):
         """A hit shares the kept rows; another file's load replaces the table."""
@@ -298,7 +307,8 @@ class TestCache:
         miss, hit = load_embeddings(vectors), load_embeddings(vectors)
         assert all(hit.vocabulary[w] is row for w, row in miss.vocabulary.items())
         load_embeddings(other)
-        assert embed._LAST.digest == blake2b(other)
+        assert embed._LAST[1].digest == blake2b(other)
+        assert embed._LAST[0] == sha256(other)
         assert_same_table(load_embeddings(vectors), miss)
         assert len(calls) == 3
 
@@ -335,22 +345,96 @@ class TestCache:
         assert list(tables[0].vocabulary) == ["w"] and tables[0].digest is None
         assert embed._LAST is None
 
-    def test_file_changed_while_parsed_writes_no_entry(self, vectors, monkeypatch):
-        """A file edited mid-parse is returned as parsed, with the digest taken
-        before the parse, and not kept."""
-        before, digest = reference_load_embeddings(vectors), blake2b(vectors)
-        parse = embed._parse
+    def open_count(self, monkeypatch):
+        """The paths that ``embed`` opens, in order."""
+        opened = []
 
-        def parse_then_edit(path, oov_seed):
-            table = parse(path, oov_seed)
-            vectors.write_text(vectors.read_text() + "late 1 2 3\n")
-            return table
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(embed, "_parse", parse_then_edit)
-        table = load_embeddings(vectors)
-        assert_same_table(table, before)
-        assert table.digest == digest
+        monkeypatch.setattr(embed, "open", counting_open, raising=False)
+        return opened
+
+    @pytest.mark.parametrize("name", ["copy.txt", "copy.txt.gz"])
+    def test_reads_per_load(self, tmp_path, vectors, monkeypatch, name):
+        """A load with nothing kept reads the file once, to parse it; a hit
+        reads it once, for its SHA-256; a miss against another kept table
+        reads it twice, for its SHA-256 and then to parse it."""
+        path = tmp_path / name
+        data = vectors.read_bytes()
+        path.write_bytes(gzip.compress(data, mtime=0) if name.endswith(".gz") else data)
+        opened = self.open_count(monkeypatch)
+        load_embeddings(path)
+        assert opened == [path]
+        load_embeddings(path)
+        assert opened == [path] * 2
+        other = write_vectors(tmp_path / "other.txt", "1 3", ["w 1 2 3"])
+        load_embeddings(other)
+        assert opened == [path] * 2 + [other] * 2
+        assert embed._LAST[0] == sha256(other)
+
+    def test_a_rejected_file_leaves_nothing_kept(self, tmp_path, vectors, monkeypatch):
+        """The kept table is dropped before a parse, so it is not held through
+        it, and a rejected file puts nothing in its place."""
+        bad = write_vectors(tmp_path / "bad.txt", "2 3", ["a 1 2 3", "b 1 2"])
+        load_embeddings(vectors)
+        kept_while_parsed = []
+        parse_chunk = embed._parse_chunk
+        monkeypatch.setattr(embed, "_parse_chunk",
+                            lambda *a: kept_while_parsed.append(embed._LAST) or parse_chunk(*a))
+        opened = self.open_count(monkeypatch)
+        with pytest.raises(DimensionMismatch):
+            load_embeddings(bad)
+        assert opened == [bad, bad]
+        assert kept_while_parsed == [None]
         assert embed._LAST is None
+
+    @pytest.mark.parametrize("where", ["tail", "head"])
+    def test_an_edit_during_the_parse_is_what_the_digests_describe(self, tmp_path, monkeypatch,
+                                                                   where):
+        """A file rewritten after its first chunk is parsed, once past the
+        bytes read so far and once inside them, gives the table, the digest and
+        the key of exactly the bytes parsed: the head as read before the edit,
+        the rest as edited."""
+        rows = [f"w{i} {i} {-i / 3!r} {i * 1e-7!r}" for i in range(1000)]
+        path = write_vectors(tmp_path / "emb.txt", f"{len(rows)} 3", rows)
+        old = path.read_bytes()
+        row, edit = (b"w0 0 ", b"w0 7 ") if where == "head" else (b"w999 999 ", b"w999 777 ")
+        assert old.count(row) == 1
+        new = old.replace(row, edit)
+        files, read_before_edit = [], []
+
+        def keeping_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        parse_chunk = embed._parse_chunk
+
+        def parse_chunk_then_edit(*args):
+            if not read_before_edit:
+                read_before_edit.append(files[-1].tell())
+                path.write_bytes(new)
+            parse_chunk(*args)
+
+        monkeypatch.setattr(embed, "open", keeping_open, raising=False)
+        monkeypatch.setattr(embed, "_parse_chunk", parse_chunk_then_edit)
+        table = load_embeddings(path)
+        monkeypatch.undo()
+        (n,) = read_before_edit
+        assert n < len(old)  # the file is larger than what was read before the edit
+        assert (old.index(row) < n) == (where == "head")
+        parsed = tmp_path / "parsed.txt"
+        parsed.write_bytes(old[:n] + new[n:])
+        assert_same_table(table, reference_load_embeddings(parsed))
+        assert table.digest == blake2b(parsed)
+        assert embed._LAST[0] == sha256(parsed)
+        # a tail edit was read whole, so the kept table is the file's; a head
+        # edit was not, so the next load parses the file again
+        calls = self.parse_count(monkeypatch)
+        assert_same_table(load_embeddings(path), reference_load_embeddings(path))
+        assert len(calls) == (where == "head")
+        assert embed._LAST[0] == sha256(path)
 
 
 class TestLookup:

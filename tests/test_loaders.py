@@ -4,8 +4,10 @@ one-character edits of valid lines, and a table of each loader's faults, one
 row per message."""
 
 import gzip
+import io
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from sdprel.errors import (
 from sdprel.features import load_pos_table
 from sdprel.pipeline import TrainConfig, instances_to_json, preprocess
 
-from helpers import synthetic_corpus, write_lines
+from helpers import reference_load_embeddings, synthetic_corpus, write_lines
 
 NOT_UTF8 = b"\xff\xfe not UTF-8 \x80\n"
 
@@ -186,6 +188,67 @@ class TestCliExitCodes:
                            workdir / "deps.tsv", "--config", config,
                            "--report", workdir / "cv.csv")
         assert name in err
+
+
+VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
+                               for k, word in enumerate(("was", "with", "and", "of", "to")))
+
+
+@st.composite
+def one_byte_damage(draw, data):
+    """``data`` with one byte inserted, deleted or replaced, or cut short."""
+    kind = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+    at = draw(st.integers(0, len(data) - (kind in ("delete", "replace"))))
+    byte = bytes([draw(st.integers(0, 255))])
+    if kind == "truncate":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + byte + data[at:]
+    return data[:at] + (byte if kind == "replace" else b"") + data[at + 1:]
+
+
+class TestVectorsFileThroughTrain:
+    """``sdprel train``, in process, on a plain or gzip vectors file with one
+    byte inserted, deleted or replaced, or cut short: it exits 0, 2 or 3 and
+    raises nothing, prints nothing to stdout on exit 2, and names the file
+    on stderr when the file is malformed."""
+
+    @pytest.fixture(scope="class")
+    def train_dir(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            corpus_lines, dep_lines, _ = synthetic_corpus(8, seed=5)
+            write_lines(tmp / "corpus.tsv", corpus_lines)
+            write_lines(tmp / "deps.tsv", dep_lines)
+            for name in ("vectors.txt", "vectors.txt.gz"):
+                (tmp / f"{name}.config").write_text(
+                    f"epochs=1\nae_epochs=5\nembedding_dim=4\nembedding_path={tmp / name}\n",
+                    encoding="utf-8")
+            with redirect_stdout(io.StringIO()):
+                assert main(["preprocess", "--corpus", str(tmp / "corpus.tsv"),
+                             "--deps", str(tmp / "deps.tsv"), "--out", str(tmp / "inst.json")]) == 0
+            yield tmp
+
+    @given(compress=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, compress, data):
+        name = "vectors.txt.gz" if compress else "vectors.txt"
+        text = VECTORS_4D.encode()
+        path = train_dir / name
+        path.write_bytes(data.draw(one_byte_damage(
+            gzip.compress(text, mtime=0) if compress else text)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["train", "--instances", str(train_dir / "inst.json"),
+                       "--config", str(train_dir / f"{name}.config"),
+                       "--out", str(train_dir / "model.sdpl")])
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            assert out.getvalue() == ""
+        try:
+            reference_load_embeddings(path)
+        except (FormatError, DimensionMismatch):
+            assert rc == 2 and str(path) in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ every code matrix, the token rows of one instance at a time, a row-sparse
 gradient scattered into its dense matrix, a word-vector loader that parses
 one row at a time, and an instances file reader that checks one instance at
 a time.  There is no oracle for a retired file format: its readers are gone,
-and each such file is only checked to be rejected.
+and each such file is only checked to be rejected.  One Hypothesis strategy,
+``one_byte_edit``, damages a file's bytes for the readers' fuzz tests.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import random
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sdprel.checkpoint import FORMAT_VERSION, MAGIC
 from sdprel.embed import EmbeddingTable
@@ -695,3 +697,19 @@ def synthetic_corpus(n: int, seed: int):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------------
+# Byte-level damage
+
+EDIT_BYTES = st.one_of(st.sampled_from(b"|\t;:- 0123456789e\n\r"), st.integers(0, 255))
+
+
+@st.composite
+def one_byte_edit(draw, data: bytes) -> bytes:
+    at = draw(st.integers(0, len(data)))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        return data[:at] + bytes([draw(EDIT_BYTES)]) + data[at:]
+    cut = min(at, len(data) - 1)
+    return data[:cut] + (bytes([draw(EDIT_BYTES)]) if kind == "replace" else b"") + data[cut + 1:]

@@ -345,16 +345,16 @@ class TestCache:
         assert list(tables[0].vocabulary) == ["w"] and tables[0].digest is None
         assert embed._LAST is None
 
-    def open_count(self, monkeypatch):
-        """The paths that ``embed`` opens, in order."""
-        opened = []
+    def opened(self, monkeypatch):
+        """The files that ``embed`` opens, in order."""
+        files = []
 
-        def counting_open(file, *args, **kwargs):
-            opened.append(file)
-            return open(file, *args, **kwargs)
+        def keeping_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
 
-        monkeypatch.setattr(embed, "open", counting_open, raising=False)
-        return opened
+        monkeypatch.setattr(embed, "open", keeping_open, raising=False)
+        return files
 
     @pytest.mark.parametrize("name", ["copy.txt", "copy.txt.gz"])
     def test_reads_per_load(self, tmp_path, vectors, monkeypatch, name):
@@ -364,14 +364,14 @@ class TestCache:
         path = tmp_path / name
         data = vectors.read_bytes()
         path.write_bytes(gzip.compress(data, mtime=0) if name.endswith(".gz") else data)
-        opened = self.open_count(monkeypatch)
+        opened = self.opened(monkeypatch)
         load_embeddings(path)
-        assert opened == [path]
+        assert [f.name for f in opened] == [str(path)]
         load_embeddings(path)
-        assert opened == [path] * 2
+        assert [f.name for f in opened] == [str(path)] * 2
         other = write_vectors(tmp_path / "other.txt", "1 3", ["w 1 2 3"])
         load_embeddings(other)
-        assert opened == [path] * 2 + [other] * 2
+        assert [f.name for f in opened] == [str(path)] * 2 + [str(other)] * 2
         assert embed._LAST[0] == sha256(other)
 
     def test_a_rejected_file_leaves_nothing_kept(self, tmp_path, vectors, monkeypatch):
@@ -383,10 +383,10 @@ class TestCache:
         parse_chunk = embed._parse_chunk
         monkeypatch.setattr(embed, "_parse_chunk",
                             lambda *a: kept_while_parsed.append(embed._LAST) or parse_chunk(*a))
-        opened = self.open_count(monkeypatch)
+        opened = self.opened(monkeypatch)
         with pytest.raises(DimensionMismatch):
             load_embeddings(bad)
-        assert opened == [bad, bad]
+        assert [f.name for f in opened] == [str(bad)] * 2
         assert kept_while_parsed == [None]
         assert embed._LAST is None
 
@@ -403,12 +403,7 @@ class TestCache:
         row, edit = (b"w0 0 ", b"w0 7 ") if where == "head" else (b"w999 999 ", b"w999 777 ")
         assert old.count(row) == 1
         new = old.replace(row, edit)
-        files, read_before_edit = [], []
-
-        def keeping_open(*args, **kwargs):
-            files.append(open(*args, **kwargs))
-            return files[-1]
-
+        files, read_before_edit = self.opened(monkeypatch), []
         parse_chunk = embed._parse_chunk
 
         def parse_chunk_then_edit(*args):
@@ -417,7 +412,6 @@ class TestCache:
                 path.write_bytes(new)
             parse_chunk(*args)
 
-        monkeypatch.setattr(embed, "open", keeping_open, raising=False)
         monkeypatch.setattr(embed, "_parse_chunk", parse_chunk_then_edit)
         table = load_embeddings(path)
         monkeypatch.undo()

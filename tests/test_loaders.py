@@ -27,7 +27,7 @@ from sdprel.errors import (
 from sdprel.features import load_pos_table
 from sdprel.pipeline import TrainConfig, instances_to_json, preprocess
 
-from helpers import reference_load_embeddings, synthetic_corpus, write_lines
+from helpers import one_byte_edit, reference_load_embeddings, synthetic_corpus, write_lines
 
 NOT_UTF8 = b"\xff\xfe not UTF-8 \x80\n"
 
@@ -194,19 +194,6 @@ VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
                                for k, word in enumerate(("was", "with", "and", "of", "to")))
 
 
-@st.composite
-def one_byte_damage(draw, data):
-    """``data`` with one byte inserted, deleted or replaced, or cut short."""
-    kind = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
-    at = draw(st.integers(0, len(data) - (kind in ("delete", "replace"))))
-    byte = bytes([draw(st.integers(0, 255))])
-    if kind == "truncate":
-        return data[:at]
-    if kind == "insert":
-        return data[:at] + byte + data[at:]
-    return data[:at] + (byte if kind == "replace" else b"") + data[at + 1:]
-
-
 class TestVectorsFileThroughTrain:
     """``sdprel train``, in process, on a plain or gzip vectors file with one
     byte inserted, deleted or replaced, or cut short: it exits 0, 2 or 3 and
@@ -234,9 +221,10 @@ class TestVectorsFileThroughTrain:
     def test_exit_code_and_messages(self, train_dir, compress, data):
         name = "vectors.txt.gz" if compress else "vectors.txt"
         text = VECTORS_4D.encode()
+        intact = gzip.compress(text, mtime=0) if compress else text
         path = train_dir / name
-        path.write_bytes(data.draw(one_byte_damage(
-            gzip.compress(text, mtime=0) if compress else text)))
+        path.write_bytes(data.draw(st.one_of(
+            one_byte_edit(intact), st.integers(0, len(intact)).map(lambda n: intact[:n]))))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(["train", "--instances", str(train_dir / "inst.json"),

@@ -14,6 +14,8 @@ from sdprel.corpus import RESERVED_TOKENS, Entity, SentenceRecord, _token_fault,
 from sdprel.depgraph import load_dependencies
 from sdprel.errors import FormatError, InputError, ParseError
 
+from helpers import one_byte_edit
+
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
 
 # Tokens and tags: no "|", ";", ":", no whitespace, no line or control character.
@@ -146,19 +148,6 @@ class TestValidFiles:
         loaded = load_dependencies(path)
         assert list(loaded.items()) == list(expected.items())
         assert_equal_values_are_one_object(edge_values(loaded))
-
-
-EDIT_BYTES = st.one_of(st.sampled_from(b"|\t;:- 0123456789e\n\r"), st.integers(0, 255))
-
-
-@st.composite
-def one_byte_edit(draw, data: bytes) -> bytes:
-    at = draw(st.integers(0, len(data)))
-    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
-    if kind == "insert":
-        return data[:at] + bytes([draw(EDIT_BYTES)]) + data[at:]
-    cut = min(at, len(data) - 1)
-    return data[:cut] + (bytes([draw(EDIT_BYTES)]) if kind == "replace" else b"") + data[cut + 1:]
 
 
 def assert_loads_or_names_the_file(load, path):

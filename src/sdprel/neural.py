@@ -1,9 +1,12 @@
 """Numerical kernels: LSTM, BiLSTM encoder, pooling, MLP head, backprop.
 
 Everything is explicit float64 numpy with hand-written reverse-mode
-gradients; no autodiff framework.  Three sequence classifiers share one MLP
-head: the BiLSTM-with-max-pooling model, a concatenation MLP baseline, and a
-final-hidden-state simple RNN baseline.
+gradients; no autodiff framework.  Three sequence classifiers share one
+skeleton, ``SequenceModel``: an encoder turns each sequence into one vector
+and the MLP head classifies it.  The BiLSTM max-pools its states, the simple
+RNN baseline takes its final hidden state and the MLP baseline concatenates
+a fixed number of token vectors.  A model supplies only its encoder, as two
+hooks: ``_encode`` and ``_encode_backward``.
 
 A model's weights are one float64 vector ``theta``.  Its named tensors, its
 head and its LSTM directions are views of it; a direction keeps one fused
@@ -410,31 +413,28 @@ def _as_sequence(seq) -> np.ndarray:
     return xs
 
 
-def _forward_one(model, xs, masks) -> dict:
-    """The batch-of-one cache: the sequence's own values, and the batch under "batch"."""
-    xs = _as_sequence(xs)
-    batch = model.forward_batch(xs, [xs.shape[0]], masks)
-    return {"xs": xs, "probs": batch["probs"][0], "s": batch["s"][0], "batch": batch}
-
-
-def _backward_one(model, cache, label) -> dict[str, np.ndarray]:
-    """The batch-of-one gradients by tensor name, and d xs under "__inputs__"."""
-    grad, d_xs = model.backward_batch(cache["batch"], [label])
-    return {**model.tensors(grad), "__inputs__": d_xs}
-
-
 # ---------------------------------------------------------------------------
 # Models
 
 
-class _Parameters:
-    """Tensors as named views of one vector `theta`, tiled in the order of `shapes`:
-    the model's own, then the MLP head's.  A model starts at zeros."""
+class SequenceModel:
+    """A sequence encoder and the MLP head on its output, one vector per sequence.
 
-    def _lay_out(self, shapes, fan_in, hidden_size, depth, activation) -> dict[str, np.ndarray]:
+    Tensors are named views of one vector `theta`, tiled in the order of
+    `shapes`: the encoder's own, then the head's.  A model starts at zeros.
+    A subclass supplies the encoder as two hooks: ``_encode(xs, pk, cache)``
+    returns one row per sequence and keeps in `cache` what its backward pass
+    reads; ``_encode_backward(cache, d_s, grads, input_grad)`` writes the
+    encoder's weight gradients into `grads` and returns d xs, or None unless
+    `input_grad`.
+    """
+
+    def _lay_out(self, input_dim, shapes, fan_in, hidden_size, depth,
+                 activation) -> dict[str, np.ndarray]:
         """Append the head to `shapes`, make a zero theta and self.head; returns the views."""
         if activation not in ACTIVATIONS:
             raise DimensionMismatch(f"unknown activation {activation!r}")
+        self.input_dim = input_dim
         for idx in range(depth):
             shapes[f"head.w{idx}"], shapes[f"head.b{idx}"] = (hidden_size, fan_in), (hidden_size,)
             fan_in = hidden_size
@@ -463,8 +463,34 @@ class _Parameters:
         parts = np.split(self.theta if vec is None else vec, self._ends[:-1])
         return {name: p.reshape(shape) for (name, shape), p in zip(self.shapes.items(), parts)}
 
+    def forward_batch(self, xs, lengths, masks=None):
+        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
+        xs, pk = _as_batch(xs, lengths, self.input_dim)
+        cache = {"xs": xs, "pack": pk}
+        cache.update(_head_forward(self.head, self._encode(xs, pk, cache), masks))
+        return cache
 
-class BiLstmModel(_Parameters):
+    def backward_batch(self, cache, labels, input_grad=True, out=None):
+        """Batch-summed loss gradient in theta's layout, written into `out` when given,
+        and d xs (None unless `input_grad`)."""
+        grad = np.empty_like(self.theta) if out is None else out
+        grads = self.tensors(grad)
+        d_s = _head_backward(self.head, cache, labels, grads)
+        return grad, self._encode_backward(cache, d_s, grads, input_grad)
+
+    def forward(self, xs, masks=None):
+        """The batch-of-one cache: the sequence's own values, and the batch under "batch"."""
+        xs = _as_sequence(xs)
+        batch = self.forward_batch(xs, [xs.shape[0]], masks)
+        return {"xs": xs, "probs": batch["probs"][0], "s": batch["s"][0], "batch": batch}
+
+    def backward(self, cache, label):
+        """The batch-of-one gradients by tensor name, and d xs under "__inputs__"."""
+        grad, d_xs = self.backward_batch(cache["batch"], [label])
+        return {**self.tensors(grad), "__inputs__": d_xs}
+
+
+class BiLstmModel(SequenceModel):
     """BiLSTM over the SDP sequence, max-pooled, classified by the MLP head."""
 
     kind = "bilstm"
@@ -473,7 +499,7 @@ class BiLstmModel(_Parameters):
         rows = len(GATES) * units
         own = {f"{d}.{name}": shape for d in ("fwd", "bwd") for name, shape in
                (("w_in", (rows, input_dim)), ("w_rec", (rows, units)), ("b", (rows,)))}
-        t = self._lay_out(own, 2 * units, hidden_size, depth, activation)
+        t = self._lay_out(input_dim, own, 2 * units, hidden_size, depth, activation)
         self.forward_lstm = _lstm_views(t, "fwd")
         self.backward_lstm = _lstm_views(t, "bwd")
 
@@ -488,29 +514,17 @@ class BiLstmModel(_Parameters):
     def units(self) -> int:
         return self.forward_lstm.units
 
-    @property
-    def input_dim(self) -> int:
-        return self.forward_lstm.input_dim
-
-    def forward_batch(self, xs, lengths, masks=None):
-        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
-        xs, pk = _as_batch(xs, lengths, self.input_dim)
+    def _encode(self, xs, pk, cache):
         units = self.units
         fwd = _lstm_run(self.forward_lstm, xs[pk.fwd], pk)
         bwd = _lstm_run(self.backward_lstm, xs[pk.bwd], pk)
         z = np.empty((xs.shape[0], 2 * units))  # token rows of [forward ; backward] states
         z[pk.fwd, :units] = fwd[0]
         z[pk.bwd, units:] = bwd[0]
-        cache = _head_forward(self.head, np.maximum.reduceat(z, pk.starts, axis=0), masks)
-        cache.update(xs=xs, pack=pk, fwd=fwd, bwd=bwd, z=z)
-        return cache
+        cache.update(fwd=fwd, bwd=bwd, z=z)
+        return np.maximum.reduceat(z, pk.starts, axis=0)
 
-    def backward_batch(self, cache, labels, input_grad=True, out=None):
-        """Batch-summed loss gradient in theta's layout, written into `out` when given,
-        and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta) if out is None else out
-        grads = self.tensors(grad)
-        d_s = _head_backward(self.head, cache, labels, grads)
+    def _encode_backward(self, cache, d_s, grads, input_grad):
         pk, z, units = cache["pack"], cache["z"], self.units
         d_z = np.zeros_like(z)
         d_z[_first_max(z, cache["s"], pk), np.arange(z.shape[1])] = d_s
@@ -526,26 +540,23 @@ class BiLstmModel(_Parameters):
                                pk, _lstm_views(grads, "bwd"))
         if input_grad:
             d_xs[pk.bwd] += d_pre @ self.backward_lstm.w_x
-        return grad, d_xs
+        return d_xs
 
     def forward(self, xs, masks=None):
-        cache = _forward_one(self, xs, masks)
+        cache = super().forward(xs, masks)
         z = cache["batch"]["z"]
         cache.update(z=z, argmax=z.argmax(axis=0))  # ties resolve to the lowest position
         return cache
 
-    def backward(self, cache, label):
-        return _backward_one(self, cache, label)
 
-
-class RnnBaselineModel(_Parameters):
+class RnnBaselineModel(SequenceModel):
     """Plain sigmoid RNN; the final hidden state feeds the MLP head."""
 
     kind = "rnn"
 
     def __init__(self, input_dim, units=64, hidden_size=30, depth=1, activation="sigmoid"):
         own = {"rnn.w_in": (units, input_dim), "rnn.w_rec": (units, units), "rnn.b": (units,)}
-        t = self._lay_out(own, units, hidden_size, depth, activation)
+        t = self._lay_out(input_dim, own, units, hidden_size, depth, activation)
         self.w_in, self.w_rec, self.bias = t["rnn.w_in"], t["rnn.w_rec"], t["rnn.b"]
 
     def _draw_own(self, rng):
@@ -555,13 +566,7 @@ class RnnBaselineModel(_Parameters):
     def units(self) -> int:
         return self.bias.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_in.shape[1]
-
-    def forward_batch(self, xs, lengths, masks=None):
-        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
-        xs, pk = _as_batch(xs, lengths, self.input_dim)
+    def _encode(self, xs, pk, cache):
         packed = xs[pk.fwd]
         hs = packed @ self.w_in.T + self.bias  # each packed row becomes that step's state
         h = np.zeros((pk.steps[0], self.units))
@@ -570,16 +575,10 @@ class RnnBaselineModel(_Parameters):
             rows = slice(start, start + n)
             hs[rows] = h = sigmoid(hs[rows] + h[:n] @ self.w_rec.T)
             start += n
-        cache = _head_forward(self.head, hs[pk.last], masks)
-        cache.update(xs=xs, pack=pk, packed=packed, hs=hs)
-        return cache
+        cache.update(packed=packed, hs=hs)
+        return hs[pk.last]
 
-    def backward_batch(self, cache, labels, input_grad=True, out=None):
-        """Batch-summed loss gradient in theta's layout, written into `out` when given,
-        and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta) if out is None else out
-        grads = self.tensors(grad)
-        d_s = _head_backward(self.head, cache, labels, grads)
+    def _encode_backward(self, cache, d_s, grads, input_grad):
         pk, packed, hs = cache["pack"], cache["packed"], cache["hs"]
         d_in = np.zeros_like(hs)
         d_in[pk.last] = d_s
@@ -595,37 +594,30 @@ class RnnBaselineModel(_Parameters):
         np.matmul(d_pre[pk.steps[0]:].T, hs[pk.prev], out=grads["rnn.w_rec"])
         d_pre.sum(axis=0, out=grads["rnn.b"])
         if not input_grad:
-            return grad, None
+            return None
         d_xs = np.empty_like(cache["xs"])
         d_xs[pk.fwd] = d_pre @ self.w_in
-        return grad, d_xs
-
-    def forward(self, xs, masks=None):
-        return _forward_one(self, xs, masks)
-
-    def backward(self, cache, label):
-        return _backward_one(self, cache, label)
+        return d_xs
 
 
-class MlpBaselineModel(_Parameters):
+class MlpBaselineModel(SequenceModel):
     """Fixed-length concatenation of token vectors fed straight to the head."""
 
     kind = "mlp"
 
     def __init__(self, input_dim, pad_len=20, hidden_size=30, depth=1, activation="sigmoid"):
         self.pad_len = pad_len
-        self.token_dim = input_dim
-        self._lay_out({}, pad_len * input_dim, hidden_size, depth, activation)
+        self._lay_out(input_dim, {}, pad_len * input_dim, hidden_size, depth, activation)
 
     @property
-    def input_dim(self) -> int:
-        return self.token_dim
+    def token_dim(self) -> int:
+        return self.input_dim
 
     def flatten(self, xs) -> np.ndarray:
         """Pad with zero vectors / truncate to pad_len, then concatenate."""
         xs = _as_sequence(xs)
-        xs, pk = _as_batch(xs, [xs.shape[0]], self.token_dim)
-        return self._flat_rows(xs, pk)[0]
+        xs, pk = _as_batch(xs, [xs.shape[0]], self.input_dim)
+        return self._encode(xs, pk, {})[0]
 
     def _kept(self, pk: Packing):
         """(sequence, position) of the token rows within pad_len, and the mask of those rows."""
@@ -633,37 +625,20 @@ class MlpBaselineModel(_Parameters):
         keep = pos < self.pad_len
         return np.repeat(np.arange(pk.lengths.size), pk.lengths)[keep], pos[keep], keep
 
-    def _flat_rows(self, xs, pk: Packing) -> np.ndarray:
-        flat = np.zeros((pk.lengths.size, self.pad_len, self.token_dim))
+    def _encode(self, xs, pk, cache):
+        flat = np.zeros((pk.lengths.size, self.pad_len, self.input_dim))
         seq, pos, keep = self._kept(pk)
         flat[seq, pos] = xs[keep]
         return flat.reshape(pk.lengths.size, -1)
 
-    def forward_batch(self, xs, lengths, masks=None):
-        """Forward pass over the token rows of a batch; masks hold one row per sequence."""
-        xs, pk = _as_batch(xs, lengths, self.token_dim)
-        cache = _head_forward(self.head, self._flat_rows(xs, pk), masks)
-        cache.update(xs=xs, pack=pk)
-        return cache
-
-    def backward_batch(self, cache, labels, input_grad=True, out=None):
-        """Batch-summed loss gradient in theta's layout, written into `out` when given,
-        and d xs (None unless `input_grad`)."""
-        grad = np.empty_like(self.theta) if out is None else out
-        d_flat = _head_backward(self.head, cache, labels, self.tensors(grad))
+    def _encode_backward(self, cache, d_s, grads, input_grad):
         if not input_grad:
-            return grad, None
+            return None
         pk = cache["pack"]
         d_xs = np.zeros_like(cache["xs"])
         seq, pos, keep = self._kept(pk)
-        d_xs[keep] = d_flat.reshape(pk.lengths.size, self.pad_len, self.token_dim)[seq, pos]
-        return grad, d_xs
-
-    def forward(self, xs, masks=None):
-        return _forward_one(self, xs, masks)
-
-    def backward(self, cache, label):
-        return _backward_one(self, cache, label)
+        d_xs[keep] = d_s.reshape(pk.lengths.size, self.pad_len, self.input_dim)[seq, pos]
+        return d_xs
 
 
 MODEL_KINDS = {

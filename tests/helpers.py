@@ -579,10 +579,11 @@ def scattered(grad, rows, n):
 
 
 def reference_load_embeddings(path, oov_seed=0):
-    """Read a word2vec text file one row at a time: split the line, check the
-    value count, skip a duplicate word, then one ``np.array`` per row."""
+    """Read a word2vec text file, after any byte-order mark, one row at a time:
+    split the line, check the value count, skip a duplicate word, then one
+    ``np.array`` per row."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh, reading_text(path):
+    with opener(path, "rt", encoding="utf-8-sig") as fh, reading_text(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")

@@ -143,7 +143,7 @@ BAD_VALUE = st.sampled_from(["", "x", "1e", "0x1", "1,5", "--1", "1\x1c", "\x1f2
 def vector_files(draw):
     """(text, gzip?) of a word2vec file spanning up to four chunks, with blank
     and space-only lines, trailing spaces, duplicate words and, sometimes, a
-    bad value or a wrong value count."""
+    bad value, a wrong value count or a leading byte-order mark."""
     dim = draw(st.integers(1, 3))
     pool = draw(st.lists(WORD, min_size=1, max_size=6))
     n = draw(st.integers(0, 3 * CHUNK_LINES + 8))
@@ -172,6 +172,8 @@ def vector_files(draw):
     lines = [r if isinstance(r, str) else " ".join([r[0]] + r[1]) + r[2] for r in rows]
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     text = ending.join([f"{n} {dim}"] + lines) + draw(st.sampled_from(["", ending]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
     return text, draw(st.booleans())
 
 

@@ -194,27 +194,46 @@ VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
                                for k, word in enumerate(("was", "with", "and", "of", "to")))
 
 
+def damaged(data: bytes):
+    """`data` with one byte inserted, deleted or replaced, or cut short."""
+    return st.one_of(one_byte_edit(data), st.integers(0, len(data)).map(lambda n: data[:n]))
+
+
+def train(train_dir, instances, config) -> tuple[int, str, str]:
+    """``sdprel train`` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["train", "--instances", str(instances), "--config", str(config),
+                   "--out", str(train_dir / "model.sdpl")])
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def train_dir():
+    """An instances file of a small corpus, a config without word vectors and
+    one for each of a plain and a gzip vectors file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_lines, dep_lines, _ = synthetic_corpus(8, seed=5)
+        write_lines(tmp / "corpus.tsv", corpus_lines)
+        write_lines(tmp / "deps.tsv", dep_lines)
+        (tmp / "random.config").write_text("epochs=1\nae_epochs=5\nembedding_dim=4\n",
+                                           encoding="utf-8")
+        for name in ("vectors.txt", "vectors.txt.gz"):
+            (tmp / f"{name}.config").write_text(
+                f"epochs=1\nae_epochs=5\nembedding_dim=4\nembedding_path={tmp / name}\n",
+                encoding="utf-8")
+        with redirect_stdout(io.StringIO()):
+            assert main(["preprocess", "--corpus", str(tmp / "corpus.tsv"),
+                         "--deps", str(tmp / "deps.tsv"), "--out", str(tmp / "inst.json")]) == 0
+        yield tmp
+
+
 class TestVectorsFileThroughTrain:
     """``sdprel train``, in process, on a plain or gzip vectors file with one
     byte inserted, deleted or replaced, or cut short: it exits 0, 2 or 3 and
     raises nothing, prints nothing to stdout on exit 2, and names the file
     on stderr when the file is malformed."""
-
-    @pytest.fixture(scope="class")
-    def train_dir(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            corpus_lines, dep_lines, _ = synthetic_corpus(8, seed=5)
-            write_lines(tmp / "corpus.tsv", corpus_lines)
-            write_lines(tmp / "deps.tsv", dep_lines)
-            for name in ("vectors.txt", "vectors.txt.gz"):
-                (tmp / f"{name}.config").write_text(
-                    f"epochs=1\nae_epochs=5\nembedding_dim=4\nembedding_path={tmp / name}\n",
-                    encoding="utf-8")
-            with redirect_stdout(io.StringIO()):
-                assert main(["preprocess", "--corpus", str(tmp / "corpus.tsv"),
-                             "--deps", str(tmp / "deps.tsv"), "--out", str(tmp / "inst.json")]) == 0
-            yield tmp
 
     @given(compress=st.booleans(), data=st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -223,20 +242,31 @@ class TestVectorsFileThroughTrain:
         text = VECTORS_4D.encode()
         intact = gzip.compress(text, mtime=0) if compress else text
         path = train_dir / name
-        path.write_bytes(data.draw(st.one_of(
-            one_byte_edit(intact), st.integers(0, len(intact)).map(lambda n: intact[:n]))))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(["train", "--instances", str(train_dir / "inst.json"),
-                       "--config", str(train_dir / f"{name}.config"),
-                       "--out", str(train_dir / "model.sdpl")])
+        path.write_bytes(data.draw(damaged(intact)))
+        rc, out, err = train(train_dir, train_dir / "inst.json", train_dir / f"{name}.config")
         assert rc in (0, 2, 3)
         if rc == 2:
-            assert out.getvalue() == ""
+            assert out == ""
         try:
             reference_load_embeddings(path)
         except (FormatError, DimensionMismatch):
-            assert rc == 2 and str(path) in err.getvalue()
+            assert rc == 2 and str(path) in err
+
+
+class TestInstancesFileThroughTrain:
+    """``sdprel train``, in process, on an instances file with one byte
+    inserted, deleted or replaced, or cut short: it exits 0, 2 or 3, raises
+    nothing and prints nothing to stdout on exit 2."""
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, data):
+        path = train_dir / "damaged.json"
+        path.write_bytes(data.draw(damaged((train_dir / "inst.json").read_bytes())))
+        rc, out, _ = train(train_dir, path, train_dir / "random.config")
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            assert out == ""
 
 
 # ---------------------------------------------------------------------------

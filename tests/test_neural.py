@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdprel import neural
 from sdprel.errors import BadRate, DimensionMismatch, EmptySequence, NonFiniteInput
 from sdprel.neural import (
     GATES,
@@ -569,8 +571,12 @@ class TestParameterVector:
         assert not model.theta.any()
 
     @pytest.mark.parametrize("cls", list(MODEL_KINDS.values()))
-    def test_batch_and_one_sequence_passes_are_each_classes_own(self, cls):
-        # the benchmark's tracer wraps only a public class's own members, so a
-        # pass inherited from a shared base would read 0 in its per-layer metrics
+    def test_every_pass_is_defined_on_a_public_class_of_the_module(self, cls):
+        # the benchmark's tracer wraps the own functions of the public classes that
+        # sdprel.neural binds, so a pass defined elsewhere would go untimed
         for method in ("forward", "backward", "forward_batch", "backward_batch"):
-            assert method in vars(cls), method
+            owner = next(k for k in cls.__mro__ if method in vars(k))
+            assert not owner.__name__.startswith("_"), (method, owner)
+            assert owner.__module__ == "sdprel.neural", (method, owner)
+            assert vars(neural).get(owner.__name__) is owner, (method, owner)
+            assert inspect.isfunction(vars(owner)[method]), (method, owner)

@@ -33,7 +33,10 @@ def test_perfbench_workload_runs_correctly(workload):
 
 def test_perfbench_traced_run_of_tuned_embeddings():
     """A traced run counts every optimizer step's gradients, the row-sparse word
-    gradient among them, and still checks every output."""
+    gradient among them, times the model's passes, still checks every output
+    and dumps its spans, which the test removes."""
+    spans = ROOT / ".perfbench_work" / "spans-tune_predict-seed1.tsv"
+    spans.unlink(missing_ok=True)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "tune_predict", "--seed", "1",
          "--seconds", "0.01", "--trace", "1"],
@@ -44,6 +47,9 @@ def test_perfbench_traced_run_of_tuned_embeddings():
     metrics = result["metrics"]
     assert metrics["optim.adam_step_calls"]["value"] > 0
     assert metrics["optim.tensors_per_step"]["value"] == 2  # the model and the word vectors
+    assert metrics["neural.calls"]["value"] > 0 and metrics["neural.busy_s"]["value"] > 0
+    assert spans.stat().st_size > 0
+    spans.unlink()
 
 
 def test_a_failing_property_reports_its_example(tmp_path):

@@ -14,7 +14,7 @@ import sys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
 from .depgraph import load_dependencies
-from .errors import ConfigError, InputError, NumericError, reading_text
+from .errors import ConfigError, FormatError, InputError, NumericError, reading_text
 from .features import load_pos_table
 from .pipeline import (
     REPORT_HEADER,
@@ -125,8 +125,9 @@ def _cmd_preprocess(args) -> int:
     result = preprocess(
         sentences, deps, config, pos_table=pos_table, require_deps=args.require_deps
     )
+    text = instances_to_json(result, config)  # an error here leaves no file behind
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(instances_to_json(result, config))
+        fh.write(text)
     for key, value in result.stats().items():
         print(f"{key}: {value}")
     return 0
@@ -228,9 +229,15 @@ def _cmd_sweep(args) -> int:
 
 def _read_instances(path, config: TrainConfig, source: str, pos_table=None):
     """Parse an instances file; `source` (config or checkpoint) must use its
-    features, and its PoS table where one is given."""
+    features, and its PoS table where one is given.  Every error names the
+    file: reading_text names it in a decoding error, and a parse error gets
+    it as a prefix."""
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
-        result = instances_from_json(fh.read())
+        text = fh.read()
+    try:
+        result = instances_from_json(text)
+    except (FormatError, ConfigError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     check_features(result, config, path, source)
     if pos_table is not None and result.pos_table != pos_table:
         differ = sorted(tag for tag in result.pos_table.keys() | pos_table.keys()

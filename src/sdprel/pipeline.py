@@ -72,7 +72,7 @@ SPECIAL_TOKENS = (PROT1, PROT2, PROTX)
 
 REPORT_HEADER = "fold,tp,fp,fn,tn,precision,recall,f1"
 INSTANCES_FORMAT = "sdprel-instances"
-INSTANCES_VERSION = 4
+INSTANCES_VERSION = 5
 POSITION_WINDOWS = range(5, 13)  # thermometer code widths the method allows
 EXCLUSION_REASONS = ("disconnected", "path_too_long")
 _ID_FIELDS = ("instance_id", "sentence_id", "prot1", "prot2")
@@ -217,7 +217,7 @@ def _coerce(key, value, default, line_no, path):
 # Instances
 
 
-@dataclass
+@dataclass(slots=True)
 class SdpInstance:
     instance_id: str
     sentence_id: str
@@ -231,7 +231,7 @@ class SdpInstance:
     pos2_codes: np.ndarray  # (n, window) distances from PROT2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExcludedInstance:
     instance_id: str
     sentence_id: str
@@ -383,38 +383,60 @@ def check_features(result: PreprocessResult, config: TrainConfig, made_by, sourc
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
-    """Compact version 4 document.  The instances and the excluded pairs are
-    each an object of equal-length columns, one list per field; the PoS
-    classes and the position codes are left to the reader.  A config whose
-    features are not the result's raises ConfigError."""
+    """Compact version 5 document.  The instances and the excluded pairs are
+    each an object of equal-length columns, one list per field; a path's
+    tokens are one string, its words joined by single spaces, and so are its
+    PoS tags.  The PoS classes and the position codes are left to the reader.
+    A config whose features are not the result's raises ConfigError, and a
+    path whose tokens or tags the file cannot give back (no word, an empty
+    word or a word with a space) raises FormatError naming its instance."""
     check_features(result, config, "the result", "config")
+    instances = result.instances
     doc = {
         "format": INSTANCES_FORMAT,
         "version": INSTANCES_VERSION,
         **{key: getattr(result, key) for key in _FEATURE_KEYS},
         "pos_table": result.pos_table,
-        "instances": {k: list(map(attrgetter(k), result.instances)) for k in _INSTANCE_FIELDS},
+        "instances": {k: list(map(attrgetter(k), instances)) for k in _INSTANCE_FIELDS},
         "excluded": {k: list(map(attrgetter(k), result.excluded)) for k in _EXCLUDED_FIELDS},
     }
+    for key in ("tokens", "pos_tags"):
+        doc["instances"][key] = _joined(instances, doc["instances"][key], key)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def instances_from_json(text: str) -> PreprocessResult:
-    """Parse an instances file of version 4; malformed content raises FormatError.
+def _joined(instances: list[SdpInstance], paths: list[tuple[str, ...]], key: str) -> list[str]:
+    """Each path's words joined by single spaces.  Splitting a line at its
+    spaces gives its words back when it has one space fewer than words and
+    no word is empty, which the column is checked for at once; only a column
+    that fails is searched for the first path that breaks the rule."""
+    lines = list(map(" ".join, paths))
+    spaces = sum(map(str.count, lines, itertools.repeat(" ")))
+    if spaces + len(lines) != sum(map(len, paths)) or "" in itertools.chain.from_iterable(paths):
+        for inst, words, line in zip(instances, paths, lines):
+            if "" in words or line.split(" ") != list(words):
+                raise FormatError(f"instance {inst.instance_id!r}: {key} must be one or more "
+                                  f"non-empty words without spaces, got {words!r}")
+    return lines
 
-    The instances and then the excluded pairs are read one row at a time,
-    each row checked once as it is built, so that the error names the first
-    bad row.  Each tag's PoS class is derived from the file's own PoS table
-    and each path's position codes from its length and the window.  A file
-    of version 1, 2 or 3 is rejected: preprocessing the corpus again
-    rebuilds it.
+
+def instances_from_json(text: str) -> PreprocessResult:
+    """Parse an instances file of version 5; malformed content raises FormatError.
+
+    Every instance row and then every excluded row is checked once, in file
+    order, so that the error names the first bad row; the instances are then
+    built one column at a time.  Equal tokens, tags, sentence ids, mention
+    ids and reasons are one string across the result.  Each tag's PoS class
+    is derived from the file's own PoS table and each path's position codes
+    from its length and the window.  A file of version 1 to 4 is rejected:
+    preprocessing the corpus again rebuilds it.
     """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != INSTANCES_FORMAT:
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is int and version in (1, 2, 3):
+        if type(version) is int and 1 <= version < INSTANCES_VERSION:
             raise ConfigError(f"instances file version {version} is no longer read; "
                               "run `sdprel preprocess` again to rebuild it")
         if type(version) is not int or version != INSTANCES_VERSION:
@@ -427,8 +449,11 @@ def instances_from_json(text: str) -> PreprocessResult:
         if not all(type(flag) is bool for flag in flags):
             raise FormatError(f"use_pos and use_position must be booleans, got {flags!r}")
         pos_table = _checked_pos_table(doc["pos_table"])
-        instances = _instances_of(doc, window, pos_table)
-        excluded = _excluded_of(doc)
+        instance_columns = _columns(doc, "instances", _INSTANCE_FIELDS, _instance_fault)
+        excluded_columns = _columns(doc, "excluded", _EXCLUDED_FIELDS, _excluded_fault)
+        shared: dict[str, str] = {}  # one object per distinct string value
+        instances = _instances_of(instance_columns, window, pos_table, shared.setdefault)
+        excluded = _excluded_of(excluded_columns, shared.setdefault)
         ids = [i.instance_id for i in itertools.chain(instances, excluded)]
         if len(set(ids)) != len(ids):  # each pair is one instance or one excluded pair, once
             seen: set[str] = set()
@@ -448,10 +473,10 @@ def _checked_pos_table(table) -> dict[str, int]:
     return table
 
 
-def _rows(doc: dict, key: str, fields: tuple[str, ...], fault) -> Iterator[tuple]:
-    """The rows of doc[key], an object of equal-length columns named `fields`,
-    in order; the first row that `fault` finds breaking a rule raises
-    FormatError naming it."""
+def _columns(doc: dict, key: str, fields: tuple[str, ...], fault) -> list[list]:
+    """The columns of doc[key], an object of equal-length lists named `fields`,
+    in that order, once `fault` has passed each row in turn; the first row
+    that it finds breaking a rule raises FormatError naming it."""
     node = doc[key]
     if type(node) is not dict:
         raise FormatError(f"{key} must be an object of columns")
@@ -465,7 +490,7 @@ def _rows(doc: dict, key: str, fields: tuple[str, ...], fault) -> Iterator[tuple
         what = fault(*row)
         if what is not None:
             raise FormatError(f"instance {row[0]!r}: {what}")
-        yield row
+    return columns
 
 
 def _ids_and_label_fault(iid, sid, prot1, prot2, label) -> str | None:
@@ -478,12 +503,15 @@ def _ids_and_label_fault(iid, sid, prot1, prot2, label) -> str | None:
 
 def _instance_fault(iid, sid, prot1, prot2, label, tokens, pos_tags) -> str | None:
     """The first rule that one instance row breaks, or None."""
-    if not (type(tokens) is list and type(pos_tags) is list and tokens
-            and len(tokens) == len(pos_tags)):
-        return "tokens and pos_tags must be non-empty lists of equal length"
+    if not (type(tokens) is str and type(pos_tags) is str and tokens and pos_tags
+            and tokens.count(" ") == pos_tags.count(" ")):
+        return "tokens and pos_tags must be non-empty strings of the same word count"
     fault = _ids_and_label_fault(iid, sid, prot1, prot2, label)
-    if fault is None and not all(map(str.__instancecheck__, tokens + pos_tags)):
-        fault = "tokens and pos_tags must be strings"
+    # a non-empty string holds an empty word where it starts or ends with a
+    # space or has two in a row
+    if fault is None and (" " in (tokens[0], tokens[-1], pos_tags[0], pos_tags[-1])
+                          or "  " in tokens or "  " in pos_tags):
+        fault = "tokens and pos_tags must not hold an empty word"
     return fault
 
 
@@ -495,19 +523,34 @@ def _excluded_fault(iid, sid, prot1, prot2, label, reason) -> str | None:
     return fault
 
 
-def _instances_of(doc: dict, window: int, pos_table) -> list[SdpInstance]:
-    """The file's instances, each tag's class from the PoS table; those of one
-    path length share read-only position codes."""
-    codes, classes = _PositionCodes(window), _TagClasses(pos_table)
-    return [SdpInstance(iid, sid, prot1, prot2, label, tuple(tokens), tuple(tags),
-                        tuple(map(classes.__getitem__, tags)), *codes[len(tokens)])
-            for iid, sid, prot1, prot2, label, tokens, tags
-            in _rows(doc, "instances", _INSTANCE_FIELDS, _instance_fault)]
+def _words_of(lines: list[str], share) -> dict[str, tuple[str, ...]]:
+    """Each distinct line -> the tuple of its space-separated words, equal
+    words one object through `share`."""
+    distinct = dict.fromkeys(lines)
+    return dict(zip(distinct, [tuple(map(share, words, words))
+                               for words in map(str.split, distinct, itertools.repeat(" "))]))
 
 
-def _excluded_of(doc: dict) -> list[ExcludedInstance]:
-    rows = _rows(doc, "excluded", _EXCLUDED_FIELDS, _excluded_fault)
-    return list(itertools.starmap(ExcludedInstance, rows))
+def _instances_of(columns: list[list], window: int, pos_table, share) -> list[SdpInstance]:
+    """The instances of checked columns, each tag's class from the PoS table.
+    Instances with equal token lines share one tuple of tokens, and those with
+    equal tag lines one tuple of tags, one of classes and read-only position
+    codes."""
+    iids, sids, prot1s, prot2s, labels, token_lines, tag_lines = columns
+    codes, tag_classes = _PositionCodes(window), _TagClasses(pos_table)
+    words_of = _words_of(token_lines, share)
+    by_tags = {line: (tags, tuple(map(tag_classes.__getitem__, tags)), *codes[len(tags)])
+               for line, tags in _words_of(tag_lines, share).items()}
+    return [SdpInstance(iid, sid, p1, p2, label, words_of[line], *by_tags[tag_line])
+            for iid, sid, p1, p2, label, line, tag_line
+            in zip(iids, map(share, sids, sids), map(share, prot1s, prot1s),
+                   map(share, prot2s, prot2s), labels, token_lines, tag_lines)]
+
+
+def _excluded_of(columns: list[list], share) -> list[ExcludedInstance]:
+    iids, sids, prot1s, prot2s, labels, reasons = columns
+    return list(map(ExcludedInstance, iids, map(share, sids, sids), map(share, prot1s, prot1s),
+                    map(share, prot2s, prot2s), labels, map(share, reasons, reasons)))
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,10 @@ EXCLUDED_FIELDS = (*ID_FIELDS, "label", "reason")
 
 
 def reference_instances_from_json(text: str):
-    """A version 4 reader that takes the columns apart into rows and checks
-    one row at a time.  Each tag's class comes from the file's PoS table, and
-    each token's position codes from its own ``encode_position`` calls."""
+    """A version 5 reader that takes the columns apart into rows and checks
+    one row at a time, splitting each row's tokens and tags at every space.
+    Each tag's class comes from the file's PoS table, and each token's
+    position codes from its own ``encode_position`` calls."""
     from sdprel.errors import ConfigError
     from sdprel.features import OTHER_CLASS, POS_DIM, encode_position
     from sdprel.pipeline import ExcludedInstance, PreprocessResult, SdpInstance
@@ -193,11 +194,11 @@ def reference_instances_from_json(text: str):
         if not isinstance(doc, dict) or doc.get("format") != "sdprel-instances":
             raise ConfigError("not an sdprel instances file")
         version = doc.get("version")
-        if type(version) is int and version in (1, 2, 3):
+        if type(version) is int and version in (1, 2, 3, 4):
             raise ConfigError(f"instances file version {version} is no longer read; "
                               "run `sdprel preprocess` again to rebuild it")
-        if type(version) is not int or version != 4:
-            raise ConfigError(f"instances file version {version!r}, reader supports version 4")
+        if type(version) is not int or version != 5:
+            raise ConfigError(f"instances file version {version!r}, reader supports version 5")
         window = doc["position_window"]
         if type(window) is not int or window not in range(5, 13):
             raise FormatError(f"position_window must be an integer in [5, 12], got {window!r}")
@@ -211,12 +212,12 @@ def reference_instances_from_json(text: str):
         instances = []
         for row in rows(doc, "instances", (*ID_FIELDS, "label", "tokens", "pos_tags")):
             tokens, tags = row["tokens"], row["pos_tags"]
-            require(type(tokens) is list and type(tags) is list and tokens
-                    and len(tokens) == len(tags), row,
-                    "tokens and pos_tags must be non-empty lists of equal length")
+            require(isinstance(tokens, str) and isinstance(tags, str) and tokens != ""
+                    and tags != "" and len(tokens.split(" ")) == len(tags.split(" ")), row,
+                    "tokens and pos_tags must be non-empty strings of the same word count")
             check_ids_and_label(row)
-            require(all(isinstance(t, str) for t in tokens + tags), row,
-                    "tokens and pos_tags must be strings")
+            tokens, tags = tokens.split(" "), tags.split(" ")
+            require("" not in tokens + tags, row, "tokens and pos_tags must not hold an empty word")
             classes = tuple(table.get(tag, OTHER_CLASS) for tag in tags)
             n = len(tokens)
             instances.append(SdpInstance(

@@ -12,7 +12,7 @@ from sdprel import embed as embed_mod
 from sdprel.checkpoint import load_checkpoint
 from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
-from sdprel.pipeline import instances_from_json
+from sdprel.pipeline import instances_from_json, preprocess
 
 from helpers import synthetic_corpus, write_lines
 
@@ -55,8 +55,9 @@ class TestPreprocessCommand:
         )
         assert rc == 0
         doc = json.loads((workdir / "inst.json").read_text())
-        assert doc["format"] == "sdprel-instances" and doc["version"] == 4
+        assert doc["format"] == "sdprel-instances" and doc["version"] == 5
         assert "stats" not in doc and "pos_classes" not in doc["instances"]
+        assert all(type(line) is str for line in doc["instances"]["tokens"])
         assert len(doc["instances"]["instance_id"]) + len(doc["excluded"]["instance_id"]) == 16
         out = capsys.readouterr().out
         assert "generated: 16" in out
@@ -106,6 +107,29 @@ class TestPreprocessCommand:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and "position_window must be in [5, 12]" in err
+        assert not (workdir / "inst.json").exists()
+
+    @pytest.mark.parametrize("key, words", [("tokens", ("PROT1", "", "PROT2")),
+                                            ("pos_tags", ("NN", "V BZ", "NN"))])
+    def test_a_word_the_file_cannot_hold_writes_nothing(self, workdir, monkeypatch, capsys,
+                                                        key, words):
+        """A path whose word is empty or holds a space exits 2, naming its
+        instance, and --out is not created."""
+        import dataclasses
+
+        import sdprel.cli as cli_mod
+
+        def preprocess_with_a_bad_word(*args, **kwargs):
+            result = preprocess(*args, **kwargs)
+            bad = dataclasses.replace(result.instances[-1], **{key: words})
+            return dataclasses.replace(result, instances=[*result.instances[:-1], bad])
+
+        monkeypatch.setattr(cli_mod, "preprocess", preprocess_with_a_bad_word)
+        rc = run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                 "--out", workdir / "inst.json")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert f"{key} must be one or more non-empty words without spaces" in err
         assert not (workdir / "inst.json").exists()
 
 
@@ -320,11 +344,12 @@ class TestTrainEvaluatePredict:
 
 
 class TestOlderInstancesFiles:
-    """Versions 1, 2 and 3 are no longer read: each command that reads an
-    instances file exits 2, names the version and the remedy, and prints
-    nothing on stdout."""
+    """Versions 1 to 4 are no longer read: each command that reads an
+    instances file exits 2, names the file, the version and the remedy, and
+    prints nothing on stdout.  The older files hold a list of words per
+    path, as version 4 did."""
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_exit_2(self, workdir, capsys, version):
         common = ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv")
         run("preprocess", *common, "--out", workdir / "inst.json")
@@ -332,6 +357,8 @@ class TestOlderInstancesFiles:
             "--out", workdir / "model.sdpl")
         doc = json.loads((workdir / "inst.json").read_text())
         doc["version"] = version
+        for key in ("tokens", "pos_tags"):
+            doc["instances"][key] = [line.split(" ") for line in doc["instances"][key]]
         (workdir / "old.json").write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         for argv in (("train", "--config", workdir / "config", "--out", workdir / "m2.sdpl"),
@@ -340,8 +367,9 @@ class TestOlderInstancesFiles:
             assert run(*argv, "--instances", workdir / "old.json") == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert (f"instances file version {version} is no longer read; "
-                    "run `sdprel preprocess` again to rebuild it") in captured.err
+            assert captured.err == (f"error: {workdir / 'old.json'}: instances file version "
+                                    f"{version} is no longer read; "
+                                    "run `sdprel preprocess` again to rebuild it\n")
         assert not (workdir / "m2.sdpl").exists()
 
 

@@ -256,17 +256,42 @@ class TestVectorsFileThroughTrain:
 class TestInstancesFileThroughTrain:
     """``sdprel train``, in process, on an instances file with one byte
     inserted, deleted or replaced, or cut short: it exits 0, 2 or 3, raises
-    nothing and prints nothing to stdout on exit 2."""
+    nothing, and on exit 2 prints nothing to stdout and names the file on
+    stderr, once."""
 
     @given(data=st.data())
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_exit_code_and_messages(self, train_dir, data):
         path = train_dir / "damaged.json"
         path.write_bytes(data.draw(damaged((train_dir / "inst.json").read_bytes())))
-        rc, out, _ = train(train_dir, path, train_dir / "random.config")
+        rc, out, err = train(train_dir, path, train_dir / "random.config")
         assert rc in (0, 2, 3)
         if rc == 2:
-            assert out == ""
+            assert out == "" and err.count(str(path)) == 1
+
+
+class TestEdgesFileThroughPreprocess:
+    """``sdprel preprocess``, in process, on a dependency edges file with one
+    byte inserted, deleted or replaced, or cut short: it exits 0 or 2, raises
+    nothing, prints nothing to stdout on exit 2, and names the file on stderr
+    when the file is malformed."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, data):
+        path = train_dir / "damaged.tsv"
+        path.write_bytes(data.draw(damaged((train_dir / "deps.tsv").read_bytes())))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["preprocess", "--corpus", str(train_dir / "corpus.tsv"),
+                       "--deps", str(path), "--out", str(train_dir / "edges.json")])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out.getvalue() == ""
+        try:
+            load_dependencies(path)
+        except InputError:
+            assert rc == 2 and str(path) in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

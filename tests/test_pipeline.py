@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -269,14 +271,14 @@ ID_KEYS = ("instance_id", "sentence_id", "prot1", "prot2")
 
 
 def tiny_document():
-    """A valid version 4 instances document with one instance and one excluded pair."""
+    """A valid version 5 instances document with one instance and one excluded pair."""
     return {
-        "format": INSTANCES_FORMAT, "version": 4, "position_window": 10,
+        "format": INSTANCES_FORMAT, "version": 5, "position_window": 10,
         "use_pos": True, "use_position": True, "pos_table": {"NN": 0, "VBZ": 1},
         "instances": {
             "instance_id": ["s1:e0-e1"], "sentence_id": ["s1"], "prot1": ["e0"],
-            "prot2": ["e1"], "label": [1], "tokens": [["PROT1", "binds", "PROT2"]],
-            "pos_tags": [["NN", "VBZ", "NN"]],
+            "prot2": ["e1"], "label": [1], "tokens": ["PROT1 binds PROT2"],
+            "pos_tags": ["NN VBZ NN"],
         },
         "excluded": {
             "instance_id": ["s1:e0-e2"], "sentence_id": ["s1"], "prot1": ["e0"],
@@ -306,14 +308,19 @@ def replaced(doc, path, value):
     return doc
 
 
+# Lines of three words, as many as tiny_document's path has, some of them empty
+LINES = st.lists(st.sampled_from(["", "x", "NN", "PROT1"]), min_size=3, max_size=3).map(" ".join)
+
+
 @st.composite
 def near_valid_documents(draw):
-    """tiny_document with at most one scalar replaced by another JSON value."""
+    """tiny_document with at most one scalar replaced by another JSON value
+    or a line of words."""
     doc = tiny_document()
     path = draw(st.sampled_from([None, *leaf_paths(doc)]))
     if path is None:
         return doc
-    return replaced(doc, path, draw(st.integers(-2, 9) | JSON_VALUES))
+    return replaced(doc, path, draw(st.integers(-2, 9) | JSON_VALUES | LINES))
 
 
 def assert_well_typed(result):
@@ -322,7 +329,7 @@ def assert_well_typed(result):
         assert all(type(getattr(entry, k)) is str for k in ID_KEYS)
         assert type(entry.label) is int and entry.label in (0, 1)
     for inst in result.instances:
-        assert all(type(t) is str for t in inst.tokens + inst.pos_tags)
+        assert all(type(t) is str and t != "" for t in inst.tokens + inst.pos_tags)
         assert all(type(c) is int and 0 <= c <= 7 for c in inst.pos_classes)
         assert inst.pos_classes == tuple(result.pos_table.get(t, OTHER_CLASS) for t in inst.pos_tags)
     assert all(e.reason in ("disconnected", "path_too_long") for e in result.excluded)
@@ -427,7 +434,7 @@ class TestPreprocess:
             pass
 
     @given(doc=st.fixed_dictionaries(
-        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([3, 4])},
+        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([4, 5])},
         optional={
             "position_window": JSON_VALUES,
             "use_pos": JSON_VALUES,
@@ -445,7 +452,7 @@ class TestPreprocess:
             pass
 
     @given(doc=st.fixed_dictionaries(
-        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([3, 4])},
+        {"format": st.just(INSTANCES_FORMAT), "version": st.sampled_from([4, 5])},
         optional={
             "position_window": st.integers(4, 13) | JSON_VALUES,
             "use_pos": st.booleans() | JSON_VALUES,
@@ -481,9 +488,9 @@ class TestPreprocess:
         (("instances", "label", 0), 1.0),
         (("excluded", "label", 0), "1"),
         (("excluded", "reason", 0), "too_far"),
-        (("instances", "tokens", 0, 1), 7),
-        (("instances", "pos_tags", 0, 0), None),
-        (("instances", "pos_tags", 0, 2), 8),
+        (("instances", "tokens", 0), 7),
+        (("instances", "pos_tags", 0), None),
+        (("instances", "pos_tags", 0), ["NN", "VBZ", "NN"]),
         (("instances", "label", 0), "0"),
         (("instances", "prot2", 0), 3),
         (("excluded", "sentence_id", 0), ["s1"]),
@@ -491,11 +498,11 @@ class TestPreprocess:
         (("instances", "label", 0), None),
         (("excluded", "label", 0), 2),
         (("excluded", "reason", 0), None),
-        (("instances", "tokens", 0, 0), None),
-        (("instances", "pos_tags", 0, 1), ["VBZ"]),
-        (("instances", "tokens", 0, 2), -1),
+        (("instances", "tokens", 0), ["PROT1", "binds", "PROT2"]),
+        (("instances", "pos_tags", 0), "NN VBZ"),
+        (("instances", "tokens", 0), "PROT1 binds  PROT2"),
         (("instances", "sentence_id", 0), 0),
-        (("instances", "tokens", 0), []),
+        (("instances", "tokens", 0), ""),
         (("instances", "pos_tags", 0), "NN"),
         (("instances", "prot1", 0), None),
         (("excluded", "prot2", 0), False),
@@ -570,12 +577,16 @@ def derived_codes(n, window):
             np.stack([encode_position(n - 1 - k, window) for k in range(n)]))
 
 
+# A word of the instances file: any non-empty text without a space
+WORD = st.text(alphabet=st.characters(blacklist_characters=" "), min_size=1, max_size=5)
+
+
 @st.composite
 def instance_sets(draw):
     window = draw(st.integers(5, 12))
     table = load_pos_table()
-    # a table tag or any other text (class OTHER_CLASS), so every class can be drawn
-    tag_strategy = st.one_of(st.sampled_from(sorted(table)), st.text(max_size=3))
+    # a table tag or any other word (class OTHER_CLASS), so every class can be drawn
+    tag_strategy = st.one_of(st.sampled_from(sorted(table)), WORD)
     instances = []
     for j in range(draw(st.integers(0, 4))):
         n = draw(st.integers(1, 30))
@@ -587,7 +598,7 @@ def instance_sets(draw):
             prot1="e0",
             prot2="e1",
             label=draw(st.integers(0, 1)),
-            tokens=tuple(draw(st.lists(st.text(max_size=5), min_size=n, max_size=n))),
+            tokens=tuple(draw(st.lists(WORD, min_size=n, max_size=n))),
             pos_tags=tags,
             pos_classes=tuple(table.get(tag, OTHER_CLASS) for tag in tags),
             pos1_codes=pos1,
@@ -645,18 +656,18 @@ class TestInstancesFileV2:
         with pytest.raises(FormatError, match="position_window"):
             instances_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [5, 0, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [6, 0, True, 5.0, "5", None])
     def test_unknown_version_is_rejected(self, synth_instances, version):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["version"] = version
-        with pytest.raises(ConfigError, match="reader supports version 4"):
+        with pytest.raises(ConfigError, match="reader supports version 5"):
             instances_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
     def test_unequal_lengths_are_format_error(self, synth_instances, key):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
-        doc["instances"][key][0] = doc["instances"][key][0][:-1]
-        with pytest.raises(FormatError, match="equal length"):
+        doc["instances"][key][0] = doc["instances"][key][0].rsplit(" ", 1)[0]
+        with pytest.raises(FormatError, match="same word count"):
             instances_from_json(json.dumps(doc))
 
 
@@ -818,20 +829,23 @@ class TestInstancesFileV3:
     @given(result=instance_sets() | preprocessed_corpora())
     @settings(max_examples=120, deadline=None)
     def test_round_trip_and_older_versions(self, result):
-        """A version 4 file reads back to its result, and the same document
+        """A version 5 file reads back to its result, each path's tokens and
+        tags one string of words joined by single spaces, and the same document
         labelled with an older version is rejected before it is read."""
         config = features_config(result)
         text = instances_to_json(result, config)
         doc = json.loads(text)
-        assert doc["version"] == 4 and "\n" not in text and "stats" not in doc
+        assert doc["version"] == 5 and "\n" not in text and "stats" not in doc
         assert set(doc["instances"]) == {"instance_id", "sentence_id", "prot1", "prot2", "label",
                                          "tokens", "pos_tags"}
         assert all(type(c) is list and len(c) == len(result.instances)
                    for c in doc["instances"].values())
-        v4 = instances_from_json(text)
-        same_instances(v4, result)
-        same_instances(reference_instances_from_json(text), v4)
-        for version in (1, 2, 3):
+        for key in ("tokens", "pos_tags"):
+            assert doc["instances"][key] == [" ".join(getattr(i, key)) for i in result.instances]
+        v5 = instances_from_json(text)
+        same_instances(v5, result)
+        same_instances(reference_instances_from_json(text), v5)
+        for version in (1, 2, 3, 4):
             doc["version"] = version
             with pytest.raises(ConfigError, match=f"version {version} is no longer read"):
                 instances_from_json(json.dumps(doc))
@@ -880,16 +894,20 @@ class TestInstancesFileV3:
         same_instances(back, result)
 
     @pytest.mark.parametrize("kind, faults, first", [
-        ("instances", {"tokens": [], "instance_id": 5},
-         "tokens and pos_tags must be non-empty lists of equal length"),
+        ("instances", {"tokens": "", "instance_id": 5},
+         "tokens and pos_tags must be non-empty strings of the same word count"),
         ("instances", {"prot2": None, "label": 2},
          "instance_id, sentence_id, prot1, prot2 must be strings"),
-        ("instances", {"label": 2, "pos_tags": ["NN", 3, "NN"]}, "label must be 0 or 1, got 2"),
+        ("instances", {"label": 2, "pos_tags": "NN  NN"}, "label must be 0 or 1, got 2"),
+        ("instances", {"tokens": "PROT1  PROT2"}, "tokens and pos_tags must not hold an empty word"),
+        ("instances", {"tokens": "PROT1 x "}, "tokens and pos_tags must not hold an empty word"),
+        ("instances", {"pos_tags": " NN NN"}, "tokens and pos_tags must not hold an empty word"),
         ("excluded", {"sentence_id": 1, "label": "0"},
          "instance_id, sentence_id, prot1, prot2 must be strings"),
         ("excluded", {"label": True, "reason": "far"}, "label must be 0 or 1, got True"),
-    ], ids=["shape-before-ids", "ids-before-label", "label-before-strings",
-            "excluded-ids-before-label", "excluded-label-before-reason"])
+    ], ids=["shape-before-ids", "ids-before-label", "label-before-words", "inner-empty-word",
+            "last-word-empty", "first-tag-empty", "excluded-ids-before-label",
+            "excluded-label-before-reason"])
     def test_a_row_names_its_first_fault(self, kind, faults, first):
         """A row that breaks two rules is reported by the one that comes first."""
         doc = tiny_document()
@@ -905,10 +923,12 @@ class TestInstancesFileV3:
         OTHER_CLASS for a tag that the table lacks."""
         doc = json.loads(instances_to_json(synth_instances, small_config()))
         doc["pos_table"]["NN"] = 6
-        doc["instances"]["pos_tags"][0][0] = "NOT-A-TAG"
+        first = doc["instances"]["pos_tags"][0].split(" ")
+        doc["instances"]["pos_tags"][0] = " ".join(["NOT-A-TAG", *first[1:]])
         back = instances_from_json(json.dumps(doc))
         for inst, tags in zip(back.instances, doc["instances"]["pos_tags"]):
-            assert inst.pos_classes == tuple(doc["pos_table"].get(t, OTHER_CLASS) for t in tags)
+            assert inst.pos_classes == tuple(doc["pos_table"].get(t, OTHER_CLASS)
+                                             for t in tags.split(" "))
         assert back.instances[0].pos_classes[0] == OTHER_CLASS
         assert any(6 in inst.pos_classes for inst in back.instances)
 
@@ -923,16 +943,16 @@ class TestInstancesFileV3:
     @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
     def test_unequal_sequences_are_format_error(self, synth_instances, key):
         doc = json.loads(instances_to_json(synth_instances, small_config()))
-        doc["instances"][key][1] = doc["instances"][key][1][:-1]
+        doc["instances"][key][1] = doc["instances"][key][1].rsplit(" ", 1)[0]
         name = doc["instances"]["instance_id"][1]
-        with pytest.raises(FormatError, match=f"instance '{name}'.*equal length"):
+        with pytest.raises(FormatError, match=f"instance '{name}'.*same word count"):
             instances_from_json(json.dumps(doc))
 
     def test_empty_path_is_format_error(self):
         doc = tiny_document()
         for key in ("tokens", "pos_tags"):
-            doc["instances"][key][0] = []
-        with pytest.raises(FormatError, match="instance 's1:e0-e1': .*non-empty lists"):
+            doc["instances"][key][0] = ""
+        with pytest.raises(FormatError, match="instance 's1:e0-e1': .*non-empty strings"):
             instances_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("kind", ["instances", "excluded"])
@@ -948,7 +968,7 @@ class TestInstancesFileV3:
     def test_excluded_entry_with_another_key_is_format_error(self):
         """A class column, which the reader derives, is an unknown column of the
         instances and of the excluded pairs alike."""
-        for kind, classes in (("excluded", [[0]]), ("instances", [[0, 1, 0]])):
+        for kind, classes in (("excluded", [[0]]), ("instances", ["0 1 0"])):
             doc = tiny_document()
             doc[kind]["pos_classes"] = classes
             with pytest.raises(FormatError, match=rf"unknown {kind} columns \['pos_classes'\]"):
@@ -978,6 +998,111 @@ class TestInstancesFileV3:
         del doc["pos_table"]
         with pytest.raises(FormatError, match="missing key 'pos_table'"):
             instances_from_json(json.dumps(doc))
+
+
+# Any text, spaces and line breaks included: ids are never split
+ID_TEXT = st.text(max_size=6)
+
+
+@st.composite
+def written_results(draw):
+    """Instances with random ids and random space-free words, and excluded
+    pairs with random ids, each id unique."""
+    window = draw(st.integers(5, 12))
+    table = load_pos_table()
+    ids = draw(st.lists(ID_TEXT, unique=True, max_size=8))
+    split = draw(st.integers(0, len(ids)))
+    instances = []
+    for iid in ids[:split]:
+        n = draw(st.integers(1, 8))
+        tags = tuple(draw(st.lists(st.sampled_from(sorted(table)) | WORD, min_size=n, max_size=n)))
+        instances.append(SdpInstance(
+            iid, draw(ID_TEXT), draw(ID_TEXT), draw(ID_TEXT), draw(st.integers(0, 1)),
+            tuple(draw(st.lists(WORD, min_size=n, max_size=n))), tags,
+            tuple(table.get(tag, OTHER_CLASS) for tag in tags), *derived_codes(n, window)))
+    excluded = [ExcludedInstance(iid, draw(ID_TEXT), draw(ID_TEXT), draw(ID_TEXT),
+                                 draw(st.integers(0, 1)),
+                                 draw(st.sampled_from(["disconnected", "path_too_long"])))
+                for iid in ids[split:]]
+    return PreprocessResult(instances, excluded, window, draw(st.booleans()), draw(st.booleans()),
+                            table)
+
+
+class TestInstancesFileV5:
+    """Version 5 holds each path's tokens and tags as one string of words
+    joined by single spaces; the reader gives back the instances written,
+    with equal strings shared."""
+
+    @given(result=written_results())
+    @settings(max_examples=150, deadline=None)
+    def test_written_instances_read_back_field_by_field(self, result):
+        back = instances_from_json(instances_to_json(result, features_config(result)))
+        same_instances(back, result)
+
+    @given(result=written_results() | preprocessed_corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_strings_read_back_as_one_object(self, result):
+        back = instances_from_json(instances_to_json(result, features_config(result)))
+        strings = [s for i in back.instances for s in (i.sentence_id, i.prot1, i.prot2,
+                                                       *i.tokens, *i.pos_tags)]
+        strings += [s for e in back.excluded for s in (e.sentence_id, e.prot1, e.prot2, e.reason)]
+        first = {}
+        assert all(first.setdefault(s, s) is s for s in strings)
+
+    @pytest.mark.parametrize("key", ["tokens", "pos_tags"])
+    @pytest.mark.parametrize("words", [("a", ""), ("",), ("a b", "c"), ("a", " "), ("a", "b ")],
+                             ids=["empty", "only-empty", "space", "only-space", "trailing-space"])
+    def test_a_word_the_file_cannot_hold_is_refused(self, synth_instances, key, words):
+        """A word that is empty or holds a space would not read back as written."""
+        first, bad = synth_instances.instances[:3], synth_instances.instances[3]
+        bad = dataclasses.replace(bad, **{key: words})
+        result = dataclasses.replace(synth_instances, instances=[*first, bad])
+        with pytest.raises(FormatError, match=(
+                f"instance {bad.instance_id!r}: {key} must be one or more non-empty words "
+                "without spaces")):
+            instances_to_json(result, small_config())
+
+    def test_a_path_without_words_is_refused(self, synth_instances):
+        bad = dataclasses.replace(synth_instances.instances[0], tokens=(), pos_tags=())
+        result = dataclasses.replace(synth_instances, instances=[bad])
+        with pytest.raises(FormatError, match="tokens must be one or more non-empty words"):
+            instances_to_json(result, small_config())
+
+
+SAMPLES = {
+    SdpInstance: SdpInstance("s1:e0-e1", "s1", "e0", "e1", 1, ("PROT1", "binds", "PROT2"),
+                             ("NN", "VBZ", "NN"), (0, 1, 0), *derived_codes(3, 7)),
+    ExcludedInstance: ExcludedInstance("s1:e0-e2", "s1", "e0", "e2", 0, "disconnected"),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "replace": dataclasses.replace,
+}
+
+
+class TestSlots:
+    """Instances and excluded pairs keep their fields in slots, without a
+    per-object dict, and still copy, pickle and replace to equal objects,
+    the frozen excluded pairs included."""
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+    def test_copies_equal_the_original(self, cls, how):
+        original = SAMPLES[cls]
+        again = COPIES[how](original)
+        assert type(again) is cls and again is not original
+        for f in dataclasses.fields(cls):
+            assert np.array_equal(getattr(again, f.name), getattr(original, f.name)), f.name
+
+    @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+    def test_fields_live_in_slots(self, cls):
+        assert "__slots__" in vars(cls) and not hasattr(SAMPLES[cls], "__dict__")
+
+    def test_excluded_pairs_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SAMPLES[ExcludedInstance].label = 1
 
 
 class TestAutoencoderPretraining:

@@ -50,6 +50,7 @@ from sdprel.features import (
 )
 from sdprel.optim import adam_step
 from sdprel.pipeline import (
+    EXCLUSION_REASONS,
     INSTANCES_FORMAT,
     ExcludedInstance,
     FoldMetrics,
@@ -579,24 +580,30 @@ def derived_codes(n, window):
 
 # A word of the instances file: any non-empty text without a space
 WORD = st.text(alphabet=st.characters(blacklist_characters=" "), min_size=1, max_size=5)
+# Any text, spaces and line breaks included: ids are never split
+ID_TEXT = st.text(max_size=6)
 
 
 @st.composite
 def instance_sets(draw):
+    """Up to four instances of random words and up to three excluded pairs,
+    each with a unique random id and random sentence and mention ids."""
     window = draw(st.integers(5, 12))
     table = load_pos_table()
     # a table tag or any other word (class OTHER_CLASS), so every class can be drawn
     tag_strategy = st.one_of(st.sampled_from(sorted(table)), WORD)
+    ids = draw(st.lists(ID_TEXT, unique=True, max_size=7))
+    split = draw(st.integers(0, min(4, len(ids))))
     instances = []
-    for j in range(draw(st.integers(0, 4))):
+    for iid in ids[:split]:
         n = draw(st.integers(1, 30))
         pos1, pos2 = derived_codes(n, window)
         tags = tuple(draw(st.lists(tag_strategy, min_size=n, max_size=n)))
         instances.append(SdpInstance(
-            instance_id=f"s{j}:e0-e1",
-            sentence_id=f"s{j}",
-            prot1="e0",
-            prot2="e1",
+            instance_id=iid,
+            sentence_id=draw(ID_TEXT),
+            prot1=draw(ID_TEXT),
+            prot2=draw(ID_TEXT),
             label=draw(st.integers(0, 1)),
             tokens=tuple(draw(st.lists(WORD, min_size=n, max_size=n))),
             pos_tags=tags,
@@ -604,8 +611,11 @@ def instance_sets(draw):
             pos1_codes=pos1,
             pos2_codes=pos2,
         ))
+    excluded = [ExcludedInstance(iid, draw(ID_TEXT), draw(ID_TEXT), draw(ID_TEXT),
+                                 draw(st.integers(0, 1)), draw(st.sampled_from(EXCLUSION_REASONS)))
+                for iid in ids[split:]]
     flags = draw(st.tuples(st.booleans(), st.booleans()))
-    return PreprocessResult(instances, [], window, *flags, table)
+    return PreprocessResult(instances, excluded, window, *flags, table)
 
 
 def same_instances(a, b):
@@ -624,8 +634,10 @@ class TestInstancesFileV2:
     """The compact file: since version 2 the position codes are derived, not stored."""
 
     @given(result=instance_sets())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_round_trip_derives_the_codes(self, result):
+        """Instances of random space-free words, and excluded pairs, with
+        random ids read back equal to those written, field by field."""
         config = TrainConfig(position_window=result.position_window,
                              use_pos=result.use_pos, use_position=result.use_position)
         text = instances_to_json(result, config)
@@ -1000,46 +1012,12 @@ class TestInstancesFileV3:
             instances_from_json(json.dumps(doc))
 
 
-# Any text, spaces and line breaks included: ids are never split
-ID_TEXT = st.text(max_size=6)
-
-
-@st.composite
-def written_results(draw):
-    """Instances with random ids and random space-free words, and excluded
-    pairs with random ids, each id unique."""
-    window = draw(st.integers(5, 12))
-    table = load_pos_table()
-    ids = draw(st.lists(ID_TEXT, unique=True, max_size=8))
-    split = draw(st.integers(0, len(ids)))
-    instances = []
-    for iid in ids[:split]:
-        n = draw(st.integers(1, 8))
-        tags = tuple(draw(st.lists(st.sampled_from(sorted(table)) | WORD, min_size=n, max_size=n)))
-        instances.append(SdpInstance(
-            iid, draw(ID_TEXT), draw(ID_TEXT), draw(ID_TEXT), draw(st.integers(0, 1)),
-            tuple(draw(st.lists(WORD, min_size=n, max_size=n))), tags,
-            tuple(table.get(tag, OTHER_CLASS) for tag in tags), *derived_codes(n, window)))
-    excluded = [ExcludedInstance(iid, draw(ID_TEXT), draw(ID_TEXT), draw(ID_TEXT),
-                                 draw(st.integers(0, 1)),
-                                 draw(st.sampled_from(["disconnected", "path_too_long"])))
-                for iid in ids[split:]]
-    return PreprocessResult(instances, excluded, window, draw(st.booleans()), draw(st.booleans()),
-                            table)
-
-
 class TestInstancesFileV5:
     """Version 5 holds each path's tokens and tags as one string of words
-    joined by single spaces; the reader gives back the instances written,
-    with equal strings shared."""
+    joined by single spaces; the reader gives back the instances written
+    (TestInstancesFileV2's round trip), with equal strings shared."""
 
-    @given(result=written_results())
-    @settings(max_examples=150, deadline=None)
-    def test_written_instances_read_back_field_by_field(self, result):
-        back = instances_from_json(instances_to_json(result, features_config(result)))
-        same_instances(back, result)
-
-    @given(result=written_results() | preprocessed_corpora())
+    @given(result=instance_sets() | preprocessed_corpora())
     @settings(max_examples=80, deadline=None)
     def test_equal_strings_read_back_as_one_object(self, result):
         back = instances_from_json(instances_to_json(result, features_config(result)))

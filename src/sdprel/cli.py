@@ -14,7 +14,7 @@ import sys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
 from .depgraph import load_dependencies
-from .errors import ConfigError, FormatError, InputError, NumericError, reading_text
+from .errors import ConfigError, FormatError, IndexOutOfRange, InputError, NumericError, reading_text
 from .features import load_pos_table
 from .pipeline import (
     REPORT_HEADER,
@@ -112,19 +112,27 @@ def _same_file(a, b) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _cmd_preprocess(args) -> int:
-    _check_writable([args.out], [args.corpus, args.deps, args.pos_table])
-    config = TrainConfig(
-        position_window=args.window,
-        use_pos=not args.no_pos,
-        use_position=not args.no_position,
-    )
+def _preprocessor(args):
+    """Read the PoS table, corpus and edges that `args` name, in that order, and
+    return ``run(config, **kwargs)``, which preprocesses them and names the
+    edges file in the error about an edge that does not fit its sentence."""
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
-    result = preprocess(
-        sentences, deps, config, pos_table=pos_table, require_deps=args.require_deps
-    )
+
+    def run(config: TrainConfig, **kwargs):
+        try:
+            return preprocess(sentences, deps, config, pos_table=pos_table, **kwargs)
+        except IndexOutOfRange as exc:
+            raise IndexOutOfRange(f"{args.deps}: {exc}") from None
+    return run
+
+
+def _cmd_preprocess(args) -> int:
+    _check_writable([args.out], [args.corpus, args.deps, args.pos_table])
+    config = TrainConfig(position_window=args.window, use_pos=not args.no_pos,
+                         use_position=not args.no_position)
+    result = _preprocessor(args)(config, require_deps=args.require_deps)
     text = instances_to_json(result, config)  # an error here leaves no file behind
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -173,10 +181,7 @@ def _cmd_cv(args) -> int:
         config = config.replace(k_folds=args.k)
     if args.seed is not None:
         config = config.replace(seed=args.seed)
-    pos_table = load_pos_table(args.pos_table) if args.pos_table else None
-    sentences = load_corpus(args.corpus)
-    deps = load_dependencies(args.deps)
-    result = preprocess(sentences, deps, config, pos_table=pos_table)
+    result = _preprocessor(args)(config)
     report = cross_validate(config, result)
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_csv())
@@ -206,21 +211,16 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"--values must be comma-separated integers: {args.values!r}")
     # every value is checked before any input is read or any value is run
     configs = [base.replace(**{SWEEP_PARAMS[args.param]: value}) for value in values]
-    pos_table = load_pos_table(args.pos_table) if args.pos_table else None
-    sentences = load_corpus(args.corpus)
-    deps = load_dependencies(args.deps)
+    run = _preprocessor(args)
     table = load_table(base, base.seed)  # no sweep parameter changes the seed or the vectors
     rows = ["param,value,precision,recall,f1"]
     by_window = {}  # only position_window changes what preprocess makes
     for value, config in zip(values, configs):
         if config.position_window not in by_window:
-            by_window[config.position_window] = preprocess(
-                sentences, deps, config, pos_table=pos_table)
+            by_window[config.position_window] = run(config)
         report = cross_validate(config, by_window[config.position_window], embeddings=table)
         m = report.micro
-        rows.append(
-            f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}"
-        )
+        rows.append(f"{args.param},{value},{m.precision:.2f},{m.recall:.2f},{m.f1:.2f}")
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"report: {args.report}")

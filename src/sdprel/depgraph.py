@@ -5,8 +5,8 @@ entity mention collapsed to a single placeholder token), one edge per line:
 
     sentence_id<TAB>head_index<TAB>dependent_index<TAB>relation
 
-Indices are 0-based token positions.  Edge direction and relation labels are
-kept for inspection but ignored by path finding.
+Indices are 0-based token positions.  Path finding ignores edge direction,
+and the relation field must be present but is not kept.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ MAX_SDP_TOKENS = 40
 class DependencyGraph:
     sentence_id: str
     node_count: int
-    edges: tuple[tuple[int, int, str], ...]
     # adjacency[i] is sorted ascending so traversal order is deterministic
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -47,33 +46,23 @@ class SdpPath:
 
 
 def build_graph(s: SentenceRecord, edges) -> DependencyGraph:
-    """Build an undirected adjacency view over the sentence tokens.
+    """Build an undirected adjacency view from ``(head, dep)`` pairs.
 
-    Duplicate edges (in either orientation) collapse to one; the first
-    relation label seen wins.
+    Duplicate edges (in either orientation) collapse to one.
     """
     n = len(s.tokens)
-    kept: dict[tuple[int, int], str] = {}
-    for head, dep, rel in edges:
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for head, dep in edges:
         if head == dep:
             raise SelfLoop(f"sentence {s.id!r}: self-loop at token {head}")
         if not (0 <= head < n and 0 <= dep < n):
             raise IndexOutOfRange(
                 f"sentence {s.id!r}: edge ({head},{dep}) outside 0:{n - 1}"
             )
-        key = (min(head, dep), max(head, dep))
-        if key not in kept:
-            kept[key] = rel
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for a, b in kept:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return DependencyGraph(
-        sentence_id=s.id,
-        node_count=n,
-        edges=tuple(sorted((a, b, kept[(a, b)]) for a, b in kept)),
-        adjacency=tuple(tuple(sorted(ns)) for ns in neighbors),
-    )
+        neighbors[head].add(dep)
+        neighbors[dep].add(head)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    return DependencyGraph(sentence_id=s.id, node_count=n, adjacency=adjacency)
 
 
 def shortest_path(
@@ -160,18 +149,17 @@ def sdp_endpoints(s: SentenceRecord, prot1_id: str, prot2_id: str) -> tuple[int,
     return e1.token_start, e2.token_start
 
 
-def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
-    """Read a dependency edge file into sentence_id -> edge list.
+def load_dependencies(path) -> dict[str, list[tuple[int, int]]]:
+    """Read a dependency edge file into sentence_id -> ``(head, dep)`` list.
 
     Raises ParseError naming the file and the offending line number on any
-    malformed line, a self-loop included; blank lines are ignored.  Equal
-    edges are one ``(head, dep, relation)`` tuple and equal relation labels
-    one ``str`` across the whole result, so its memory grows with the file's
-    distinct edges rather than with its lines; sharing is safe because
-    tuples and strings are immutable.
+    malformed line, a self-loop included; blank lines are ignored.  The
+    relation field must be present but is not kept.  Equal edges are one
+    shared tuple, so the result's memory grows with the file's distinct
+    edges rather than with its lines.
     """
-    edges: dict[str, list[tuple[int, int, str]]] = {}
-    shared: dict = {}  # each relation label and edge -> its one object
+    edges: dict[str, list[tuple[int, int]]] = {}
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # each edge -> its one object
     share = shared.setdefault
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
         for line_no, raw in enumerate(fh, start=1):
@@ -183,7 +171,7 @@ def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
                 raise ParseError(
                     line_no, f"expected 4 tab-separated fields, got {len(fields)}"
                 )
-            sent_id, head_s, dep_s, rel = fields
+            sent_id, head_s, dep_s, _ = fields
             if not sent_id:
                 raise ParseError(line_no, "empty sentence id")
             try:
@@ -192,6 +180,6 @@ def load_dependencies(path) -> dict[str, list[tuple[int, int, str]]]:
                 raise ParseError(line_no, f"non-integer token index in {line!r}") from None
             if head == dep:
                 raise ParseError(line_no, f"self-loop at token {head}")
-            edge = (head, dep, share(rel, rel))
+            edge = (head, dep)
             edges.setdefault(sent_id, []).append(share(edge, edge))
     return edges

@@ -3,7 +3,7 @@
 Instances flow as sparse codes (tokens, PoS classes, thermometer position
 codes).  The PoS classes follow from the tags and the PoS table, and the
 position codes from the path length and the window, so the instances file
-(version 4, columnar) stores neither and its reader derives both.
+(version 5, columnar) stores neither and its reader derives both.
 The dense token vectors are assembled at training time because the feature
 autoencoders are fit on the training split only.
 """
@@ -317,7 +317,7 @@ class _TagClasses(dict):
 
 def preprocess(
     sentences: list[SentenceRecord],
-    deps: dict[str, list[tuple[int, int, str]]],
+    deps: dict[str, list[tuple[int, int]]],
     config: TrainConfig,
     pos_table: dict[str, int] | None = None,
     require_deps: bool = False,
@@ -326,8 +326,8 @@ def preprocess(
 
     A sentence absent from ``deps`` is an edgeless graph, so its pairs land
     in the exclusion list as disconnected; pass require_deps=True to raise
-    MissingDependencyData instead.  Dependency edge indices refer to the
-    generalized token sequence (every entity collapsed to one token).
+    MissingDependencyData instead.  The ``(head, dep)`` edge indices refer to
+    the generalized token sequence (every entity collapsed to one token).
 
     Each sentence's entities are collapsed once, and one BFS runs from each
     first mention to all of its partners.  Instances of one path length

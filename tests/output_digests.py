@@ -44,7 +44,9 @@ EXTRA_SENTENCES = [
     "x1\tGeneC1|NN binds|VBZ GeneD1|NN near|IN GeneE1|NN .|.\te1:0:0;e2:2:2;e3:4:4\te1-e2",
     "x2\tGeneC2|NN and|CC GeneD2|NN with|IN GeneE2|NN .|.\te1:0:0;e2:2:2;e3:4:4\t",
 ]
-EXTRA_DEPS = ["x1\t0\t1\targ", "x1\t1\t2\targ", "x2\t0\t1\targ", "x2\t1\t2\targ"]
+# the last two repeat an edge, once reversed with another label and once as is
+EXTRA_DEPS = ["x1\t0\t1\targ", "x1\t1\t2\targ", "x2\t0\t1\targ", "x2\t1\t2\targ",
+              "x1\t1\t0\tnsubj", "x2\t1\t2\targ"]
 VECTOR_WORDS = ("GeneA0", "interacts", "with", "bind", "protein", "was", "to")
 
 

@@ -992,3 +992,19 @@ class TestLineErrorsNameTheFile:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err == f"error: {bad}: line 1: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["preprocess", "cv", "sweep"])
+    def test_edge_outside_its_sentence(self, workdir, capsys, command):
+        """The edges reader cannot see that an index is past its sentence's
+        end; preprocess finds it, and the error names the edges file once."""
+        bad = workdir / "bad.tsv"
+        bad.write_text((workdir / "deps.tsv").read_text() + "syn000\t1\t99\targ\n",
+                       encoding="utf-8")
+        rest = {"preprocess": ("--out", workdir / "inst.json"),
+                "cv": ("--config", workdir / "config", "--report", workdir / "cv.csv"),
+                "sweep": ("--param", "window", "--values", "6", "--config", workdir / "config",
+                          "--report", workdir / "sweep.csv")}[command]
+        rc = run(command, "--corpus", workdir / "corpus.tsv", "--deps", bad, *rest)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bad}: sentence 'syn000': edge (1,99) outside 0:4\n"

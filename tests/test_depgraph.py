@@ -23,18 +23,7 @@ from test_corpus import make_record
 # edges whose SDP from token 0 to token 9 spells
 # "Prot1 bind with surface of Prot2".
 FIG2_TOKENS = ("Prot1", "is", "shown", "to", "bind", "with", "cell", "surface", "of", "Prot2")
-FIG2_EDGES = [
-    (0, 1, "arg"),
-    (1, 2, "arg"),
-    (2, 3, "arg"),
-    (3, 4, "arg"),
-    (0, 4, "arg"),
-    (4, 5, "mod"),
-    (5, 7, "pobj"),
-    (6, 7, "nmod"),
-    (7, 8, "mod"),
-    (8, 9, "pobj"),
-]
+FIG2_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9)]
 
 
 def fig2_record():
@@ -59,14 +48,14 @@ def graph_from_edges(n, edges, sid="g"):
         entities=(),
         interactions=frozenset(),
     )
-    return build_graph(rec, [(a, b, "dep") for a, b in edges])
+    return build_graph(rec, edges)
 
 
 class TestBuildGraph:
     def test_figure2_graph(self):
         g = build_graph(fig2_record(), FIG2_EDGES)
         assert g.node_count == 10
-        assert (0, 4) in {(a, b) for a, b, _ in g.edges}
+        assert 4 in g.adjacency[0] and 0 in g.adjacency[4]
 
     def test_empty_edge_list(self):
         g = graph_from_edges(5, [])
@@ -83,8 +72,7 @@ class TestBuildGraph:
 
     def test_duplicate_edges_collapse(self):
         g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1)])
-        assert len(g.edges) == 1
-        assert g.adjacency[0] == (1,)
+        assert g.adjacency == ((1,), (0,), ())
 
 
 class TestShortestPath:
@@ -205,7 +193,7 @@ class TestSdpTokens:
         pair = CandidatePair("s", "e0", "e1", 0)
         gen = generalize(rec, pair)
         src, dst = sdp_endpoints(gen, "e0", "e1")
-        g = build_graph(gen, [(src, dst, "arg")])
+        g = build_graph(gen, [(src, dst)])
         path = shortest_path(g, src, dst)
         assert sdp_tokens(path, gen) == [("PROT1", "NN"), ("PROT2", "NN")]
 
@@ -229,8 +217,8 @@ class TestLoadDependencies:
         path.write_text("s1\t0\t1\tsubj\ns1\t1\t2\tobj\ns2\t0\t3\tmod\n", encoding="utf-8")
         deps = load_dependencies(path)
         assert deps == {
-            "s1": [(0, 1, "subj"), (1, 2, "obj")],
-            "s2": [(0, 3, "mod")],
+            "s1": [(0, 1), (1, 2)],
+            "s2": [(0, 3)],
         }
 
     def test_bad_field_count(self, tmp_path):

@@ -199,13 +199,17 @@ def damaged(data: bytes):
     return st.one_of(one_byte_edit(data), st.integers(0, len(data)).map(lambda n: data[:n]))
 
 
-def train(train_dir, instances, config) -> tuple[int, str, str]:
-    """``sdprel train`` in process: (exit code, stdout, stderr)."""
+def in_process(*argv) -> tuple[int, str, str]:
+    """``sdprel`` in process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(["train", "--instances", str(instances), "--config", str(config),
-                   "--out", str(train_dir / "model.sdpl")])
+        rc = main([str(arg) for arg in argv])
     return rc, out.getvalue(), err.getvalue()
+
+
+def train(train_dir, instances, config) -> tuple[int, str, str]:
+    return in_process("train", "--instances", instances, "--config", config,
+                      "--out", train_dir / "model.sdpl")
 
 
 @pytest.fixture(scope="module")
@@ -273,25 +277,47 @@ class TestInstancesFileThroughTrain:
 class TestEdgesFileThroughPreprocess:
     """``sdprel preprocess``, in process, on a dependency edges file with one
     byte inserted, deleted or replaced, or cut short: it exits 0 or 2, raises
-    nothing, prints nothing to stdout on exit 2, and names the file on stderr
-    when the file is malformed."""
+    nothing, exits 2 when the file is malformed, and on exit 2 prints nothing
+    to stdout and names the file on stderr, once.  An edge that does not fit
+    its sentence is found only by preprocess, and it names the file too."""
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_exit_code_and_messages(self, train_dir, data):
         path = train_dir / "damaged.tsv"
         path.write_bytes(data.draw(damaged((train_dir / "deps.tsv").read_bytes())))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(["preprocess", "--corpus", str(train_dir / "corpus.tsv"),
-                       "--deps", str(path), "--out", str(train_dir / "edges.json")])
+        rc, out, err = in_process("preprocess", "--corpus", train_dir / "corpus.tsv",
+                                  "--deps", path, "--out", train_dir / "edges.json")
         assert rc in (0, 2)
         if rc == 2:
-            assert out.getvalue() == ""
+            assert out == "" and err.count(str(path)) == 1
         try:
             load_dependencies(path)
         except InputError:
-            assert rc == 2 and str(path) in err.getvalue()
+            assert rc == 2
+
+
+class TestCorpusFileThroughPreprocess:
+    """``sdprel preprocess``, in process, on a corpus file with one byte
+    inserted, deleted or replaced, or cut short: it exits 0 or 2, raises
+    nothing, and on exit 2 prints nothing to stdout and names the corpus or
+    the edges file on stderr.  A corpus that load_corpus rejects exits 2
+    naming the corpus."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, data):
+        path, deps = train_dir / "damaged_corpus.tsv", train_dir / "deps.tsv"
+        path.write_bytes(data.draw(damaged((train_dir / "corpus.tsv").read_bytes())))
+        rc, out, err = in_process("preprocess", "--corpus", path, "--deps", deps,
+                                  "--out", train_dir / "corpus.json")
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == "" and (str(path) in err or str(deps) in err)
+        try:
+            load_corpus(path)
+        except InputError:
+            assert rc == 2 and str(path) in err
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +396,7 @@ class TestFaultTables:
     def test_the_valid_lines_load(self, tmp_path):
         assert len(load_corpus(write_lines(tmp_path / "c.tsv", [VALID_CORPUS_LINE]))) == 1
         assert load_dependencies(write_lines(tmp_path / "d.tsv", [VALID_EDGE_LINE])) == {
-            "s0": [(0, 1, "arg")]}
+            "s0": [(0, 1)]}
 
 
 class TestLineErrorsNameTheFile:
@@ -424,7 +450,7 @@ class TestByteOrderMark:
         "vectors": ("vectors.txt", VECTORS_TEXT, load_embeddings, vectors_view),
         "vectors-gzip": ("vectors.txt.gz", VECTORS_TEXT, load_embeddings, vectors_view),
         "instances": ("inst.json",
-                      instances_to_json(preprocess([BINDS], {"s0": [(1, 0, "a"), (1, 2, "a")]},
+                      instances_to_json(preprocess([BINDS], {"s0": [(1, 0), (1, 2)]},
                                                    MODEL_CONFIG), MODEL_CONFIG),
                       lambda path: _read_instances(path, MODEL_CONFIG, "config"),
                       lambda result: instances_to_json(result, MODEL_CONFIG)),

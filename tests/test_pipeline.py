@@ -120,7 +120,7 @@ def long_synth(synth, tmp_path_factory):
     chain = " ".join(f"w{i}|JJ" for i in range(14))
     line = f"chain\tp1|NN {chain} p2|VB\te1:0:0;e2:15:15\te1-e2"
     path = write_lines(tmp_path_factory.mktemp("long") / "c.tsv", [line])
-    return sentences + load_corpus(path), {**deps, "chain": [(i, i + 1, "arg") for i in range(15)]}
+    return sentences + load_corpus(path), {**deps, "chain": [(i, i + 1) for i in range(15)]}
 
 
 class TestTrainConfig:
@@ -376,7 +376,7 @@ class TestPreprocess:
         )
         line = f"long\tp1|NN {tokens} p2|NN\te1:0:0;e2:{n + 1}:{n + 1}\t"
         sentences = load_corpus(write_lines(tmp_path / "c.tsv", [line]))
-        deps = {"long": [(i, i + 1, "arg") for i in range(n + 1)]}
+        deps = {"long": [(i, i + 1) for i in range(n + 1)]}
         result = preprocess(sentences, deps, small_config())
         assert len(result.excluded) == 1
         assert result.excluded[0].reason == "path_too_long"
@@ -537,8 +537,8 @@ class TestPreprocess:
         ]
         sentences = load_corpus(write_lines(tmp_path / "c.tsv", lines))
         deps = {
-            "d1": [(0, 1, "a"), (1, 2, "a"), (2, 3, "a"), (3, 4, "a"), (5, 6, "a")],
-            "d3": [(0, 1, "a"), (1, 2, "a")],
+            "d1": [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
+            "d3": [(0, 1), (1, 2)],
         }
         calls = []
 
@@ -741,12 +741,12 @@ def multi_mention_corpora(draw):
                                         interactions))
         n = len(slots)
         if chain:
-            deps[sid] = [(i, i + 1, "a") if rng.random() < 0.5 else (i + 1, i, "a")
+            deps[sid] = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i)
                          for i in range(n - 1)]
         elif rng.random() < 0.85:
-            edges = [(i, rng.randrange(i), "a") for i in range(1, n) if rng.random() < 0.8]
+            edges = [(i, rng.randrange(i)) for i in range(1, n) if rng.random() < 0.8]
             for _ in range(rng.randint(0, 3) if n > 1 else 0):
-                edges.append((*rng.sample(range(n), 2), "x"))
+                edges.append(tuple(rng.sample(range(n), 2)))
             deps[sid] = edges
     return sentences, deps
 
@@ -788,7 +788,7 @@ class TestPerSentencePreprocess:
         s = SentenceRecord("s", ("A", "binds", "B"), ("NN", "VBZ", "NN"),
                            (Entity("e1", 0, 1), Entity("e2", 1, 1)))
         with pytest.raises(EntityNotInSentence, match="e2"):
-            preprocess([s], {"s": [(0, 1, "a")]}, TrainConfig())
+            preprocess([s], {"s": [(0, 1)]}, TrainConfig())
 
     def test_position_codes_are_shared_and_read_only(self, synth_instances):
         back = instances_from_json(instances_to_json(synth_instances, small_config()))

@@ -114,13 +114,6 @@ def corpus_values(records):
             yield from pair
 
 
-def edge_values(deps):
-    for edges in deps.values():
-        for edge in edges:
-            yield edge
-            yield edge[2]
-
-
 @pytest.fixture(scope="module")
 def work_dir():
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,11 +136,11 @@ class TestValidFiles:
         path = work_dir / "deps.tsv"
         path.write_text(edges_text(lines), encoding="utf-8")
         expected = {}
-        for sid, head, dep, rel, _ in lines:
-            expected.setdefault(sid, []).append((head, dep, rel))
+        for sid, head, dep, _, _ in lines:
+            expected.setdefault(sid, []).append((head, dep))
         loaded = load_dependencies(path)
         assert list(loaded.items()) == list(expected.items())
-        assert_equal_values_are_one_object(edge_values(loaded))
+        assert_equal_values_are_one_object(edge for edges in loaded.values() for edge in edges)
 
 
 def assert_loads_or_names_the_file(load, path):

@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptChecksum, DimensionMismatch, FormatError, VersionMismatch
+from .errors import CorruptChecksum, DimensionMismatch, FormatError, VersionMismatch, reading_text
 from .features import POS_DIM, Autoencoder
 from .pipeline import Checkpoint, TrainConfig
 
@@ -77,9 +77,8 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    return checkpoint_from_bytes(blob)
+    with open(path, "rb") as fh, reading_text(path):
+        return checkpoint_from_bytes(fh.read())
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:

@@ -14,7 +14,7 @@ import sys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
 from .depgraph import load_dependencies
-from .errors import ConfigError, FormatError, IndexOutOfRange, InputError, NumericError, reading_text
+from .errors import IndexOutOfRange, InputError, MissingDependencyData, NumericError, reading_text
 from .features import load_pos_table
 from .pipeline import (
     REPORT_HEADER,
@@ -114,8 +114,8 @@ def _same_file(a, b) -> bool:
 
 def _preprocessor(args):
     """Read the PoS table, corpus and edges that `args` name, in that order, and
-    return ``run(config, **kwargs)``, which preprocesses them and names the
-    edges file in the error about an edge that does not fit its sentence."""
+    return ``run(config, **kwargs)``, which preprocesses them; an edge outside
+    its sentence, or a sentence without edges, is an error naming the edges."""
     pos_table = load_pos_table(args.pos_table) if args.pos_table else None
     sentences = load_corpus(args.corpus)
     deps = load_dependencies(args.deps)
@@ -123,8 +123,9 @@ def _preprocessor(args):
     def run(config: TrainConfig, **kwargs):
         try:
             return preprocess(sentences, deps, config, pos_table=pos_table, **kwargs)
-        except IndexOutOfRange as exc:
-            raise IndexOutOfRange(f"{args.deps}: {exc}") from None
+        except (IndexOutOfRange, MissingDependencyData) as exc:
+            exc.path = args.deps
+            raise
     return run
 
 
@@ -148,7 +149,7 @@ def _cmd_train(args) -> int:
     _check_writable(outputs, [config.embedding_path])
     if args.tune_embeddings:
         config = config.replace(tune_embeddings=True)
-    result = _read_instances(args.instances, config, "config")
+    result = _read_instances(args.instances, config, args.config)
     tr = train(config, result.instances, pos_table=result.pos_table)
     save_checkpoint(tr.checkpoint, args.out)
     if args.losses:
@@ -158,18 +159,6 @@ def _cmd_train(args) -> int:
                 fh.write(f"{epoch},{loss:.6f}\n")
     print(f"checkpoint: {args.out}")
     print(f"final epoch loss: {tr.epoch_losses[-1]:.6f}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    ck = load_checkpoint(args.ck)
-    result = _read_instances(args.instances, ck.config, "checkpoint", ck.pos_table)
-    metrics = evaluate(ck, result.instances, excluded=result.excluded)
-    if args.report == "csv":
-        print(REPORT_HEADER)
-        print(metrics.csv_row("all"))
-    else:
-        print(json.dumps(metrics.to_dict(), sort_keys=True))
     return 0
 
 
@@ -188,16 +177,6 @@ def _cmd_cv(args) -> int:
     for key, value in result.stats().items():
         print(f"{key}: {value}")
     print(f"report: {args.report}")
-    return 0
-
-
-def _cmd_predict(args) -> int:
-    ck = load_checkpoint(args.ck)
-    result = _read_instances(args.instances, ck.config, "checkpoint", ck.pos_table)
-    scores = predict_all(ck, result.instances)
-    print("instance_id,predicted_label,prob_positive")
-    for inst, (label, prob) in zip(result.instances, scores):
-        print(f"{inst.instance_id},{label},{prob:.6f}")
     return 0
 
 
@@ -227,34 +206,46 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_instances(path, config: TrainConfig, source: str, pos_table=None):
-    """Parse an instances file; `source` (config or checkpoint) must use its
-    features, and its PoS table where one is given.  Every error names the
-    file: reading_text names it in a decoding error, and a parse error gets
-    it as a prefix."""
+def _cmd_score(args) -> int:
+    """``evaluate`` and ``predict``; an error that names no file names the checkpoint."""
+    with reading_text(args.ck):
+        ck = load_checkpoint(args.ck)
+        result = _read_instances(args.instances, ck.config, args.ck, ck.pos_table)
+        try:
+            vectorizer = ck.build_vectorizer()
+        except OSError as exc:
+            raise InputError(f"cannot read its vectors file: {exc}") from None
+        model = ck.build_model()
+    if args.command == "predict":
+        scores = predict_all(ck, result.instances, vectorizer, model)
+        print("instance_id,predicted_label,prob_positive")
+        for inst, (label, prob) in zip(result.instances, scores):
+            print(f"{inst.instance_id},{label},{prob:.6f}")
+        return 0
+    metrics = evaluate(ck, result.instances, result.excluded, vectorizer, model)
+    if args.report == "csv":
+        print(REPORT_HEADER)
+        print(metrics.csv_row("all"))
+    else:
+        print(json.dumps(metrics.to_dict(), sort_keys=True))
+    return 0
+
+
+def _read_instances(path, config: TrainConfig, source, pos_table=None):
+    """Parse an instances file that must suit the config or checkpoint that
+    `source` names (see ``check_features``).  Every error names the file."""
     with open(path, encoding="utf-8-sig") as fh, reading_text(path):
-        text = fh.read()
-    try:
-        result = instances_from_json(text)
-    except (FormatError, ConfigError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    check_features(result, config, path, source)
-    if pos_table is not None and result.pos_table != pos_table:
-        differ = sorted(tag for tag in result.pos_table.keys() | pos_table.keys()
-                        if result.pos_table.get(tag) != pos_table.get(tag))
-        raise ConfigError(
-            f"{path} was made with another PoS table than the {source}'s; "
-            f"they differ on {len(differ)} tag(s), first {differ[:3]}"
-        )
+        result = instances_from_json(fh.read())
+        check_features(result, config, source, pos_table)
     return result
 
 
 _COMMANDS = {
     "preprocess": _cmd_preprocess,
     "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
+    "evaluate": _cmd_score,
     "cv": _cmd_cv,
-    "predict": _cmd_predict,
+    "predict": _cmd_score,
     "sweep": _cmd_sweep,
 }
 

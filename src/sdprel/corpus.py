@@ -257,12 +257,8 @@ class CollapsedSentence:
     nodes: dict[str, int]
 
     def node(self, entity_id: str) -> int:
-        try:
-            return self.nodes[entity_id]
-        except KeyError:
-            raise EntityNotInSentence(
-                f"entity {entity_id!r} not declared in sentence {self.record.id!r}"
-            ) from None
+        node = self.nodes.get(entity_id)  # None only if the record lacks it: entity_by_id raises
+        return self.record.entity_by_id(entity_id).token_start if node is None else node
 
 
 def collapse_entities(s: SentenceRecord) -> CollapsedSentence:

@@ -122,14 +122,14 @@ def _parse(path, oov_seed: int) -> tuple[str | None, EmbeddingTable]:
         fh = io.TextIOWrapper(binary, encoding="utf-8-sig")
         header = fh.readline().split()
         if len(header) != 2:
-            raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")
+            raise FormatError("header must be '<vocab_size> <dimension>'")
         try:
             # the declared vocabulary size is not checked: real files miscount it
             declared, dim = int(header[0]), int(header[1])
         except ValueError:
-            raise FormatError(f"{path}: non-integer header {header}") from None
+            raise FormatError(f"non-integer header {header}") from None
         if dim < 1:
-            raise FormatError(f"{path}: dimension must be positive, got {dim}")
+            raise FormatError(f"dimension must be positive, got {dim}")
         # words in file order; a word whose chunk is not parsed yet maps to None
         vocab: dict[str, np.ndarray | None] = {}
         duplicates = 0
@@ -142,10 +142,9 @@ def _parse(path, oov_seed: int) -> tuple[str | None, EmbeddingTable]:
                 continue
             count = text.count(" ")
             if count != dim:
-                _parse_chunk(path, dim, chunk, vocab)  # an earlier bad value is reported first
-                raise DimensionMismatch(
-                    f"{path}:{line_no}: {count} values for declared dimension {dim}"
-                )
+                _parse_chunk(dim, chunk, vocab)  # an earlier bad value is reported first
+                raise DimensionMismatch(f"{count} values for declared dimension {dim}",
+                                        line_no=line_no)
             word, _, values = text.partition(" ")
             if word in vocab:
                 duplicates += 1
@@ -153,15 +152,15 @@ def _parse(path, oov_seed: int) -> tuple[str | None, EmbeddingTable]:
             vocab[word] = None
             chunk.append((line_no, word, values))
             if len(chunk) == CHUNK_LINES:
-                _parse_chunk(path, dim, chunk, vocab)
-        _parse_chunk(path, dim, chunk, vocab)
+                _parse_chunk(dim, chunk, vocab)
+        _parse_chunk(dim, chunk, vocab)
         hashing.drain()
         kept = raw.seekable()  # a pipe cannot be read again to check its bytes
     table = EmbeddingTable(dim, vocab, oov_seed, duplicates, digest.hexdigest() if kept else None)
     return (key.hexdigest() if kept else None), table
 
 
-def _parse_chunk(path, dim: int, chunk: list[tuple[int, str, str]], vocab: dict) -> None:
+def _parse_chunk(dim: int, chunk: list[tuple[int, str, str]], vocab: dict) -> None:
     """Parse the chunk's rows into one read-only matrix, point each word at
     its row and empty the chunk.  A chunk the C reader rejects, or may read
     differently from ``float``, is parsed row by row instead."""
@@ -175,18 +174,18 @@ def _parse_chunk(path, dim: int, chunk: list[tuple[int, str, str]], vocab: dict)
         except ValueError:
             pass
     if rows is None or rows.shape != (len(chunk), dim):
-        rows = np.array([_parse_row(path, line_no, values) for line_no, _, values in chunk])
+        rows = np.array([_parse_row(line_no, values) for line_no, _, values in chunk])
     rows.flags.writeable = False
     for (_, word, _), row in zip(chunk, rows):
         vocab[word] = row
     chunk.clear()
 
 
-def _parse_row(path, line_no: int, values: str) -> np.ndarray:
+def _parse_row(line_no: int, values: str) -> np.ndarray:
     try:
         return np.array(values.split(" "), dtype=np.float64)
     except ValueError:
-        raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
+        raise FormatError("non-numeric vector value", line_no=line_no) from None
 
 
 def oov_vector(token: str, dimension: int, oov_seed: int) -> np.ndarray:

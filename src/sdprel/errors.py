@@ -14,15 +14,23 @@ class SdprelError(Exception):
 
 
 class InputError(SdprelError):
-    pass
+    """A fault in an input.  Where it is known, `path` names the file and
+    `line_no` the line; this class alone spells them in the message."""
+
+    def __init__(self, reason, *, path=None, line_no=None):
+        super().__init__(reason)
+        self.reason, self.path, self.line_no = reason, path, line_no
+
+    def __str__(self):
+        if self.path is None:
+            return self.reason if self.line_no is None else f"line {self.line_no}: {self.reason}"
+        line = "" if self.line_no is None else f":{self.line_no}"
+        return f"{self.path}{line}: {self.reason}"
 
 
 class ParseError(InputError):
-    def __init__(self, line_no, reason, path=None):
-        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
-        super().__init__(f"{where}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
+    def __init__(self, line_no, reason):
+        super().__init__(reason, line_no=line_no)
 
 
 class DuplicateSentenceId(ParseError):
@@ -39,16 +47,18 @@ class ConfigError(InputError):
 
 @contextmanager
 def reading_text(path):
-    """Turn a decoding or decompression error while reading `path` into a
-    FormatError that names it, and name it in a ParseError."""
+    """Name `path` in an InputError raised while reading it that names no
+    file, and turn a decoding or decompression error into a FormatError."""
     try:
         yield
-    except ParseError as exc:
-        raise type(exc)(exc.line_no, exc.reason, path) from None
+    except InputError as exc:
+        if exc.path is None:
+            exc.path = path
+        raise
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise FormatError(f"{path}: damaged gzip file ({exc})") from None
+        raise FormatError(f"damaged gzip file ({exc})", path=path) from None
 
 
 class DimensionMismatch(InputError):
@@ -80,9 +90,7 @@ class EntityNotInSentence(InputError):
 
 
 class MissingDependencyData(InputError):
-    def __init__(self, sentence_id):
-        super().__init__(f"no dependency edges for sentence {sentence_id!r}")
-        self.sentence_id = sentence_id
+    pass
 
 
 class BadK(InputError):

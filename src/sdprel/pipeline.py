@@ -174,18 +174,18 @@ class TrainConfig:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+                    raise ConfigError(f"expected key=value, got {line!r}", line_no=line_no)
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
                 if key not in known:
-                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+                    raise ConfigError(f"unknown config key {key!r}", line_no=line_no)
                 if set_on.setdefault(key, line_no) != line_no:
-                    raise ConfigError(f"{path}:{line_no}: {key!r} is set twice, "
-                                      f"on lines {set_on[key]} and {line_no}")
-                values[key] = _coerce(key, value, known[key].default, line_no, path)
-        if values.get("embedding_path"):
-            values["embedding_path"] = os.path.abspath(values["embedding_path"])
-        return cls(**values)
+                    raise ConfigError(f"{key!r} is set twice, on lines {set_on[key]} and "
+                                      f"{line_no}", line_no=line_no)
+                values[key] = _coerce(key, value, known[key].default, line_no)
+            if values.get("embedding_path"):
+                values["embedding_path"] = os.path.abspath(values["embedding_path"])
+            return cls(**values)
 
 
 def _check_type(key, value, kind):
@@ -196,20 +196,20 @@ def _check_type(key, value, kind):
         raise ConfigError(f"{key} expects {kind.__name__}, got {value!r}")
 
 
-def _coerce(key, value, default, line_no, path):
+def _coerce(key, value, default, line_no):
     if isinstance(default, bool):
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{path}:{line_no}: {key} expects a boolean, got {value!r}")
+        raise ConfigError(f"{key} expects a boolean, got {value!r}", line_no=line_no)
     try:
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
             return float(value)
     except ValueError:
-        raise ConfigError(f"{path}:{line_no}: bad value for {key}: {value!r}") from None
+        raise ConfigError(f"bad value for {key}: {value!r}", line_no=line_no) from None
     return value
 
 
@@ -346,7 +346,7 @@ def preprocess(
         edges = deps.get(s.id)
         if edges is None:
             if require_deps:
-                raise MissingDependencyData(s.id)
+                raise MissingDependencyData(f"no dependency edges for sentence {s.id!r}")
             edges = []
         collapsed = collapse_entities(s)
         graph = build_graph(collapsed.record, edges)
@@ -373,13 +373,18 @@ def preprocess(
                             pos_table)
 
 
-def check_features(result: PreprocessResult, config: TrainConfig, made_by, source: str) -> None:
-    """Raise ConfigError unless the config uses the features the result was made with."""
+def check_features(result: PreprocessResult, config: TrainConfig, source, pos_table=None) -> None:
+    """Raise ConfigError unless the config, which `source` names, uses the
+    features the result was made with, and this PoS table where one is given."""
     for key in _FEATURE_KEYS:
         made, wanted = getattr(result, key), getattr(config, key)
         if made != wanted:
-            raise ConfigError(
-                f"{made_by} was made with {key}={made}, but the {source} has {key}={wanted}")
+            raise ConfigError(f"instances made with {key}={made}, but {source} has {key}={wanted}")
+    if pos_table is not None and result.pos_table != pos_table:
+        differ = sorted(tag for tag in result.pos_table.keys() | pos_table.keys()
+                        if result.pos_table.get(tag) != pos_table.get(tag))
+        raise ConfigError(f"instances made with another PoS table than {source}; "
+                          f"they differ on {len(differ)} tag(s), first {differ[:3]}")
 
 
 def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
@@ -390,7 +395,7 @@ def instances_to_json(result: PreprocessResult, config: TrainConfig) -> str:
     A config whose features are not the result's raises ConfigError, and a
     path whose tokens or tags the file cannot give back (no word, an empty
     word or a word with a space) raises FormatError naming its instance."""
-    check_features(result, config, "the result", "config")
+    check_features(result, config, "the config")
     instances = result.instances
     doc = {
         "format": INSTANCES_FORMAT,
@@ -643,9 +648,10 @@ class Vectorizer:
         if self.use_position:
             fixed += _by_distance(self.position_rows, lengths)
         fixed = np.concatenate(fixed, axis=1)
-        used_finite = np.isfinite(word_vectors).all(axis=1)[word_ids]  # an unused word is not read
-        if not (used_finite.all() and np.isfinite(fixed).all()):
-            raise DimensionMismatch("token vector has non-finite components")
+        finite = np.isfinite(word_vectors).all(axis=1)[word_ids] & np.isfinite(fixed).all(axis=1)
+        if not finite.all():  # an unused word is not read
+            bad = words[word_ids[finite.argmin()]]
+            raise DimensionMismatch(f"token vector of {bad!r} has non-finite components")
         return TokenRows(lengths, words, word_vectors, word_ids, fixed)
 
     def vectorize(self, inst: SdpInstance) -> np.ndarray:
@@ -1024,10 +1030,11 @@ def evaluate(
     instances: list[SdpInstance],
     excluded: list[ExcludedInstance] = (),
     vectorizer: Vectorizer | None = None,
+    model=None,
 ) -> FoldMetrics:
     """Confusion counts over instances; excluded ones (if passed and the
     config scores them) count as non-interacting predictions."""
-    scores = predict_all(ck, instances, vectorizer)
+    scores = predict_all(ck, instances, vectorizer, model)
     pairs = Counter((inst.label, pred) for inst, (pred, _) in zip(instances, scores))
     if ck.config.score_excluded:
         pairs.update((e.label, 0) for e in excluded)

@@ -115,7 +115,7 @@ def reference_preprocess(sentences, deps, config, pos_table=None, require_deps=F
     for s in sentences:
         for pair in generate_candidates(s):
             if s.id not in deps and require_deps:
-                raise MissingDependencyData(s.id)
+                raise MissingDependencyData(f"no dependency edges for sentence {s.id!r}")
             gen = generalize(s, pair)
             graph = build_graph(gen, deps.get(s.id, []))
             src, dst = sdp_endpoints(gen, pair.prot1, pair.prot2)
@@ -587,13 +587,13 @@ def reference_load_embeddings(path, oov_seed=0):
     with opener(path, "rt", encoding="utf-8-sig") as fh, reading_text(path):
         header = fh.readline().split()
         if len(header) != 2:
-            raise FormatError(f"{path}: header must be '<vocab_size> <dimension>'")
+            raise FormatError("header must be '<vocab_size> <dimension>'")
         try:
             declared, dim = int(header[0]), int(header[1])
         except ValueError:
-            raise FormatError(f"{path}: non-integer header {header}") from None
+            raise FormatError(f"non-integer header {header}") from None
         if dim < 1:
-            raise FormatError(f"{path}: dimension must be positive, got {dim}")
+            raise FormatError(f"dimension must be positive, got {dim}")
         vocab = {}
         duplicates = 0
         for line_no, line in enumerate(fh, start=2):
@@ -605,7 +605,7 @@ def reference_load_embeddings(path, oov_seed=0):
             word, values = parts[0], parts[1:]
             if len(values) != dim:
                 raise DimensionMismatch(
-                    f"{path}:{line_no}: {len(values)} values for declared dimension {dim}"
+                    f"{len(values)} values for declared dimension {dim}", line_no=line_no
                 )
             if word in vocab:
                 duplicates += 1
@@ -613,7 +613,7 @@ def reference_load_embeddings(path, oov_seed=0):
             try:
                 vocab[word] = np.array(values, dtype=np.float64)
             except ValueError:
-                raise FormatError(f"{path}:{line_no}: non-numeric vector value") from None
+                raise FormatError("non-numeric vector value", line_no=line_no) from None
     return EmbeddingTable(
         dimension=dim, vocabulary=vocab, oov_seed=oov_seed, duplicate_count=duplicates
     )
@@ -631,8 +631,10 @@ def split_blob(blob):
 
 
 def framed(meta, payload=b"", version=FORMAT_VERSION):
-    """A checkpoint file around this metadata, with its length and checksum fixed up."""
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """A checkpoint file around this metadata, a dict or its bytes as they
+    stand, with its length and checksum fixed up."""
+    meta_bytes = (meta if isinstance(meta, bytes)
+                  else json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     body = MAGIC + struct.pack("<HQ", version, len(meta_bytes)) + meta_bytes + payload
     return body + hashlib.blake2b(body, digest_size=8).digest()
 

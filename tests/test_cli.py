@@ -14,7 +14,7 @@ from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
 from sdprel.pipeline import instances_from_json, preprocess
 
-from helpers import synthetic_corpus, write_lines
+from helpers import framed, split_blob, synthetic_corpus, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -268,7 +268,8 @@ class TestTrainEvaluatePredict:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{key}={made}" in err and f"{key}={wanted}" in err
+        assert err == (f"error: {workdir / 'inst.json'}: instances made with {key}={made}, "
+                       f"but {workdir / 'config'} has {key}={wanted}\n")
         assert not (workdir / "model.sdpl").exists()
 
     def test_checkpoint_instances_mismatch_is_exit_2(self, workdir, capsys):
@@ -289,7 +290,9 @@ class TestTrainEvaluatePredict:
             )
             assert rc == 2
             err = capsys.readouterr().err
-            assert "position_window=6" in err and "position_window=10" in err
+            assert err == (f"error: {workdir / 'inst6.json'}: instances made with "
+                           f"position_window=6, but {workdir / 'model.sdpl'} has "
+                           "position_window=10\n")
 
     def test_train_stores_the_files_pos_table(self, workdir, capsys):
         from sdprel.checkpoint import load_checkpoint
@@ -318,7 +321,9 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "other.json was made with another PoS table than the checkpoint's" in captured.err
+        assert captured.err.startswith(
+            f"error: {workdir / 'other.json'}: instances made with another PoS table than "
+            f"{workdir / 'model.sdpl'}; they differ on ")
 
     def test_numeric_failure_is_exit_3(self, workdir, monkeypatch, capsys):
         run(
@@ -390,7 +395,7 @@ class TestRepeatedPosTag:
         assert run(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "line 4: tag 'NN' is set twice, on lines 1 and 4" in captured.err
+        assert "pos.tsv:4: tag 'NN' is set twice, on lines 1 and 4" in captured.err
         assert not (workdir / "out").exists()
 
 
@@ -991,7 +996,7 @@ class TestLineErrorsNameTheFile:
                  "--config", workdir / "config", "--report", workdir / "cv.csv")
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
-        assert err == f"error: {bad}: line 1: {reason}\n"
+        assert err == f"error: {bad}:1: {reason}\n"
 
     @pytest.mark.parametrize("command", ["preprocess", "cv", "sweep"])
     def test_edge_outside_its_sentence(self, workdir, capsys, command):
@@ -1008,3 +1013,85 @@ class TestLineErrorsNameTheFile:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err == f"error: {bad}: sentence 'syn000': edge (1,99) outside 0:4\n"
+
+
+class TestEveryExit2NamesItsFile:
+    """Errors found after a file is read, by validation or by a later stage,
+    name the file they are about, once."""
+
+    @pytest.fixture
+    def checkpoint(self, workdir, capsys):
+        run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json")
+        run("train", "--instances", workdir / "inst.json", "--config", workdir / "config",
+            "--out", workdir / "model.sdpl")
+        capsys.readouterr()
+        return workdir / "model.sdpl"
+
+    def assert_exit_2(self, capsys, rc, message):
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_config_validation(self, workdir, capsys, command):
+        config = workdir / "config"
+        config.write_text(CONFIG_TEXT.replace("epochs=6", "epochs=0"), encoding="utf-8")
+        run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json")
+        capsys.readouterr()
+        rest = {"train": ("--instances", workdir / "inst.json", "--out", workdir / "m.sdpl"),
+                "cv": ("--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+                       "--report", workdir / "cv.csv")}[command]
+        rc = run(command, "--config", config, *rest)
+        self.assert_exit_2(capsys, rc, f"{config}: epochs must be at least 1")
+
+    def test_sentence_without_edges(self, workdir, capsys):
+        deps = workdir / "deps.tsv"
+        deps.write_text("".join(line for line in deps.read_text().splitlines(keepends=True)
+                                if not line.startswith("syn000\t")), encoding="utf-8")
+        rc = run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", deps,
+                 "--out", workdir / "inst.json", "--require-deps")
+        self.assert_exit_2(capsys, rc, f"{deps}: no dependency edges for sentence 'syn000'")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_damaged_checkpoint(self, workdir, checkpoint, capsys, command):
+        blob = bytearray(checkpoint.read_bytes())
+        blob[-20] ^= 1
+        checkpoint.write_bytes(bytes(blob))
+        rc = run(command, "--ck", checkpoint, "--instances", workdir / "inst.json")
+        self.assert_exit_2(capsys, rc, f"{checkpoint}: checkpoint checksum does not match")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_theta_that_does_not_fit_the_config(self, workdir, checkpoint, capsys, command):
+        meta, payload = split_blob(checkpoint.read_bytes())
+        meta["config"]["lstm_units"] = 5
+        checkpoint.write_bytes(framed(meta, payload))
+        rc = run(command, "--ck", checkpoint, "--instances", workdir / "inst.json")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {checkpoint}: checkpoint theta has shape ")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_missing_vectors_file(self, workdir, checkpoint, capsys, command):
+        meta, payload = split_blob(checkpoint.read_bytes())
+        meta["config"]["embedding_path"] = str(workdir / "gone.txt")
+        checkpoint.write_bytes(framed(meta, payload))
+        rc = run(command, "--ck", checkpoint, "--instances", workdir / "inst.json")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {checkpoint}: cannot read its vectors file: ")
+        assert err.count(str(workdir / "gone.txt")) == 1
+
+    def test_non_finite_word_vector_names_the_word(self, workdir, capsys):
+        vectors = write_vectors(workdir / "vectors.txt", 8)
+        vectors.write_text(vectors.read_text().replace("with 0.2", "with 1e999"),
+                           encoding="utf-8")
+        (workdir / "vconfig").write_text(CONFIG_TEXT + f"embedding_path={vectors}\n",
+                                         encoding="utf-8")
+        run("preprocess", "--corpus", workdir / "corpus.tsv", "--deps", workdir / "deps.tsv",
+            "--out", workdir / "inst.json")
+        capsys.readouterr()
+        rc = run("train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
+                 "--out", workdir / "model.sdpl")
+        self.assert_exit_2(capsys, rc, "token vector of 'with' has non-finite components")

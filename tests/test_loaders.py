@@ -5,6 +5,7 @@ row per message."""
 
 import gzip
 import io
+import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,6 +19,7 @@ from sdprel.corpus import RESERVED_TOKENS, Entity, SentenceRecord, load_corpus
 from sdprel.depgraph import load_dependencies
 from sdprel.embed import load_embeddings
 from sdprel.errors import (
+    ConfigError,
     DimensionMismatch,
     DuplicateSentenceId,
     FormatError,
@@ -27,7 +29,14 @@ from sdprel.errors import (
 from sdprel.features import load_pos_table
 from sdprel.pipeline import TrainConfig, instances_to_json, preprocess
 
-from helpers import one_byte_edit, reference_load_embeddings, synthetic_corpus, write_lines
+from helpers import (
+    framed,
+    one_byte_edit,
+    reference_load_embeddings,
+    split_blob,
+    synthetic_corpus,
+    write_lines,
+)
 
 NOT_UTF8 = b"\xff\xfe not UTF-8 \x80\n"
 
@@ -190,6 +199,8 @@ class TestCliExitCodes:
         assert name in err
 
 
+# a model small enough that a checkpoint is mostly metadata
+SMALL_MODEL = "embedding_dim=4\nlstm_units=3\nmlp_hidden=3\n"
 VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
                                for k, word in enumerate(("was", "with", "and", "of", "to")))
 
@@ -197,6 +208,12 @@ VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
 def damaged(data: bytes):
     """`data` with one byte inserted, deleted or replaced, or cut short."""
     return st.one_of(one_byte_edit(data), st.integers(0, len(data)).map(lambda n: data[:n]))
+
+
+def assert_exit_2_names(path, rc, out, err) -> None:
+    """On exit 2, stdout is empty and stderr names `path` exactly once."""
+    if rc == 2:
+        assert out == "" and err.count(str(path)) == 1, err
 
 
 def in_process(*argv) -> tuple[int, str, str]:
@@ -214,8 +231,8 @@ def train(train_dir, instances, config) -> tuple[int, str, str]:
 
 @pytest.fixture(scope="module")
 def train_dir():
-    """An instances file of a small corpus, a config without word vectors and
-    one for each of a plain and a gzip vectors file."""
+    """An instances file of a small corpus, a config without word vectors, one
+    for each of a plain and a gzip vectors file, and a small checkpoint."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus_lines, dep_lines, _ = synthetic_corpus(8, seed=5)
@@ -224,20 +241,24 @@ def train_dir():
         (tmp / "random.config").write_text("epochs=1\nae_epochs=5\nembedding_dim=4\n",
                                            encoding="utf-8")
         for name in ("vectors.txt", "vectors.txt.gz"):
-            (tmp / f"{name}.config").write_text(
+            (tmp / f"config-{name}").write_text(
                 f"epochs=1\nae_epochs=5\nembedding_dim=4\nembedding_path={tmp / name}\n",
                 encoding="utf-8")
         with redirect_stdout(io.StringIO()):
             assert main(["preprocess", "--corpus", str(tmp / "corpus.tsv"),
                          "--deps", str(tmp / "deps.tsv"), "--out", str(tmp / "inst.json")]) == 0
+        (tmp / "small.config").write_text(SMALL_MODEL + "epochs=1\nae_epochs=5\n",
+                                          encoding="utf-8")
+        assert train(tmp, tmp / "inst.json", tmp / "small.config")[0] == 0
+        (tmp / "model.sdpl").rename(tmp / "intact.sdpl")
         yield tmp
 
 
 class TestVectorsFileThroughTrain:
     """``sdprel train``, in process, on a plain or gzip vectors file with one
-    byte inserted, deleted or replaced, or cut short: it exits 0, 2 or 3 and
-    raises nothing, prints nothing to stdout on exit 2, and names the file
-    on stderr when the file is malformed."""
+    byte inserted, deleted or replaced, or cut short: it exits 0, 2 or 3,
+    raises nothing, exits 2 when the file is malformed, and on exit 2 prints
+    nothing to stdout and names the file on stderr, once."""
 
     @given(compress=st.booleans(), data=st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -247,14 +268,13 @@ class TestVectorsFileThroughTrain:
         intact = gzip.compress(text, mtime=0) if compress else text
         path = train_dir / name
         path.write_bytes(data.draw(damaged(intact)))
-        rc, out, err = train(train_dir, train_dir / "inst.json", train_dir / f"{name}.config")
+        rc, out, err = train(train_dir, train_dir / "inst.json", train_dir / f"config-{name}")
         assert rc in (0, 2, 3)
-        if rc == 2:
-            assert out == ""
+        assert_exit_2_names(path, rc, out, err)
         try:
             reference_load_embeddings(path)
         except (FormatError, DimensionMismatch):
-            assert rc == 2 and str(path) in err
+            assert rc == 2
 
 
 class TestInstancesFileThroughTrain:
@@ -270,8 +290,7 @@ class TestInstancesFileThroughTrain:
         path.write_bytes(data.draw(damaged((train_dir / "inst.json").read_bytes())))
         rc, out, err = train(train_dir, path, train_dir / "random.config")
         assert rc in (0, 2, 3)
-        if rc == 2:
-            assert out == "" and err.count(str(path)) == 1
+        assert_exit_2_names(path, rc, out, err)
 
 
 class TestEdgesFileThroughPreprocess:
@@ -289,8 +308,7 @@ class TestEdgesFileThroughPreprocess:
         rc, out, err = in_process("preprocess", "--corpus", train_dir / "corpus.tsv",
                                   "--deps", path, "--out", train_dir / "edges.json")
         assert rc in (0, 2)
-        if rc == 2:
-            assert out == "" and err.count(str(path)) == 1
+        assert_exit_2_names(path, rc, out, err)
         try:
             load_dependencies(path)
         except InputError:
@@ -300,9 +318,9 @@ class TestEdgesFileThroughPreprocess:
 class TestCorpusFileThroughPreprocess:
     """``sdprel preprocess``, in process, on a corpus file with one byte
     inserted, deleted or replaced, or cut short: it exits 0 or 2, raises
-    nothing, and on exit 2 prints nothing to stdout and names the corpus or
-    the edges file on stderr.  A corpus that load_corpus rejects exits 2
-    naming the corpus."""
+    nothing, and on exit 2 prints nothing to stdout and names on stderr,
+    once, the file the error is about: the corpus when load_corpus rejects
+    it, which exits 2, and else the edges file, which no longer fits it."""
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -312,12 +330,59 @@ class TestCorpusFileThroughPreprocess:
         rc, out, err = in_process("preprocess", "--corpus", path, "--deps", deps,
                                   "--out", train_dir / "corpus.json")
         assert rc in (0, 2)
-        if rc == 2:
-            assert out == "" and (str(path) in err or str(deps) in err)
         try:
             load_corpus(path)
         except InputError:
-            assert rc == 2 and str(path) in err
+            assert rc == 2
+            assert_exit_2_names(path, rc, out, err)
+        else:
+            assert_exit_2_names(deps, rc, out, err)
+
+
+class TestConfigFileThroughTrain:
+    """``sdprel train``, in process, on a config file (without word vectors)
+    with one byte inserted, deleted or replaced, or cut short: it exits 0, 2
+    or 3, raises nothing, and on exit 2 prints nothing to stdout and names the
+    config file on stderr, once; a value that breaks a rule of the config
+    names it as a line error does."""
+
+    TEXT = SMALL_MODEL + "epochs=1\nae_epochs=5\nposition_window=10\nuse_pos=true\n"
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, data):
+        path = train_dir / "damaged.config"
+        path.write_bytes(data.draw(damaged(self.TEXT.encode())))
+        rc, out, err = train(train_dir, train_dir / "inst.json", path)
+        assert rc in (0, 2, 3)
+        assert_exit_2_names(path, rc, out, err)
+
+
+def reframed(blob: bytes):
+    """The checkpoint file with one byte of its metadata JSON inserted,
+    deleted or replaced, or cut short, and its length and checksum fixed up."""
+    meta, payload = split_blob(blob)
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return damaged(text).map(lambda meta_bytes: framed(meta_bytes, payload))
+
+
+class TestCheckpointThroughScoring:
+    """``sdprel predict`` and ``evaluate``, in process, on a checkpoint with
+    one byte inserted, deleted or replaced, or cut short, either in the raw
+    file or in its metadata JSON with the file framed again: it exits 0, 2
+    or 3, raises nothing, and on exit 2 prints nothing to stdout and names the
+    checkpoint on stderr, once, also for a check made after it loads."""
+
+    @given(command=st.sampled_from(["predict", "evaluate"]), meta=st.booleans(),
+           data=st.data())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_exit_code_and_messages(self, train_dir, command, meta, data):
+        intact = (train_dir / "intact.sdpl").read_bytes()
+        path = train_dir / "damaged.sdpl"
+        path.write_bytes(data.draw(reframed(intact) if meta else damaged(intact)))
+        rc, out, err = in_process(command, "--ck", path, "--instances", train_dir / "inst.json")
+        assert rc in (0, 2, 3)
+        assert_exit_2_names(path, rc, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +442,13 @@ class TestFaultTables:
     @pytest.mark.parametrize("line, message", CORPUS_FAULTS)
     def test_corpus(self, tmp_path, line, message):
         path = write_lines(tmp_path / "corpus.tsv", [VALID_CORPUS_LINE, line])
-        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
             load_corpus(path)
 
     @pytest.mark.parametrize("line, message", EDGE_FAULTS)
     def test_dependencies(self, tmp_path, line, message):
         path = write_lines(tmp_path / "deps.tsv", [VALID_EDGE_LINE, line])
-        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
             load_dependencies(path)
 
     @pytest.mark.parametrize("text, error, message", VECTORS_FAULTS)
@@ -412,13 +477,17 @@ class TestLineErrorsNameTheFile:
          "expected 4 tab-separated fields, got 3"),
         ("pos.tsv", load_pos_table, ["NN\t3", "NN 3"], ParseError,
          "expected tag<TAB>class, got 'NN 3'"),
-    ], ids=["corpus", "duplicate-sentence", "dependencies", "pos_table"])
+        ("config.txt", TrainConfig.from_file, ["epochs=3", "epochs"], ConfigError,
+         "expected key=value, got 'epochs'"),
+        ("vectors.txt", load_embeddings, ["1 2", "a 1"], DimensionMismatch,
+         "1 values for declared dimension 2"),
+    ], ids=["corpus", "duplicate-sentence", "dependencies", "pos_table", "config", "vectors"])
     def test_message(self, tmp_path, name, load, lines, error, reason):
         path = write_lines(tmp_path / name, lines)
         with pytest.raises(error) as info:
             load(path)
-        assert str(info.value) == f"{path}: line 2: {reason}"
-        assert (info.value.line_no, info.value.reason) == (2, reason)
+        assert str(info.value) == f"{path}:2: {reason}"
+        assert (info.value.path, info.value.line_no, info.value.reason) == (path, 2, reason)
 
 
 BOM = "\ufeff"

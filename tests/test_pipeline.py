@@ -885,7 +885,8 @@ class TestInstancesFileV3:
         for key, other in (("use_pos", small_config(position_window=7)),
                            ("position_window", small_config(use_pos=False)),
                            ("use_position", made.replace(use_position=False))):
-            with pytest.raises(ConfigError, match=f"the result was made with {key}="):
+            with pytest.raises(ConfigError,
+                               match=f"instances made with {key}=.*, but the config has"):
                 instances_to_json(result, other)
 
     def test_each_row_is_checked_once(self, synth_instances, monkeypatch):

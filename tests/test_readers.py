@@ -147,7 +147,7 @@ def assert_loads_or_names_the_file(load, path):
     try:
         load(path)
     except ParseError as exc:
-        assert str(exc).startswith(f"{path}: line {exc.line_no}: "), exc
+        assert str(exc).startswith(f"{path}:{exc.line_no}: "), exc
     except FormatError as exc:
         assert str(exc).startswith(f"{path}: not UTF-8 text"), exc
     except InputError as exc:

@@ -45,9 +45,10 @@ class EmbeddingTable:
     vocabulary: dict[str, np.ndarray] = field(default_factory=dict)
     oov_seed: int = 0
     duplicate_count: int = 0
-    # blake2b hex digest of the file the table was read from; None for a table
-    # built in memory
+    # blake2b hex digest of the file the table was read from, and that file's
+    # path as the caller gave it; both None for a table built in memory
     digest: str | None = None
+    path: str | os.PathLike | None = None
 
     @classmethod
     def empty(cls, dimension: int, oov_seed: int = 0) -> "EmbeddingTable":
@@ -80,7 +81,7 @@ def load_embeddings(path, oov_seed: int = 0) -> EmbeddingTable:
             return kept
         _LAST = key, kept
     return EmbeddingTable(kept.dimension, dict(kept.vocabulary), oov_seed,
-                          kept.duplicate_count, kept.digest)
+                          kept.duplicate_count, kept.digest, path)
 
 
 class _Hashing(io.RawIOBase):
@@ -156,7 +157,8 @@ def _parse(path, oov_seed: int) -> tuple[str | None, EmbeddingTable]:
         _parse_chunk(dim, chunk, vocab)
         hashing.drain()
         kept = raw.seekable()  # a pipe cannot be read again to check its bytes
-    table = EmbeddingTable(dim, vocab, oov_seed, duplicates, digest.hexdigest() if kept else None)
+    table = EmbeddingTable(dim, vocab, oov_seed, duplicates,
+                           digest.hexdigest() if kept else None, path)
     return (key.hexdigest() if kept else None), table
 
 

@@ -184,42 +184,31 @@ def train_autoencoders(samples, d: int, epochs: int, seeds) -> list[Autoencoder]
     taken from ``_FITS``; the others are fitted in one stacked run, where each
     row is the fit that seed would get alone, and kept.  Each returned model's
     fields are views of its own copy of its weight vector, and it keeps its
-    per-epoch loss curve.
+    per-epoch loss curve.  A ``d``, ``epochs`` or seed that is no integer raises TypeError.
     """
     x = np.asarray(samples, dtype=np.float64)
+    d, epochs, seeds = operator.index(d), operator.index(epochs), list(map(operator.index, seeds))
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionMismatch(f"samples must be (n, {d}), got {x.shape}")
     if x.shape[0] == 0:
         raise DimensionMismatch("samples must be non-empty")
-    seeds = list(seeds)
     if not seeds:
         raise DimensionMismatch("at least one seed is needed")
 
-    keys = _fit_keys(x, d, epochs, seeds)
+    keys = [(x.shape, x.tobytes(), d, epochs, seed) for seed in seeds]
     fits = [_FITS.get(key) for key in keys]
     missing = [k for k, fit in enumerate(fits) if fit is None]
     if missing:
         theta, curves = _fit_stack(x, d, epochs, [seeds[k] for k in missing])
         for k, row, curve in zip(missing, theta, curves):
             fits[k] = row, curve
-            if keys[k] is not None:
-                _FITS[keys[k]] = row.copy(), curve.copy()
+            _FITS[keys[k]] = row.copy(), curve.copy()
     out = []
     for row, curve in fits:
         ae = Autoencoder(*_ae_views(row.copy(), d))
         ae.training_losses = tuple(curve.tolist())
         out.append(ae)
     return out
-
-
-def _fit_keys(x: np.ndarray, d, epochs, seeds: list) -> list:
-    """Each seed's key in ``_FITS``; all None when an argument is not an
-    integer, so that the fit itself raises today's error."""
-    try:
-        args = (x.shape, x.tobytes(), operator.index(d), operator.index(epochs))
-        return [(*args, operator.index(seed)) for seed in seeds]
-    except TypeError:
-        return [None] * len(seeds)
 
 
 def _fit_stack(x: np.ndarray, d: int, epochs: int, seeds: list):

@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -613,15 +614,6 @@ class Vectorizer:
     def use_position(self) -> bool:
         return self.position_ae is not None
 
-    @property
-    def token_dim(self) -> int:
-        dim = self.table.dimension
-        if self.use_pos:
-            dim += POS_DIM
-        if self.use_position:
-            dim += 2 * self.position_ae.dim
-        return dim
-
     def word_vector(self, token: str) -> np.ndarray:
         vec = self.overrides.get(token)
         return lookup(self.table, token) if vec is None else vec
@@ -651,11 +643,12 @@ class Vectorizer:
         finite = np.isfinite(word_vectors).all(axis=1)[word_ids] & np.isfinite(fixed).all(axis=1)
         if not finite.all():  # an unused word is not read
             bad = words[word_ids[finite.argmin()]]
-            raise DimensionMismatch(f"token vector of {bad!r} has non-finite components")
+            raise DimensionMismatch(f"token vector of {bad!r} has non-finite components",
+                                    path=None if bad in self.overrides else self.table.path)
         return TokenRows(lengths, words, word_vectors, word_ids, fixed)
 
     def vectorize(self, inst: SdpInstance) -> np.ndarray:
-        """(n, token_dim) rows of [word | pos | position from PROT1 | from PROT2]."""
+        """One row per token: [word | pos | position from PROT1 | from PROT2]."""
         return self.token_rows([inst]).stacked()
 
 
@@ -742,7 +735,7 @@ def _fit_by_sample_set(sample_sets: list[np.ndarray], d: int, epochs: int, seeds
 
 
 def _checked_autoencoders(config: TrainConfig, autoencoders):
-    """The pre-fit (pos_ae, position_ae) pair, once it is known to suit the config."""
+    """The pre-fit (pos_ae, position_ae) pair, once known to suit the config and be finite."""
     pos_ae, position_ae = autoencoders
     for ae, flag, enabled, dim, what in (
         (pos_ae, "use_pos", config.use_pos, POS_DIM, "PoS"),
@@ -751,8 +744,13 @@ def _checked_autoencoders(config: TrainConfig, autoencoders):
         if (ae is not None) != enabled:
             state = "missing" if ae is None else "given"
             raise ConfigError(f"{flag}={enabled}, but the {what} autoencoder is {state}")
-        if ae is not None and ae.dim != dim:
+        if ae is None:
+            continue
+        if ae.dim != dim:
             raise DimensionMismatch(f"the {what} autoencoder is {ae.dim}-d, the config needs {dim}")
+        weights = (ae.encoder_w, ae.encoder_b, ae.decoder_w, ae.decoder_b)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise FormatError(f"the {what} autoencoder has non-finite weights")
     return pos_ae, position_ae
 
 
@@ -775,7 +773,8 @@ class Checkpoint:
     vector `theta` and the arrays.  The model's kind, input width and layout
     follow from the config.  ``embedding_digest`` is the digest of the vectors
     file it was trained on, None for a table without a file or a checkpoint
-    written without it."""
+    written without it.  Making a checkpoint checks every rule of one, so an
+    invalid one raises InputError and is never made."""
 
     config: TrainConfig
     theta: np.ndarray
@@ -786,21 +785,37 @@ class Checkpoint:
     token_vectors: dict[str, np.ndarray]
     embedding_digest: str | None = None
 
-    def build_model(self):
+    def __post_init__(self):
+        _checked_autoencoders(self.config, (self.pos_ae, self.position_ae))
         model = build_model(self.config)
         if self.theta.shape != model.theta.shape:
             raise DimensionMismatch(f"checkpoint theta has shape {self.theta.shape}, the "
                                     f"config's {self.config.model} needs {model.theta.shape}")
-        model.theta[...] = self.theta
-        if not np.all(np.isfinite(model.theta)):
-            bad = _first_non_finite(model.tensors())
+        if not np.isfinite(self.theta).all():
+            bad = _first_non_finite(model.tensors(self.theta))
             raise FormatError(f"checkpoint tensor {bad} is not finite")
+        _checked_pos_table(self.pos_table)
+        if type(self.oov_seed) is not int:
+            raise FormatError(f"checkpoint oov_seed must be an integer, got {self.oov_seed!r}")
+        digest = self.embedding_digest
+        if not (digest is None or type(digest) is str and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise FormatError(f"checkpoint embedding_digest must be 64 hex digits, got {digest!r}")
+        dim = self.config.embedding_dim
+        for word, vec in self.token_vectors.items():
+            if vec.shape != (dim,) or not np.isfinite(vec).all():
+                fault = "non-finite components" if vec.shape == (dim,) else f"shape {vec.shape}"
+                raise DimensionMismatch(f"checkpoint token vectors are not all finite and "
+                                        f"{dim}-d: the vector of {word!r} has {fault}")
+
+    def build_model(self):
+        model = build_model(self.config)
+        model.theta[...] = self.theta
         return model
 
     def build_vectorizer(self, table: EmbeddingTable | None = None) -> Vectorizer:
-        if table is None:
-            table = load_table(self.config, self.oov_seed)
-        elif table.oov_seed != self.oov_seed:
+        table = (load_table(self.config, self.oov_seed) if table is None
+                 else _checked_dimension(self.config, table, "the embedding table"))
+        if table.oov_seed != self.oov_seed:
             raise ConfigError(f"embedding table has oov_seed {table.oov_seed}, "
                               f"the checkpoint was trained with oov_seed {self.oov_seed}")
         trained_on = self.embedding_digest
@@ -808,15 +823,7 @@ class Checkpoint:
             raise ConfigError(
                 f"{self.config.embedding_path} has changed since training: its blake2b digest "
                 f"is {table.digest[:16]}..., the checkpoint's is {trained_on[:16]}...")
-        vec = Vectorizer(table, self.pos_ae, self.position_ae, dict(self.token_vectors))
-        if vec.token_dim != self.config.input_dim:
-            raise DimensionMismatch(
-                f"vectorizer dimension {vec.token_dim} does not match checkpoint "
-                f"input dimension {self.config.input_dim}"
-            )
-        if any(v.shape != (table.dimension,) for v in self.token_vectors.values()):
-            raise DimensionMismatch(f"checkpoint token vectors are not {table.dimension}-d")
-        return vec
+        return Vectorizer(table, self.pos_ae, self.position_ae, dict(self.token_vectors))
 
 
 @dataclass

@@ -13,7 +13,8 @@ gradient scattered into its dense matrix, a word-vector loader that parses
 one row at a time, and an instances file reader that checks one instance at
 a time.  There is no oracle for a retired file format: its readers are gone,
 and each such file is only checked to be rejected.  One Hypothesis strategy,
-``one_byte_edit``, damages a file's bytes for the readers' fuzz tests.
+``one_byte_edit``, damages a file's bytes for the readers' fuzz tests, and
+``assert_exit_2_names`` checks what every exit 2 about a file prints.
 """
 
 from __future__ import annotations
@@ -717,3 +718,9 @@ def one_byte_edit(draw, data: bytes) -> bytes:
         return data[:at] + bytes([draw(EDIT_BYTES)]) + data[at:]
     cut = min(at, len(data) - 1)
     return data[:cut] + (bytes([draw(EDIT_BYTES)]) if kind == "replace" else b"") + data[cut + 1:]
+
+
+def assert_exit_2_names(path, rc, out, err) -> None:
+    """On exit 2, stdout is empty and stderr names `path` exactly once."""
+    if rc == 2:
+        assert out == "" and err.count(str(path)) == 1, err

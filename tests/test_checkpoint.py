@@ -28,6 +28,7 @@ from sdprel.cli import main
 from sdprel.pipeline import TrainConfig, instances_to_json, predict, preprocess, train
 
 from helpers import (
+    assert_exit_2_names,
     framed,
     split_blob,
     synthetic_corpus,
@@ -161,27 +162,40 @@ def kind_checkpoints(train_instances):
             for kind in FIRST_TENSOR}
 
 
-def with_weight(ck, value, *names):
-    """The checkpoint file of `ck` with the last entry of each named tensor set to
-    `value`, written by the regular writer, so that its checksum is valid."""
+def edited_copy(ck, **fields):
+    """A loaded copy of `ck` with these fields set in place, past the checks
+    that making a checkpoint runs, so that the writer writes what they hold."""
+    copy = checkpoint_from_bytes(checkpoint_bytes(ck))
+    for name, value in fields.items():
+        setattr(copy, name, value)
+    return copy
+
+
+def theta_with(ck, value, *names):
+    """A copy of `ck`'s theta with the last entry of each named tensor set to `value`."""
     model = ck.build_model()
     for name in names:
         model.tensors()[name].flat[-1] = value
-    return checkpoint_bytes(dataclasses.replace(ck, theta=model.theta))
+    return model.theta
+
+
+def with_weight(ck, value, *names):
+    """The checkpoint file of `ck` with the last entry of each named tensor set to
+    `value`, written by the regular writer, so that its checksum is valid."""
+    return checkpoint_bytes(edited_copy(ck, theta=theta_with(ck, value, *names)))
 
 
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", list(FIRST_TENSOR))
     def test_build_model_names_the_first_bad_tensor(self, kind_checkpoints, kind, value):
+        """The loader makes the checkpoint, which names the first bad tensor."""
         ck = kind_checkpoints[kind]
-        loaded = checkpoint_from_bytes(with_weight(ck, value, "head.w_out"))
         with pytest.raises(FormatError, match=r"checkpoint tensor head\.w_out is not finite"):
-            loaded.build_model()
+            checkpoint_from_bytes(with_weight(ck, value, "head.w_out"))
         first = FIRST_TENSOR[kind]
-        loaded = checkpoint_from_bytes(with_weight(ck, value, "head.w_out", first))
         with pytest.raises(FormatError, match=rf"checkpoint tensor {first} is not finite"):
-            loaded.build_model()
+            checkpoint_from_bytes(with_weight(ck, value, "head.w_out", first))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("command", [("predict",), ("evaluate", "--report", "csv")])
@@ -205,11 +219,11 @@ class TestThetaLength:
     def test_theta_of_another_length_exits_2(self, kind_checkpoints, kind, tmp_path, capsys):
         ck = kind_checkpoints[kind]
         size = ck.theta.size
-        blob = checkpoint_bytes(dataclasses.replace(ck, theta=ck.theta[:-1]))
+        blob = checkpoint_bytes(edited_copy(ck, theta=ck.theta[:-1]))
         with pytest.raises(DimensionMismatch,
                            match=rf"theta has shape \({size - 1},\), the config's {kind} "
                                  rf"needs \({size},\)"):
-            checkpoint_from_bytes(blob).build_model()
+            checkpoint_from_bytes(blob)
         (tmp_path / "model.sdpl").write_bytes(blob)
         result = synthetic_result(tmp_path, 4, seed=9)
         (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
@@ -219,6 +233,90 @@ class TestThetaLength:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "theta has shape" in captured.err
+
+
+def with_nan(ae):
+    """A copy of the autoencoder with a nan in its encoder bias."""
+    bias = ae.encoder_b.copy()
+    bias[0] = np.nan
+    return dataclasses.replace(ae, encoder_b=bias)
+
+
+# rule -> (the fields of a CONFIG checkpoint that break it, the error's type, its
+# message): one row per rule that making a Checkpoint checks
+CONSTRUCTION_FAULTS = {
+    "autoencoder missing": (
+        lambda ck: {"pos_ae": None},
+        ConfigError, "use_pos=True, but the PoS autoencoder is missing"),
+    "autoencoder given": (
+        lambda ck: {"config": ck.config.replace(use_position=False)},
+        ConfigError, "use_position=False, but the position autoencoder is given"),
+    "autoencoder width": (
+        lambda ck: {"position_ae": ck.pos_ae},
+        DimensionMismatch, "the position autoencoder is 8-d, the config needs 10"),
+    "autoencoder not finite": (
+        lambda ck: {"pos_ae": with_nan(ck.pos_ae)},
+        FormatError, "the PoS autoencoder has non-finite weights"),
+    "theta length": (
+        lambda ck: {"theta": ck.theta[:-1]},
+        DimensionMismatch, "checkpoint theta has shape ({short},), the config's bilstm "
+                           "needs ({size},)"),
+    "theta not finite": (
+        lambda ck: {"theta": theta_with(ck, np.nan, "head.w_out")},
+        FormatError, "checkpoint tensor head.w_out is not finite"),
+    "pos_table": (
+        lambda ck: {"pos_table": {"NN": 8}},
+        FormatError, "pos_table must map tags to integers in 0..7"),
+    "oov_seed": (
+        lambda ck: {"oov_seed": 5.0},
+        FormatError, "checkpoint oov_seed must be an integer, got 5.0"),
+    "embedding_digest": (
+        lambda ck: {"embedding_digest": "abc"},
+        FormatError, "checkpoint embedding_digest must be 64 hex digits, got 'abc'"),
+    "token vector width": (
+        lambda ck: {"token_vectors": {**ck.token_vectors, "PROT1": np.zeros(5)}},
+        DimensionMismatch, "checkpoint token vectors are not all finite and 8-d: "
+                           "the vector of 'PROT1' has shape (5,)"),
+    "token vector not finite": (
+        lambda ck: {"token_vectors": {**ck.token_vectors, "PROTX": np.full(8, np.inf)}},
+        DimensionMismatch, "checkpoint token vectors are not all finite and 8-d: "
+                           "the vector of 'PROTX' has non-finite components"),
+}
+# the file's word matrix has rows of one width, so the writer, handed a 5-d
+# row, writes a payload that is too short
+STORED_AS = {"token vector width": "checkpoint array payload is truncated"}
+
+
+class TestConstructionFaults:
+    """Making a checkpoint checks every rule of one, each in one place; the
+    loader makes the checkpoint, so `predict` reports each rule's fault in a
+    file as an exit 2 that names the file once."""
+
+    def expected(self, ck, rule):
+        edit, kind, message = CONSTRUCTION_FAULTS[rule]
+        return edit, kind, message.format(short=ck.theta.size - 1, size=ck.theta.size)
+
+    @pytest.mark.parametrize("rule", list(CONSTRUCTION_FAULTS))
+    def test_an_invalid_checkpoint_is_never_made(self, trained_checkpoint, rule):
+        edit, kind, message = self.expected(trained_checkpoint, rule)
+        with pytest.raises(InputError) as caught:
+            dataclasses.replace(trained_checkpoint, **edit(trained_checkpoint))
+        assert (type(caught.value), str(caught.value)) == (kind, message)
+
+    @pytest.mark.parametrize("rule", list(CONSTRUCTION_FAULTS))
+    def test_predict_exits_2_naming_the_checkpoint(self, trained_checkpoint, rule, tmp_path,
+                                                   capsys):
+        edit, _, message = self.expected(trained_checkpoint, rule)
+        path = tmp_path / "model.sdpl"
+        path.write_bytes(checkpoint_bytes(edited_copy(trained_checkpoint,
+                                                      **edit(trained_checkpoint))))
+        result = synthetic_result(tmp_path, 4, seed=9)
+        (tmp_path / "inst.json").write_text(instances_to_json(result, CONFIG), encoding="utf-8")
+        rc = main(["predict", "--ck", str(path), "--instances", str(tmp_path / "inst.json")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert_exit_2_names(path, rc, out, err)
+        assert err == f"error: {path}: {STORED_AS.get(rule, message)}\n"
 
 
 class TestCorruption:
@@ -360,14 +458,9 @@ class TestMetadata:
             assert captured.out == ""
             assert f"{key} expects" in captured.err
 
-    def test_autoencoder_missing_in_memory_is_dimension_mismatch(self, trained_checkpoint):
-        ck = dataclasses.replace(trained_checkpoint, pos_ae=None)
-        with pytest.raises(DimensionMismatch, match="input dimension"):
-            ck.build_vectorizer()
-
-    def test_missing_autoencoder_is_format_error(self, trained_checkpoint):
-        blob = checkpoint_bytes(dataclasses.replace(trained_checkpoint, pos_ae=None))
-        with pytest.raises(FormatError, match="autoencoders"):
+    def test_missing_autoencoder_is_config_error(self, trained_checkpoint):
+        blob = checkpoint_bytes(edited_copy(trained_checkpoint, pos_ae=None))
+        with pytest.raises(ConfigError, match="use_pos=True, but the PoS autoencoder is missing"):
             checkpoint_from_bytes(blob)
 
     def test_inconsistent_autoencoder_shapes_are_format_error(self, trained_checkpoint):
@@ -378,12 +471,11 @@ class TestMetadata:
             checkpoint_from_bytes(blob)
 
     def test_token_vector_of_another_dimension_is_rejected(self, trained_checkpoint):
+        """Such a checkpoint is never made; the file format cannot hold one,
+        since its word matrix has rows of one width."""
         vectors = {**trained_checkpoint.token_vectors, "PROT1": np.zeros(5)}
-        ck = dataclasses.replace(trained_checkpoint, token_vectors=vectors)
-        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
-            checkpoint_bytes(ck)
-        with pytest.raises(DimensionMismatch, match="token vectors are not 8-d"):
-            ck.build_vectorizer()
+        with pytest.raises(DimensionMismatch, match="token vectors are not all finite and 8-d"):
+            dataclasses.replace(trained_checkpoint, token_vectors=vectors)
 
     def test_an_array_listed_twice_is_format_error(self, trained_checkpoint):
         """A repeated (section, name) entry is rejected, not read over the first."""

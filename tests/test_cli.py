@@ -14,7 +14,7 @@ from sdprel.cli import main
 from sdprel.errors import NonFiniteLoss
 from sdprel.pipeline import instances_from_json, preprocess
 
-from helpers import framed, split_blob, synthetic_corpus, write_lines
+from helpers import assert_exit_2_names, framed, split_blob, synthetic_corpus, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1094,4 +1094,7 @@ class TestEveryExit2NamesItsFile:
         capsys.readouterr()
         rc = run("train", "--instances", workdir / "inst.json", "--config", workdir / "vconfig",
                  "--out", workdir / "model.sdpl")
-        self.assert_exit_2(capsys, rc, "token vector of 'with' has non-finite components")
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert_exit_2_names(vectors, rc, out, err)
+        assert err == f"error: {vectors}: token vector of 'with' has non-finite components\n"

@@ -334,6 +334,15 @@ class TestCache:
         assert EmbeddingTable.empty(4).digest is None
         assert EmbeddingTable(dimension=1, vocabulary={"w": np.ones(1)}).digest is None
 
+    def test_a_table_records_the_callers_path(self, tmp_path, vectors, monkeypatch):
+        """On a miss and on a hit alike, spelled as the caller spelled it;
+        a table built in memory has none."""
+        assert load_embeddings(vectors).path == vectors
+        monkeypatch.setattr(embed, "_parse", parse_forbidden)
+        monkeypatch.chdir(tmp_path)
+        assert load_embeddings("emb.txt").path == "emb.txt"
+        assert EmbeddingTable.empty(4).path is None
+
     def test_a_pipe_is_read_once_and_not_cached(self, tmp_path):
         fifo = tmp_path / "emb.fifo"
         os.mkfifo(fifo)

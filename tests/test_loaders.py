@@ -30,6 +30,7 @@ from sdprel.features import load_pos_table
 from sdprel.pipeline import TrainConfig, instances_to_json, preprocess
 
 from helpers import (
+    assert_exit_2_names,
     framed,
     one_byte_edit,
     reference_load_embeddings,
@@ -208,12 +209,6 @@ VECTORS_4D = "5 4\n" + "".join(f"{word} {k} -0.{k}5 {k}e-3 1.{k}\n"
 def damaged(data: bytes):
     """`data` with one byte inserted, deleted or replaced, or cut short."""
     return st.one_of(one_byte_edit(data), st.integers(0, len(data)).map(lambda n: data[:n]))
-
-
-def assert_exit_2_names(path, rc, out, err) -> None:
-    """On exit 2, stdout is empty and stderr names `path` exactly once."""
-    if rc == 2:
-        assert out == "" and err.count(str(path)) == 1, err
 
 
 def in_process(*argv) -> tuple[int, str, str]:

@@ -1168,7 +1168,7 @@ class TestVectorizer:
                          overrides={"PROT1": np.full(cfg.embedding_dim, 0.25)})
         for inst in instances:
             got = vec.vectorize(inst)
-            assert got.shape == (len(inst.tokens), vec.token_dim)
+            assert got.shape == (len(inst.tokens), cfg.input_dim)
             assert np.array_equal(got, per_token_vectors(vec, inst))
 
     def test_replaced_codes_of_another_width_are_rejected(self, long_instances):
@@ -1215,6 +1215,23 @@ class TestVectorizer:
         vec.token_rows(good)
         with pytest.raises(DimensionMismatch, match=fault):
             vec.token_rows([*good, inst])
+
+    def test_a_non_finite_row_names_the_table_file_it_came_from(self, long_instances):
+        cfg, instances = long_instances
+        pos_ae, position_ae = pretrain_autoencoders(cfg, instances)
+        word = next(w for w in instances[0].tokens if w not in ("PROT1", "PROT2"))
+        table = EmbeddingTable(cfg.embedding_dim, {word: np.full(cfg.embedding_dim, np.inf)},
+                               path="vectors.txt")
+        vec = Vectorizer(table, pos_ae, position_ae)
+        with pytest.raises(DimensionMismatch) as caught:
+            vec.vectorize(instances[0])
+        assert str(caught.value) == (f"vectors.txt: token vector of {word!r} has non-finite "
+                                     "components")
+        vec.overrides[word] = np.zeros(cfg.embedding_dim)
+        vec.overrides["PROT1"] = np.full(cfg.embedding_dim, np.nan)  # not the table's row
+        with pytest.raises(DimensionMismatch) as caught:
+            vec.vectorize(instances[0])
+        assert caught.value.path is None
 
     def test_an_unused_non_finite_word_is_not_read(self, long_instances):
         cfg, instances = long_instances
@@ -1428,7 +1445,8 @@ class TestTrain:
         cfg = small_config(use_pos=False, use_position=False, epochs=5)
         tr = train(cfg, synth_instances.instances)
         assert tr.checkpoint.config.input_dim == cfg.embedding_dim
-        assert tr.checkpoint.build_vectorizer().token_dim == cfg.embedding_dim
+        rows = tr.checkpoint.build_vectorizer().vectorize(synth_instances.instances[0])
+        assert rows.shape[1] == cfg.embedding_dim
         assert tr.checkpoint.pos_ae is None
         assert tr.checkpoint.position_ae is None
 
@@ -1436,7 +1454,8 @@ class TestTrain:
         cfg = small_config(epochs=2)
         tr = train(cfg, synth_instances.instances)
         assert tr.checkpoint.config.input_dim == 12 + 8 + 10 + 10
-        assert tr.checkpoint.build_vectorizer().token_dim == 12 + 8 + 10 + 10
+        rows = tr.checkpoint.build_vectorizer().vectorize(synth_instances.instances[0])
+        assert rows.shape[1] == 12 + 8 + 10 + 10
         assert tr.checkpoint.build_model().input_dim == 12 + 8 + 10 + 10
 
     def test_special_token_vectors_persisted(self, synth_instances):
@@ -1631,10 +1650,16 @@ class TestPredictEvaluate:
         assert metrics.f1 == 100.0
 
     def test_vectorizer_drift_rejected(self, trained):
+        """A checkpoint whose config's embedding_dim is not its model's is never
+        made, and a table of another dimension is not used with it."""
         _, tr = trained
-        ck = dataclasses.replace(tr.checkpoint, config=tr.checkpoint.config.replace(embedding_dim=5))
-        with pytest.raises(DimensionMismatch):
-            ck.build_vectorizer()
+        ck = tr.checkpoint
+        with pytest.raises(DimensionMismatch, match="theta has shape"):
+            dataclasses.replace(ck, config=ck.config.replace(embedding_dim=5))
+        with pytest.raises(DimensionMismatch,
+                           match="the embedding table holds 5-d vectors, the config sets "
+                                 "embedding_dim=12"):
+            ck.build_vectorizer(EmbeddingTable.empty(5, oov_seed=ck.oov_seed))
 
     def test_excluded_scored_as_non_interacting(self, trained, synth_instances):
         _, tr = trained

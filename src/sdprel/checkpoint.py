@@ -6,13 +6,13 @@ table | 8-byte blake2b checksum of everything before it.
 
 Version 3 stores the model's parameter vector as one array (``param/theta``),
 the autoencoders' arrays and one matrix of word vectors (``words/vectors``)
-whose rows follow the sorted ``words`` list; the model's kind, input width and
-layout follow from the stored config.  Only version 3 is read.  A version 1
-or 2 file raises VersionMismatch: its model can be rebuilt only by training
-again.  The loader checks the file's format: its framing and checksum, the
-arrays table, the autoencoders' shapes, the ``words`` list, the word matrix's
-shape and unknown arrays.  Every other rule, such as whether the arrays suit
-the stored config and hold finite values, is checked by making the
+whose rows follow the sorted ``words`` list, as a ``Checkpoint`` holds them;
+the model's kind, input width and layout follow from the stored config.  Only
+version 3 is read.  A version 1 or 2 file raises VersionMismatch: its model can
+be rebuilt only by training again.  The loader checks the file's format: its
+framing and checksum, the arrays table, the autoencoders' shapes and unknown
+arrays.  Every other rule, such as whether the words are sorted, the arrays
+suit the stored config and hold finite values, is checked by making the
 ``Checkpoint``.  The optional key ``embedding_digest`` holds the blake2b hex
 digest of the vectors file the model was trained on; a checkpoint without it
 loads unchecked.
@@ -38,28 +38,23 @@ _AE_FIELDS = ("encoder_w", "encoder_b", "decoder_w", "decoder_b")
 
 
 def _file_pieces(ck: Checkpoint) -> list:
-    """The file piece by piece: the header, each array's bytes, then the
-    checksum.  The word matrix goes row by row, so that it is never copied whole."""
-    words, dim = sorted(ck.token_vectors), ck.config.embedding_dim
-    rows = [np.ascontiguousarray(ck.token_vectors[w], dtype="<f8") for w in words]
+    """The file piece by piece: the header, each array's bytes, then the checksum."""
     entries = [("param", "theta", ck.theta)] + [
         (section, name, getattr(ae, name))
         for section, ae in (("pos_ae", ck.pos_ae), ("position_ae", ck.position_ae))
-        if ae is not None for name in _AE_FIELDS]
+        if ae is not None for name in _AE_FIELDS] + [("words", "vectors", ck.word_vectors)]
     meta = {
         "config": ck.config.to_dict(),
         "oov_seed": ck.oov_seed,
         "pos_table": ck.pos_table,
-        "words": words,
-        "arrays": [[sec, name, list(arr.shape)] for sec, name, arr in entries]
-                  + [["words", "vectors", [len(words), dim]]],
+        "words": ck.words,
+        "arrays": [[sec, name, list(arr.shape)] for sec, name, arr in entries],
     }
     if ck.embedding_digest is not None:
         meta["embedding_digest"] = ck.embedding_digest
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     header = MAGIC + struct.pack("<HQ", FORMAT_VERSION, len(meta_bytes)) + meta_bytes
-    arrays = [np.ascontiguousarray(arr, dtype="<f8") for *_, arr in entries] + rows
-    pieces = [header] + [arr.data.cast("B") for arr in arrays]
+    pieces = [header] + [np.ascontiguousarray(a, dtype="<f8").data.cast("B") for *_, a in entries]
     digest = hashlib.blake2b(digest_size=8)
     for piece in pieces:
         digest.update(piece)
@@ -144,12 +139,6 @@ def _checkpoint_from_meta(meta, body, offset: int) -> Checkpoint:
     config = TrainConfig.from_dict(meta["config"])
     pos_ae, position_ae = _take_ae(arrays, "pos_ae"), _take_ae(arrays, "position_ae")
     words, vectors = meta["words"], arrays.pop(("words", "vectors"))
-    if not (type(words) is list and all(type(w) is str for w in words)
-            and words == sorted(set(words))):
-        raise FormatError("checkpoint words must be distinct strings in sorted order")
-    if vectors.shape != (len(words), config.embedding_dim):
-        raise FormatError(f"checkpoint word vectors have shape {vectors.shape}, its words "
-                          f"and embedding_dim need {(len(words), config.embedding_dim)}")
     theta = arrays.pop(("param", "theta"))
     if arrays:
         raise FormatError(f"checkpoint has unknown arrays {list(arrays)}")
@@ -157,5 +146,5 @@ def _checkpoint_from_meta(meta, body, offset: int) -> Checkpoint:
         raise FormatError("checkpoint embedding_digest is null, not 64 hex digits")
     return Checkpoint(config=config, theta=theta, pos_ae=pos_ae, position_ae=position_ae,
                       pos_table=meta["pos_table"], oov_seed=meta["oov_seed"],
-                      token_vectors=dict(zip(words, vectors)),
+                      words=tuple(words) if type(words) is list else words, word_vectors=vectors,
                       embedding_digest=meta.get("embedding_digest"))

@@ -38,7 +38,6 @@ OTHER_CLASS = 7
 
 POSITION_DIM = 10
 
-_pos_table_cache: dict[str, int] | None = None
 # Every autoencoder fit made in this process, (weights, loss curve) keyed by
 # (the samples' shape and bytes, d, epochs, seed): a fit is a pure function of
 # those, so a kept one has the bits a new fit would get.
@@ -80,13 +79,8 @@ def _pos_table_of(text: str) -> dict[str, int]:
 
 
 def coarse_pos(tag: str, table: dict[str, int] | None = None) -> int:
-    """Coarse class of a PoS tag; unknown tags fall into 'other'."""
-    global _pos_table_cache
-    if table is None:
-        if _pos_table_cache is None:
-            _pos_table_cache = load_pos_table()
-        table = _pos_table_cache
-    return table.get(tag, OTHER_CLASS)
+    """Class of a PoS tag in `table`, by default the bundled one; unknown tags are 'other'."""
+    return (load_pos_table() if table is None else table).get(tag, OTHER_CLASS)
 
 
 def encode_pos_onehot(class_index: int) -> np.ndarray:

@@ -12,10 +12,10 @@ whole-array update.
 A gradient that is zero outside a few rows can come row-sparse: ``rows[name]``
 is a sorted, unique array of row indices and ``grads[name]`` holds just those
 rows, ``(len(rows[name]), *shape[1:])``.  The listed rows take the update on
-gathered copies; every other row takes the same update on a zero-stride +0.0
-gradient, which allocates nothing, so the result is the dense step's on the
-scattered gradient by construction.  Callers own exclusivity (no concurrent
-steps on one state).
+gathered copies; every other row takes the same update on a +0.0 gradient,
+slices of one read-only block of zeros made at import, so the result is the
+dense step's on the scattered gradient by construction.  Callers own
+exclusivity (no concurrent steps on one state).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import ShapeMismatch
 # 128 KiB of float64.  A block's parameters, gradient, two moments and scratch
 # (640 KiB for Adam) stay in a core's L2 cache; 8,192 and 131,072 were slower.
 BLOCK = 16384
+_ZEROS = np.zeros(BLOCK)  # the gradient of the rows that a row-sparse step does not list
+_ZEROS.flags.writeable = False
 
 
 def _check_shapes(params, grads, rows):
@@ -90,7 +92,7 @@ def _step_blocks(params, grads, rows, slots, update, scratch: int) -> None:
             continue
         listed = rows[name]
         gathered = [t[listed] for t in tensors]
-        _blocks(update, [p, np.broadcast_to(0.0, (p.size,)), *tensors[1:]], buffers)
+        _blocks(lambda block, *rest: update(block, _ZEROS[: block.size], *rest), tensors, buffers)
         _blocks(update, [gathered[0], grads[name], *gathered[1:]], buffers)
         for t, g in zip(tensors, gathered):
             t[listed] = g

@@ -18,6 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -767,14 +768,15 @@ def build_model(config: TrainConfig, rng: np.random.Generator | None = None):
             else cls.init(rng, config.input_dim, **size))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     """A trained model and its input encoder: the config, the model's parameter
-    vector `theta` and the arrays.  The model's kind, input width and layout
+    vector `theta`, the arrays, and the distinct, sorted ``words``, whose vectors
+    are the rows of ``word_vectors``.  The model's kind, input width and layout
     follow from the config.  ``embedding_digest`` is the digest of the vectors
     file it was trained on, None for a table without a file or a checkpoint
     written without it.  Making a checkpoint checks every rule of one, so an
-    invalid one raises InputError and is never made."""
+    invalid one raises InputError and is never made; it cannot change once made."""
 
     config: TrainConfig
     theta: np.ndarray
@@ -782,7 +784,8 @@ class Checkpoint:
     position_ae: Autoencoder | None
     pos_table: dict[str, int]
     oov_seed: int
-    token_vectors: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    word_vectors: np.ndarray
     embedding_digest: str | None = None
 
     def __post_init__(self):
@@ -800,12 +803,23 @@ class Checkpoint:
         digest = self.embedding_digest
         if not (digest is None or type(digest) is str and re.fullmatch("[0-9a-f]{64}", digest)):
             raise FormatError(f"checkpoint embedding_digest must be 64 hex digits, got {digest!r}")
-        dim = self.config.embedding_dim
-        for word, vec in self.token_vectors.items():
-            if vec.shape != (dim,) or not np.isfinite(vec).all():
-                fault = "non-finite components" if vec.shape == (dim,) else f"shape {vec.shape}"
-                raise DimensionMismatch(f"checkpoint token vectors are not all finite and "
-                                        f"{dim}-d: the vector of {word!r} has {fault}")
+        words, vectors = self.words, self.word_vectors
+        if not (type(words) is tuple and all(type(w) is str for w in words)
+                and list(words) == sorted(set(words))):
+            raise FormatError("checkpoint words must be distinct strings in sorted order")
+        shape = (len(words), self.config.embedding_dim)
+        if vectors.shape != shape:
+            raise DimensionMismatch(f"checkpoint word vectors have shape {vectors.shape}, its "
+                                    f"words and embedding_dim need {shape}")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise DimensionMismatch(f"checkpoint word vector of {words[finite.argmin()]!r} "
+                                    "has non-finite components")
+
+    @property
+    def token_vectors(self) -> MappingProxyType:
+        """The vector of each word, by word: a read-only view of the two fields."""
+        return MappingProxyType(dict(zip(self.words, self.word_vectors)))
 
     def build_model(self):
         model = build_model(self.config)
@@ -876,12 +890,9 @@ def train(
     vectorizer = Vectorizer(table, pos_ae, position_ae)
     rows = vectorizer.token_rows(instances)
     # one (V x D) matrix of the words' vectors, which tuning changes in place; the
-    # checkpoint keeps row views of every word when tuning, else copies of the
-    # special tokens' rows, so that it does not hold the whole matrix
+    # checkpoint holds it when tuning, else a copy of just the special tokens' rows
     emb = rows.word_vectors
-    overrides = dict(zip(rows.words, emb))
-    if not config.tune_embeddings:
-        overrides = {w: overrides[w].copy() for w in sorted(SPECIAL_TOKENS)}
+    words = tuple(rows.words) if config.tune_embeddings else tuple(sorted(SPECIAL_TOKENS))
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = build_model(config, rng)
 
@@ -940,7 +951,8 @@ def train(
         position_ae=position_ae,
         pos_table=dict(pos_table) if pos_table is not None else load_pos_table(),
         oov_seed=table.oov_seed,
-        token_vectors=overrides,
+        words=words,
+        word_vectors=emb if config.tune_embeddings else emb[[rows.words.index(w) for w in words]],
         embedding_digest=table.digest,
     )
     return TrainResult(checkpoint=checkpoint, epoch_losses=losses)

@@ -6,6 +6,7 @@ the batch's loss and gradients are the per-instance ones summed, and that
 `train` draws the dropout masks a per-instance loop over the same RNG draws.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -333,8 +334,8 @@ class TestScoring:
         one = [predict(ck, inst, vec, model) for inst in insts]
         assert one == [predict_all(ck, [inst], vec, model)[0] for inst in insts]
         for size in (1, 3, len(insts)):
-            ck.config = ck.config.replace(batch=size)
-            got = predict_all(ck, insts, vec)
+            got = predict_all(dataclasses.replace(ck, config=ck.config.replace(batch=size)),
+                              insts, vec)
             assert [label for label, _ in got] == [label for label, _ in one]
             assert max(abs(p - q) for (_, p), (_, q) in zip(got, one)) <= ROW_TOLERANCE
 

@@ -25,7 +25,14 @@ from sdprel.errors import (
     VersionMismatch,
 )
 from sdprel.cli import main
-from sdprel.pipeline import TrainConfig, instances_to_json, predict, preprocess, train
+from sdprel.pipeline import (
+    Checkpoint,
+    TrainConfig,
+    instances_to_json,
+    predict,
+    preprocess,
+    train,
+)
 
 from helpers import (
     assert_exit_2_names,
@@ -94,7 +101,8 @@ class TestRoundTrip:
         assert np.array_equal(
             loaded.pos_ae.encoder_w, trained_checkpoint.pos_ae.encoder_w
         )
-        assert set(loaded.token_vectors) == set(trained_checkpoint.token_vectors)
+        assert loaded.words == trained_checkpoint.words == ("PROT1", "PROT2", "PROTX")
+        assert np.array_equal(loaded.word_vectors, trained_checkpoint.word_vectors)
 
     def test_loaded_model_predicts_identically(self, trained_checkpoint):
         from sdprel.pipeline import predict
@@ -164,10 +172,11 @@ def kind_checkpoints(train_instances):
 
 def edited_copy(ck, **fields):
     """A loaded copy of `ck` with these fields set in place, past the checks
-    that making a checkpoint runs, so that the writer writes what they hold."""
+    that making a checkpoint runs and its being frozen, so that the writer
+    writes what they hold.  The one place that sets a made checkpoint's fields."""
     copy = checkpoint_from_bytes(checkpoint_bytes(ck))
     for name, value in fields.items():
-        setattr(copy, name, value)
+        object.__setattr__(copy, name, value)
     return copy
 
 
@@ -242,6 +251,13 @@ def with_nan(ae):
     return dataclasses.replace(ae, encoder_b=bias)
 
 
+def with_row(matrix, k, value):
+    """A copy of the matrix with row k set to `value`."""
+    copy = matrix.copy()
+    copy[k] = value
+    return copy
+
+
 # rule -> (the fields of a CONFIG checkpoint that break it, the error's type, its
 # message): one row per rule that making a Checkpoint checks
 CONSTRUCTION_FAULTS = {
@@ -273,18 +289,20 @@ CONSTRUCTION_FAULTS = {
     "embedding_digest": (
         lambda ck: {"embedding_digest": "abc"},
         FormatError, "checkpoint embedding_digest must be 64 hex digits, got 'abc'"),
-    "token vector width": (
-        lambda ck: {"token_vectors": {**ck.token_vectors, "PROT1": np.zeros(5)}},
-        DimensionMismatch, "checkpoint token vectors are not all finite and 8-d: "
-                           "the vector of 'PROT1' has shape (5,)"),
-    "token vector not finite": (
-        lambda ck: {"token_vectors": {**ck.token_vectors, "PROTX": np.full(8, np.inf)}},
-        DimensionMismatch, "checkpoint token vectors are not all finite and 8-d: "
-                           "the vector of 'PROTX' has non-finite components"),
+    "word matrix width": (
+        lambda ck: {"word_vectors": ck.word_vectors[:, :5]},
+        DimensionMismatch, "checkpoint word vectors have shape (3, 5), its words and "
+                           "embedding_dim need (3, 8)"),
+    "word row not finite": (
+        lambda ck: {"word_vectors": with_row(ck.word_vectors, 2, np.inf)},
+        DimensionMismatch, "checkpoint word vector of 'PROTX' has non-finite components"),
+    "words unsorted": (
+        lambda ck: {"words": ("PROT2", "PROT1", "PROTX")},
+        FormatError, "checkpoint words must be distinct strings in sorted order"),
+    "words repeated": (
+        lambda ck: {"words": ("PROT1", "PROT1", "PROTX")},
+        FormatError, "checkpoint words must be distinct strings in sorted order"),
 }
-# the file's word matrix has rows of one width, so the writer, handed a 5-d
-# row, writes a payload that is too short
-STORED_AS = {"token vector width": "checkpoint array payload is truncated"}
 
 
 class TestConstructionFaults:
@@ -316,7 +334,24 @@ class TestConstructionFaults:
         out, err = capsys.readouterr()
         assert rc == 2
         assert_exit_2_names(path, rc, out, err)
-        assert err == f"error: {path}: {STORED_AS.get(rule, message)}\n"
+        assert err == f"error: {path}: {message}\n"
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
+    def test_no_field_can_be_set_once_made(self, trained_checkpoint, name):
+        """A field set after the checks would reach the writer unchecked."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trained_checkpoint, name, getattr(trained_checkpoint, name))
+
+    def test_token_vectors_are_a_read_only_view_of_the_words_and_matrix(self,
+                                                                       trained_checkpoint):
+        ck = trained_checkpoint
+        assert list(ck.token_vectors) == list(ck.words)
+        for word, row in zip(ck.words, ck.word_vectors):
+            assert np.array_equal(ck.token_vectors[word], row)
+        with pytest.raises(TypeError):
+            ck.token_vectors["PROT1"] = np.zeros(5)
 
 
 class TestCorruption:
@@ -470,12 +505,6 @@ class TestMetadata:
         with pytest.raises(FormatError, match="pos_ae arrays"):
             checkpoint_from_bytes(blob)
 
-    def test_token_vector_of_another_dimension_is_rejected(self, trained_checkpoint):
-        """Such a checkpoint is never made; the file format cannot hold one,
-        since its word matrix has rows of one width."""
-        vectors = {**trained_checkpoint.token_vectors, "PROT1": np.zeros(5)}
-        with pytest.raises(DimensionMismatch, match="token vectors are not all finite and 8-d"):
-            dataclasses.replace(trained_checkpoint, token_vectors=vectors)
 
     def test_an_array_listed_twice_is_format_error(self, trained_checkpoint):
         """A repeated (section, name) entry is rejected, not read over the first."""
@@ -511,7 +540,7 @@ class TestMetadata:
         entry = next(e for e in meta["arrays"] if e[:2] == ["words", "vectors"])
         assert entry[2] == [3, 8]
         meta["words"], entry[2] = words, shape
-        with pytest.raises(FormatError, match=r"word vectors have shape .* need \(\d+, 8\)"):
+        with pytest.raises(DimensionMismatch, match=r"word vectors have shape .* need \(\d+, 8\)"):
             checkpoint_from_bytes(framed(meta, payload))
 
     @pytest.mark.parametrize("entry", [["param", "theta"], ["words", "vectors"]])

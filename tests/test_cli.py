@@ -208,7 +208,7 @@ class TestTrainEvaluatePredict:
         ck = load_checkpoint(workdir / "model.sdpl")
         assert ck.config.tune_embeddings is True
         # tuned vocabulary is persisted alongside the placeholder vectors
-        assert len(ck.token_vectors) > 3
+        assert len(ck.words) > 3
 
     def test_unknown_config_key_is_exit_2(self, workdir, capsys):
         (workdir / "badconfig").write_text("frobnicate=1\n", encoding="utf-8")

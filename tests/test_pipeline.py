@@ -1460,13 +1460,13 @@ class TestTrain:
 
     def test_special_token_vectors_persisted(self, synth_instances):
         tr = train(small_config(epochs=2), synth_instances.instances)
-        assert set(tr.checkpoint.token_vectors) >= {"PROT1", "PROT2", "PROTX"}
+        assert tr.checkpoint.words == ("PROT1", "PROT2", "PROTX")
 
     def test_tuned_embeddings_stored_and_changed(self, synth_instances):
         cfg = small_config(epochs=5, tune_embeddings=True)
         tr = train(cfg, synth_instances.instances)
         vocab = {t for i in synth_instances.instances for t in i.tokens}
-        assert vocab <= set(tr.checkpoint.token_vectors)
+        assert vocab <= set(tr.checkpoint.words)
         from sdprel.embed import oov_vector
 
         moved = [
